@@ -31,10 +31,6 @@ class MisalignedBlock(ValidationError):
     """A block does not align with its parent's cell grid."""
 
 
-class NotOrthonormal(ValidationError):
-    """A rotation matrix failed the orthonormality check."""
-
-
 class NonDyadicDims(ValidationError):
     """Cell counts are not compatible with the requested octree depth."""
 

@@ -162,13 +162,3 @@ def plane_from_triangle(t: Triangle) -> Plane:
     unit = Vec3(n.x / length, n.y / length, n.z / length)
     return Plane(unit, -dot(unit, t.v0))
 
-
-def rotation_is_orthonormal(r, tol: float = 1e-9) -> bool:
-    """Check R^T R = I within ``tol`` (elementwise) for a 3x3 matrix."""
-    for i in range(3):
-        for j in range(3):
-            acc = sum(r[k][i] * r[k][j] for k in range(3))
-            expect = 1.0 if i == j else 0.0
-            if abs(acc - expect) > tol:
-                return False
-    return True

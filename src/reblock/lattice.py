@@ -15,13 +15,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import MisalignedBlock, NotOrthonormal, ValidationError
-from .geometry import Aabb, Vec3, aabb_from_bounds, rotation_is_orthonormal, vec3
-from .mesh import TriangleMesh
+from .errors import MisalignedBlock, ValidationError
+from .geometry import Aabb, Vec3, aabb_from_bounds, vec3
 
 UNLABELLED = -1
 
@@ -296,7 +295,7 @@ class BlockModel:
 
 
 def paint_parent(
-    spec: LatticeSpec, blocks: Sequence[Block], ordinals: Sequence[int] | None = None
+    spec: LatticeSpec, blocks: Sequence[Block]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rasterize blocks of one parent onto its cell grid.
 
@@ -313,7 +312,7 @@ def paint_parent(
         window = owner[nz : nz + sz, ny : ny + sy, nx : nx + sx]
         if (window != -1).any():
             raise ValidationError(f"overlapping blocks in parent {block.parent}")
-        window[:] = ordinals[pos] if ordinals is not None else pos
+        window[:] = pos
         labels[nz : nz + sz, ny : ny + sy, nx : nx + sx] = block.label
     return labels, owner
 
@@ -419,41 +418,6 @@ def write_model_csv(path: str | Path, model: BlockModel) -> int:
                 f"{c.x!r},{c.y!r},{c.z!r},{d.x!r},{d.y!r},{d.z!r},{block.label}\n"
             )
     return len(ordered)
-
-
-# ---------------------------------------------------------------------------
-# frame rotation
-# ---------------------------------------------------------------------------
-
-def _check_rotation(rotation: np.ndarray) -> np.ndarray:
-    rotation = np.asarray(rotation, dtype=np.float64)
-    if not rotation_is_orthonormal(rotation):
-        raise NotOrthonormal("frame rotation must be orthonormal within 1e-9")
-    return rotation
-
-
-def rotate_points(points: np.ndarray, rotation: np.ndarray) -> np.ndarray:
-    """Map world coordinates into the axis-aligned modelling frame.
-
-    Blocks only ever exist in the modelling frame; this transforms point
-    data (mesh vertices, sample locations) in.  Use ``rotation.T`` to go
-    back out.
-    """
-    rotation = _check_rotation(rotation)
-    points = np.asarray(points, dtype=np.float64)
-    return points @ rotation.T
-
-
-def rotate_mesh(mesh: TriangleMesh, rotation: np.ndarray) -> TriangleMesh:
-    return TriangleMesh(
-        rotate_points(mesh.vertices, rotation), mesh.triangles, name=mesh.name
-    )
-
-
-def iter_parents(model: BlockModel) -> Iterator[IntTriple]:
-    """Distinct parents in canonical (raster) order."""
-    seen = sorted({b.parent for b in model.blocks}, key=lambda p: (p[2], p[1], p[0]))
-    return iter(seen)
 
 
 def model_from_grid(

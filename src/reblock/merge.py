@@ -18,9 +18,11 @@ Two conventions over a parent's cell grid:
   tiles the extension box — so every output block is a rectangle and
   every input block lands wholly inside exactly one output block.
 
-Eight scan patterns (mirroring the grid along any subset of axes) give
-the greedy sweep eight different vantage points; the multi-scan driver
-keeps whichever result scores best under the chosen objective.
+Both conventions run on one ordinal grid per class, painted once: each
+cell holds the index of its input block, or -1.  Eight scan patterns
+(``np.flip`` views of that grid along any subset of axes) give the greedy
+sweep eight different vantage points; the multi-scan driver keeps
+whichever result scores best under the chosen objective.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, OutOfBounds, ValidationError
-from .lattice import IntTriple, raster_index, subscript_of
+from .errors import EmptyInput, ValidationError
+from .lattice import IntTriple, subscript_of
 
 Convention = Literal["dissolved", "persistent"]
 Objective = Literal["count", "aspect"]
@@ -93,15 +95,6 @@ def _box_slices(n: Sequence[int], s: Sequence[int]) -> tuple[slice, slice, slice
     )
 
 
-def pool(theta: np.ndarray, value: int, n: IntTriple, k: IntTriple) -> int:
-    """Count cells equal to ``value`` inside the box [n, n+k)."""
-    kz, ky, kx = theta.shape
-    for axis, limit in enumerate((kx, ky, kz)):
-        if n[axis] < 0 or n[axis] + k[axis] > limit:
-            raise OutOfBounds(f"box {n}+{k} outside the {theta.shape} grid")
-    return int((theta[_box_slices(n, k)] == value).sum())
-
-
 # ---------------------------------------------------------------------------
 # dissolved convention
 # ---------------------------------------------------------------------------
@@ -111,12 +104,10 @@ def coalesce_binary(
     label: int,
     max_dims: IntTriple | None = None,
     token_life: int | None = None,
-    turn_log: list[tuple[int, int]] | None = None,
 ) -> list[MergedBlock]:
     """Greedy re-tiling of the active (=1) cells of a binary occupancy map.
 
-    The input map is not modified.  ``turn_log`` (if given) records
-    ``(block_ordinal, growth_cycles)`` per emitted block.
+    The input map is not modified.
     """
     theta = np.array(theta, dtype=np.uint8)
     kz, ky, kx = theta.shape
@@ -135,16 +126,12 @@ def coalesce_binary(
         if remaining == 1:
             n = subscript_of(first, counts)
             out.append(MergedBlock(n, (1, 1, 1), label))
-            if turn_log is not None:
-                turn_log.append((len(out) - 1, 0))
             break
         nx, ny, nz = subscript_of(first, counts)
         sx = sy = sz = 1
         i = token_life
-        cycles = 0
         while True:
             barriers = 0
-            cycles += 1
             # +x: one new slab of cells at x = nx+sx .. nx+dx
             dx = min(sx + 1, kx - nx)
             if (
@@ -184,8 +171,6 @@ def coalesce_binary(
             if count + sx * sy * sz == n_occupant or barriers == 3 or i == 0:
                 break
         out.append(MergedBlock((nx, ny, nz), (sx, sy, sz), label))
-        if turn_log is not None:
-            turn_log.append((len(out) - 1, cycles))
         theta[nz : nz + sz, ny : ny + sy, nx : nx + sx] = 0
         count += sx * sy * sz
     return out
@@ -201,10 +186,7 @@ class MergeRecord:
 
     cell_min: IntTriple
     dims: list[int]
-    label: int
-    ordinal: int
-    n_prev: int = 0
-    n_curr: int = 0
+    n_curr: int
     subsumed: bool = False
 
 
@@ -222,7 +204,7 @@ def feasible_cell_expansion(
     ``corner_lo``/``corner_hi`` bound the one-cell-thick delta slab just
     beyond the face, in (x, y, z) cell coordinates.  On success the
     absorbed records are marked subsumed, their cells repainted to ``b``,
-    and ``b``'s dims and cell counts updated; on failure nothing changes.
+    and ``b``'s dims and cell count updated; on failure nothing changes.
     """
     kz, ky, kx = theta.shape
     if corner_lo[0] >= kx or corner_lo[1] >= ky or corner_lo[2] >= kz:
@@ -244,13 +226,9 @@ def feasible_cell_expansion(
     rec = records[b]
     new_dims = list(rec.dims)
     new_dims[axis] += n_extend
-    for c in range(3):
-        if new_dims[c] > max_dims[c]:
-            return False
-    cross = 1
-    for c in range(3):
-        if c != axis:
-            cross *= rec.dims[c]
+    if any(d > cap for d, cap in zip(new_dims, max_dims)):
+        return False
+    cross = rec.n_curr // rec.dims[axis]  # cells in b's face
     n_region_cells = sum(records[nb].n_curr for nb in absorbable)
     if n_region_cells != n_extend * cross:
         return False  # join would not be a full rectangle
@@ -259,104 +237,83 @@ def feasible_cell_expansion(
         other = records[nb]
         other.subsumed = True
         theta[_box_slices(other.cell_min, other.dims)] = b
-    rec.n_prev = rec.n_curr
     rec.n_curr += n_region_cells
     rec.dims[axis] += n_extend
     return True
 
 
 def coalesce_persistent(
-    boxes: Sequence[tuple[IntTriple, IntTriple]],
-    counts: IntTriple,
+    owner: np.ndarray,
     label: int,
     max_dims: IntTriple | None = None,
     token_life: int | None = None,
-    turn_log: list[tuple[int, int]] | None = None,
 ) -> list[MergedBlock]:
     """Merge whole input blocks without ever splitting one.
 
-    ``boxes`` are the (cell_min, cell_dims) of one class's blocks inside
-    one parent; they must be pairwise disjoint.  Smaller blocks move
-    first ("priority gives smaller blocks the earliest opportunity to
-    grow"); passes repeat until no block's cell count changes.
+    ``owner`` is a [z, y, x] ordinal grid: each cell holds the index of
+    the input block covering it, or -1.  The ordinals must run 0..n-1 and
+    each must cover one solid box, as ``merge_class`` paints them.  The
+    input grid is not modified.  Smaller blocks move first ("priority
+    gives smaller blocks the earliest opportunity to grow"); passes repeat
+    until no block's cell count changes.  Output is in ordinal order.
     """
-    kx, ky, kz = counts
+    theta = np.array(owner, dtype=np.int64)
+    kz, ky, kx = theta.shape
+    counts = (kx, ky, kz)
     m = counts if max_dims is None else max_dims
-    theta = np.full((kz, ky, kx), -1, dtype=np.int64)
+    flat = theta.ravel()
+    cells = np.flatnonzero(flat >= 0)
+    ordinals = flat[cells]
+    # a box's first and last raster cells are its min and max corners
+    _, first = np.unique(ordinals, return_index=True)
+    _, last = np.unique(ordinals[::-1], return_index=True)
+    starts = cells[first].tolist()
     records: list[MergeRecord] = []
-    for ordinal, (n, s) in enumerate(boxes):
-        if min(n) < 0 or min(s) < 1:
-            raise ValidationError("input blocks overlap or leave the parent")
-        window = theta[_box_slices(n, s)]
-        if window.shape != (s[2], s[1], s[0]) or (window != -1).any():
-            raise ValidationError("input blocks overlap or leave the parent")
-        window[:] = ordinal
-        records.append(
-            MergeRecord(
-                cell_min=tuple(n),
-                dims=list(s),
-                label=label,
-                ordinal=ordinal,
-                n_prev=0,
-                n_curr=s[0] * s[1] * s[2],
-            )
-        )
+    for start, end in zip(starts, cells[cells.size - 1 - last].tolist()):
+        n = subscript_of(start, counts)
+        t = subscript_of(end, counts)
+        dims = [t[0] - n[0] + 1, t[1] - n[1] + 1, t[2] - n[2] + 1]
+        records.append(MergeRecord(n, dims, dims[0] * dims[1] * dims[2]))
 
     while True:
+        # disjoint live blocks have distinct min corners, so the key is total
         order = sorted(
-            (r for r in records if not r.subsumed),
-            key=lambda r: (r.n_curr, raster_index(r.cell_min, counts), r.ordinal),
+            (b for b, r in enumerate(records) if not r.subsumed),
+            key=lambda b: (records[b].n_curr, starts[b]),
         )
         if len(order) <= 1:
             break
         grew = False
-        for rec in order:
-            rec.n_prev = rec.n_curr
+        for b in order:
+            rec = records[b]
             if rec.subsumed:
                 continue
             at_turn_start = rec.n_curr
             i = token_life
             nx, ny, nz = rec.cell_min
             sx, sy, sz = rec.dims
-            cycles = 0
             while True:
                 barriers = 0
-                cycles += 1
                 dx = min(sx + 1, kx - nx)
                 if dx > sx and feasible_cell_expansion(
-                    theta,
-                    records,
-                    rec.ordinal,
-                    (nx + sx, ny, nz),
-                    (nx + dx, ny + sy, nz + sz),
-                    0,
-                    m,
+                    theta, records, b,
+                    (nx + sx, ny, nz), (nx + dx, ny + sy, nz + sz), 0, m,
                 ):
                     sx = rec.dims[0]
                 else:
                     barriers += 1
                 dy = min(sy + 1, ky - ny)
                 if dy > sy and feasible_cell_expansion(
-                    theta,
-                    records,
-                    rec.ordinal,
-                    (nx, ny + sy, nz),
-                    (nx + sx, ny + dy, nz + sz),
-                    1,
-                    m,
+                    theta, records, b,
+                    (nx, ny + sy, nz), (nx + sx, ny + dy, nz + sz), 1, m,
                 ):
                     sy = rec.dims[1]
                 else:
                     barriers += 1
                 dz = min(sz + 1, kz - nz)
                 if dz > sz and feasible_cell_expansion(
-                    theta,
-                    records,
-                    rec.ordinal,
-                    (nx, ny, nz + sz),
-                    (nx + sx, ny + sy, nz + dz),
-                    2,
-                    m,
+                    theta, records, b,
+                    (nx, ny, nz + sz), (nx + sx, ny + sy, nz + dz), 2, m,
                 ):
                     sz = rec.dims[2]
                 else:
@@ -369,62 +326,29 @@ def coalesce_persistent(
                     or i == 0
                 ):
                     break
-            if turn_log is not None:
-                turn_log.append((rec.ordinal, cycles))
             if rec.n_curr != at_turn_start:
                 grew = True
         # a pass without a single absorption is the fixed point; comparing
-        # n_prev/n_curr over *all* records would deadlock on blocks that
-        # grew and were then subsumed inside one pass (stale counters)
+        # cell counts over *all* records would deadlock on blocks that grew
+        # and were then subsumed inside one pass
         if not grew:
             break
 
     return [
-        MergedBlock(r.cell_min, (r.dims[0], r.dims[1], r.dims[2]), r.label)
+        MergedBlock(r.cell_min, (r.dims[0], r.dims[1], r.dims[2]), label)
         for r in records
         if not r.subsumed
     ]
 
 
 # ---------------------------------------------------------------------------
-# scan patterns
+# objectives and the multi-scan driver
 # ---------------------------------------------------------------------------
 
 def scan_flips(pattern: int) -> tuple[bool, bool, bool]:
     """Which axes pattern 0..7 mirrors (bit 0 = x, bit 1 = y, bit 2 = z)."""
     return bool(pattern & 1), bool(pattern & 2), bool(pattern & 4)
 
-
-def permute_grid(grid: np.ndarray, pattern: int) -> np.ndarray:
-    """Mirror a [z, y, x]-indexed grid along the pattern's axes."""
-    fx, fy, fz = scan_flips(pattern)
-    out = grid
-    if fx:
-        out = out[:, :, ::-1]
-    if fy:
-        out = out[:, ::-1, :]
-    if fz:
-        out = out[::-1, :, :]
-    return out
-
-
-def permute_box(
-    cell_min: IntTriple, cell_dims: IntTriple, counts: IntTriple, pattern: int
-) -> IntTriple:
-    """Min vertex of a cell box in the mirrored frame (an involution)."""
-    flips = scan_flips(pattern)
-    out = []
-    for axis in range(3):
-        if flips[axis]:
-            out.append(counts[axis] - (cell_min[axis] + cell_dims[axis]))
-        else:
-            out.append(cell_min[axis])
-    return (out[0], out[1], out[2])
-
-
-# ---------------------------------------------------------------------------
-# objectives and the multi-scan driver
-# ---------------------------------------------------------------------------
 
 def aspect_ratio_objective(
     blocks: Sequence[MergedBlock], min_dims: Sequence[float]
@@ -462,61 +386,55 @@ def merge_class(
 ) -> list[MergedBlock]:
     """Best merge of one class's blocks over the configured scan patterns.
 
-    Every pattern mirrors the problem, runs the configured convention
-    with the standard raster scan, mirrors the result back, and scores
-    it; ties keep the lowest pattern index.
+    The boxes are painted once onto an ordinal grid; they must be pairwise
+    disjoint and inside the parent.  Every pattern runs the configured
+    convention with the standard raster scan on a mirrored view of that
+    grid and scores the result; ties keep the lowest pattern index.  Only
+    the winner is mirrored back.
     """
     if not boxes:
         return []
-    for axis in range(3):
-        limit = counts[axis] if params.max_dims is None else params.max_dims[axis]
-        if limit > counts[axis]:
-            raise ValidationError(
-                "max merge dims cannot exceed the parent cell dimensions"
-            )
-    best: list[MergedBlock] | None = None
-    best_score: float | tuple[int, float] | None = None
-    for pattern in params.scan_patterns:
-        merged = _merge_one_pattern(boxes, counts, params, label, pattern)
-        score = objective_value(merged, min_dims, params.objective)
-        if best_score is None or score < best_score:
-            best = merged
-            best_score = score
-    assert best is not None
-    return best
-
-
-def _merge_one_pattern(
-    boxes: Sequence[tuple[IntTriple, IntTriple]],
-    counts: IntTriple,
-    params: MergeParams,
-    label: int,
-    pattern: int,
-) -> list[MergedBlock]:
+    caps = counts if params.max_dims is None else params.max_dims
+    if any(cap > k for cap, k in zip(caps, counts)):
+        raise ValidationError(
+            "max merge dims cannot exceed the parent cell dimensions"
+        )
     kx, ky, kz = counts
-    flipped = [
-        (permute_box(n, s, counts, pattern), s) for n, s in boxes
-    ]
-    if params.convention == "dissolved":
-        theta = np.zeros((kz, ky, kx), dtype=np.uint8)
-        for n, s in flipped:
-            theta[_box_slices(n, s)] = 1
-        merged = coalesce_binary(
-            theta, label, max_dims=params.max_dims, token_life=params.token_life
-        )
-    else:
-        merged = coalesce_persistent(
-            flipped,
-            counts,
-            label,
-            max_dims=params.max_dims,
-            token_life=params.token_life,
-        )
+    owner = np.full((kz, ky, kx), -1, dtype=np.int64)
+    for ordinal, (n, s) in enumerate(boxes):
+        window = owner[_box_slices(n, s)]
+        if (
+            min(n) < 0
+            or min(s) < 1
+            or window.shape != (s[2], s[1], s[0])
+            or (window != -1).any()
+        ):
+            raise ValidationError("input blocks overlap or leave the parent")
+        window[:] = ordinal
+
+    runs = []
+    for pattern in params.scan_patterns:
+        flips = scan_flips(pattern)
+        view = np.flip(owner, tuple(2 - a for a in range(3) if flips[a]))
+        if params.convention == "dissolved":
+            merged = coalesce_binary(
+                view >= 0, label, max_dims=params.max_dims, token_life=params.token_life
+            )
+        else:
+            merged = coalesce_persistent(
+                view, label, max_dims=params.max_dims, token_life=params.token_life
+            )
+        score = objective_value(merged, min_dims, params.objective)
+        runs.append((score, flips, merged))
+    _, best_flips, best = min(runs, key=lambda run: run[0])  # first of equal scores
     return [
         MergedBlock(
-            permute_box(b.cell_min, b.cell_dims, counts, pattern),
+            tuple(
+                k - lo - d if flip else lo
+                for k, lo, d, flip in zip(counts, b.cell_min, b.cell_dims, best_flips)
+            ),
             b.cell_dims,
-            b.label,
+            label,
         )
-        for b in merged
+        for b in best
     ]

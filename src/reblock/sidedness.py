@@ -25,7 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateTriangle,
     EmptySurface,
     UnresolvableRay,
     ValidationError,
@@ -51,93 +50,6 @@ PARALLEL_EPS = 1e-12
 # Retry policy for grazing rays.
 MAX_RECASTS = 8
 TILT_RADIANS = 1e-4
-
-
-class _ParallelOnPlane:
-    """Sentinel: ray lies inside the triangle's plane (not an error)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "ParallelOnPlane"
-
-
-PARALLEL_ON_PLANE = _ParallelOnPlane()
-
-
-@dataclass(frozen=True)
-class Ray:
-    origin: Vec3
-    direction: Vec3
-
-    def __post_init__(self) -> None:
-        n = math.sqrt(
-            self.direction.x ** 2 + self.direction.y ** 2 + self.direction.z ** 2
-        )
-        if abs(n - 1.0) > 1e-12:
-            raise ValidationError("ray direction must be a unit vector")
-
-
-def ray_between(p0: Vec3, p1: Vec3) -> Ray:
-    d = (p1.x - p0.x, p1.y - p0.y, p1.z - p0.z)
-    n = math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
-    if n == 0.0:
-        raise ValidationError("ray endpoints coincide")
-    return Ray(vec3(*p0), vec3(d[0] / n, d[1] / n, d[2] / n))
-
-
-@dataclass(frozen=True)
-class RayHit:
-    ray_param: float  # distance along the (unit) ray direction
-    s: float
-    t: float
-    point: Vec3
-    triangle_id: int
-
-
-def ray_triangle(
-    ray: Ray, tri: np.ndarray | Sequence[Sequence[float]], triangle_id: int = -1
-):
-    """Ray vs triangle: a RayHit, None for a miss, or PARALLEL_ON_PLANE.
-
-    The hit test is exact on the closed barycentric region: s >= 0,
-    t >= 0, s + t <= 1 and ray parameter >= 0.  A direction lying in the
-    triangle's plane returns the sentinel so callers can recast.
-    """
-    v = np.asarray(tri, dtype=np.float64).reshape(3, 3)
-    p0 = np.asarray(ray.origin, dtype=np.float64)
-    d = np.asarray(ray.direction, dtype=np.float64)
-    u = v[1] - v[0]
-    w_edge = v[2] - v[0]
-    n = np.cross(u, w_edge)
-    n_norm = float(np.linalg.norm(n))
-    if n_norm == 0.0:
-        raise DegenerateTriangle("triangle has zero normal")
-    denom = float(n @ d)
-    numer = float(n @ (v[0] - p0))
-    if abs(denom) <= PARALLEL_EPS * n_norm:
-        scale = max(1.0, float(np.linalg.norm(v[0] - p0)))
-        if abs(numer) <= PARALLEL_EPS * n_norm * scale:
-            return PARALLEL_ON_PLANE
-        return None
-    lam = numer / denom
-    if lam < 0.0:
-        return None
-    p = p0 + lam * d
-    w = p - v[0]
-    uu = float(u @ u)
-    vv = float(w_edge @ w_edge)
-    uv = float(u @ w_edge)
-    wu = float(w @ u)
-    wv = float(w @ w_edge)
-    delta = uv * uv - uu * vv
-    if delta == 0.0:
-        raise DegenerateTriangle("triangle edges are parallel")
-    s = (uv * wv - vv * wu) / delta
-    t = (uv * wu - uu * wv) / delta
-    if s >= 0.0 and t >= 0.0 and s + t <= 1.0:
-        return RayHit(lam, s, t, vec3(*p), triangle_id)
-    return None
 
 
 # ---------------------------------------------------------------------------

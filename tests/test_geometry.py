@@ -15,7 +15,6 @@ from reblock.geometry import (
     dot,
     normalize,
     plane_from_triangle,
-    rotation_is_orthonormal,
     sub,
     triangle_aabb,
     triangle_area,
@@ -89,13 +88,6 @@ def test_plane_from_triangle_unit_normal():
     # all three vertices satisfy the plane equation
     for v in t:
         assert abs(dot(plane.normal, v) + plane.d) < 1e-12
-
-
-def test_rotation_check():
-    ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    skew = [[1, 0.1, 0], [0, 1, 0], [0, 0, 1]]
-    assert rotation_is_orthonormal(ident)
-    assert not rotation_is_orthonormal(skew)
 
 
 @given(finite, finite, finite, finite, finite, finite)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reblock.errors import EmptyInput, OutOfBounds, ValidationError
+from reblock.errors import EmptyInput, ValidationError
 from reblock.merge import (
     ALL_SCAN_PATTERNS,
     MergedBlock,
@@ -16,9 +16,6 @@ from reblock.merge import (
     coalesce_persistent,
     merge_class,
     objective_value,
-    permute_box,
-    permute_grid,
-    pool,
     scan_flips,
 )
 
@@ -34,11 +31,25 @@ REFERENCE_COUNTS = (5, 3, 3)
 
 
 def paint(boxes, counts) -> np.ndarray:
+    return (paint_owner(boxes, counts) >= 0).astype(np.uint8)
+
+
+def paint_owner(boxes, counts) -> np.ndarray:
+    """Ordinal grid: each cell holds the index of its box, or -1."""
     kx, ky, kz = counts
-    theta = np.zeros((kz, ky, kx), dtype=np.uint8)
-    for n, s in boxes:
-        theta[n[2] : n[2] + s[2], n[1] : n[1] + s[1], n[0] : n[0] + s[0]] = 1
-    return theta
+    owner = np.full((kz, ky, kx), -1, dtype=np.int64)
+    for i, (n, s) in enumerate(boxes):
+        owner[n[2] : n[2] + s[2], n[1] : n[1] + s[1], n[0] : n[0] + s[0]] = i
+    return owner
+
+
+def mirror(blocks, counts, pattern):
+    """Boxes as (cell_min, cell_dims), mirrored along the pattern's axes."""
+    flips = scan_flips(pattern)
+    return [
+        (tuple(counts[a] - n[a] - s[a] if flips[a] else n[a] for a in range(3)), s)
+        for n, s in blocks
+    ]
 
 
 def cover_map(blocks, counts) -> np.ndarray:
@@ -69,15 +80,6 @@ def test_reference_pattern_reproduced_exactly():
     ]
 
 
-def test_pool_counts_and_bounds():
-    theta = paint([((0, 0, 0), (2, 2, 1))], (3, 3, 3))
-    assert pool(theta, 1, (0, 0, 0), (3, 3, 3)) == 4
-    assert pool(theta, 0, (0, 0, 0), (3, 3, 3)) == 23
-    assert pool(theta, 1, (1, 1, 0), (2, 2, 1)) == 1
-    with pytest.raises(OutOfBounds):
-        pool(theta, 1, (2, 0, 0), (2, 1, 1))
-
-
 def test_full_grid_merges_to_one_block():
     theta = np.ones((4, 5, 6), dtype=np.uint8)
     merged = coalesce_binary(theta, label=3)
@@ -103,10 +105,9 @@ def test_max_dims_respected():
 
 def test_token_life_limits_growth_cycles():
     theta = np.ones((1, 1, 6), dtype=np.uint8)
-    log: list[tuple[int, int]] = []
-    merged = coalesce_binary(theta, label=0, token_life=2, turn_log=log)
+    # two cycles grow a seed by two cells at most
+    merged = coalesce_binary(theta, label=0, token_life=2)
     assert [b.cell_dims for b in merged] == [(3, 1, 1), (3, 1, 1)]
-    assert all(cycles <= 2 for _, cycles in log)
     # unlimited possession sweeps the whole row in one block
     assert coalesce_binary(theta, label=0) == [MergedBlock((0, 0, 0), (6, 1, 1), 0)]
 
@@ -133,27 +134,28 @@ def test_dissolved_partition_invariants(theta):
     for b in merged:
         assert b.label == 2
         # every emitted block is a solid prism of originally-occupied cells
-        assert pool(theta, 1, b.cell_min, b.cell_dims) == b.n_cells()
+        n, s = b.cell_min, b.cell_dims
+        assert theta[n[2] : n[2] + s[2], n[1] : n[1] + s[1], n[0] : n[0] + s[0]].all()
 
 
 def test_persistent_quad_join():
     boxes = [((0, 0, 0), (1, 1, 1)), ((1, 0, 0), (1, 1, 1)),
              ((0, 1, 0), (1, 1, 1)), ((1, 1, 0), (1, 1, 1))]
-    merged = coalesce_persistent(boxes, (2, 2, 1), label=4)
+    merged = coalesce_persistent(paint_owner(boxes, (2, 2, 1)), label=4)
     assert merged == [MergedBlock((0, 0, 0), (2, 2, 1), 4)]
 
 
 def test_persistent_absorbs_whole_blocks_only():
     # B is 2 cells tall; absorbing it into A's 1-cell face would split it
     boxes = [((0, 0, 0), (1, 1, 1)), ((1, 0, 0), (1, 2, 1))]
-    merged = coalesce_persistent(boxes, (2, 2, 1), label=0)
+    merged = coalesce_persistent(paint_owner(boxes, (2, 2, 1)), label=0)
     assert sorted(b.cell_min for b in merged) == [(0, 0, 0), (1, 0, 0)]
     assert sorted(b.cell_dims for b in merged) == [(1, 1, 1), (1, 2, 1)]
 
 
 def test_persistent_chain_absorption():
     boxes = [((0, 0, 0), (1, 1, 1)), ((1, 0, 0), (1, 1, 1)), ((2, 0, 0), (2, 1, 1))]
-    merged = coalesce_persistent(boxes, (4, 1, 1), label=0)
+    merged = coalesce_persistent(paint_owner(boxes, (4, 1, 1)), label=0)
     assert merged == [MergedBlock((0, 0, 0), (4, 1, 1), 0)]
 
 
@@ -161,19 +163,45 @@ def test_persistent_smallest_blocks_move_first():
     """A big block and two small ones: the small pair joins even though
     the big block appears first in the input."""
     boxes = [((0, 0, 0), (2, 2, 1)), ((2, 0, 0), (1, 1, 1)), ((2, 1, 0), (1, 1, 1))]
-    merged = coalesce_persistent(boxes, (3, 2, 1), label=0)
+    merged = coalesce_persistent(paint_owner(boxes, (3, 2, 1)), label=0)
     assert MergedBlock((2, 0, 0), (1, 2, 1), 0) in merged or len(merged) == 1
     # in fact the column join makes the final sweep possible
     assert merged == [MergedBlock((0, 0, 0), (3, 2, 1), 0)]
 
 
+# boxes in a (4, 1, 1) parent that no convention may merge
+BAD_BOXES = [
+    [((0, 0, 0), (2, 1, 1)), ((1, 0, 0), (2, 1, 1))],  # overlap
+    [((0, 0, 0), (2, 1, 1)), ((1, 0, 0), (1, 1, 1))],  # overlap
+    [((3, 0, 0), (2, 1, 1))],  # leaves the parent at +x
+    [((0, 0, 0), (5, 1, 1))],  # larger than the parent
+    [((-1, 0, 0), (2, 1, 1))],  # leaves the parent at -x
+    [((0, 0, 0), (0, 1, 1))],  # empty box
+]
+
+
+def assert_rejects_bad_boxes(convention):
+    for patterns in [(0,), ALL_SCAN_PATTERNS]:
+        params = MergeParams(convention=convention, scan_patterns=patterns)
+        for boxes in BAD_BOXES:
+            with pytest.raises(ValidationError, match="overlap or leave"):
+                merge_class(boxes, (4, 1, 1), (1, 1, 1), params, label=0)
+
+
+def test_persistent_input_grid_not_modified():
+    boxes = [((0, 0, 0), (1, 1, 1)), ((1, 0, 0), (1, 1, 1)), ((2, 0, 0), (2, 1, 1))]
+    owner = paint_owner(boxes, (4, 1, 1))
+    snapshot = owner.copy()
+    assert coalesce_persistent(owner, label=0) == [MergedBlock((0, 0, 0), (4, 1, 1), 0)]
+    assert np.array_equal(owner, snapshot)
+
+
 def test_persistent_rejects_overlapping_inputs():
-    with pytest.raises(ValidationError):
-        coalesce_persistent(
-            [((0, 0, 0), (2, 1, 1)), ((1, 0, 0), (1, 1, 1))], (3, 1, 1), label=0
-        )
-    with pytest.raises(ValidationError):
-        coalesce_persistent([((0, 0, 0), (4, 1, 1))], (3, 1, 1), label=0)
+    assert_rejects_bad_boxes("persistent")
+
+
+def test_dissolved_rejects_overlapping_inputs():
+    assert_rejects_bad_boxes("dissolved")
 
 
 def random_partition_boxes(rng, counts, keep=0.7):
@@ -205,7 +233,7 @@ def test_persistent_containment_invariant(rng):
         boxes = random_partition_boxes(rng, counts)
         if not boxes:
             continue
-        merged = coalesce_persistent(boxes, counts, label=1)
+        merged = coalesce_persistent(paint_owner(boxes, counts), label=1)
         cover = cover_map(merged, counts)
         assert cover.max(initial=0) <= 1
         assert int(cover.sum()) == sum(s[0] * s[1] * s[2] for _, s in boxes)
@@ -221,22 +249,30 @@ def test_persistent_containment_invariant(rng):
             assert len(homes) == 1
 
 
+@settings(max_examples=60, deadline=None)
 @given(
-    hnp.arrays(np.int8, st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
-               elements=st.integers(0, 3)),
-    st.integers(0, 7),
+    st.integers(0, 2**32 - 1),
+    st.tuples(st.integers(2, 5), st.integers(2, 5), st.integers(2, 5)),
+    st.sampled_from(["dissolved", "persistent"]),
+    st.sampled_from(["count", "aspect"]),
 )
-def test_permute_grid_is_involution(grid, pattern):
-    assert np.array_equal(permute_grid(permute_grid(grid, pattern), pattern), grid)
-
-
-@given(st.integers(0, 7))
-def test_permute_box_round_trip(pattern):
-    counts = (6, 5, 4)
-    for n, s in [((0, 0, 0), (2, 2, 1)), ((3, 1, 2), (3, 4, 2)), ((5, 4, 3), (1, 1, 1))]:
-        m = permute_box(n, s, counts, pattern)
-        assert permute_box(m, s, counts, pattern) == n
-        assert all(0 <= m[a] and m[a] + s[a] <= counts[a] for a in range(3))
+def test_each_pattern_is_pattern_zero_on_mirrored_boxes(
+    seed, counts, convention, objective
+):
+    """Scan pattern p is the standard scan of the mirrored boxes, mirrored back."""
+    rng = np.random.default_rng(seed)
+    boxes = random_partition_boxes(rng, counts)
+    if not boxes:
+        return
+    for pattern in ALL_SCAN_PATTERNS:
+        one = MergeParams(convention, objective, scan_patterns=(pattern,))
+        zero = MergeParams(convention, objective, scan_patterns=(0,))
+        got = merge_class(boxes, counts, (1, 2, 3), one, label=5)
+        flipped = mirror(boxes, counts, pattern)
+        mirrored = merge_class(flipped, counts, (1, 2, 3), zero, label=5)
+        back = mirror([(b.cell_min, b.cell_dims) for b in mirrored], counts, pattern)
+        assert [(b.cell_min, b.cell_dims) for b in got] == back
+        assert all(b.label == 5 for b in got)
 
 
 def test_scan_flips_bit_layout():
