@@ -39,10 +39,6 @@ class MissingSidedness(ValidationError):
     """Tagging was asked to use a (block, surface) relation it was not given."""
 
 
-class OutOfBounds(ValidationError):
-    """A cell-grid query referenced cells outside the parent."""
-
-
 class EmptyInput(ValidationError):
     """An operation that needs at least one element received none."""
 

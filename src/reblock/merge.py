@@ -226,9 +226,13 @@ def feasible_cell_expansion(
     rec = records[b]
     new_dims = list(rec.dims)
     new_dims[axis] += n_extend
-    if any(d > cap for d, cap in zip(new_dims, max_dims)):
-        return False
-    cross = rec.n_curr // rec.dims[axis]  # cells in b's face
+    for c in range(3):
+        if new_dims[c] > max_dims[c]:
+            return False
+    cross = 1
+    for c in range(3):
+        if c != axis:
+            cross *= rec.dims[c]
     n_region_cells = sum(records[nb].n_curr for nb in absorbable)
     if n_region_cells != n_extend * cross:
         return False  # join would not be a full rectangle
@@ -296,24 +300,39 @@ def coalesce_persistent(
                 barriers = 0
                 dx = min(sx + 1, kx - nx)
                 if dx > sx and feasible_cell_expansion(
-                    theta, records, b,
-                    (nx + sx, ny, nz), (nx + dx, ny + sy, nz + sz), 0, m,
+                    theta,
+                    records,
+                    b,
+                    (nx + sx, ny, nz),
+                    (nx + dx, ny + sy, nz + sz),
+                    0,
+                    m,
                 ):
                     sx = rec.dims[0]
                 else:
                     barriers += 1
                 dy = min(sy + 1, ky - ny)
                 if dy > sy and feasible_cell_expansion(
-                    theta, records, b,
-                    (nx, ny + sy, nz), (nx + sx, ny + dy, nz + sz), 1, m,
+                    theta,
+                    records,
+                    b,
+                    (nx, ny + sy, nz),
+                    (nx + sx, ny + dy, nz + sz),
+                    1,
+                    m,
                 ):
                     sy = rec.dims[1]
                 else:
                     barriers += 1
                 dz = min(sz + 1, kz - nz)
                 if dz > sz and feasible_cell_expansion(
-                    theta, records, b,
-                    (nx, ny, nz + sz), (nx + sx, ny + sy, nz + dz), 2, m,
+                    theta,
+                    records,
+                    b,
+                    (nx, ny, nz + sz),
+                    (nx + sx, ny + sy, nz + dz),
+                    2,
+                    m,
                 ):
                     sz = rec.dims[2]
                 else:
@@ -394,11 +413,12 @@ def merge_class(
     """
     if not boxes:
         return []
-    caps = counts if params.max_dims is None else params.max_dims
-    if any(cap > k for cap, k in zip(caps, counts)):
-        raise ValidationError(
-            "max merge dims cannot exceed the parent cell dimensions"
-        )
+    for axis in range(3):
+        limit = counts[axis] if params.max_dims is None else params.max_dims[axis]
+        if limit > counts[axis]:
+            raise ValidationError(
+                "max merge dims cannot exceed the parent cell dimensions"
+            )
     kx, ky, kz = counts
     owner = np.full((kz, ky, kx), -1, dtype=np.int64)
     for ordinal, (n, s) in enumerate(boxes):

@@ -135,6 +135,7 @@ def test_dissolved_partition_invariants(theta):
         assert b.label == 2
         # every emitted block is a solid prism of originally-occupied cells
         n, s = b.cell_min, b.cell_dims
+        assert min(n) >= 0 and all(n[a] + s[a] <= counts[a] for a in range(3))
         assert theta[n[2] : n[2] + s[2], n[1] : n[1] + s[1], n[0] : n[0] + s[0]].all()
 
 
