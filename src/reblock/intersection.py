@@ -6,6 +6,10 @@ axes separates them: the 3 box axes, the triangle's plane normal, and the
 9 cross products of box axes with triangle edges.  Contact counts as
 intersection (closed sets); a grazing triangle merely causes harmless
 extra decomposition downstream.
+
+The batched tests run the three box axes first, on every (box, triangle)
+pair at once from per-triangle bounds; most pairs end there.  Only the
+pairs whose bounds meet go on to the other ten axes.
 """
 
 from __future__ import annotations
@@ -76,67 +80,87 @@ def sat_batch(
     ``tri_verts`` is (T, 3, 3); ``centers`` is (B, 3); ``halves`` is a
     shared (3,) half-extent or per-box (B, 3).  Returns a (B, T) boolean
     intersection matrix.
+
+    The three box axes run on the whole grid first, from per-triangle
+    bounds; the other ten axes run only on the pairs whose bounds meet.
     """
-    tv = np.asarray(tri_verts, dtype=np.float64)
-    centers = np.asarray(centers, dtype=np.float64)
-    halves = np.asarray(halves, dtype=np.float64)
-    if halves.ndim == 1:
-        h = halves[None, None, :]  # (1, 1, 3)
-    else:
-        h = halves[:, None, :]  # (B, 1, 3)
-    # vp: (B, T, 3 verts, 3 coords)
-    vp = tv[None, :, :, :] - centers[:, None, None, :]
-    return _sat_core(vp, h)
+    tv, centers, halves = _as_f64(tri_verts, centers, halves)
+    h = halves if halves.ndim == 1 else halves[:, None, :]
+    meet = _bounds_meet(tv, centers[:, None, :], h)
+    return _sat_survivors(meet, tv, centers, halves)
 
 
 def sat_pairs(
     tri_verts: np.ndarray, centers: np.ndarray, halves: np.ndarray
 ) -> np.ndarray:
     """Elementwise SAT: pair i = triangle i vs box i.  Returns (N,) bools."""
-    tv = np.asarray(tri_verts, dtype=np.float64)
-    centers = np.asarray(centers, dtype=np.float64)
-    halves = np.asarray(halves, dtype=np.float64)
-    vp = tv - centers[:, None, :]
-    return _sat_core(vp, halves)
+    tv, centers, halves = _as_f64(tri_verts, centers, halves)
+    return _sat_survivors(_bounds_meet(tv, centers, halves), tv, centers, halves)
+
+
+def _as_f64(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    return tuple(np.asarray(a, dtype=np.float64) for a in arrays)
+
+
+def _bounds_meet(tv: np.ndarray, centers: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The three box axes: do each triangle's bounds meet each box?
+
+    Rounding is monotone, so ``min_k(v_k) - c`` equals ``min_k(v_k - c)``
+    bit for bit: this is exactly the box-axis test on translated vertices.
+    ``centers`` and ``h`` broadcast against the (T, 3) triangle bounds.
+    """
+    lo = tv.min(axis=-2)
+    hi = tv.max(axis=-2)
+    separated = np.zeros(np.broadcast_shapes(lo.shape, centers.shape)[:-1], dtype=bool)
+    for c in range(3):
+        separated |= lo[..., c] - centers[..., c] > h[..., c]
+        separated |= hi[..., c] - centers[..., c] < -h[..., c]
+    return ~separated
+
+
+def _sat_survivors(
+    meet: np.ndarray, tv: np.ndarray, centers: np.ndarray, halves: np.ndarray
+) -> np.ndarray:
+    """Overwrite each True entry of ``meet`` with the ten remaining axes.
+
+    The first index of ``meet`` picks the box and the last the triangle,
+    so a (B, T) grid and an (N,) pair list take the same path.
+    """
+    idx = np.nonzero(meet)
+    box, tri = idx[0], idx[-1]
+    h = halves if halves.ndim == 1 else halves[box]
+    meet[idx] = _sat_core(tv[tri] - centers[box, None, :], h)
+    return meet
+
+
+# The axis e_i x f of box axis i and edge f has f[_I2[i]] and -f[_I1[i]]
+# as its only nonzero coordinates, at _I1[i] and _I2[i].
+_I1 = [1, 2, 0]
+_I2 = [2, 0, 1]
 
 
 def _sat_core(vp: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """SAT over translated vertices.
+    """The nine edge cross-product axes and the triangle plane.
 
-    ``vp`` has shape (..., 3, 3): leading batch axes, then vertex, then
-    coordinate.  ``h`` broadcasts against (..., 3).  Returns (...) bools.
+    ``vp`` is (N, 3 vertices, 3 coordinates), translated by the box
+    centre; ``h`` is (3,) or (N, 3).  Returns (N,) bools.
     """
-    separated = np.zeros(vp.shape[:-2], dtype=bool)
+    # coordinate-major, so every NumPy loop below runs over all N pairs
+    v = np.ascontiguousarray(vp.transpose(1, 2, 0))  # (vertex, coord, N)
+    ht = h.T.reshape(3, -1)  # (coord, 1 or N)
+    f = v[[1, 2, 0]] - v  # edges v1-v0, v2-v1, v0-v2
+    fa = f[:, _I1]  # (edge j, box axis i, N)
+    fb = f[:, _I2]
+    p = v[:, None, _I2] * fa - v[:, None, _I1] * fb  # (vertex, j, i, N)
+    r = np.abs(fb) * ht[_I1] + np.abs(fa) * ht[_I2]
+    # an edge parallel to the box axis gives a null axis that cannot separate
+    live = fb**2 + fa**2 >= AXIS_EPS_SQ
+    sep = (p.min(axis=0) > r) | (p.max(axis=0) < -r)
+    separated = (sep & live).any(axis=(0, 1))
 
-    lo = vp.min(axis=-2)
-    hi = vp.max(axis=-2)
-    separated |= ((lo > h) | (hi < -h)).any(axis=-1)
-
-    f = np.stack(
-        [
-            vp[..., 1, :] - vp[..., 0, :],
-            vp[..., 2, :] - vp[..., 1, :],
-            vp[..., 0, :] - vp[..., 2, :],
-        ],
-        axis=-2,
-    )  # (..., edge, 3)
-
-    for i in range(3):
-        i1 = (i + 1) % 3
-        i2 = (i + 2) % 3
-        for j in range(3):
-            a = np.zeros(vp.shape[:-2] + (3,), dtype=np.float64)
-            a[..., i1] = -f[..., j, i2]
-            a[..., i2] = f[..., j, i1]
-            norm_sq = a[..., i1] ** 2 + a[..., i2] ** 2
-            p = np.einsum("...vc,...c->...v", vp, a)
-            r = (np.abs(a) * h).sum(axis=-1)
-            sep = (p.min(axis=-1) > r) | (p.max(axis=-1) < -r)
-            separated |= sep & (norm_sq >= AXIS_EPS_SQ)
-
-    n = np.cross(f[..., 0, :], f[..., 1, :])
+    n = np.cross(f[0].T, f[1].T)
     r = (np.abs(n) * h).sum(axis=-1)
-    s = np.einsum("...c,...c->...", n, vp[..., 0, :])
+    s = np.einsum("...c,...c->...", n, vp[:, 0, :])
     separated |= (s > r) | (s < -r)
     return ~separated
 
@@ -173,7 +197,7 @@ def detect_overlaps(
     recorded.
     """
     spec = model.spec
-    acc: dict[IntTriple, dict[int, set[int]]] = {}
+    acc: dict[IntTriple, dict[int, list[np.ndarray]]] = {}
     tri_verts = [mesh.tri_vertices() for mesh, _ in surfaces]
     for block in model.blocks:
         box = block.aabb(spec)
@@ -184,15 +208,12 @@ def detect_overlaps(
             if len(cand) == 0:
                 continue
             hits = sat_batch(tri_verts[sid][cand], center, half)[0]
-            if not hits.any():
-                continue
-            acc.setdefault(block.parent, {}).setdefault(sid, set()).update(
-                int(t) for t in cand[hits]
-            )
+            if hits.any():
+                acc.setdefault(block.parent, {}).setdefault(sid, []).append(cand[hits])
     out = OverlapMap()
     for parent, per_surface in acc.items():
         out.parents[parent] = {
-            sid: np.asarray(sorted(ids), dtype=np.int32)
+            sid: np.unique(np.concatenate(ids)).astype(np.int32)
             for sid, ids in sorted(per_surface.items())
         }
     return out

@@ -578,28 +578,23 @@ def write_sidedness_csv(
     intersect flags are a separate channel (see the overlap CSV).
     """
     kx, ky, kz = spec.cell_counts
-    rows = 0
+    # (cell_ix, cell_iy, cell_iz, surface_id) rows: cells in raster order
+    # (x fastest), surfaces innermost
+    cells = np.indices((kz, ky, kx)).reshape(3, -1)[::-1].T
+    cell_sid = np.column_stack(
+        [np.repeat(cells, n_surfaces, axis=0), np.tile(np.arange(n_surfaces), len(cells))]
+    )
+    line = "%d:%d:%d,%d,%d,%d,%d,%d\n"
     with Path(path).open("w", newline="") as handle:
         handle.write("parent,cell_ix,cell_iy,cell_iz,surface_id,code\n")
-        ordered = sorted(
+        for cls in sorted(
             classifications, key=lambda c: (c.parent[2], c.parent[1], c.parent[0])
-        )
-        for cls in ordered:
-            p_str = f"{cls.parent[0]}:{cls.parent[1]}:{cls.parent[2]}"
-            row_of = {sid: row for row, sid in enumerate(cls.surface_ids)}
-            i = 0
-            for nz in range(kz):
-                for ny in range(ky):
-                    for nx in range(kx):
-                        for sid in range(n_surfaces):
-                            row = row_of.get(sid)
-                            if row is None:
-                                code = CODE_UNTESTED
-                            elif cls.sides[row, i] == SIDE_ABOVE:
-                                code = CODE_ABOVE
-                            else:
-                                code = CODE_BELOW
-                            handle.write(f"{p_str},{nx},{ny},{nz},{sid},{code}\n")
-                            rows += 1
-                        i += 1
-    return rows
+        ):
+            codes = np.full((len(cells), n_surfaces), CODE_UNTESTED)
+            codes[:, cls.surface_ids] = np.where(
+                cls.sides.T == SIDE_ABOVE, CODE_ABOVE, CODE_BELOW
+            )
+            parent = np.broadcast_to(cls.parent, (len(cell_sid), 3))
+            table = np.column_stack([parent, cell_sid, codes.ravel()])
+            handle.write(line * len(table) % tuple(table.ravel().tolist()))
+    return len(cell_sid) * len(classifications)

@@ -96,16 +96,76 @@ def test_sat_pairs_matches_scalar_and_oracle(rng):
         assert sat_triangle_box(tv[i], box) == got[i]
 
 
+def scalar_grid(tv, centers, halves) -> np.ndarray:
+    """(B, T) verdicts of ``sat_triangle_box``, one pair at a time."""
+    per_box = np.broadcast_to(halves, centers.shape)
+    out = np.zeros((len(centers), len(tv)), dtype=bool)
+    for b, (c, h) in enumerate(zip(centers, per_box)):
+        box = Aabb(vec3(*c), vec3(*h))
+        for t, v in enumerate(tv):
+            out[b, t] = sat_triangle_box(v, box)
+    return out
+
+
+def check_grid(tv, centers, halves) -> np.ndarray:
+    """``sat_batch`` equals the scalar test on every entry, and ``sat_pairs``
+    gives the same verdicts on the grid's pairs listed one by one."""
+    grid = sat_batch(tv, centers, halves)
+    assert grid.shape == (len(centers), len(tv))
+    assert np.array_equal(grid, scalar_grid(tv, centers, halves))
+    b, t = np.indices(grid.shape).reshape(2, -1)
+    pair_halves = halves if halves.ndim == 1 else halves[b]
+    assert np.array_equal(sat_pairs(tv[t], centers[b], pair_halves), grid.ravel())
+    return grid
+
+
 def test_sat_batch_grid_consistency(rng):
     tv, _, _ = random_pairs(rng, 40)
     centers = rng.uniform(-50, 50, size=(25, 3))
-    halves = np.array([3.0, 2.0, 5.0])
-    grid = sat_batch(tv, centers, halves)
-    assert grid.shape == (25, 40)
-    box_of = lambda c: Aabb(vec3(*c), vec3(*halves))
-    for b in range(0, 25, 5):
-        for t in range(0, 40, 7):
-            assert grid[b, t] == sat_triangle_box(tv[t], box_of(centers[b]))
+    for halves in (np.array([3.0, 2.0, 5.0]), rng.uniform(1.0, 8.0, size=(25, 3))):
+        grid = check_grid(tv, centers, halves)
+        assert grid.any() and (~grid).any()
+        b, t = np.indices(grid.shape).reshape(2, -1)
+        per_box = np.broadcast_to(halves, centers.shape)
+        assert np.array_equal(clip_overlap_pairs(tv[t], centers[b], per_box[b]), grid.ravel())
+
+
+def dyadic_triangles(rng, n: int) -> np.ndarray:
+    """Triangles on the unit lattice: vertices on lattice points, half of them
+    flattened into a lattice plane, so vertices, edges and faces lie on cell
+    faces.  Degenerate draws are dropped."""
+    tv = rng.integers(-1, 6, size=(n, 3, 3)).astype(np.float64)
+    flat = rng.random(n) < 0.5
+    axis = rng.integers(0, 3, size=n)
+    tv[flat, :, axis[flat]] = tv[flat, :1, axis[flat]]
+    normal = np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0])
+    return tv[normal.any(axis=1)]
+
+
+def test_sat_batch_dyadic_contact_grid(rng):
+    tv = dyadic_triangles(rng, 60)
+    cells = np.indices((4, 4, 4)).reshape(3, -1).T.astype(np.float64)
+    unit = np.full(3, 0.5)
+    # unit cells, and per-box halves of 1 or 2 cells along each axis
+    sized = rng.integers(1, 3, size=cells.shape) * 0.5
+    for centers, halves in ((cells + 0.5, unit), (cells + sized, sized)):
+        grid = check_grid(tv, centers, halves)
+        # pairs that meet only where the box's boundary is: shrunk boxes miss
+        touching = grid & ~sat_batch(tv, centers, halves * 0.75)
+        assert touching.sum() > 100 and (~grid).any()
+
+
+def test_sat_batch_empty_and_pruned_grids(rng):
+    tv, _, _ = random_pairs(rng, 8)
+    centers = rng.uniform(-5, 5, size=(6, 3))
+    for halves in (np.ones(3), np.ones((6, 3))):
+        assert check_grid(tv[:0], centers, halves).shape == (6, 0)
+        no_halves = halves[:0] if halves.ndim == 2 else halves
+        assert check_grid(tv, centers[:0], no_halves).shape == (0, 8)
+        # every triangle lies beyond x = 1000: the box axes reject all pairs
+        far = tv.copy()
+        far[:, :, 0] = np.abs(far[:, :, 0]) + 1000.0
+        assert not check_grid(far, centers, halves).any()
 
 
 def test_grazing_cells_along_shared_face():

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reblock.errors import UnresolvableRay
-from reblock.geometry import vec3
-from reblock.intersection import OverlapMap, detect_overlaps
-from reblock.lattice import Block, BlockModel, LatticeSpec
+from reblock.geometry import Aabb, vec3
+from reblock.intersection import OverlapMap, detect_overlaps, sat_triangle_box
+from reblock.lattice import Block, BlockModel, LatticeSpec, cell_lut, parent_min_corner
 from reblock.mesh import TriangleMesh, build_index, mesh_diagonal
 from reblock.sidedness import (
     SIDE_ABOVE,
@@ -341,6 +341,44 @@ def test_classify_cells_direction_override():
     # casting downward flips which half sees an odd crossing count
     assert (sides[:2] == SIDE_ABOVE).all()
     assert (sides[2:] == SIDE_BELOW).all()
+
+
+def _stepped_sheet():
+    """Dyadic sheet: flat on the z = 4 cell faces up to x = 4, then rising
+    0.5 per unit x, with every vertex on a lattice point or half-point."""
+    mesh = grid_surface(
+        [-1.0, 1.0, 3.0, 4.0, 6.0, 9.0],
+        [-1.0, 2.0, 5.0, 9.0],
+        lambda x, y: 4.0 + max(0.0, x - 4.0) * 0.5,
+    )
+    return LatticeSpec(vec3(0, 0, 0), vec3(8, 8, 8), vec3(1, 1, 1)), (0, 0, 0), mesh
+
+
+def _c05_sphere():
+    mesh = icosphere(subdiv=3, radius=35.0, center=(250.0, 250.0, 40.0))
+    return LatticeSpec(vec3(0, 0, 0), vec3(50, 50, 20), vec3(6.25, 6.25, 2.5)), (4, 4, 1), mesh
+
+
+@pytest.mark.parametrize("scene", [_stepped_sheet, _c05_sphere])
+def test_classify_cells_intersects_match_scalar_sat(scene):
+    """Every cell against every triangle recorded for the parent, one pair
+    at a time through ``sat_triangle_box``."""
+    spec, parent, mesh = scene()
+    kx, ky, kz = spec.cell_counts
+    model = BlockModel(spec, [Block(parent, (0, 0, 0), (kx, ky, kz), 0)])
+    surfaces = [(mesh, build_index(mesh))]
+    overlap = detect_overlaps(model, surfaces)
+    cls = classify_cells(spec, parent, surfaces, overlap)
+
+    tv = mesh.tri_vertices()[overlap.triangles(parent, 0)]
+    centers = cell_lut(spec) + np.asarray(parent_min_corner(spec, parent))
+    half = vec3(*(np.asarray(spec.min_dims) * 0.5))
+    expected = [
+        any(sat_triangle_box(v, Aabb(vec3(*c), half)) for v in tv) for c in centers
+    ]
+    assert cls.surface_ids == [0]
+    assert cls.intersects[0].tolist() == expected
+    assert 0 < sum(expected) < len(expected)
 
 
 def test_write_sidedness_csv(tmp_path):
