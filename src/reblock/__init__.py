@@ -31,7 +31,7 @@ from .merge import MergedBlock, MergeParams, merge_class
 from .mesh import RefineParams, TriangleMesh, build_index, load_mesh, refine_mesh
 from .intersection import OverlapMap, detect_overlaps, sat_triangle_box
 from .sidedness import cast_parity, cast_parity_many, classify_cells
-from .octree import octree_decompose, octree_stats
+from .octree import octree_decompose
 from .tagging import TaggingInstruction, apply_tagging, parse_instruction_file
 from .pipeline import (
     PipelineConfig,
@@ -73,7 +73,6 @@ __all__ = [
     "merge_class",
     "merge_model",
     "octree_decompose",
-    "octree_stats",
     "parse_instruction_file",
     "read_model_csv",
     "refine_mesh",

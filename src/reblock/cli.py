@@ -47,7 +47,7 @@ from .metrics import (
 )
 from .octree import octree_decompose, validate_dyadic
 from .parallel import default_threads
-from .pipeline import PipelineConfig, load_surfaces, merge_model, restructure
+from .pipeline import PipelineConfig, merge_model, restructure
 from .sidedness import SIDE_BELOW, cast_parity_many
 from .tagging import parse_instruction_file
 
@@ -99,12 +99,6 @@ def _spec_from(args: argparse.Namespace) -> LatticeSpec:
     return LatticeSpec(
         origin=args.origin, parent_dims=args.parent_dims, min_dims=args.min_dims
     )
-
-
-def _read_model(path: str, spec: LatticeSpec) -> BlockModel:
-    if not Path(path).is_file():
-        raise ValidationError(f"model file not found: {path}")
-    return read_model_csv(path, spec)
 
 
 def _merge_params(args: argparse.Namespace) -> MergeParams:
@@ -165,7 +159,7 @@ def _stats_path(out: str) -> Path:
 def _cmd_restructure(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     spec = _spec_from(args)
-    model = _read_model(args.model, spec)
+    model = read_model_csv(args.model, spec)
     instructions = parse_instruction_file(args.config)
     refine = None
     if args.refine_area is not None or args.refine_edge is not None:
@@ -211,7 +205,7 @@ def _cmd_restructure(args: argparse.Namespace) -> int:
 def _cmd_merge(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     spec = _spec_from(args)
-    model = _read_model(args.model, spec)
+    model = read_model_csv(args.model, spec)
     merged = merge_model(model, _merge_params(args), threads=args.threads)
     n_rows = write_model_csv(args.out, merged)
     write_stats_csv(_stats_path(args.out), compute_stats(merged))
@@ -238,7 +232,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 def _cmd_octree(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     spec = _spec_from(args)
-    model = _read_model(args.model, spec)
+    model = read_model_csv(args.model, spec)
     validate_dyadic(spec.cell_counts, args.depth)
     surfaces = []
     for path in args.surfaces:
@@ -295,7 +289,7 @@ def _cmd_octree(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     spec = _spec_from(args)
-    model = _read_model(args.model, spec)
+    model = read_model_csv(args.model, spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_stats_csv(out / "stats.csv", compute_stats(model))

@@ -49,10 +49,6 @@ class DegenerateTriangle(GeometryError):
     """A zero-normal triangle reached an operation that requires a proper one."""
 
 
-class EmptySurface(GeometryError):
-    """A surface with no triangles reached a sidedness query."""
-
-
 class UnresolvableRay(GeometryError):
     """Parity ray casting exhausted its retry budget on pathological geometry."""
 

@@ -126,7 +126,7 @@ def _sat_survivors(
     The first index of ``meet`` picks the box and the last the triangle,
     so a (B, T) grid and an (N,) pair list take the same path.
     """
-    idx = np.nonzero(meet)
+    idx = np.unravel_index(np.flatnonzero(meet), meet.shape)
     box, tri = idx[0], idx[-1]
     h = halves if halves.ndim == 1 else halves[box]
     meet[idx] = _sat_core(tv[tri] - centers[box, None, :], h)

@@ -13,7 +13,7 @@ bookkeeping exact regardless of coordinate magnitude.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -100,16 +100,6 @@ def parent_min_corner(spec: LatticeSpec, parent: IntTriple) -> Vec3:
     )
 
 
-def parent_aabb(spec: LatticeSpec, parent: IntTriple) -> Aabb:
-    lo = parent_min_corner(spec, parent)
-    hi = vec3(
-        lo.x + spec.parent_dims.x,
-        lo.y + spec.parent_dims.y,
-        lo.z + spec.parent_dims.z,
-    )
-    return aabb_from_bounds(lo, hi)
-
-
 def raster_index(n: IntTriple, counts: IntTriple) -> int:
     """Flat cell index: x fastest, then y, then z."""
     return (n[2] * counts[1] + n[1]) * counts[0] + n[0]
@@ -167,9 +157,6 @@ class Block:
         d = self.dims(spec)
         return aabb_from_bounds(lo, vec3(lo.x + d.x, lo.y + d.y, lo.z + d.z))
 
-    def with_label(self, label: int) -> "Block":
-        return replace(self, label=label)
-
 
 def cells_of(spec: LatticeSpec, block: Block) -> list[IntTriple]:
     """All cell coordinates covered by ``block``, in raster order."""
@@ -187,19 +174,6 @@ def cells_of(spec: LatticeSpec, block: Block) -> list[IntTriple]:
         for nz in range(block.cell_min[2], block.cell_min[2] + block.cell_dims[2])
         for ny in range(block.cell_min[1], block.cell_min[1] + block.cell_dims[1])
         for nx in range(block.cell_min[0], block.cell_min[0] + block.cell_dims[0])
-    ]
-
-
-def decompose_parent(
-    spec: LatticeSpec, parent: IntTriple, label: int = UNLABELLED
-) -> list[Block]:
-    """Split a parent into its full complement of unit cells (raster order)."""
-    kx, ky, kz = spec.cell_counts
-    return [
-        Block(parent=parent, cell_min=(nx, ny, nz), cell_dims=(1, 1, 1), label=label)
-        for nz in range(kz)
-        for ny in range(ky)
-        for nx in range(kx)
     ]
 
 
@@ -418,26 +392,3 @@ def write_model_csv(path: str | Path, model: BlockModel) -> int:
                 f"{c.x!r},{c.y!r},{c.z!r},{d.x!r},{d.y!r},{d.z!r},{block.label}\n"
             )
     return len(ordered)
-
-
-def model_from_grid(
-    spec: LatticeSpec,
-    parent: IntTriple,
-    labels: np.ndarray,
-) -> list[Block]:
-    """Unit-cell blocks for every labelled (≠ UNLABELLED) cell of a grid.
-
-    ``labels`` is (Kz, Ky, Kx); cells holding UNLABELLED are skipped.
-    Raster-order output.
-    """
-    kx, ky, kz = spec.cell_counts
-    if labels.shape != (kz, ky, kx):
-        raise ValidationError("label grid shape does not match the lattice")
-    out: list[Block] = []
-    flat = labels.ravel()
-    for i in np.flatnonzero(flat != UNLABELLED):
-        n = subscript_of(int(i), spec.cell_counts)
-        out.append(
-            Block(parent=parent, cell_min=n, cell_dims=(1, 1, 1), label=int(flat[i]))
-        )
-    return out

@@ -81,10 +81,6 @@ class MergedBlock:
     cell_dims: IntTriple
     label: int
 
-    def n_cells(self) -> int:
-        sx, sy, sz = self.cell_dims
-        return sx * sy * sz
-
 
 def _box_slices(n: Sequence[int], s: Sequence[int]) -> tuple[slice, slice, slice]:
     """Grid slices for the cell box [n, n+s); arrays are indexed [z, y, x]."""

@@ -17,13 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmptyMesh, RefinementOverflow, ValidationError
-from .geometry import (
-    Aabb,
-    Vec3,
-    aabb_from_bounds,
-    aabb_overlaps,
-    vec3,
-)
+from .geometry import Aabb, aabb_from_bounds, aabb_overlaps, vec3
 
 # kD-tree build policy: leaves keep at most this many triangles and the
 # tree never exceeds this depth, whichever limit hits first.
@@ -426,7 +420,8 @@ def build_index(
     tv = mesh.tri_vertices()
     lo = tv.min(axis=1)
     hi = tv.max(axis=1)
-    # inflate zero-thickness triangle boxes the same way geometry.triangle_aabb does
+    # inflate zero-thickness axes by 1e-9 * max(1, extent), as mesh_aabb does,
+    # so an axis-parallel triangle still presents a queryable volume
     extent = np.maximum((hi - lo).max(axis=1), 1.0)
     eps = (1e-9 * extent)[:, None]
     flat = (hi - lo) < eps

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyInput, ValidationError
-from .lattice import Block, BlockModel
+from .lattice import BlockModel
 
 STATS_HEADER = (
     "label",
@@ -136,23 +136,6 @@ def block_dimension_cdf(model: BlockModel) -> list[tuple[float, float, float]]:
     return out
 
 
-def dimension_percentile(model: BlockModel, cell_dims: tuple[int, int, int]) -> float:
-    """Percentile of a block shape under the (volume, AR) ordering.
-
-    Midpoint rule: fraction strictly below plus half the fraction
-    exactly at the queried (volume, aspect ratio); returned on a 0–100
-    scale.
-    """
-    _, volumes, ars = _block_metrics(model)
-    d = np.asarray(model.spec.min_dims, dtype=np.float64)
-    dims = np.asarray(cell_dims, dtype=np.float64) * d
-    q_vol = float(dims.prod())
-    q_ar = float(dims.max() / dims.min())
-    below = int(((volumes < q_vol) | ((volumes == q_vol) & (ars < q_ar))).sum())
-    at = int(((volumes == q_vol) & (ars == q_ar)).sum())
-    return 100.0 * (below + 0.5 * at) / len(volumes)
-
-
 @dataclass(frozen=True)
 class GrowthRow:
     depth_hi: int
@@ -242,18 +225,3 @@ def write_growth_csv(path: str | Path, rows: Sequence[GrowthRow]) -> None:
         GROWTH_HEADER,
         [(str(r.depth_hi), str(r.depth_lo), f"{r.ratio:.6f}") for r in rows],
     )
-
-
-def write_all_stats(out_dir: str | Path, model: BlockModel) -> dict[str, Path]:
-    """Write stats/icdf/cdf artifacts for one model into a directory."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "stats": out / "stats.csv",
-        "icdf": out / "icdf.csv",
-        "cdf": out / "cdf.csv",
-    }
-    write_stats_csv(paths["stats"], compute_stats(model))
-    write_icdf_csv(paths["icdf"], aspect_ratio_icdf(model))
-    write_cdf_csv(paths["cdf"], block_dimension_cdf(model))
-    return paths

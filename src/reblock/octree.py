@@ -13,7 +13,6 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -163,43 +162,4 @@ def octree_decompose(
         return None
 
     rec((0, 0, 0), (kx, ky, kz), 0)
-    return out
-
-
-@dataclass(frozen=True)
-class LabelStats:
-    label: int
-    block_count: int
-    volume: float
-    volume_weighted_ar: float
-    count_weighted_ar: float
-
-
-def octree_stats(
-    blocks: Sequence[MergedBlock], min_dims: Sequence[float]
-) -> dict[int, LabelStats]:
-    """Per-label block counts, real volumes, and mean aspect ratios."""
-    per_label: dict[int, list[MergedBlock]] = {}
-    for b in blocks:
-        per_label.setdefault(b.label, []).append(b)
-    out: dict[int, LabelStats] = {}
-    for label in sorted(per_label):
-        group = per_label[label]
-        vol_sum = 0.0
-        var_sum = 0.0
-        ar_sum = 0.0
-        for b in group:
-            d = [b.cell_dims[c] * float(min_dims[c]) for c in range(3)]
-            v = d[0] * d[1] * d[2]
-            ar = max(d) / min(d)
-            vol_sum += v
-            var_sum += v * ar
-            ar_sum += ar
-        out[label] = LabelStats(
-            label=label,
-            block_count=len(group),
-            volume=vol_sum,
-            volume_weighted_ar=var_sum / vol_sum,
-            count_weighted_ar=ar_sum / len(group),
-        )
     return out

@@ -4,9 +4,7 @@ The workhorse is parity ray casting: count ray-surface crossings from a
 query point; an even count (including zero) puts the point above/outside,
 an odd count below/inside.  Rays that graze triangle edges or lie in a
 triangle's plane are recast with a small deterministic tilt so the count
-never depends on luck.  A legacy projection-onto-nearest-triangle-normal
-method is kept for comparison; it is cheap but fails on sparse irregular
-triangulations, which is exactly the failure the ray method exists to fix.
+never depends on luck.
 
 Cell pre-classification assigns every cell of a surface-crossed parent a
 per-surface side (above/below) plus a separate intersect flag, and leaves
@@ -24,12 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptySurface,
-    UnresolvableRay,
-    ValidationError,
-)
-from .geometry import Aabb, Vec3, aabb_from_bounds, aabb_overlaps, vec3
+from .errors import UnresolvableRay, ValidationError
+from .geometry import Aabb, aabb_from_bounds, aabb_overlaps, vec3
 from .intersection import OverlapMap, sat_batch
 from .lattice import IntTriple, LatticeSpec, cell_lut, parent_min_corner
 from .mesh import MeshIndex, TriangleMesh, mesh_diagonal, query_candidates
@@ -458,41 +452,6 @@ def cast_parity_many(
         counts[i] = res.count
         outside[i] = res.outside_support
     return ParityBatch(sides, counts, outside)
-
-
-# ---------------------------------------------------------------------------
-# legacy projection method
-# ---------------------------------------------------------------------------
-
-def mean_orientation(mesh: TriangleMesh) -> Vec3:
-    """Area-weighted mean surface normal (unit length)."""
-    tv = mesh.tri_vertices()
-    n = np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]).sum(axis=0)
-    norm = float(np.linalg.norm(n))
-    if norm == 0.0:
-        raise EmptySurface("mesh has no net orientation")
-    return vec3(*(n / norm))
-
-
-def projection_sign(
-    block_centroid: Sequence[float], mesh: TriangleMesh, polarity: int = 1
-) -> int:
-    """Legacy sidedness: sign of projection onto the nearest triangle's normal.
-
-    Nearest is by centroid-to-centroid distance (ties: lowest triangle
-    index).  Kept for comparison with parity casting; on sparse, skewed
-    triangulations the nearest triangle's plane can face the wrong way and
-    this method then disagrees with the ray-cast classification.
-    """
-    if len(mesh) == 0:
-        raise EmptySurface("cannot project against an empty surface")
-    c_b = np.asarray(block_centroid, dtype=np.float64)
-    tv = mesh.tri_vertices()
-    centroids = tv.mean(axis=1)
-    nearest = int(np.argmin(((centroids - c_b) ** 2).sum(axis=1)))
-    n = np.cross(tv[nearest, 1] - tv[nearest, 0], tv[nearest, 2] - tv[nearest, 0])
-    dot = float((centroids[nearest] - c_b) @ n)
-    return int(-np.sign(dot)) * int(polarity)
 
 
 # ---------------------------------------------------------------------------

@@ -46,13 +46,6 @@ class TaggingInstruction:
     label_below: int
     forced: bool = False
 
-    def selected(self, position: int) -> int:
-        if position == ABOVE:
-            return self.label_above
-        if position == BELOW:
-            return self.label_below
-        return self.label_across
-
 
 def parse_instruction_file(path: str | Path) -> list[TaggingInstruction]:
     """Read `surface= positive= above= across= below= forced=` records.

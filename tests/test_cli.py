@@ -134,6 +134,35 @@ class TestRestructureCommand:
         assert code == 1
         assert "gone.obj" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("sliver.obj", "v 0 0 1\nv 1 0 1\nv 2 0 1\nf 1 2 3\nf 1 1 2\n"),
+            ("bare.off", "OFF\n3 0 0\n0 0 1\n1 0 1\n0 1 1\n"),
+        ],
+        ids=["all-degenerate", "no-faces"],
+    )
+    def test_surface_without_usable_triangles_exits_1(self, scene, capsys, name, text):
+        # all-degenerate and face-less surfaces are bad input (EmptyMesh),
+        # not a geometry failure
+        tmp, model_csv, _ = scene
+        (tmp / name).write_text(text)
+        config = tmp / "empty.cfg"
+        config.write_text(
+            f"surface={name} positive=0,0,1 above=1 across=2 below=3 forced=0\n"
+        )
+        code = main(
+            [
+                "restructure",
+                *LATTICE_FLAGS,
+                "--model", str(model_csv),
+                "--config", str(config),
+                "--out", str(tmp / "out.csv"),
+            ]
+        )
+        assert code == 1
+        assert name.split(".")[0] in capsys.readouterr().err
+
     def test_unlayered_abstract_stack_exits_2(self, tmp_path, capsys):
         # two horizontal planes listed bottom-up: blocks between them read
         # "+1 then -1", which no layered stack can produce, and abstract

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reblock.errors import DegenerateTriangle
-from reblock.geometry import Aabb, Triangle, vec3
+from reblock.geometry import Aabb, Triangle, aabb_from_bounds, vec3
 from reblock.intersection import (
     OverlapMap,
     detect_overlaps,
@@ -13,7 +13,7 @@ from reblock.intersection import (
     sat_triangle_box,
     write_overlap_csv,
 )
-from reblock.lattice import Block, BlockModel, LatticeSpec
+from reblock.lattice import Block, BlockModel, LatticeSpec, parent_min_corner
 from reblock.mesh import build_index
 
 from conftest import grid_surface, icosphere
@@ -213,9 +213,8 @@ def test_detect_overlaps_sphere_parent_subset():
     for parent in crossed:
         ids = overlap.triangles(parent, 0)
         tv = sphere.tri_vertices()[ids]
-        from reblock.lattice import parent_aabb
-
-        box = parent_aabb(spec, parent)
+        lo = parent_min_corner(spec, parent)
+        box = aabb_from_bounds(lo, vec3(*(np.asarray(lo) + spec.parent_dims)))
         for v in tv[:: max(1, len(tv) // 8)]:
             assert sat_triangle_box(v, box)
 

@@ -8,17 +8,13 @@ from hypothesis import strategies as st
 from reblock.errors import MisalignedBlock, ValidationError
 from reblock.geometry import vec3
 from reblock.lattice import (
-    UNLABELLED,
     Block,
     BlockModel,
     LatticeSpec,
     block_from_floats,
     cell_lut,
     cells_of,
-    decompose_parent,
-    model_from_grid,
     paint_parent,
-    parent_aabb,
     parent_index_of,
     parent_min_corner,
     raster_index,
@@ -57,9 +53,6 @@ def test_parent_index_floor_and_snap():
 def test_parent_geometry():
     spec = make_spec(origin=(1, 2, 3))
     assert parent_min_corner(spec, (1, 0, -1)) == vec3(11, 2, -7)
-    box = parent_aabb(spec, (0, 0, 0))
-    assert box.lo == vec3(1, 2, 3)
-    assert box.hi == vec3(11, 12, 13)
 
 
 @given(st.integers(0, 4), st.integers(0, 5), st.integers(0, 6))
@@ -81,20 +74,12 @@ def test_block_geometry():
     assert b.min_corner(spec) == vec3(12, 4, 6)
     assert b.dims(spec) == vec3(4, 2, 2)
     assert b.centroid(spec) == vec3(14, 5, 7)
-    assert b.with_label(4).label == 4
 
 
 def test_cells_of_enumerates_whole_prism():
     spec = make_spec()
     b = Block(parent=(0, 0, 0), cell_min=(0, 0, 0), cell_dims=(2, 2, 1), label=0)
     assert cells_of(spec, b) == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
-
-
-def test_decompose_parent_covers_exactly():
-    spec = make_spec(parent=(4, 4, 4))
-    cells = decompose_parent(spec, (0, 0, 0), label=3)
-    assert len(cells) == 8
-    assert all(c.cell_dims == (1, 1, 1) and c.label == 3 for c in cells)
 
 
 def test_cell_lut_matches_block_centroids():
@@ -189,15 +174,6 @@ def test_csv_errors(tmp_path):
         read_model_csv(bad_row, spec)
     with pytest.raises(ValidationError, match="not found"):
         read_model_csv(tmp_path / "nope.csv", spec)
-
-
-def test_model_from_grid_skips_unlabelled():
-    spec = make_spec(parent=(2, 2, 2), cell=(1, 1, 1))
-    grid = np.full((2, 2, 2), UNLABELLED, dtype=np.int64)
-    grid[0, 0, 0] = 4
-    grid[1, 1, 1] = 5
-    blocks = model_from_grid(spec, (0, 0, 0), grid)
-    assert [(b.cell_min, b.label) for b in blocks] == [((0, 0, 0), 4), ((1, 1, 1), 5)]
 
 
 def test_by_parent_preserves_input_order():

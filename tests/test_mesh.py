@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reblock.errors import EmptyMesh, ValidationError
-from reblock.geometry import Aabb, vec3
+from reblock.geometry import Aabb, aabb_from_bounds, vec3
 from reblock.mesh import (
     RefineParams,
     TriangleMesh,
@@ -165,3 +165,16 @@ def test_index_empty_query():
     index = build_index(sphere)
     far = Aabb(vec3(50, 50, 50), vec3(1, 1, 1))
     assert len(query_candidates(index, far)) == 0
+
+
+def test_index_inflates_flat_triangle_boxes():
+    # triangle 0 lies in the plane z = 5; triangle 1 gives the mesh depth
+    verts = np.array(
+        [[0, 0, 5], [1, 0, 5], [0, 1, 5], [3, 3, 0], [4, 3, 9], [3, 4, 9]], dtype=float
+    )
+    index = build_index(TriangleMesh(verts, np.array([[0, 1, 2], [3, 4, 5]])))
+    assert (index.tri_hi[0] - index.tri_lo[0])[2] > 0
+    below = aabb_from_bounds(vec3(0.2, 0.2, 4.0), vec3(0.4, 0.4, 5.0))
+    above = aabb_from_bounds(vec3(0.2, 0.2, 5.0), vec3(0.4, 0.4, 6.0))
+    assert list(query_candidates(index, below)) == [0]
+    assert list(query_candidates(index, above)) == [0]

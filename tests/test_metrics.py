@@ -15,9 +15,7 @@ from reblock.metrics import (
     aspect_ratio_icdf,
     block_dimension_cdf,
     compute_stats,
-    dimension_percentile,
     growth_factors,
-    write_all_stats,
     write_cdf_csv,
     write_growth_csv,
     write_icdf_csv,
@@ -112,18 +110,6 @@ class TestCurves:
             (64.0, 1.0, 1.0),
         ]
 
-    def test_percentile_midpoint_rule(self, model):
-        # both slabs sit at (32, 2): nothing below, two at -> 100 * 1/3
-        assert dimension_percentile(model, (4, 4, 2)) == pytest.approx(100.0 / 3.0)
-        # the cube outranks both slabs: 100 * (2 + 0.5) / 3
-        assert dimension_percentile(model, (4, 4, 4)) == pytest.approx(250.0 / 3.0)
-
-    def test_percentile_of_absent_shape(self, model):
-        # (2,2,2) is smaller than everything; (4,4,3) lands between groups
-        assert dimension_percentile(model, (2, 2, 2)) == 0.0
-        assert dimension_percentile(model, (4, 4, 3)) == pytest.approx(200.0 / 3.0)
-
-
 class TestGrowthFactors:
     def test_consecutive_pair(self):
         rows = growth_factors({3: 100, 4: 400})
@@ -182,10 +168,3 @@ class TestCsvArtifacts:
         path = tmp_path / "growth.csv"
         write_growth_csv(path, growth_factors({2: 7, 3: 21}))
         assert read_csv(path)[1] == ["3", "2", "3.000000"]
-
-    def test_write_all_stats(self, tmp_path, model):
-        paths = write_all_stats(tmp_path / "out", model)
-        assert sorted(paths) == ["cdf", "icdf", "stats"]
-        for p in paths.values():
-            assert p.is_file()
-            assert len(read_csv(p)) > 1

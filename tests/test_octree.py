@@ -8,7 +8,6 @@ from reblock.merge import MergedBlock
 from reblock.octree import (
     merge_octant_leaves,
     octree_decompose,
-    octree_stats,
     validate_dyadic,
 )
 
@@ -132,20 +131,3 @@ def test_merge_octant_leaves_quad_before_edge():
     assert ((0, 0, 0), (4, 4, 2), 1) in got
     assert ((0, 0, 2), (4, 2, 2), 2) in got
     assert used == [True, True, True, True, True, True, False, False]
-
-
-def test_octree_stats_hand_case():
-    blocks = [
-        MergedBlock((0, 0, 0), (2, 2, 2), 1),
-        MergedBlock((2, 0, 0), (1, 1, 1), 1),
-        MergedBlock((0, 2, 0), (1, 1, 1), 2),
-    ]
-    stats = octree_stats(blocks, (1.0, 1.0, 2.0))
-    assert set(stats) == {1, 2}
-    s1 = stats[1]
-    assert s1.block_count == 2
-    assert s1.volume == 16.0 + 2.0
-    # cell cubes keep the cell's own anisotropy: both blocks have ar = 2
-    assert s1.volume_weighted_ar == pytest.approx(2.0)
-    assert s1.count_weighted_ar == pytest.approx(2.0)
-    assert stats[2].volume == 2.0

@@ -1,0 +1,79 @@
+"""Package-wide invariants checked on the source itself."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import reblock
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "reblock"
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    """Every name a tree refers to: loads, attributes, imports, strings."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def _loads_in_src(module: str, tree: ast.Module) -> dict[str, set[str]]:
+    """Names of package modules' top-level defs that ``module`` loads.
+
+    Keyed by the defining module.  A load inside a def does not count for
+    that def itself, so recursion is not a caller.
+    """
+    imported = {
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    }
+    out: dict[str, set[str]] = {}
+    for stmt in tree.body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if not (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)):
+                continue
+            home, name = imported.get(node.id, (module, node.id))
+            if (home, name) != (module, own):
+                out.setdefault(home, set()).add(name)
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    """No public top-level function or class exists for its unit test alone.
+
+    Each must be loaded elsewhere in the package, be exported through
+    ``reblock.__all__``, be used by the acceptance tests or the benchmark,
+    or be the CLI entry point.
+    """
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    loaded: dict[str, set[str]] = {}
+    for module, tree in trees.items():
+        for home, names in _loads_in_src(module, tree).items():
+            loaded.setdefault(home, set()).update(names)
+    outside = set(reblock.__all__)
+    for path in [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]:
+        outside |= _referenced(ast.parse(path.read_text()))
+
+    uncalled = [
+        f"{module}.{stmt.name}"
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_")
+        and stmt.name not in loaded.get(module, set())
+        and stmt.name not in outside
+        and (module, stmt.name) != ("cli", "main")
+    ]
+    assert not uncalled, "public names nothing calls: " + ", ".join(uncalled)

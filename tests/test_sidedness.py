@@ -17,9 +17,7 @@ from reblock.sidedness import (
     cast_parity,
     cast_parity_many,
     classify_cells,
-    mean_orientation,
     point_seed,
-    projection_sign,
     write_sidedness_csv,
 )
 
@@ -294,18 +292,6 @@ def test_batch_raises_for_a_point_on_the_surface(on_surface):
         cast_parity(pts[1], mesh, index)
     with pytest.raises(UnresolvableRay):
         cast_parity_many(pts, mesh, index)
-
-
-def test_mean_orientation_flat_plane(plane):
-    mesh, _ = plane
-    assert mean_orientation(mesh) == vec3(0, 0, 1)
-
-
-def test_projection_sign(plane):
-    mesh, _ = plane
-    assert projection_sign((1.0, 1.3, 0.5), mesh) == SIDE_BELOW
-    assert projection_sign((1.0, 1.3, 3.5), mesh) == SIDE_ABOVE
-    assert projection_sign((1.0, 1.3, 3.5), mesh, polarity=-1) == SIDE_BELOW
 
 
 def _classified_parent():
