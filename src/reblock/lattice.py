@@ -125,10 +125,6 @@ class Block:
     cell_dims: IntTriple
     label: int = UNLABELLED
 
-    def n_cells(self) -> int:
-        sx, sy, sz = self.cell_dims
-        return sx * sy * sz
-
     def min_corner(self, spec: LatticeSpec) -> Vec3:
         base = parent_min_corner(spec, self.parent)
         return vec3(

@@ -2,9 +2,10 @@
 
 The workhorse is parity ray casting: count ray-surface crossings from a
 query point; an even count (including zero) puts the point above/outside,
-an odd count below/inside.  Rays that graze triangle edges or lie in a
-triangle's plane are recast with a small deterministic tilt so the count
-never depends on luck.
+an odd count below/inside.  One batched kernel serves every cast.  Rays
+that graze triangle edges or lie in a triangle's plane are recast in
+batched rounds, each with a small deterministic tilt, so the count never
+depends on luck.
 
 Cell pre-classification assigns every cell of a surface-crossed parent a
 per-surface side (above/below) plus a separate intersect flag, and leaves
@@ -165,40 +166,6 @@ def _count_unique(params: list[float], tol: float) -> int:
     return count
 
 
-def cast_parity(
-    point: Sequence[float],
-    mesh: TriangleMesh,
-    index: MeshIndex,
-    direction: Sequence[float] = (0.0, 0.0, 1.0),
-    seed: int | None = None,
-) -> ParityResult:
-    """Classify one point against a surface by crossing parity.
-
-    Grazing geometry (a ray in a triangle's plane, or a hit within
-    BARY_EPS of a triangle's edge — either side of it) triggers a recast
-    with a deterministically seeded tilt of at most TILT_RADIANS, up to
-    MAX_RECASTS times; persistent grazing raises UnresolvableRay.
-    """
-    p = np.asarray(point, dtype=np.float64)
-    d = _normalize_direction(direction)
-    dedup_tol = 1e-7 * max(1.0, mesh_diagonal(mesh))
-    cand = _column_candidates(p, d, index, dedup_tol)
-    if len(cand) == 0:
-        return ParityResult(0, SIDE_ABOVE, outside_support=True, recasts=0)
-    tv = mesh.tri_vertices()[cand]
-    rng = random.Random(point_seed(p) if seed is None else seed)
-    cast_dir = d
-    for attempt in range(MAX_RECASTS + 1):
-        count = _attempt_cast(p, cast_dir, tv, dedup_tol)
-        if count is not None:
-            side = SIDE_BELOW if count % 2 else SIDE_ABOVE
-            return ParityResult(count, side, outside_support=False, recasts=attempt)
-        cast_dir = _tilted(d, rng)
-    raise UnresolvableRay(
-        f"parity cast from {tuple(p)} still grazing after {MAX_RECASTS} recasts"
-    )
-
-
 def _lam_tol(reach: np.ndarray | float) -> np.ndarray | float:
     """Near-origin tolerance of a ray whose candidate planes lie within ``reach``."""
     return BARY_EPS * np.maximum(1.0, reach)
@@ -215,38 +182,23 @@ def _bary_flags(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return band, edge
 
 
-def _attempt_cast(
-    p: np.ndarray, d: np.ndarray, tv: np.ndarray, dedup_tol: float
-) -> int | None:
-    """One vectorized pass over candidate triangles; None means recast."""
-    lam, s, t, on_plane = _mt_batch(p[None, :], d, tv, np.zeros(len(tv), dtype=np.int64))
-    if on_plane.any():
-        return None
-    lam_tol = _lam_tol(float(np.abs(lam[np.isfinite(lam)]).max(initial=1.0)))
-    band, edge = _bary_flags(s, t)
-    near = (lam >= -lam_tol) & (edge | (band & (np.abs(lam) <= lam_tol)))
-    if near.any():
-        return None
-    valid = (lam >= 0.0) & (s >= 0.0) & (t >= 0.0) & (s + t <= 1.0)
-    return _count_unique([float(v) for v in lam[valid]], dedup_tol)
-
-
 def _mt_batch(
-    origins: np.ndarray, d: np.ndarray, tv: np.ndarray, ray_of: np.ndarray
+    origins: np.ndarray, dirs: np.ndarray, tv: np.ndarray, ray_of: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched ray-triangle solve.
 
-    ``origins`` is (R, 3); ``tv`` is (P, 3, 3) with pair i belonging to
-    ray ``ray_of[i]``.  Returns per-pair (lam, s, t, on_plane); misses and
-    parallel-off-plane pairs come back with lam = -inf.
+    ``origins`` and ``dirs`` are (R, 3); ``tv`` is (P, 3, 3) with pair i
+    belonging to ray ``ray_of[i]``.  Returns per-pair (lam, s, t, on_plane);
+    misses and parallel-off-plane pairs come back with lam = -inf.
     """
     o = origins[ray_of]
+    d = dirs[ray_of]
     v0 = tv[:, 0]
     u = tv[:, 1] - v0
     w_edge = tv[:, 2] - v0
     n = np.cross(u, w_edge)
     n_norm = np.linalg.norm(n, axis=1)
-    denom = n @ d
+    denom = np.einsum("ij,ij->i", n, d)
     numer = np.einsum("ij,ij->i", n, v0 - o)
     parallel = np.abs(denom) <= PARALLEL_EPS * n_norm
     scale = np.maximum(1.0, np.linalg.norm(v0 - o, axis=1))
@@ -275,6 +227,7 @@ class ParityBatch:
     sides: np.ndarray  # (N,) int8
     counts: np.ndarray  # (N,) int64
     outside_support: np.ndarray  # (N,) bool
+    recasts: np.ndarray  # (N,) int64: the attempt that resolved each point
 
 
 def _ray_lines(
@@ -331,70 +284,35 @@ def _ramp(sizes: np.ndarray) -> np.ndarray:
     return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
 
-def cast_parity_many(
-    points: np.ndarray,
+def _solve_lines(
+    pts: np.ndarray,
+    lines: tuple[np.ndarray, np.ndarray, np.ndarray],
+    dirs: np.ndarray,
+    cands: Sequence[np.ndarray],
+    outside: np.ndarray,
     mesh: TriangleMesh,
-    index: MeshIndex,
-    direction: Sequence[float] = (0.0, 0.0, 1.0),
-    seeds: Sequence[int] | None = None,
-) -> ParityBatch:
-    """Parity-classify many points at once.
+    dedup_tol: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, (crossings beyond it, whether its ray grazes).
 
-    Points whose rays run along one line (a cast along a lattice axis
-    through cells that share their off-axis coordinates) share one
-    candidate query and one ray-triangle solve per candidate; each point
-    then counts the sorted crossings beyond it.  Rays flagged as grazing
-    fall back to the scalar recasting routine one by one, so results are
-    identical to calling :func:`cast_parity` in a loop, only faster.
+    ``lines`` groups the points as :func:`_ray_lines` does; line j runs
+    along ``dirs[j]`` and may cross only triangles ``cands[j]``.  One solve
+    per (line, candidate) from the line's first point; each point then
+    counts the sorted crossings beyond it.  Points ``outside`` the support
+    count none and never graze.
     """
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    d = _normalize_direction(direction)
-    n_pts = len(pts)
-    dedup_tol = 1e-7 * max(1.0, mesh_diagonal(mesh))
-
-    sides = np.full(n_pts, SIDE_ABOVE, dtype=np.int8)
-    counts = np.zeros(n_pts, dtype=np.int64)
-    outside = np.ones(n_pts, dtype=bool)
-
-    line_of, order, starts = _ray_lines(pts, d, index)
-    sizes = np.diff(np.append(starts, n_pts))
-    # the point farthest from the mesh bounds has the widest query box,
-    # which holds every other box on its line; its candidates are the union
-    widest = order[starts + sizes - 1]
-    narrowest = order[starts]
-
-    tri_ids: list[np.ndarray] = []
-    pair_lines: list[np.ndarray] = []
-    for line, cand in enumerate(
-        _column_candidates(pts[i], d, index, dedup_tol) for i in widest
-    ):
-        if len(cand) == 0:
-            continue
-        members = order[starts[line] : starts[line] + sizes[line]]
-        # boxes on a line differ only in their pad: if the narrowest meets a
-        # candidate every box does, else each point is checked on its own
-        if len(members) == 1 or _box_meets(
-            index, cand, _column_box(pts[narrowest[line]], d, index, dedup_tol)
-        ):
-            outside[members] = False
-        else:
-            for i in members:
-                box = _column_box(pts[i], d, index, dedup_tol)
-                outside[i] = not _box_meets(index, cand, box)
-        tri_ids.append(cand.astype(np.int64))
-        pair_lines.append(np.full(len(cand), line, dtype=np.int64))
-    if not tri_ids:
-        return ParityBatch(sides, counts, outside)
-    tris = np.concatenate(tri_ids)
-    pair_line = np.concatenate(pair_lines)
+    line_of, order, starts = lines
     n_lines = len(starts)
+    sizes = np.diff(np.append(starts, len(pts)))
+    tris = np.concatenate([np.empty(0, dtype=np.int64), *cands])
+    pair_line = np.repeat(np.arange(n_lines), [len(c) for c in cands])
 
     # one solve per (line, triangle) from the line's narrowest point;
     # ``off`` is each point's position along its line from there, so the
     # point's hit parameters are lam - off
-    origins = pts[narrowest]
-    lam, s, t, _ = _mt_batch(origins, d, mesh.tri_vertices()[tris], pair_line)
-    off = (pts - origins[line_of]) @ d
+    origins = pts[order[starts]]
+    lam, s, t, _ = _mt_batch(origins, dirs, mesh.tri_vertices()[tris], pair_line)
+    off = np.einsum("ij,ij->i", pts - origins[line_of], dirs[line_of])
     finite = np.isfinite(lam)
     band, edge = _bary_flags(s, t)
     valid = band & (s >= 0.0) & (t >= 0.0) & (s + t <= 1.0)
@@ -425,7 +343,7 @@ def cast_parity_many(
         n_mem = sizes[pair_line[par]]
         who = order[np.repeat(starts[pair_line[par]], n_mem) + _ramp(n_mem)]
         tv_par = mesh.tri_vertices()[np.repeat(tris[par], n_mem)]
-        on_plane = _mt_batch(pts, d, tv_par, who)[3]
+        on_plane = _mt_batch(pts, dirs[line_of], tv_par, who)[3]
         dirty[who[on_plane]] = True
     dirty &= ~outside
 
@@ -434,7 +352,7 @@ def cast_parity_many(
     v_lam = lam[valid][v_order]
     first = _hits_before(v_line, v_lam, line_of, off)
     last = np.searchsorted(v_line, line_of, side="right")
-    counts[:] = np.where(outside, 0, last - first)
+    counts = np.where(outside, 0, last - first)
     # hits closer than dedup_tol merge greedily from the point outwards,
     # so on such lines each point merges its own hits
     close = (v_line[1:] == v_line[:-1]) & (np.diff(v_lam) <= dedup_tol)
@@ -443,15 +361,102 @@ def cast_parity_many(
     for i in np.flatnonzero(close_line[line_of] & ~outside & ~dirty):
         beyond = v_lam[first[i] : last[i]] - off[i]
         counts[i] = _count_unique([float(v) for v in beyond], dedup_tol)
-    sides[:] = np.where(counts % 2 == 1, SIDE_BELOW, SIDE_ABOVE)
+    return counts, dirty
 
-    for i in np.flatnonzero(dirty):
-        seed = int(seeds[i]) if seeds is not None else None
-        res = cast_parity(pts[i], mesh, index, d, seed=seed)
-        sides[i] = res.side
-        counts[i] = res.count
-        outside[i] = res.outside_support
-    return ParityBatch(sides, counts, outside)
+
+def cast_parity_many(
+    points: np.ndarray,
+    mesh: TriangleMesh,
+    index: MeshIndex,
+    direction: Sequence[float] = (0.0, 0.0, 1.0),
+    seeds: Sequence[int] | None = None,
+) -> ParityBatch:
+    """Parity-classify many points at once.
+
+    Points whose rays run along one line (a cast along a lattice axis
+    through cells that share their off-axis coordinates) share one
+    candidate query and one ray-triangle solve per candidate; each point
+    then counts the sorted crossings beyond it.
+
+    Grazing geometry (a ray in a triangle's plane, or a hit within
+    BARY_EPS of a triangle's edge — either side of it — or of the point)
+    sends a point to batched recast rounds, where each point is its own
+    line with its own candidates: first along ``direction``, then up to
+    MAX_RECASTS times along a tilt of at most TILT_RADIANS drawn from
+    ``random.Random(seed)`` (``seeds[i]``, else the point's
+    :func:`point_seed`).  A point still grazing raises UnresolvableRay.
+    """
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    d = _normalize_direction(direction)
+    n_pts = len(pts)
+    dedup_tol = 1e-7 * max(1.0, mesh_diagonal(mesh))
+    outside = np.ones(n_pts, dtype=bool)
+    recasts = np.zeros(n_pts, dtype=np.int64)
+
+    lines = line_of, order, starts = _ray_lines(pts, d, index)
+    sizes = np.diff(np.append(starts, n_pts))
+    # the point farthest from the mesh bounds has the widest query box,
+    # which holds every other box on its line; its candidates are the union
+    widest = order[starts + sizes - 1]
+    narrowest = order[starts]
+    cands = [_column_candidates(pts[i], d, index, dedup_tol) for i in widest]
+    for line, cand in enumerate(cands):
+        if len(cand) == 0:
+            continue
+        members = order[starts[line] : starts[line] + sizes[line]]
+        # boxes on a line differ only in their pad: if the narrowest meets a
+        # candidate every box does, else each point is checked on its own
+        if len(members) == 1 or _box_meets(
+            index, cand, _column_box(pts[narrowest[line]], d, index, dedup_tol)
+        ):
+            outside[members] = False
+        else:
+            for i in members:
+                box = _column_box(pts[i], d, index, dedup_tol)
+                outside[i] = not _box_meets(index, cand, box)
+    counts, dirty = _solve_lines(
+        pts, lines, np.broadcast_to(d, (len(starts), 3)), cands, outside, mesh, dedup_tol
+    )
+
+    # recast rounds: each grazing point is a line of its own, with its own
+    # candidates and its own seeded sequence of tilts
+    who = np.flatnonzero(dirty)
+    own = {i: _column_candidates(pts[i], d, index, dedup_tol) for i in who}
+    rngs = {i: random.Random(point_seed(pts[i]) if seeds is None else int(seeds[i])) for i in who}
+    for attempt in range(MAX_RECASTS + 1):
+        if len(who) == 0:
+            break
+        dirs = [_tilted(d, rngs[i]) if attempt else d for i in who]
+        alone = np.arange(len(who))
+        counts[who], still = _solve_lines(
+            pts[who], (alone, alone, alone), np.array(dirs), [own[i] for i in who],
+            outside[who], mesh, dedup_tol,
+        )
+        recasts[who] = attempt
+        who = who[still]
+    if len(who):
+        raise UnresolvableRay(
+            f"parity cast from {tuple(pts[who[0]])} still grazing after {MAX_RECASTS} recasts"
+        )
+    sides = np.where(counts % 2 == 1, SIDE_BELOW, SIDE_ABOVE).astype(np.int8)
+    return ParityBatch(sides, counts, outside, recasts)
+
+
+def cast_parity(
+    point: Sequence[float],
+    mesh: TriangleMesh,
+    index: MeshIndex,
+    direction: Sequence[float] = (0.0, 0.0, 1.0),
+    seed: int | None = None,
+) -> ParityResult:
+    """Classify one point against a surface: a one-point :func:`cast_parity_many`."""
+    b = cast_parity_many(
+        np.asarray(point, dtype=np.float64)[None], mesh, index, direction,
+        seeds=None if seed is None else [seed],
+    )
+    return ParityResult(
+        int(b.counts[0]), int(b.sides[0]), bool(b.outside_support[0]), int(b.recasts[0])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +478,6 @@ class CellClassification:
     intersects: np.ndarray  # (S, K) bool
     sides: np.ndarray  # (S, K) int8
     outside_support: np.ndarray  # (S, K) bool
-
-    def category_counts(self, row: int) -> tuple[int, int, int]:
-        """(above, below, intersect) with intersecting cells exclusive."""
-        inter = self.intersects[row]
-        above = int(((self.sides[row] == SIDE_ABOVE) & ~inter).sum())
-        below = int(((self.sides[row] == SIDE_BELOW) & ~inter).sum())
-        return above, below, int(inter.sum())
 
 
 def classify_cells(

@@ -1,8 +1,8 @@
 """Independent reference predicates the library must agree with.
 
 Nothing in here calls into :mod:`reblock` — these are deliberately
-separate implementations (polygon clipping, closed-form containment)
-used as ground truth by the unit and acceptance tests.
+separate implementations (polygon clipping, closed-form containment,
+winding numbers, heightfield interpolation) used as ground truth by the unit and acceptance tests.
 """
 from __future__ import annotations
 
@@ -136,3 +136,78 @@ def distance_to_box(points: np.ndarray, lo, hi) -> np.ndarray:
     d_out = np.linalg.norm(outside, axis=1)
     d_in = -gap.max(axis=1)  # depth inside; negative when outside
     return np.where(d_out > 0.0, d_out, d_in)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    ab = b - a
+    t = np.clip(_dot(p - a, ab) / _dot(ab, ab), 0.0, 1.0)
+    return np.linalg.norm(p - a - t[..., None] * ab, axis=-1)
+
+
+def distance_to_mesh(points: np.ndarray, vertices, triangles) -> np.ndarray:
+    """Unsigned distance from each point to the nearest triangle.
+
+    The nearest point of a triangle is the foot of the perpendicular on
+    its plane when that falls inside it, else the nearest point of an edge.
+    """
+    p = np.asarray(points, dtype=np.float64)[:, None, :]
+    tv = np.asarray(vertices, dtype=np.float64)[np.asarray(triangles)]
+    a, b, c = (tv[None, :, k] for k in range(3))
+    n = np.cross(b - a, c - a)
+    n = n / np.linalg.norm(n, axis=-1, keepdims=True)
+    h = _dot(p - a, n)
+    foot = p - h[..., None] * n
+    edges = ((a, b), (b, c), (c, a))
+    inside = np.logical_and.reduce([_dot(np.cross(v - u, foot - u), n) >= 0.0 for u, v in edges])
+    to_edge = np.minimum.reduce([_segment_distance(p, u, v) for u, v in edges])
+    return np.where(inside, np.abs(h), to_edge).min(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# surface containment: winding numbers and heightfields
+# ---------------------------------------------------------------------------
+
+def winding_number(points: np.ndarray, vertices, triangles) -> np.ndarray:
+    """Generalized winding number of a triangle mesh at each point.
+
+    The sum of the triangles' signed solid angles (Van Oosterom & Strackee
+    1983) over 4π (Jacobson, Kavan & Sorkine-Hornung 2013): ±1 inside a
+    closed consistently oriented mesh and 0 outside it, so a point is
+    inside when |w| > 1/2.  Only points on the surface are ambiguous (a
+    point on a box edge gets 1/4).
+    """
+    p = np.asarray(points, dtype=np.float64)[:, None, :]
+    tv = np.asarray(vertices, dtype=np.float64)[np.asarray(triangles)]
+    a, b, c = (tv[None, :, k] - p for k in range(3))
+    la, lb, lc = (np.linalg.norm(v, axis=-1) for v in (a, b, c))
+    det = _dot(a, np.cross(b, c))
+    den = la * lb * lc + _dot(a, b) * lc + _dot(b, c) * la + _dot(c, a) * lb
+    return np.arctan2(det, den).sum(axis=1) / (2.0 * np.pi)
+
+
+def sheet_height(xs, ys, height, x: float, y: float) -> float | None:
+    """Height at (x, y) of the sheet ``grid_surface(xs, ys, height)`` builds,
+    or None off its footprint.
+
+    Each grid cell is split along its diagonal from (xs[i], ys[j]) to
+    (xs[i+1], ys[j+1]), and the height is linear on each half.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if not (xs[0] <= x <= xs[-1] and ys[0] <= y <= ys[-1]):
+        return None
+    i = min(int(np.searchsorted(xs, x, side="right")) - 1, len(xs) - 2)
+    j = min(int(np.searchsorted(ys, y, side="right")) - 1, len(ys) - 2)
+    u = (x - xs[i]) / (xs[i + 1] - xs[i])
+    v = (y - ys[j]) / (ys[j + 1] - ys[j])
+
+    def z(di: int, dj: int) -> float:
+        return float(height(xs[i + di], ys[j + dj]) if callable(height) else height)
+
+    if u >= v:  # the (i, j), (i+1, j), (i+1, j+1) half
+        return z(0, 0) + u * (z(1, 0) - z(0, 0)) + v * (z(1, 1) - z(1, 0))
+    return z(0, 0) + v * (z(0, 1) - z(0, 0)) + u * (z(1, 1) - z(0, 1))

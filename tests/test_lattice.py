@@ -70,7 +70,6 @@ def test_raster_order_is_x_fastest():
 def test_block_geometry():
     spec = make_spec()
     b = Block(parent=(1, 0, 0), cell_min=(1, 2, 3), cell_dims=(2, 1, 1), label=9)
-    assert b.n_cells() == 2
     assert b.min_corner(spec) == vec3(12, 4, 6)
     assert b.dims(spec) == vec3(4, 2, 2)
     assert b.centroid(spec) == vec3(14, 5, 7)

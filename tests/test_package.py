@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import reblock
@@ -50,6 +53,19 @@ def _loads_in_src(module: str, tree: ast.Module) -> dict[str, set[str]]:
     return out
 
 
+def _package_trees() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
+
+def _used_outside() -> set[str]:
+    """Names exported through ``reblock.__all__`` or referred to by the
+    acceptance tests or the benchmark."""
+    outside = set(reblock.__all__)
+    for path in [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]:
+        outside |= _referenced(ast.parse(path.read_text()))
+    return outside
+
+
 def test_every_public_name_has_a_caller():
     """No public top-level function or class exists for its unit test alone.
 
@@ -57,14 +73,12 @@ def test_every_public_name_has_a_caller():
     ``reblock.__all__``, be used by the acceptance tests or the benchmark,
     or be the CLI entry point.
     """
-    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    trees = _package_trees()
     loaded: dict[str, set[str]] = {}
     for module, tree in trees.items():
         for home, names in _loads_in_src(module, tree).items():
             loaded.setdefault(home, set()).update(names)
-    outside = set(reblock.__all__)
-    for path in [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]:
-        outside |= _referenced(ast.parse(path.read_text()))
+    outside = _used_outside()
 
     uncalled = [
         f"{module}.{stmt.name}"
@@ -77,3 +91,52 @@ def test_every_public_name_has_a_caller():
         and (module, stmt.name) != ("cli", "main")
     ]
     assert not uncalled, "public names nothing calls: " + ", ".join(uncalled)
+
+
+def test_every_public_method_has_a_caller():
+    """No public method exists for its unit test alone.
+
+    Each must be read as an attribute somewhere in the package, be used by
+    the acceptance tests or the benchmark, or override a method of a base
+    class from outside the package (argparse calls ``cli._Parser.error``).
+    Dunders are exempt.
+    """
+    trees = _package_trees()
+    used = _used_outside().union(
+        *(
+            {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            for tree in trees.values()
+        )
+    )
+    uncalled = []
+    for module, tree in trees.items():
+        for cls in (stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)):
+            bases = getattr(importlib.import_module(f"reblock.{module}"), cls.name).__mro__[1:]
+            foreign = set().union(
+                *(vars(b) for b in bases if not b.__module__.startswith("reblock"))
+            )
+            uncalled += [
+                f"{module}.{cls.name}.{stmt.name}"
+                for stmt in cls.body
+                if isinstance(stmt, ast.FunctionDef)
+                and not stmt.name.startswith("_")
+                and stmt.name not in used | foreign
+            ]
+    assert not uncalled, "public methods nothing calls: " + ", ".join(uncalled)
+
+
+def test_perfbench_probes_resolve(monkeypatch):
+    """Every function the benchmark's tracer swaps for a timed wrapper is
+    still an attribute of the module it patches."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{probe.module.__name__}.{probe.attr}"
+        for probe in tracing.PROBES
+        if not callable(getattr(probe.module, probe.attr, None))
+    ]
+    assert tracing.PROBES and not missing, "unresolvable probes: " + ", ".join(missing)

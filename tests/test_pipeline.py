@@ -65,7 +65,7 @@ def blocks_as_tuples(model):
 
 
 def total_cells(model):
-    return sum(b.n_cells() for b in model.blocks)
+    return sum(int(np.prod(b.cell_dims)) for b in model.blocks)
 
 
 class TestRestructureScenes:

@@ -22,7 +22,7 @@ from reblock.sidedness import (
 )
 
 from conftest import box_mesh, grid_surface, icosphere
-from oracles import inside_box, inside_sphere
+from oracles import distance_to_mesh, inside_box, inside_sphere, sheet_height, winding_number
 
 
 @pytest.fixture(scope="module")
@@ -140,9 +140,9 @@ def test_batch_dirty_rays_use_point_seed(plane):
         assert batch.sides[i] == solo.side
 
 
-def _scalar_loop(pts, mesh, index, direction, seeds):
-    """(side, count, outside_support) per point from cast_parity, or None
-    for a point whose ray stays grazing."""
+def _one_point_loop(pts, mesh, index, direction, seeds):
+    """(side, count, outside_support, recasts) per point from cast_parity,
+    or None for a point whose ray stays grazing."""
     out = []
     for p, seed in zip(pts, seeds):
         try:
@@ -150,14 +150,16 @@ def _scalar_loop(pts, mesh, index, direction, seeds):
         except UnresolvableRay:
             out.append(None)
         else:
-            out.append((res.side, res.count, res.outside_support))
+            out.append((res.side, res.count, res.outside_support, res.recasts))
     return out
 
 
 def _assert_batch_matches_loop(pts, mesh, direction, may_raise=False):
+    """Casting the points together, grouped into shared ray lines, gives
+    each point what casting it alone gives, recast count included."""
     index = build_index(mesh)
     seeds = np.arange(len(pts)) * 7 + 3
-    want = _scalar_loop(pts, mesh, index, direction, seeds)
+    want = _one_point_loop(pts, mesh, index, direction, seeds)
     try:
         batch = cast_parity_many(pts, mesh, index, direction, seeds=seeds)
     except UnresolvableRay:
@@ -165,7 +167,12 @@ def _assert_batch_matches_loop(pts, mesh, direction, may_raise=False):
         assert may_raise and None in want
         return
     got = list(
-        zip(batch.sides.tolist(), batch.counts.tolist(), batch.outside_support.tolist())
+        zip(
+            batch.sides.tolist(),
+            batch.counts.tolist(),
+            batch.outside_support.tolist(),
+            batch.recasts.tolist(),
+        )
     )
     assert got == want
 
@@ -218,8 +225,8 @@ def _lattice_scenes(draw):
 @given(_lattice_scenes())
 def test_batch_matches_scalar_loop_on_lattices(scene):
     """Points sharing a ray line share one candidate query and one solve
-    per triangle; sides, counts and support flags still equal a loop of
-    cast_parity with the same seeds."""
+    per triangle; sides, counts, support flags and recast counts still
+    equal one-point casts with the same seeds."""
     mesh, pts, direction = scene
     _assert_batch_matches_loop(pts, mesh, direction, may_raise=True)
 
@@ -228,7 +235,7 @@ def test_batch_matches_scalar_loop_on_lattices(scene):
 def test_batch_merges_close_crossings_like_scalar(n_sheets):
     """Stacked sheets closer than the dedup tolerance, with cell centres
     below, between and above them on shared lines: each point merges the
-    crossings beyond it the way cast_parity does (with three sheets the
+    crossings beyond it the way a one-point cast does (with three sheets the
     first and last are farther apart than the tolerance, so how hits are
     grouped depends on where the point is)."""
     gap = 3.4e-7
@@ -294,6 +301,93 @@ def test_batch_raises_for_a_point_on_the_surface(on_surface):
         cast_parity_many(pts, mesh, index)
 
 
+def _oracle_below(mesh, pts, direction, sheet=None):
+    """Odd parity per point: inside by the winding number of a closed mesh,
+    or beyond ``grid_surface(*sheet)`` along a cast up or down z."""
+    if sheet is None:
+        return np.abs(winding_number(pts, mesh.vertices, mesh.triangles)) > 0.5
+    heights = [sheet_height(*sheet, x, y) for x, y in pts[:, :2]]
+    return np.array(
+        [h is not None and (z - h) * direction[2] < 0 for z, h in zip(pts[:, 2], heights)],
+        dtype=bool,
+    )
+
+
+def _lattice_clear_of(mesh, axes, step):
+    """The points of a lattice farther than 0.05 step from the surface."""
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    return pts[distance_to_mesh(pts, mesh.vertices, mesh.triangles) > 0.05 * step]
+
+
+def _dyadic_sheet(edge, slope_x, slope_y):
+    """Sheet arguments with dyadic inner breakpoints, ending ``edge`` off
+    the lattice so that no vertical ray grazes its border."""
+    xs = [-edge, 1.0, 2.0, 3.0, 4.0 + edge]
+    ys = [-edge, 2.0, 4.0 + edge]
+    return xs, ys, lambda x, y: 1.5 + slope_x * x + slope_y * y
+
+
+@st.composite
+def _oracle_scenes(draw):
+    """A closed mesh or a heightfield sheet, and the points of a dyadic
+    lattice clear of it.
+
+    Every coordinate is on the lattice, so rays run through the shared
+    vertices and edges of the sheets, and along and through the coplanar
+    face triangles of boxes whose faces lie on lattice planes.
+    """
+    kind = draw(st.sampled_from(["sphere", "box", "sheet"]))
+    step = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    sheet = None
+    if kind == "sphere":
+        center = [2.0 + draw(st.floats(-0.2, 0.2)) for _ in range(3)]
+        radius = draw(st.floats(1.0, 1.8))
+        mesh = icosphere(subdiv=draw(st.integers(1, 2)), radius=radius, center=center)
+    elif kind == "box":
+        lo = [0.5 * draw(st.integers(0, 3)) for _ in range(3)]
+        mesh = box_mesh(lo, [a + 0.5 * draw(st.integers(1, 5)) for a in lo])
+    else:
+        slopes = st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5])
+        sheet = _dyadic_sheet(draw(st.floats(0.06, 0.2)), draw(slopes), draw(slopes))
+        mesh = grid_surface(*sheet)
+    directions = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)] if sheet else LINE_DIRECTIONS + [TILTED]
+    axes = []
+    for _ in range(3):
+        start = draw(st.integers(-1, int(4.0 / step) - 1))
+        axes.append(step * np.arange(start, start + draw(st.integers(1, 8))))
+    pts = _lattice_clear_of(mesh, axes, step)
+    return mesh, pts, draw(st.sampled_from(directions)), sheet
+
+
+@settings(max_examples=80, deadline=None)
+@given(_oracle_scenes())
+def test_parity_matches_oracles_on_dyadic_lattices(scene):
+    """Odd parity exactly where the generalized winding number puts a
+    point inside a closed mesh, or the interpolated height puts it beyond
+    a sheet along the cast."""
+    mesh, pts, direction, sheet = scene
+    batch = cast_parity_many(pts, mesh, build_index(mesh), direction)
+    assert np.array_equal(batch.sides == SIDE_BELOW, _oracle_below(mesh, pts, direction, sheet))
+
+
+@pytest.mark.parametrize(
+    "kind,direction",
+    [("box", d) for d in LINE_DIRECTIONS] + [("sheet", d) for d in LINE_DIRECTIONS[:2]],
+)
+def test_parity_matches_oracles_through_shared_edges(kind, direction):
+    """A 0.5-step lattice around a box whose faces lie on lattice planes,
+    or under and over a dyadic sheet: rays in face planes and through
+    shared vertices and edges are recast, and every point still gets the
+    oracle's answer."""
+    sheet = _dyadic_sheet(0.1, 0.25, -0.5) if kind == "sheet" else None
+    mesh = grid_surface(*sheet) if sheet else box_mesh((0.5, 0.5, 1.0), (3.5, 3.0, 3.5))
+    axis = np.arange(-0.5, 4.6, 0.5)
+    pts = _lattice_clear_of(mesh, [axis] * 3, 0.5)
+    batch = cast_parity_many(pts, mesh, build_index(mesh), direction)
+    assert np.array_equal(batch.sides == SIDE_BELOW, _oracle_below(mesh, pts, direction, sheet))
+    assert (batch.recasts > 0).any()
+
+
 def _classified_parent():
     spec = LatticeSpec(vec3(0, 0, 0), vec3(4, 4, 4), vec3(1, 1, 1))
     blocks = [Block(parent=(0, 0, 0), cell_min=(0, 0, 0), cell_dims=(4, 4, 4), label=0)]
@@ -310,7 +404,6 @@ def test_classify_cells_mid_plane_partition():
     spec, surfaces, overlap = _classified_parent()
     cls = classify_cells(spec, (0, 0, 0), surfaces, overlap)
     assert cls.surface_ids == [0]
-    assert cls.category_counts(0) == (16, 16, 32)
     sides = cls.sides[0].reshape(4, 4, 4)  # [z, y, x]
     assert (sides[:2] == SIDE_BELOW).all()
     assert (sides[2:] == SIDE_ABOVE).all()
