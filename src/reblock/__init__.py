@@ -4,7 +4,7 @@ The package splits into small, separately usable layers:
 
 - :mod:`reblock.lattice` — the two-tier block lattice and model CSV I/O
 - :mod:`reblock.mesh` — OFF/OBJ loading, integrity checks, refinement,
-  and an AABB tree for triangle queries
+  and a sort-and-sweep index for triangle bounding-box queries
 - :mod:`reblock.intersection` — exact triangle/box overlap (SAT)
 - :mod:`reblock.sidedness` — ray-parity above/below classification
 - :mod:`reblock.merge` — coordinate-ascent cell merging, two conventions

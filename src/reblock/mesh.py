@@ -1,6 +1,6 @@
 """Triangle-mesh container, file loaders, integrity checks, density
-refinement, and the kD-tree accelerator used for block-vs-triangle
-candidate pruning.
+refinement, and the sort-and-sweep index that prunes block-vs-triangle
+candidates to the triangles whose bounding boxes meet a query box.
 
 Meshes are treated as immutable after construction; operations that
 "modify" a mesh return a new one.
@@ -18,11 +18,6 @@ import numpy as np
 
 from .errors import EmptyMesh, RefinementOverflow, ValidationError
 from .geometry import Aabb, aabb_from_bounds, aabb_overlaps, vec3
-
-# kD-tree build policy: leaves keep at most this many triangles and the
-# tree never exceeds this depth, whichever limit hits first.
-INDEX_MAX_LEAF = 16
-INDEX_MAX_DEPTH = 32
 
 # Hard ceiling on triangles produced by refine_mesh (configurable per call).
 DEFAULT_REFINE_CAP = 10_000_000
@@ -383,38 +378,29 @@ def _tri_area(a: Sequence[float], b: Sequence[float], c: Sequence[float]) -> flo
 
 
 # ---------------------------------------------------------------------------
-# kD-tree index
+# sort-and-sweep index
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _IndexNode:
-    axis: int = -1
-    split: float = 0.0
-    left: "_IndexNode | None" = None
-    right: "_IndexNode | None" = None
-    leaf: np.ndarray | None = None  # triangle ids, None for interior nodes
-
-
-@dataclass
 class MeshIndex:
-    """Binary space partition over triangle AABBs.
+    """Sort-and-sweep index over triangle AABBs (Baraff 1992).
 
-    Triangles whose boxes straddle a split plane are referenced from both
-    subtrees, so a query returns a conservative superset of the true
-    overlap set.
+    On each axis k, ``order[k]`` lists the triangle ids by increasing box
+    minimum, ``keys[k]`` holds those minima and ``hi_max[k]`` the running
+    maximum of the box maxima in that order.  Both key rows are monotone,
+    so two binary searches bound the run of triangles whose boxes can
+    meet a query interval on that axis.
     """
 
-    root: _IndexNode
     tri_lo: np.ndarray  # (M, 3) per-triangle AABB minima
     tri_hi: np.ndarray  # (M, 3) per-triangle AABB maxima
     bounds: Aabb
+    order: np.ndarray  # (3, M) int32 triangle ids sorted by tri_lo per axis
+    keys: np.ndarray  # (3, M) tri_lo in that order
+    hi_max: np.ndarray  # (3, M) running maximum of tri_hi in that order
 
 
-def build_index(
-    mesh: TriangleMesh,
-    max_leaf: int = INDEX_MAX_LEAF,
-    max_depth: int = INDEX_MAX_DEPTH,
-) -> MeshIndex:
+def build_index(mesh: TriangleMesh) -> MeshIndex:
     if len(mesh) == 0:
         raise EmptyMesh(f"mesh '{mesh.name}' has no triangles to index")
     tv = mesh.tri_vertices()
@@ -427,54 +413,28 @@ def build_index(
     flat = (hi - lo) < eps
     lo = np.where(flat, lo - eps, lo)
     hi = np.where(flat, hi + eps, hi)
-    centers = (lo + hi) * 0.5
-
-    def build(ids: np.ndarray, depth: int) -> _IndexNode:
-        if len(ids) <= max_leaf or depth >= max_depth:
-            return _IndexNode(leaf=np.sort(ids))
-        ext = hi[ids].max(axis=0) - lo[ids].min(axis=0)
-        axis = int(np.argmax(ext))
-        split = float(np.median(centers[ids, axis]))
-        left_ids = ids[lo[ids, axis] <= split]
-        right_ids = ids[hi[ids, axis] >= split]
-        if len(left_ids) == len(ids) and len(right_ids) == len(ids):
-            return _IndexNode(leaf=np.sort(ids))  # full duplication: no progress
-        if len(left_ids) == 0 or len(right_ids) == 0:
-            return _IndexNode(leaf=np.sort(ids))
-        return _IndexNode(
-            axis=axis,
-            split=split,
-            left=build(left_ids, depth + 1),
-            right=build(right_ids, depth + 1),
-        )
-
-    root = build(np.arange(len(mesh), dtype=np.int32), 0)
-    return MeshIndex(root=root, tri_lo=lo, tri_hi=hi, bounds=mesh_aabb(mesh))
+    order = np.argsort(lo.T, axis=1, kind="stable").astype(np.int32)
+    return MeshIndex(
+        tri_lo=lo,
+        tri_hi=hi,
+        bounds=mesh_aabb(mesh),
+        order=order,
+        keys=np.take_along_axis(lo.T, order, axis=1),
+        hi_max=np.maximum.accumulate(np.take_along_axis(hi.T, order, axis=1), axis=1),
+    )
 
 
 def query_candidates(index: MeshIndex, box: Aabb) -> np.ndarray:
-    """Triangle ids whose AABB may overlap ``box`` (closed), sorted, unique."""
-    qlo = np.asarray(box.lo, dtype=np.float64)
-    qhi = np.asarray(box.hi, dtype=np.float64)
+    """Triangle ids whose AABB meets ``box`` (closed), sorted, unique."""
     if not aabb_overlaps(index.bounds, box):
         return np.empty(0, dtype=np.int32)
-    out: list[np.ndarray] = []
-    stack = [index.root]
-    while stack:
-        node = stack.pop()
-        if node.leaf is not None:
-            ids = node.leaf
-            keep = (
-                (index.tri_lo[ids] <= qhi).all(axis=1)
-                & (index.tri_hi[ids] >= qlo).all(axis=1)
-            )
-            if keep.any():
-                out.append(ids[keep])
-            continue
-        if qlo[node.axis] <= node.split:
-            stack.append(node.left)  # type: ignore[arg-type]
-        if qhi[node.axis] >= node.split:
-            stack.append(node.right)  # type: ignore[arg-type]
-    if not out:
-        return np.empty(0, dtype=np.int32)
-    return np.unique(np.concatenate(out))
+    qlo = np.asarray(box.lo, dtype=np.float64)
+    qhi = np.asarray(box.hi, dtype=np.float64)
+    # on axis k, a triangle sorted before ``start`` ends below the box and
+    # one sorted from ``stop`` on begins above it; scan the shortest window
+    start = [index.hi_max[k].searchsorted(qlo[k]) for k in range(3)]
+    stop = [index.keys[k].searchsorted(qhi[k], "right") for k in range(3)]
+    k = int(np.argmin(np.subtract(stop, start)))
+    ids = index.order[k, start[k] : stop[k]]
+    keep = (index.tri_lo[ids] <= qhi).all(axis=1) & (index.tri_hi[ids] >= qlo).all(axis=1)
+    return np.sort(ids[keep])

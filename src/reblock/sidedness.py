@@ -381,8 +381,9 @@ def cast_parity_many(
     Grazing geometry (a ray in a triangle's plane, or a hit within
     BARY_EPS of a triangle's edge — either side of it — or of the point)
     sends a point to batched recast rounds, where each point is its own
-    line with its own candidates: first along ``direction``, then up to
-    MAX_RECASTS times along a tilt of at most TILT_RADIANS drawn from
+    line with its own candidates: first along ``direction`` (skipped by a
+    point that was already alone on its line), then up to MAX_RECASTS
+    times along a tilt of at most TILT_RADIANS drawn from
     ``random.Random(seed)`` (``seeds[i]``, else the point's
     :func:`point_seed`).  A point still grazing raises UnresolvableRay.
     """
@@ -419,24 +420,31 @@ def cast_parity_many(
     )
 
     # recast rounds: each grazing point is a line of its own, with its own
-    # candidates and its own seeded sequence of tilts
+    # candidates and its own seeded sequence of tilts; a point that was
+    # alone on its line keeps its candidates and skips round 0, which would
+    # repeat its main-pass solve
+    lone = sizes[line_of] == 1
     who = np.flatnonzero(dirty)
-    own = {i: _column_candidates(pts[i], d, index, dedup_tol) for i in who}
+    own = {
+        i: cands[line_of[i]] if lone[i] else _column_candidates(pts[i], d, index, dedup_tol)
+        for i in who
+    }
     rngs = {i: random.Random(point_seed(pts[i]) if seeds is None else int(seeds[i])) for i in who}
     for attempt in range(MAX_RECASTS + 1):
+        who = np.flatnonzero(dirty if attempt else dirty & ~lone)
         if len(who) == 0:
-            break
+            continue
         dirs = [_tilted(d, rngs[i]) if attempt else d for i in who]
         alone = np.arange(len(who))
-        counts[who], still = _solve_lines(
+        counts[who], dirty[who] = _solve_lines(
             pts[who], (alone, alone, alone), np.array(dirs), [own[i] for i in who],
             outside[who], mesh, dedup_tol,
         )
         recasts[who] = attempt
-        who = who[still]
-    if len(who):
+    if dirty.any():
         raise UnresolvableRay(
-            f"parity cast from {tuple(pts[who[0]])} still grazing after {MAX_RECASTS} recasts"
+            f"parity cast from {tuple(pts[np.argmax(dirty)])} still grazing "
+            f"after {MAX_RECASTS} recasts"
         )
     sides = np.where(counts % 2 == 1, SIDE_BELOW, SIDE_ABOVE).astype(np.int8)
     return ParityBatch(sides, counts, outside, recasts)

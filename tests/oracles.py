@@ -2,7 +2,8 @@
 
 Nothing in here calls into :mod:`reblock` — these are deliberately
 separate implementations (polygon clipping, closed-form containment,
-winding numbers, heightfield interpolation) used as ground truth by the unit and acceptance tests.
+winding numbers, heightfield interpolation, a brute-force bounding-box
+filter) used as ground truth by the unit and acceptance tests.
 """
 from __future__ import annotations
 
@@ -211,3 +212,34 @@ def sheet_height(xs, ys, height, x: float, y: float) -> float | None:
     if u >= v:  # the (i, j), (i+1, j), (i+1, j+1) half
         return z(0, 0) + u * (z(1, 0) - z(0, 0)) + v * (z(1, 1) - z(1, 0))
     return z(0, 0) + v * (z(0, 1) - z(0, 0)) + u * (z(1, 1) - z(0, 1))
+
+
+# ---------------------------------------------------------------------------
+# triangle index: brute-force bounding-box filter
+# ---------------------------------------------------------------------------
+
+def _inflate_flat(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Widen every axis of a box thinner than 1e-9 × max(1, its widest
+    extent) by that much on both sides."""
+    eps = 1e-9 * np.maximum((hi - lo).max(axis=-1, keepdims=True), 1.0)
+    flat = (hi - lo) < eps
+    return np.where(flat, lo - eps, lo), np.where(flat, hi + eps, hi)
+
+
+def index_candidates(vertices, triangles, lo, hi) -> np.ndarray:
+    """Ids of the triangles whose bounding boxes meet the closed box [lo, hi].
+
+    A box that misses the mesh's own bounds gets none.  Flat axes of the
+    mesh bounds and of each triangle's bounds are inflated first, so an
+    axis-parallel triangle still has a volume to meet.  Sorted, int32.
+    """
+    v = np.asarray(vertices, dtype=np.float64)
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    mesh_lo, mesh_hi = _inflate_flat(v.min(axis=0), v.max(axis=0))
+    if ((mesh_lo > hi) | (mesh_hi < lo)).any():
+        return np.empty(0, dtype=np.int32)
+    tv = v[np.asarray(triangles)]
+    tri_lo, tri_hi = _inflate_flat(tv.min(axis=1), tv.max(axis=1))
+    meet = ((tri_lo <= hi) & (tri_hi >= lo)).all(axis=1)
+    return np.flatnonzero(meet).astype(np.int32)

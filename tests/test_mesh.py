@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reblock.errors import EmptyMesh, ValidationError
 from reblock.geometry import Aabb, aabb_from_bounds, vec3
@@ -19,6 +21,7 @@ from reblock.mesh import (
 )
 
 from conftest import box_mesh, grid_surface, icosphere, write_obj
+from oracles import index_candidates
 
 
 def test_load_obj_round_trip(tmp_path):
@@ -145,19 +148,63 @@ def test_refine_is_conforming():
     assert all(n in (1, 2) for n in counts.values())
 
 
-def test_index_candidates_cover_all_hits():
-    sphere = icosphere(subdiv=2, radius=5.0)
-    index = build_index(sphere)
-    probe = Aabb(vec3(0, 0, 5.0), vec3(0.5, 0.5, 0.5))
-    cand = set(int(i) for i in query_candidates(index, probe))
-    # brute force: any triangle whose own box overlaps the probe must be listed
-    tv = sphere.tri_vertices()
-    lo = tv.min(axis=1)
-    hi = tv.max(axis=1)
-    plo = np.asarray(probe.lo)
-    phi = np.asarray(probe.hi)
-    brute = np.flatnonzero(((lo <= phi) & (hi >= plo)).all(axis=1))
-    assert set(int(i) for i in brute) <= cand
+# dyadic coordinates keep box centres and halves exact, so boxes built to
+# touch a triangle box or the mesh bounds touch them exactly
+_GRID = st.integers(-16, 16).map(lambda k: k / 4)
+
+
+@st.composite
+def _index_scenes(draw):
+    """A small triangle soup and query boxes drawn from its own coordinates.
+
+    Triangles may be flat on one axis, the whole soup may be flat, one
+    triangle may dwarf the rest, and everything may sit 1e6 from the
+    origin.  Query bounds touch triangle boxes and the mesh bounds, fall
+    just past them, or come from the grid, and may have zero thickness
+    on any axis.
+    """
+    n = draw(st.integers(1, 8))
+    verts = np.array(draw(st.lists(_GRID, min_size=9 * n, max_size=9 * n))).reshape(n, 3, 3)
+    for t in range(n):
+        axis = draw(st.sampled_from([None, 0, 1, 2]))
+        if axis is not None:
+            verts[t, :, axis] = verts[t, 0, axis]
+    flat_axis = draw(st.sampled_from([None, 0, 1, 2]))
+    if flat_axis is not None:
+        verts[:, :, flat_axis] = verts[0, 0, flat_axis]
+    if draw(st.booleans()):
+        verts[0] *= 64.0
+    offset = draw(st.sampled_from([0.0, 1e6]))
+    verts += offset
+    mesh = TriangleMesh(verts.reshape(-1, 3), np.arange(3 * n).reshape(n, 3))
+
+    boxes = []
+    for _ in range(draw(st.integers(1, 12))):
+        bounds = []
+        for k in range(3):
+            coords = st.sampled_from(sorted(set(verts[:, :, k].ravel())))
+            # vertex coordinates, so the mesh and triangle bounds too; the
+            # same nudged by less than a flat axis's inflation; grid values
+            nudged = st.builds(lambda c, s: c + s * 2.0**-31, coords, st.sampled_from([-1, 1]))
+            pool = st.one_of(coords, nudged, _GRID.map(lambda g: g + offset))
+            a, b = sorted((draw(pool), draw(pool)))
+            bounds.append((a, a if draw(st.integers(0, 3)) == 0 else b))
+        lo, hi = zip(*bounds)
+        boxes.append(aabb_from_bounds(vec3(*lo), vec3(*hi)))
+    return mesh, boxes
+
+
+@settings(max_examples=200, deadline=None)
+@given(_index_scenes())
+@example((icosphere(subdiv=2, radius=5.0), [Aabb(vec3(0, 0, 5.0), vec3(0.5, 0.5, 0.5))]))
+def test_query_candidates_match_oracle(scene):
+    mesh, boxes = scene
+    index = build_index(mesh)
+    for box in boxes:
+        got = query_candidates(index, box)
+        want = index_candidates(mesh.vertices, mesh.triangles, box.lo, box.hi)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want), (box, got, want)
 
 
 def test_index_empty_query():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reblock import sidedness
 from reblock.errors import UnresolvableRay
 from reblock.geometry import Aabb, vec3
 from reblock.intersection import OverlapMap, detect_overlaps, sat_triangle_box
@@ -278,6 +279,26 @@ def test_batch_lines_in_face_planes_match_scalar(direction, closed_box):
             p[axis] = along
             pts.append(p)
     _assert_batch_matches_loop(np.array(pts), mesh, direction)
+
+
+def test_tilted_cast_recasts_without_requerying(plane, monkeypatch):
+    """A cast off the lattice axes puts every point on a line of its own,
+    so a grazing point recasts with the candidates of its main-pass query:
+    one query per point, grazing or not."""
+    mesh, index = plane
+    d = np.array([0.3, 0.2, 1.0])
+    # rays through a shared vertex, a cell diagonal and a cell edge graze
+    grazing = np.array([[2.0, 2.0, 2.0], [1.0, 1.0, 2.0], [2.0, 1.0, 2.0]]) - 1.5 * d
+    clear = np.array([[0.7, 1.3, 0.5], [3.1, 0.6, 1.0]])
+    calls = []
+    query = sidedness.query_candidates
+    monkeypatch.setattr(
+        sidedness, "query_candidates", lambda *args: calls.append(args) or query(*args)
+    )
+    batch = cast_parity_many(np.concatenate([grazing, clear]), mesh, index, d)
+    assert len(calls) == 5
+    assert (batch.recasts[:3] > 0).all() and (batch.recasts[3:] == 0).all()
+    assert (batch.sides == SIDE_BELOW).all()
 
 
 @pytest.mark.parametrize("on_surface", ["sheet", "in_plane"])
