@@ -12,17 +12,22 @@ Two conventions over a parent's cell grid:
 
 * **persistent** — every input block keeps its identity: blocks take
   turns (smallest first) absorbing whole neighbouring blocks across their
-  +x/+y/+z faces.  An absorption is feasible only when the face's delta
-  slab contains no foreign cell, all adjoining blocks have one uniform
-  length along the growth axis, and their combined cell count exactly
-  tiles the extension box — so every output block is a rectangle and
-  every input block lands wholly inside exactly one output block.
+  +x/+y/+z faces.  An absorption is feasible only when the face is fully
+  in contact with other blocks (no foreign cell beyond it), all of them
+  have one uniform length along the growth axis, and their combined cell
+  count exactly tiles the extension box — so every output block is a
+  rectangle and every input block lands wholly inside exactly one output
+  block.  The test reads a face-contact table, not the grid: per pair of
+  touching blocks, the axis and the number of cells their faces share.
 
-Both conventions run on one ordinal grid per class, painted once: each
+Both conventions start from one ordinal grid per class, painted once: each
 cell holds the index of its input block, or -1.  Eight scan patterns
-(``np.flip`` views of that grid along any subset of axes) give the greedy
-sweep eight different vantage points; the multi-scan driver keeps
-whichever result scores best under the chosen objective.
+(mirrors of the parent along any subset of axes) give the greedy sweep
+eight different vantage points; the multi-scan driver keeps whichever
+result scores best under the chosen objective.  The dissolved sweep runs
+on ``np.flip`` views of the grid; the persistent ascent runs on integer
+records, and its one contact table serves all eight patterns, because a
+mirror only swaps the + and - faces along its axes.
 """
 
 from __future__ import annotations
@@ -176,172 +181,135 @@ def coalesce_binary(
 # persistent convention
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MergeRecord:
-    """Mutable bookkeeping for one input block during persistent merging."""
+def face_contacts(owner: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Face-contact table of an ordinal grid, one row per touching pair.
 
-    cell_min: IntTriple
-    dims: list[int]
-    n_curr: int
-    subsumed: bool = False
-
-
-def feasible_cell_expansion(
-    theta: np.ndarray,
-    records: list[MergeRecord],
-    b: int,
-    corner_lo: IntTriple,
-    corner_hi: IntTriple,
-    axis: int,
-    max_dims: IntTriple,
-) -> bool:
-    """Try to absorb the blocks behind one face of block ``b``.
-
-    ``corner_lo``/``corner_hi`` bound the one-cell-thick delta slab just
-    beyond the face, in (x, y, z) cell coordinates.  On success the
-    absorbed records are marked subsumed, their cells repainted to ``b``,
-    and ``b``'s dims and cell count updated; on failure nothing changes.
+    A row ``(a, c, axis, area)`` says block ``a``'s +axis face touches
+    block ``c``'s -axis face over ``area`` cells.  ``owner`` is a [z, y, x]
+    grid of block ordinals, -1 where no block is.
     """
-    kz, ky, kx = theta.shape
-    if corner_lo[0] >= kx or corner_lo[1] >= ky or corner_lo[2] >= kz:
-        return False
-    region = theta[
-        corner_lo[2] : corner_hi[2],
-        corner_lo[1] : corner_hi[1],
-        corner_lo[0] : corner_hi[0],
-    ]
-    if (region == -1).any():
-        return False  # at least one foreign cell
-    neighbours = np.unique(region)
-    lengths = {records[int(nb)].dims[axis] for nb in neighbours}
-    if len(lengths) != 1:
-        return False  # failed uniform length requirement
-    n_extend = lengths.pop()
-    absorbable = [int(nb) for nb in neighbours if not records[int(nb)].subsumed]
-
-    rec = records[b]
-    new_dims = list(rec.dims)
-    new_dims[axis] += n_extend
-    for c in range(3):
-        if new_dims[c] > max_dims[c]:
-            return False
-    cross = 1
-    for c in range(3):
-        if c != axis:
-            cross *= rec.dims[c]
-    n_region_cells = sum(records[nb].n_curr for nb in absorbable)
-    if n_region_cells != n_extend * cross:
-        return False  # join would not be a full rectangle
-
-    for nb in absorbable:
-        other = records[nb]
-        other.subsumed = True
-        theta[_box_slices(other.cell_min, other.dims)] = b
-    rec.n_curr += n_region_cells
-    rec.dims[axis] += n_extend
-    return True
+    n = int(owner.max()) + 1
+    rows: list[tuple[int, int, int, int]] = []
+    for axis in range(3):
+        grid = np.moveaxis(owner, 2 - axis, 0)
+        lo, hi = grid[:-1], grid[1:]
+        touch = (lo != hi) & (lo >= 0) & (hi >= 0)
+        keys, area = np.unique(lo[touch] * n + hi[touch], return_counts=True)
+        a, c = (keys // n).tolist(), (keys % n).tolist()
+        rows += zip(a, c, [axis] * len(a), area.tolist())
+    return rows
 
 
 def coalesce_persistent(
-    owner: np.ndarray,
+    boxes: Sequence[tuple[IntTriple, IntTriple]],
+    contacts: Sequence[tuple[int, int, int, int]],
+    counts: IntTriple,
+    flips: tuple[bool, bool, bool],
     label: int,
     max_dims: IntTriple | None = None,
     token_life: int | None = None,
 ) -> list[MergedBlock]:
     """Merge whole input blocks without ever splitting one.
 
-    ``owner`` is a [z, y, x] ordinal grid: each cell holds the index of
-    the input block covering it, or -1.  The ordinals must run 0..n-1 and
-    each must cover one solid box, as ``merge_class`` paints them.  The
-    input grid is not modified.  Smaller blocks move first ("priority
-    gives smaller blocks the earliest opportunity to grow"); passes repeat
-    until no block's cell count changes.  Output is in ordinal order.
+    Runs on the parent mirrored along ``flips``.  ``boxes`` must be
+    pairwise disjoint and inside the parent, and ``contacts`` their
+    :func:`face_contacts` table, as ``merge_class`` builds them; neither
+    is modified.  Blocks take turns absorbing the blocks behind their
+    +x/+y/+z faces; a face is absorbable when the contact areas of the
+    blocks behind it cover it, they share one length along the axis, and
+    their cell counts tile the extension box.  Smaller blocks move first
+    ("priority gives smaller blocks the earliest opportunity to grow");
+    passes repeat until one passes without an absorption.  Output is in
+    input order, in mirrored coordinates.
     """
-    theta = np.array(owner, dtype=np.int64)
-    kz, ky, kx = theta.shape
-    counts = (kx, ky, kz)
+    kx, ky, _ = counts
     m = counts if max_dims is None else max_dims
-    flat = theta.ravel()
-    cells = np.flatnonzero(flat >= 0)
-    ordinals = flat[cells]
-    # a box's first and last raster cells are its min and max corners
-    _, first = np.unique(ordinals, return_index=True)
-    _, last = np.unique(ordinals[::-1], return_index=True)
-    starts = cells[first].tolist()
-    records: list[MergeRecord] = []
-    for start, end in zip(starts, cells[cells.size - 1 - last].tolist()):
-        n = subscript_of(start, counts)
-        t = subscript_of(end, counts)
-        dims = [t[0] - n[0] + 1, t[1] - n[1] + 1, t[2] - n[2] + 1]
-        records.append(MergeRecord(n, dims, dims[0] * dims[1] * dims[2]))
+    lo = [
+        [k - n - s if flip else n for k, n, s, flip in zip(counts, n, s, flips)]
+        for n, s in boxes
+    ]
+    dims = [list(s) for _, s in boxes]
+    size = [s[0] * s[1] * s[2] for s in dims]
+    starts = [n[0] + kx * (n[1] + ky * n[2]) for n in lo]
+    # face 2*axis + 1 is the -axis face; a mirror swaps + and - on its axes
+    faces: list[list[dict[int, int]]] = [[{}, {}, {}, {}, {}, {}] for _ in boxes]
+    for a, c, axis, area in contacts:
+        up = 2 * axis + flips[axis]
+        faces[a][up][c] = area
+        faces[c][up ^ 1][a] = area
+    live = [True] * len(boxes)
+
+    def absorb(b: int, axis: int) -> bool:
+        """Absorb the blocks behind block ``b``'s +axis face, if feasible.
+
+        The caller checks that the face lies inside the parent.  Feasible
+        then means: the face's contact areas sum to its area (no foreign
+        cell lies beyond it); the blocks behind it share one length along
+        the axis; the grown block keeps within the caps; and their cell
+        counts tile the extension box exactly.  On success ``b`` takes over
+        their outward contacts; on failure nothing changes.
+        """
+        s = dims[b]
+        face = faces[b][2 * axis]
+        cross = size[b] // s[axis]
+        if sum(face.values()) != cross:
+            return False  # a foreign cell lies beyond the face
+        lengths = {dims[c][axis] for c in face}
+        if len(lengths) != 1:
+            return False  # failed uniform length requirement
+        n_extend = lengths.pop()
+        grown = list(s)
+        grown[axis] += n_extend
+        if grown[0] > m[0] or grown[1] > m[1] or grown[2] > m[2]:
+            return False  # past the merge-size caps
+        if sum(size[c] for c in face) != n_extend * cross:
+            return False  # join would not be a full rectangle
+
+        # the absorbed blocks tile the extension box, so each outward contact
+        # of theirs lies on one of b's new faces; contacts among them vanish
+        own = faces[b]
+        own[2 * axis] = {}
+        for c in face:
+            live[c] = False
+            for d, touching in enumerate(faces[c]):
+                if d == 2 * axis + 1:
+                    continue  # touches only b
+                for t, area in touching.items():
+                    if t in face:
+                        continue
+                    own[d][t] = own[d].get(t, 0) + area
+                    back = faces[t][d ^ 1]
+                    del back[c]
+                    back[b] = back.get(b, 0) + area
+        size[b] += n_extend * cross
+        s[axis] += n_extend
+        return True
 
     while True:
         # disjoint live blocks have distinct min corners, so the key is total
         order = sorted(
-            (b for b, r in enumerate(records) if not r.subsumed),
-            key=lambda b: (records[b].n_curr, starts[b]),
+            (b for b in range(len(boxes)) if live[b]), key=lambda b: (size[b], starts[b])
         )
         if len(order) <= 1:
             break
         grew = False
         for b in order:
-            rec = records[b]
-            if rec.subsumed:
+            if not live[b]:
                 continue
-            at_turn_start = rec.n_curr
+            at_turn_start = size[b]
             i = token_life
-            nx, ny, nz = rec.cell_min
-            sx, sy, sz = rec.dims
+            room = [k - n for k, n in zip(counts, lo[b])]
+            s = dims[b]
             while True:
                 barriers = 0
-                dx = min(sx + 1, kx - nx)
-                if dx > sx and feasible_cell_expansion(
-                    theta,
-                    records,
-                    b,
-                    (nx + sx, ny, nz),
-                    (nx + dx, ny + sy, nz + sz),
-                    0,
-                    m,
-                ):
-                    sx = rec.dims[0]
-                else:
-                    barriers += 1
-                dy = min(sy + 1, ky - ny)
-                if dy > sy and feasible_cell_expansion(
-                    theta,
-                    records,
-                    b,
-                    (nx, ny + sy, nz),
-                    (nx + sx, ny + dy, nz + sz),
-                    1,
-                    m,
-                ):
-                    sy = rec.dims[1]
-                else:
-                    barriers += 1
-                dz = min(sz + 1, kz - nz)
-                if dz > sz and feasible_cell_expansion(
-                    theta,
-                    records,
-                    b,
-                    (nx, ny, nz + sz),
-                    (nx + sx, ny + sy, nz + dz),
-                    2,
-                    m,
-                ):
-                    sz = rec.dims[2]
-                else:
-                    barriers += 1
+                for axis in range(3):
+                    if s[axis] == room[axis] or not absorb(b, axis):
+                        barriers += 1
                 if i is not None:
                     i -= 1
-                if (
-                    (sx == kx - nx and sy == ky - ny and sz == kz - nz)
-                    or barriers == 3
-                    or i == 0
-                ):
+                if s == room or barriers == 3 or i == 0:
                     break
-            if rec.n_curr != at_turn_start:
+            if size[b] != at_turn_start:
                 grew = True
         # a pass without a single absorption is the fixed point; comparing
         # cell counts over *all* records would deadlock on blocks that grew
@@ -350,9 +318,9 @@ def coalesce_persistent(
             break
 
     return [
-        MergedBlock(r.cell_min, (r.dims[0], r.dims[1], r.dims[2]), label)
-        for r in records
-        if not r.subsumed
+        MergedBlock(tuple(lo[b]), tuple(dims[b]), label)
+        for b in range(len(boxes))
+        if live[b]
     ]
 
 
@@ -403,9 +371,10 @@ def merge_class(
 
     The boxes are painted once onto an ordinal grid; they must be pairwise
     disjoint and inside the parent.  Every pattern runs the configured
-    convention with the standard raster scan on a mirrored view of that
-    grid and scores the result; ties keep the lowest pattern index.  Only
-    the winner is mirrored back.
+    convention with the standard raster scan on a mirrored view of the
+    parent and scores the result; ties keep the first configured pattern.
+    When that can no longer change, after a first pattern that returns one
+    block, the rest are skipped.  Only the winner is mirrored back.
     """
     if not boxes:
         return []
@@ -428,20 +397,36 @@ def merge_class(
             raise ValidationError("input blocks overlap or leave the parent")
         window[:] = ordinal
 
+    if params.convention == "persistent":
+        contacts = face_contacts(owner)
     runs = []
     for pattern in params.scan_patterns:
         flips = scan_flips(pattern)
-        view = np.flip(owner, tuple(2 - a for a in range(3) if flips[a]))
         if params.convention == "dissolved":
+            view = np.flip(owner, tuple(2 - a for a in range(3) if flips[a]))
             merged = coalesce_binary(
                 view >= 0, label, max_dims=params.max_dims, token_life=params.token_life
             )
         else:
             merged = coalesce_persistent(
-                view, label, max_dims=params.max_dims, token_life=params.token_life
+                boxes,
+                contacts,
+                counts,
+                flips,
+                label,
+                max_dims=params.max_dims,
+                token_life=params.token_life,
             )
         score = objective_value(merged, min_dims, params.objective)
         runs.append((score, flips, merged))
+        # one block is the fewest possible, and a dissolved class that one
+        # pattern tiles with one box every pattern tiles with that box; ties
+        # keep the first run.  Under persistent "aspect" another pattern may
+        # still win with several blocks of lower aspect ratio.
+        if len(merged) == 1 and (
+            params.convention == "dissolved" or params.objective == "count"
+        ):
+            break
     _, best_flips, best = min(runs, key=lambda run: run[0])  # first of equal scores
     return [
         MergedBlock(

@@ -3,9 +3,12 @@
 Nothing in here calls into :mod:`reblock` — these are deliberately
 separate implementations (polygon clipping, closed-form containment,
 winding numbers, heightfield interpolation, a brute-force bounding-box
-filter) used as ground truth by the unit and acceptance tests.
+filter, a grid-slab persistent merge) used as ground truth by the unit and
+acceptance tests.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -243,3 +246,151 @@ def index_candidates(vertices, triangles, lo, hi) -> np.ndarray:
     tri_lo, tri_hi = _inflate_flat(tv.min(axis=1), tv.max(axis=1))
     meet = ((tri_lo <= hi) & (tri_hi >= lo)).all(axis=1)
     return np.flatnonzero(meet).astype(np.int32)
+
+
+# ---------------------------------------------------------------------------
+# persistent merge on the ordinal grid
+# ---------------------------------------------------------------------------
+
+@dataclass
+class MergeRecord:
+    """Mutable bookkeeping for one input block during persistent merging."""
+
+    cell_min: tuple[int, int, int]
+    dims: list[int]
+    n_curr: int
+    subsumed: bool = False
+
+
+def _box_slices(n, s) -> tuple[slice, slice, slice]:
+    """Grid slices for the cell box [n, n+s); arrays are indexed [z, y, x]."""
+    return slice(n[2], n[2] + s[2]), slice(n[1], n[1] + s[1]), slice(n[0], n[0] + s[0])
+
+
+def feasible_cell_expansion(theta, records, b, corner_lo, corner_hi, axis, max_dims) -> bool:
+    """Try to absorb the blocks behind one face of block ``b``.
+
+    ``corner_lo``/``corner_hi`` bound the one-cell-thick delta slab just
+    beyond the face, in (x, y, z) cell coordinates.  On success the
+    absorbed records are marked subsumed, their cells repainted to ``b``,
+    and ``b``'s dims and cell count updated; on failure nothing changes.
+    """
+    kz, ky, kx = theta.shape
+    if corner_lo[0] >= kx or corner_lo[1] >= ky or corner_lo[2] >= kz:
+        return False
+    region = theta[
+        corner_lo[2] : corner_hi[2],
+        corner_lo[1] : corner_hi[1],
+        corner_lo[0] : corner_hi[0],
+    ]
+    if (region == -1).any():
+        return False  # at least one foreign cell
+    neighbours = np.unique(region)
+    lengths = {records[int(nb)].dims[axis] for nb in neighbours}
+    if len(lengths) != 1:
+        return False  # failed uniform length requirement
+    n_extend = lengths.pop()
+    absorbable = [int(nb) for nb in neighbours if not records[int(nb)].subsumed]
+
+    rec = records[b]
+    new_dims = list(rec.dims)
+    new_dims[axis] += n_extend
+    for c in range(3):
+        if new_dims[c] > max_dims[c]:
+            return False
+    cross = 1
+    for c in range(3):
+        if c != axis:
+            cross *= rec.dims[c]
+    n_region_cells = sum(records[nb].n_curr for nb in absorbable)
+    if n_region_cells != n_extend * cross:
+        return False  # join would not be a full rectangle
+
+    for nb in absorbable:
+        other = records[nb]
+        other.subsumed = True
+        theta[_box_slices(other.cell_min, other.dims)] = b
+    rec.n_curr += n_region_cells
+    rec.dims[axis] += n_extend
+    return True
+
+
+def coalesce_persistent_grid(owner, max_dims=None, token_life=None) -> list[tuple]:
+    """Persistent merge that tests each face by slicing the grid beyond it.
+
+    ``owner`` is a [z, y, x] ordinal grid: each cell holds the index of
+    the input block covering it, or -1; the ordinals run 0..n-1 and each
+    covers one solid box.  The input grid is not modified.  Smaller blocks
+    move first, passes repeat until one passes without an absorption, and
+    the surviving blocks come out in ordinal order as (cell_min, dims).
+    """
+    theta = np.array(owner, dtype=np.int64)
+    kz, ky, kx = theta.shape
+    m = (kx, ky, kz) if max_dims is None else max_dims
+    flat = theta.ravel()
+    cells = np.flatnonzero(flat >= 0)
+    ordinals = flat[cells]
+    # a box's first and last raster cells are its min and max corners
+    _, first = np.unique(ordinals, return_index=True)
+    _, last = np.unique(ordinals[::-1], return_index=True)
+    starts = cells[first].tolist()
+    records: list[MergeRecord] = []
+    for start, end in zip(starts, cells[cells.size - 1 - last].tolist()):
+        n = (start % kx, start // kx % ky, start // (kx * ky))
+        t = (end % kx, end // kx % ky, end // (kx * ky))
+        dims = [t[0] - n[0] + 1, t[1] - n[1] + 1, t[2] - n[2] + 1]
+        records.append(MergeRecord(n, dims, dims[0] * dims[1] * dims[2]))
+
+    while True:
+        order = sorted(
+            (b for b, r in enumerate(records) if not r.subsumed),
+            key=lambda b: (records[b].n_curr, starts[b]),
+        )
+        if len(order) <= 1:
+            break
+        grew = False
+        for b in order:
+            rec = records[b]
+            if rec.subsumed:
+                continue
+            at_turn_start = rec.n_curr
+            i = token_life
+            nx, ny, nz = rec.cell_min
+            sx, sy, sz = rec.dims
+            while True:
+                barriers = 0
+                dx = min(sx + 1, kx - nx)
+                if dx > sx and feasible_cell_expansion(
+                    theta, records, b, (nx + sx, ny, nz), (nx + dx, ny + sy, nz + sz), 0, m
+                ):
+                    sx = rec.dims[0]
+                else:
+                    barriers += 1
+                dy = min(sy + 1, ky - ny)
+                if dy > sy and feasible_cell_expansion(
+                    theta, records, b, (nx, ny + sy, nz), (nx + sx, ny + dy, nz + sz), 1, m
+                ):
+                    sy = rec.dims[1]
+                else:
+                    barriers += 1
+                dz = min(sz + 1, kz - nz)
+                if dz > sz and feasible_cell_expansion(
+                    theta, records, b, (nx, ny, nz + sz), (nx + sx, ny + sy, nz + dz), 2, m
+                ):
+                    sz = rec.dims[2]
+                else:
+                    barriers += 1
+                if i is not None:
+                    i -= 1
+                if (
+                    (sx == kx - nx and sy == ky - ny and sz == kz - nz)
+                    or barriers == 3
+                    or i == 0
+                ):
+                    break
+            if rec.n_curr != at_turn_start:
+                grew = True
+        if not grew:
+            break
+
+    return [(r.cell_min, tuple(r.dims)) for r in records if not r.subsumed]

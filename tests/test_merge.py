@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import coalesce_persistent_grid
+from reblock import merge
 from reblock.errors import EmptyInput, ValidationError
 from reblock.merge import (
     ALL_SCAN_PATTERNS,
@@ -14,6 +16,7 @@ from reblock.merge import (
     aspect_ratio_objective,
     coalesce_binary,
     coalesce_persistent,
+    face_contacts,
     merge_class,
     objective_value,
     scan_flips,
@@ -41,6 +44,21 @@ def paint_owner(boxes, counts) -> np.ndarray:
     for i, (n, s) in enumerate(boxes):
         owner[n[2] : n[2] + s[2], n[1] : n[1] + s[1], n[0] : n[0] + s[0]] = i
     return owner
+
+
+def persistent(boxes, counts, label=0):
+    """The persistent kernel on scan pattern 0, fed as ``merge_class`` feeds it."""
+    contacts = face_contacts(paint_owner(boxes, counts))
+    return coalesce_persistent(boxes, contacts, counts, (False, False, False), label)
+
+
+def grid_kernel(boxes, contacts, counts, flips, label, max_dims=None, token_life=None):
+    """``coalesce_persistent``'s signature over the grid-slab reference."""
+    view = np.flip(paint_owner(boxes, counts), tuple(2 - a for a in range(3) if flips[a]))
+    return [
+        MergedBlock(n, s, label)
+        for n, s in coalesce_persistent_grid(view, max_dims, token_life)
+    ]
 
 
 def mirror(blocks, counts, pattern):
@@ -142,21 +160,30 @@ def test_dissolved_partition_invariants(theta):
 def test_persistent_quad_join():
     boxes = [((0, 0, 0), (1, 1, 1)), ((1, 0, 0), (1, 1, 1)),
              ((0, 1, 0), (1, 1, 1)), ((1, 1, 0), (1, 1, 1))]
-    merged = coalesce_persistent(paint_owner(boxes, (2, 2, 1)), label=4)
+    merged = persistent(boxes, (2, 2, 1), label=4)
     assert merged == [MergedBlock((0, 0, 0), (2, 2, 1), 4)]
 
 
 def test_persistent_absorbs_whole_blocks_only():
     # B is 2 cells tall; absorbing it into A's 1-cell face would split it
     boxes = [((0, 0, 0), (1, 1, 1)), ((1, 0, 0), (1, 2, 1))]
-    merged = coalesce_persistent(paint_owner(boxes, (2, 2, 1)), label=0)
+    merged = persistent(boxes, (2, 2, 1))
     assert sorted(b.cell_min for b in merged) == [(0, 0, 0), (1, 0, 0)]
     assert sorted(b.cell_dims for b in merged) == [(1, 1, 1), (1, 2, 1)]
 
 
+def test_persistent_needs_uniform_length():
+    """Behind A's face lie B (length 1, sticking out past the face) and C
+    (length 8).  Their contacts cover the face and their cells number
+    8 x the face area, but the lengths differ, so nothing may merge."""
+    boxes = [((0, 0, 0), (1, 2, 1)), ((1, 1, 0), (1, 8, 1)), ((1, 0, 0), (8, 1, 1))]
+    merged = persistent(boxes, (9, 9, 1))
+    assert [(b.cell_min, b.cell_dims) for b in merged] == boxes
+
+
 def test_persistent_chain_absorption():
     boxes = [((0, 0, 0), (1, 1, 1)), ((1, 0, 0), (1, 1, 1)), ((2, 0, 0), (2, 1, 1))]
-    merged = coalesce_persistent(paint_owner(boxes, (4, 1, 1)), label=0)
+    merged = persistent(boxes, (4, 1, 1))
     assert merged == [MergedBlock((0, 0, 0), (4, 1, 1), 0)]
 
 
@@ -164,7 +191,7 @@ def test_persistent_smallest_blocks_move_first():
     """A big block and two small ones: the small pair joins even though
     the big block appears first in the input."""
     boxes = [((0, 0, 0), (2, 2, 1)), ((2, 0, 0), (1, 1, 1)), ((2, 1, 0), (1, 1, 1))]
-    merged = coalesce_persistent(paint_owner(boxes, (3, 2, 1)), label=0)
+    merged = persistent(boxes, (3, 2, 1))
     assert MergedBlock((2, 0, 0), (1, 2, 1), 0) in merged or len(merged) == 1
     # in fact the column join makes the final sweep possible
     assert merged == [MergedBlock((0, 0, 0), (3, 2, 1), 0)]
@@ -189,12 +216,22 @@ def assert_rejects_bad_boxes(convention):
                 merge_class(boxes, (4, 1, 1), (1, 1, 1), params, label=0)
 
 
-def test_persistent_input_grid_not_modified():
+def test_persistent_input_not_modified():
+    """One contact table serves every pattern, so the kernel must not edit it."""
     boxes = [((0, 0, 0), (1, 1, 1)), ((1, 0, 0), (1, 1, 1)), ((2, 0, 0), (2, 1, 1))]
-    owner = paint_owner(boxes, (4, 1, 1))
-    snapshot = owner.copy()
-    assert coalesce_persistent(owner, label=0) == [MergedBlock((0, 0, 0), (4, 1, 1), 0)]
-    assert np.array_equal(owner, snapshot)
+    contacts = face_contacts(paint_owner(boxes, (4, 1, 1)))
+    snapshot = (list(boxes), list(contacts))
+    for pattern in ALL_SCAN_PATTERNS:
+        merged = coalesce_persistent(boxes, contacts, (4, 1, 1), scan_flips(pattern), 0)
+        assert merged == [MergedBlock((0, 0, 0), (4, 1, 1), 0)]
+    assert (boxes, contacts) == snapshot
+
+
+def test_face_contacts_rows():
+    """Rows (a, c, axis, area): a's +axis face meets c's -axis face."""
+    boxes = [((0, 0, 0), (1, 2, 1)), ((1, 0, 0), (1, 2, 1)), ((0, 2, 0), (2, 1, 1))]
+    contacts = face_contacts(paint_owner(boxes, (3, 3, 1)))
+    assert sorted(contacts) == [(0, 1, 0, 2), (0, 2, 1, 1), (1, 2, 1, 1)]
 
 
 def test_persistent_rejects_overlapping_inputs():
@@ -209,7 +246,7 @@ def random_partition_boxes(rng, counts, keep=0.7):
     """Random grid partition of the parent, then a random subset of it."""
     breaks = []
     for k in counts:
-        cuts = sorted(set([0, k] + list(rng.integers(1, k, size=rng.integers(0, 3)))))
+        cuts = sorted(set([0, k] + list(rng.integers(1, max(k, 2), size=rng.integers(0, 3)))))
         breaks.append(cuts)
     boxes = []
     for ix in range(len(breaks[0]) - 1):
@@ -234,7 +271,7 @@ def test_persistent_containment_invariant(rng):
         boxes = random_partition_boxes(rng, counts)
         if not boxes:
             continue
-        merged = coalesce_persistent(paint_owner(boxes, counts), label=1)
+        merged = persistent(boxes, counts, label=1)
         cover = cover_map(merged, counts)
         assert cover.max(initial=0) <= 1
         assert int(cover.sum()) == sum(s[0] * s[1] * s[2] for _, s in boxes)
@@ -367,3 +404,95 @@ def test_merge_class_persistent_multiscan_partition(rng):
         cover = cover_map(merged, counts)
         assert cover.max(initial=0) <= 1
         assert int(cover.sum()) == sum(s[0] * s[1] * s[2] for _, s in boxes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    st.sampled_from(["partition", "holey", "unit cells"]),
+    st.sampled_from(["count", "aspect"]),
+    st.none() | st.integers(1, 3),
+    st.none() | st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True),
+)
+def test_persistent_matches_grid_reference(
+    seed, counts, shape, objective, token_life, caps, patterns
+):
+    """``merge_class`` gives the same blocks on the contact-table kernel as
+    on the grid-slab reference, pattern set, caps and token life alike."""
+    rng = np.random.default_rng(seed)
+    if shape == "unit cells":
+        theta = rng.random((counts[2], counts[1], counts[0])) < 0.6
+        boxes = [(tuple(int(v) for v in n[::-1]), (1, 1, 1)) for n in np.argwhere(theta)]
+    else:
+        boxes = random_partition_boxes(rng, counts, keep=1.0 if shape == "partition" else 0.7)
+    boxes = [boxes[i] for i in rng.permutation(len(boxes))]
+    max_dims = None if caps is None else tuple(min(c, k) for c, k in zip(caps, counts))
+    params = MergeParams("persistent", objective, token_life, max_dims, tuple(patterns))
+    got = merge_class(boxes, counts, (1, 2, 3), params, label=7)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(merge, "coalesce_persistent", grid_kernel)
+        want = merge_class(boxes, counts, (1, 2, 3), params, label=7)
+    assert got == want
+
+
+# a 1x3x3 class that pattern 0 merges into one box of aspect 3, while
+# patterns 6 and 7 keep a five-block pinwheel of lower aspect
+PINWHEEL = [
+    ((0, 0, 0), (1, 2, 1)),
+    ((0, 0, 2), (1, 1, 1)),
+    ((0, 1, 2), (1, 2, 1)),
+    ((0, 2, 0), (1, 1, 2)),
+    ((0, 0, 1), (1, 1, 1)),
+    ((0, 1, 1), (1, 1, 1)),
+]
+
+
+def test_persistent_aspect_scans_on_after_one_block():
+    """One block from the first pattern ends the scans only where no other
+    pattern can beat it; persistent + aspect is not such a case."""
+    counts = (1, 3, 3)
+    first = merge_class(
+        PINWHEEL, counts, (1, 1, 1), MergeParams("persistent", "aspect", scan_patterns=(0,)), 0
+    )
+    assert first == [MergedBlock((0, 0, 0), (1, 3, 3), 0)]
+    best = merge_class(PINWHEEL, counts, (1, 1, 1), MergeParams("persistent", "aspect"), 0)
+    assert len(best) == 5
+    assert objective_value(best, (1, 1, 1), "aspect") < 3.0
+    counted = merge_class(PINWHEEL, counts, (1, 1, 1), MergeParams("persistent", "count"), 0)
+    assert counted == first
+
+
+@pytest.mark.parametrize(
+    "convention, objective, boxes, runs",
+    [
+        ("dissolved", "count", [((0, 0, 0), (1, 1, 1)), ((2, 0, 0), (1, 1, 1))], 8),
+        ("persistent", "count", [((0, 0, 0), (1, 1, 1)), ((2, 0, 0), (1, 1, 1))], 8),
+        ("dissolved", "count", [((0, 0, 0), (1, 1, 1)), ((1, 0, 0), (2, 1, 1))], 1),
+        ("dissolved", "aspect", [((0, 0, 0), (1, 1, 1)), ((1, 0, 0), (2, 1, 1))], 1),
+        ("persistent", "count", [((0, 0, 0), (1, 1, 1)), ((1, 0, 0), (2, 1, 1))], 1),
+        ("persistent", "aspect", [((0, 0, 0), (1, 1, 1)), ((1, 0, 0), (2, 1, 1))], 8),
+    ],
+)
+def test_one_kernel_call_per_scan_pattern(monkeypatch, convention, objective, boxes, runs):
+    """Each scan pattern run is one call of the kernel, looked up on the
+    module; a class that the first pattern merges into one box stops
+    there, except under persistent + aspect."""
+    calls = []
+
+    def counted(name):
+        kernel = getattr(merge, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return kernel(*args, **kwargs)
+
+        return call
+
+    for name in ("coalesce_binary", "coalesce_persistent"):
+        monkeypatch.setattr(merge, name, counted(name))
+    params = MergeParams(convention, objective)
+    merge_class(boxes, (4, 1, 1), (1, 1, 1), params, label=0)
+    kernel = "coalesce_binary" if convention == "dissolved" else "coalesce_persistent"
+    assert calls == [kernel] * runs
