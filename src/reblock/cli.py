@@ -176,7 +176,6 @@ def _cmd_restructure(args: argparse.Namespace) -> int:
         merge_params=_merge_params(args),
         mode=args.mode,
         refine_params=refine,
-        emit_diagnostics=args.diagnostics_dir is not None,
         diagnostics_dir=args.diagnostics_dir,
     )
     result = restructure(model, config, threads=args.threads)

@@ -1,4 +1,4 @@
-"""Value types for points, boxes and triangles, shared by the geometric modules.
+"""Value types for points and boxes, shared by the geometric modules.
 
 Everything here is 64-bit float and pure: same inputs give bitwise-same
 outputs.  The vectorised geometry (SAT, ray casting, the triangle index)
@@ -57,9 +57,3 @@ def aabb_overlaps(a: Aabb, b: Aabb) -> bool:
     return (abs(a.center.x - b.center.x) <= a.half.x + b.half.x
             and abs(a.center.y - b.center.y) <= a.half.y + b.half.y
             and abs(a.center.z - b.center.z) <= a.half.z + b.half.z)
-
-
-class Triangle(NamedTuple):
-    v0: Vec3
-    v1: Vec3
-    v2: Vec3

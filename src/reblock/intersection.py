@@ -7,9 +7,11 @@ axes separates them: the 3 box axes, the triangle's plane normal, and the
 intersection (closed sets); a grazing triangle merely causes harmless
 extra decomposition downstream.
 
-The batched tests run the three box axes first, on every (box, triangle)
-pair at once from per-triangle bounds; most pairs end there.  Only the
-pairs whose bounds meet go on to the other ten axes.
+One batched kernel makes every test.  It runs the three box axes first, on
+every (box, triangle) pair at once from per-triangle bounds; most pairs end
+there.  Only the pairs whose bounds meet go on to the other ten axes.
+:func:`sat_batch` runs it over a (boxes x triangles) grid, :func:`sat_pairs`
+over a list of pairs, and :func:`sat_triangle_box` on a single pair.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import DegenerateTriangle
-from .geometry import Aabb, Triangle
+from .geometry import Aabb
 from .lattice import BlockModel, IntTriple
 from .mesh import MeshIndex, TriangleMesh, query_candidates
 
@@ -30,44 +33,16 @@ from .mesh import MeshIndex, TriangleMesh, query_candidates
 AXIS_EPS_SQ = 1e-18
 
 
-def sat_triangle_box(tri: Triangle | np.ndarray, box: Aabb) -> bool:
-    """True iff the triangle and the closed box intersect.
+def sat_triangle_box(tri: ArrayLike, box: Aabb) -> bool:
+    """True iff the triangle (any (3, 3) array-like) and the closed box
+    intersect: one pair of :func:`sat_pairs`.
 
-    Works on translated vertices (v' = v - box center) to keep magnitudes
-    small, and short-circuits on the first separating axis found.
+    Raises :class:`DegenerateTriangle` for a triangle with a zero normal.
     """
-    v = np.asarray(tri, dtype=np.float64).reshape(3, 3)
-    h = np.asarray(box.half, dtype=np.float64)
-    vp = v - np.asarray(box.center, dtype=np.float64)
-
-    # box face normals (the 3 coordinate axes)
-    for c in range(3):
-        col = vp[:, c]
-        if col.min() > h[c] or col.max() < -h[c]:
-            return False
-
-    f = np.array([vp[1] - vp[0], vp[2] - vp[1], vp[0] - vp[2]])
-    n = np.cross(f[0], f[1])
-    if not n.any():
+    v = np.asarray(tri, dtype=np.float64).reshape(1, 3, 3)
+    if not np.cross(v[0, 1] - v[0, 0], v[0, 2] - v[0, 1]).any():
         raise DegenerateTriangle("triangle has zero normal")
-
-    # 9 cross-product axes a = e_i x f_j
-    for i in range(3):
-        for j in range(3):
-            a = np.zeros(3)
-            a[(i + 1) % 3] = -f[j][(i + 2) % 3]
-            a[(i + 2) % 3] = f[j][(i + 1) % 3]
-            if a @ a < AXIS_EPS_SQ:
-                continue
-            p = vp @ a
-            r = h @ np.abs(a)
-            if p.min() > r or p.max() < -r:
-                return False
-
-    # triangle plane vs box
-    r = h @ np.abs(n)
-    s = n @ vp[0]
-    return bool(-r <= s <= r)
+    return bool(sat_pairs(v, [box.center], [box.half])[0])
 
 
 def sat_batch(
@@ -180,9 +155,6 @@ class OverlapMap:
 
     def surfaces_of(self, parent: IntTriple) -> dict[int, np.ndarray]:
         return self.parents.get(parent, {})
-
-    def triangles(self, parent: IntTriple, surface_id: int) -> np.ndarray:
-        return self.parents.get(parent, {}).get(surface_id, np.empty(0, dtype=np.int32))
 
 
 def detect_overlaps(

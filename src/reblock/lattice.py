@@ -173,19 +173,8 @@ def cells_of(spec: LatticeSpec, block: Block) -> list[IntTriple]:
     ]
 
 
-_LUT_CACHE: dict[tuple[IntTriple, Vec3], np.ndarray] = {}
-
-
 def cell_lut(spec: LatticeSpec) -> np.ndarray:
-    """(K, 3) local centroid offsets, row ``i`` = cell with raster index ``i``.
-
-    Cached per (cell-count, min-dims) pair since many lattices share one
-    subdivision scheme.
-    """
-    key = (spec.cell_counts, spec.min_dims)
-    got = _LUT_CACHE.get(key)
-    if got is not None:
-        return got
+    """(K, 3) local centroid offsets, row ``i`` = cell with raster index ``i``."""
     kx, ky, kz = spec.cell_counts
     nz, ny, nx = np.meshgrid(
         np.arange(kz), np.arange(ky), np.arange(kx), indexing="ij"
@@ -194,8 +183,6 @@ def cell_lut(spec: LatticeSpec) -> np.ndarray:
     offsets[:, 0] = (nx.ravel() + 0.5) * spec.min_dims.x
     offsets[:, 1] = (ny.ravel() + 0.5) * spec.min_dims.y
     offsets[:, 2] = (nz.ravel() + 0.5) * spec.min_dims.z
-    offsets.setflags(write=False)
-    _LUT_CACHE[key] = offsets
     return offsets
 
 

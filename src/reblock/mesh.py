@@ -19,8 +19,8 @@ import numpy as np
 from .errors import EmptyMesh, RefinementOverflow, ValidationError
 from .geometry import Aabb, aabb_from_bounds, aabb_overlaps, vec3
 
-# Hard ceiling on triangles produced by refine_mesh (configurable per call).
-DEFAULT_REFINE_CAP = 10_000_000
+# Hard ceiling on triangles produced by refine_mesh.
+REFINE_CAP = 10_000_000
 
 
 @dataclass
@@ -75,12 +75,6 @@ def mesh_diagonal(mesh: TriangleMesh) -> float:
     lo = mesh.vertices.min(axis=0)
     hi = mesh.vertices.max(axis=0)
     return float(np.linalg.norm(hi - lo))
-
-
-def mean_edge_length(mesh: TriangleMesh) -> float:
-    tv = mesh.tri_vertices()
-    e = np.concatenate([tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 1], tv[:, 0] - tv[:, 2]])
-    return float(np.linalg.norm(e, axis=1).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -254,22 +248,20 @@ class RefineParams:
             raise ValidationError("refinement thresholds must be positive")
 
 
-def refine_mesh(
-    mesh: TriangleMesh,
-    params: RefineParams,
-    cap: int = DEFAULT_REFINE_CAP,
-) -> TriangleMesh:
+def refine_mesh(mesh: TriangleMesh, params: RefineParams) -> TriangleMesh:
     """Recursively bisect longest edges until every triangle satisfies
     ``params``.
 
     Splitting an edge also splits the neighbour sharing it (at the same
     midpoint), so the refined mesh stays conforming: no T-junctions are
     introduced and the union of triangles is geometrically unchanged.
+    Raises :class:`RefinementOverflow` past ``REFINE_CAP`` triangles.
     """
     verts: list[tuple[float, float, float]] = [tuple(v) for v in mesh.vertices]
     vert_ids: dict[tuple[float, float, float], int] = {v: i for i, v in enumerate(verts)}
     tris: list[tuple[int, int, int]] = [tuple(t) for t in mesh.triangles]
     alive: list[bool] = [True] * len(tris)
+    n_alive = len(tris)
 
     def edge_key(a: int, b: int) -> tuple[int, int]:
         return (a, b) if a < b else (b, a)
@@ -333,6 +325,7 @@ def refine_mesh(
         for owner in owners:
             corners = tris[owner]
             alive[owner] = False
+            n_alive += 1  # one owner out, two children in
             unregister(owner)
             for i in range(3):
                 p, q = corners[i], corners[(i + 1) % 3]
@@ -348,9 +341,9 @@ def refine_mesh(
                 alive.append(True)
                 register(cid)
                 queue.append(cid)
-            if len(tris) > cap * 2 or sum(alive) > cap:
+            if len(tris) > REFINE_CAP * 2 or n_alive > REFINE_CAP:
                 raise RefinementOverflow(
-                    f"refinement of '{mesh.name}' exceeded {cap} triangles"
+                    f"refinement of '{mesh.name}' exceeded {REFINE_CAP} triangles"
                 )
 
     out = [t for t, ok in zip(tris, alive) if ok]

@@ -68,14 +68,11 @@ class PipelineConfig:
     merge_params: MergeParams = MergeParams()
     mode: Mode = "preclassified"
     refine_params: RefineParams | None = None
-    emit_diagnostics: bool = False
     diagnostics_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("preclassified", "legacy-two-set"):
             raise ValidationError(f"unknown consolidation mode '{self.mode}'")
-        if self.emit_diagnostics and self.diagnostics_dir is None:
-            raise ValidationError("diagnostics need a directory to land in")
 
 
 def load_surfaces(
@@ -244,7 +241,7 @@ def restructure(
         "directions": directions,
         "params": config.merge_params,
         "mode": config.mode,
-        "keep_classifications": config.emit_diagnostics,
+        "keep_classifications": config.diagnostics_dir is not None,
     }
     results = parallel_map(
         _restructure_parent, tasks, threads, initializer=_set_context, initargs=(ctx,)
@@ -299,8 +296,8 @@ def restructure(
     )
     out.validate()
 
-    if config.emit_diagnostics:
-        diag = Path(config.diagnostics_dir or ".")
+    if config.diagnostics_dir is not None:
+        diag = Path(config.diagnostics_dir)
         diag.mkdir(parents=True, exist_ok=True)
         write_overlap_csv(diag / "overlap.csv", overlap)
         write_sidedness_csv(

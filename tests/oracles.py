@@ -1,14 +1,15 @@
 """Independent reference predicates the library must agree with.
 
 Nothing in here calls into :mod:`reblock` — these are deliberately
-separate implementations (polygon clipping, closed-form containment,
-winding numbers, heightfield interpolation, a brute-force bounding-box
-filter, a grid-slab persistent merge) used as ground truth by the unit and
-acceptance tests.
+separate implementations (polygon clipping in floats and in exact
+rationals, closed-form containment, winding numbers, heightfield
+interpolation, a brute-force bounding-box filter, a grid-slab persistent
+merge) used as ground truth by the unit and acceptance tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -39,11 +40,27 @@ def clip_overlap(tri_verts, lo, hi) -> bool:
 
     The box is the product of closed intervals [lo, hi]; any surviving
     polygon (even a single touch point) counts as contact, matching the
-    separating-axis convention.
+    separating-axis convention.  In floats, a cut point can round off a
+    box face and lose a contact made at a single point.
     """
     poly = [np.asarray(v, dtype=np.float64) for v in tri_verts]
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
+    return _clip_box(poly, np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64))
+
+
+def clip_overlap_exact(tri_verts, center, half) -> bool:
+    """:func:`clip_overlap` in exact rational arithmetic.
+
+    Each float converts to a :class:`~fractions.Fraction` without rounding,
+    and the box bounds are ``center - half`` and ``center + half`` formed
+    exactly, so every cut point is exact and a single touch point survives.
+    """
+    exact = np.vectorize(lambda x: Fraction(float(x)), otypes=[object])
+    c, h = exact(center), exact(half)
+    return _clip_box(list(exact(tri_verts)), c - h, c + h)
+
+
+def _clip_box(poly: list[np.ndarray], lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Clip a polygon to the closed box [lo, hi]; True iff anything is left."""
     for axis in range(3):
         poly = _clip_halfspace(poly, lambda p, a=axis: p[a] - lo[a])
         if not poly:

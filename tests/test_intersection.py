@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reblock.errors import DegenerateTriangle
-from reblock.geometry import Aabb, Triangle, aabb_from_bounds, vec3
+from reblock.geometry import Aabb, vec3
 from reblock.intersection import (
     OverlapMap,
     detect_overlaps,
@@ -17,7 +17,7 @@ from reblock.lattice import Block, BlockModel, LatticeSpec, parent_min_corner
 from reblock.mesh import build_index
 
 from conftest import grid_surface, icosphere
-from oracles import clip_overlap, clip_overlap_pairs
+from oracles import clip_overlap, clip_overlap_exact, clip_overlap_pairs
 
 UNIT_BOX = Aabb(vec3(0, 0, 0), vec3(1, 1, 1))  # [-1,1]^3
 
@@ -86,34 +86,28 @@ def test_vector_oracle_matches_scalar_oracle(rng):
         assert fast[i] == slow
 
 
-def test_sat_pairs_matches_scalar_and_oracle(rng):
+def exact_pairs(tv, centers, halves) -> np.ndarray:
+    """:func:`clip_overlap_exact` on each pair i = triangle i vs box i."""
+    pairs = zip(tv, centers, np.broadcast_to(halves, centers.shape))
+    return np.array([clip_overlap_exact(*pair) for pair in pairs], dtype=bool)
+
+
+def test_sat_pairs_matches_float_and_exact_oracles(rng):
     tv, centers, halves = random_pairs(rng, 500)
     got = sat_pairs(tv, centers, halves)
-    oracle = clip_overlap_pairs(tv, centers, halves)
-    assert np.array_equal(got, oracle)
-    for i in range(0, 500, 7):
-        box = Aabb(vec3(*centers[i]), vec3(*halves[i]))
-        assert sat_triangle_box(tv[i], box) == got[i]
+    assert np.array_equal(got, clip_overlap_pairs(tv, centers, halves))
+    some = slice(0, 500, 7)
+    assert np.array_equal(got[some], exact_pairs(tv[some], centers[some], halves[some]))
 
 
-def scalar_grid(tv, centers, halves) -> np.ndarray:
-    """(B, T) verdicts of ``sat_triangle_box``, one pair at a time."""
-    per_box = np.broadcast_to(halves, centers.shape)
-    out = np.zeros((len(centers), len(tv)), dtype=bool)
-    for b, (c, h) in enumerate(zip(centers, per_box)):
-        box = Aabb(vec3(*c), vec3(*h))
-        for t, v in enumerate(tv):
-            out[b, t] = sat_triangle_box(v, box)
-    return out
-
-
-def check_grid(tv, centers, halves) -> np.ndarray:
-    """``sat_batch`` equals the scalar test on every entry, and ``sat_pairs``
+def check_grid(tv, centers, halves, oracle=clip_overlap_pairs) -> np.ndarray:
+    """``sat_batch`` equals ``oracle`` on every entry, and ``sat_pairs``
     gives the same verdicts on the grid's pairs listed one by one."""
     grid = sat_batch(tv, centers, halves)
     assert grid.shape == (len(centers), len(tv))
-    assert np.array_equal(grid, scalar_grid(tv, centers, halves))
     b, t = np.indices(grid.shape).reshape(2, -1)
+    per_box = np.broadcast_to(halves, centers.shape)
+    assert np.array_equal(oracle(tv[t], centers[b], per_box[b]), grid.ravel())
     pair_halves = halves if halves.ndim == 1 else halves[b]
     assert np.array_equal(sat_pairs(tv[t], centers[b], pair_halves), grid.ravel())
     return grid
@@ -125,9 +119,6 @@ def test_sat_batch_grid_consistency(rng):
     for halves in (np.array([3.0, 2.0, 5.0]), rng.uniform(1.0, 8.0, size=(25, 3))):
         grid = check_grid(tv, centers, halves)
         assert grid.any() and (~grid).any()
-        b, t = np.indices(grid.shape).reshape(2, -1)
-        per_box = np.broadcast_to(halves, centers.shape)
-        assert np.array_equal(clip_overlap_pairs(tv[t], centers[b], per_box[b]), grid.ravel())
 
 
 def dyadic_triangles(rng, n: int) -> np.ndarray:
@@ -149,7 +140,7 @@ def test_sat_batch_dyadic_contact_grid(rng):
     # unit cells, and per-box halves of 1 or 2 cells along each axis
     sized = rng.integers(1, 3, size=cells.shape) * 0.5
     for centers, halves in ((cells + 0.5, unit), (cells + sized, sized)):
-        grid = check_grid(tv, centers, halves)
+        grid = check_grid(tv, centers, halves, oracle=exact_pairs)
         # pairs that meet only where the box's boundary is: shrunk boxes miss
         touching = grid & ~sat_batch(tv, centers, halves * 0.75)
         assert touching.sum() > 100 and (~grid).any()
@@ -191,7 +182,7 @@ def test_detect_overlaps_flat_surface():
     surface = grid_surface([0.0, 7.5], [0.0, 4.0], 2.0)
     overlap = detect_overlaps(model, [(surface, build_index(surface))])
     assert overlap.intersecting_parents() == {(0, 0, 0), (1, 0, 0)}
-    tris = overlap.triangles((0, 0, 0), 0)
+    tris = overlap.surfaces_of((0, 0, 0))[0]
     assert len(tris) > 0
     assert overlap.surfaces_of((2, 0, 0)) == {}
 
@@ -210,13 +201,12 @@ def test_detect_overlaps_sphere_parent_subset():
     assert (1, 1, 0) in crossed
     assert (0, 0, 0) not in crossed  # sphere stays well clear of that corner
     # recorded triangles really do touch the parent box
+    half = np.asarray(spec.parent_dims) * 0.5
     for parent in crossed:
-        ids = overlap.triangles(parent, 0)
-        tv = sphere.tri_vertices()[ids]
-        lo = parent_min_corner(spec, parent)
-        box = aabb_from_bounds(lo, vec3(*(np.asarray(lo) + spec.parent_dims)))
+        tv = sphere.tri_vertices()[overlap.surfaces_of(parent)[0]]
+        center = np.asarray(parent_min_corner(spec, parent)) + half
         for v in tv[:: max(1, len(tv) // 8)]:
-            assert sat_triangle_box(v, box)
+            assert clip_overlap_exact(v, center, half)
 
 
 def test_write_overlap_csv(tmp_path):

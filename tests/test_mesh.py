@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reblock.errors import EmptyMesh, ValidationError
+from reblock.errors import EmptyMesh, RefinementOverflow, ValidationError
 from reblock.geometry import Aabb, aabb_from_bounds, vec3
 from reblock.mesh import (
     RefineParams,
@@ -13,7 +13,6 @@ from reblock.mesh import (
     build_index,
     integrity_check,
     load_mesh,
-    mean_edge_length,
     mesh_aabb,
     mesh_diagonal,
     query_candidates,
@@ -105,7 +104,6 @@ def test_mesh_measures():
     assert box.lo == vec3(0, 0, 0)
     assert box.hi == vec3(3, 4, 12)
     assert mesh_diagonal(mesh) == 13.0
-    assert mean_edge_length(mesh) > 0
 
 
 def test_refine_params_validation():
@@ -134,6 +132,19 @@ def test_refine_preserves_area_and_meets_thresholds():
     assert np.all(edges <= 2.5 + 1e-9)
     assert abs(areas.sum() - 64.0) < 1e-9  # refinement never changes the surface
     assert np.allclose(fine.vertices[:, 2], 1.0)
+
+
+def test_refine_overflow_at_the_cap(monkeypatch):
+    """The cap is read at call time: a refinement that ends exactly at the
+    cap succeeds, and one triangle more raises."""
+    surface = grid_surface([0.0, 8.0], [0.0, 8.0], 1.0)
+    params = RefineParams(max_triangle_area=2.0, max_edge_length=2.5)
+    n = len(refine_mesh(surface, params))
+    monkeypatch.setattr("reblock.mesh.REFINE_CAP", n)
+    assert len(refine_mesh(surface, params)) == n
+    monkeypatch.setattr("reblock.mesh.REFINE_CAP", n - 1)
+    with pytest.raises(RefinementOverflow, match=f"exceeded {n - 1} triangles"):
+        refine_mesh(surface, params)
 
 
 def test_refine_is_conforming():

@@ -189,10 +189,6 @@ class TestConfigAndErrors:
         with pytest.raises(ValidationError, match="mode"):
             PipelineConfig(instructions=(), mode="fastest")
 
-    def test_diagnostics_need_directory(self):
-        with pytest.raises(ValidationError, match="directory"):
-            PipelineConfig(instructions=(), emit_diagnostics=True)
-
     def test_missing_surface_file(self, tmp_path):
         instr = instruction(tmp_path / "nope.obj")
         with pytest.raises(ValidationError, match="not found"):
@@ -212,9 +208,7 @@ class TestConfigAndErrors:
     def test_diagnostics_artifacts(self, flat_scene, tmp_path):
         model, instr = flat_scene
         diag = tmp_path / "diag"
-        cfg = PipelineConfig(
-            instructions=(instr,), emit_diagnostics=True, diagnostics_dir=str(diag)
-        )
+        cfg = PipelineConfig(instructions=(instr,), diagnostics_dir=str(diag))
         restructure(model, cfg)
         overlap = (diag / "overlap.csv").read_text().splitlines()
         sided = (diag / "sidedness.csv").read_text().splitlines()

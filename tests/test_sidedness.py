@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from reblock import sidedness
 from reblock.errors import UnresolvableRay
-from reblock.geometry import Aabb, vec3
-from reblock.intersection import OverlapMap, detect_overlaps, sat_triangle_box
+from reblock.geometry import vec3
+from reblock.intersection import detect_overlaps
 from reblock.lattice import Block, BlockModel, LatticeSpec, cell_lut, parent_min_corner
 from reblock.mesh import TriangleMesh, build_index, mesh_diagonal
 from reblock.sidedness import (
@@ -23,7 +23,14 @@ from reblock.sidedness import (
 )
 
 from conftest import box_mesh, grid_surface, icosphere
-from oracles import distance_to_mesh, inside_box, inside_sphere, sheet_height, winding_number
+from oracles import (
+    clip_overlap_pairs,
+    distance_to_mesh,
+    inside_box,
+    inside_sphere,
+    sheet_height,
+    winding_number,
+)
 
 
 @pytest.fixture(scope="module")
@@ -460,9 +467,9 @@ def _c05_sphere():
 
 
 @pytest.mark.parametrize("scene", [_stepped_sheet, _c05_sphere])
-def test_classify_cells_intersects_match_scalar_sat(scene):
-    """Every cell against every triangle recorded for the parent, one pair
-    at a time through ``sat_triangle_box``."""
+def test_classify_cells_intersects_match_clip_oracle(scene):
+    """Every cell against every triangle recorded for the parent, through
+    the polygon-clipping oracle."""
     spec, parent, mesh = scene()
     kx, ky, kz = spec.cell_counts
     model = BlockModel(spec, [Block(parent, (0, 0, 0), (kx, ky, kz), 0)])
@@ -470,12 +477,12 @@ def test_classify_cells_intersects_match_scalar_sat(scene):
     overlap = detect_overlaps(model, surfaces)
     cls = classify_cells(spec, parent, surfaces, overlap)
 
-    tv = mesh.tri_vertices()[overlap.triangles(parent, 0)]
+    tv = mesh.tri_vertices()[overlap.surfaces_of(parent)[0]]
     centers = cell_lut(spec) + np.asarray(parent_min_corner(spec, parent))
-    half = vec3(*(np.asarray(spec.min_dims) * 0.5))
-    expected = [
-        any(sat_triangle_box(v, Aabb(vec3(*c), half)) for v in tv) for c in centers
-    ]
+    c, t = np.indices((len(centers), len(tv))).reshape(2, -1)
+    half = np.asarray(spec.min_dims) * 0.5
+    hits = clip_overlap_pairs(tv[t], centers[c], half).reshape(len(centers), len(tv))
+    expected = hits.any(axis=1).tolist()
     assert cls.surface_ids == [0]
     assert cls.intersects[0].tolist() == expected
     assert 0 < sum(expected) < len(expected)
