@@ -28,10 +28,6 @@ from .geometry import Aabb
 from .lattice import BlockModel, IntTriple
 from .mesh import MeshIndex, TriangleMesh, query_candidates
 
-# Cross-product axes with squared norm below this cannot separate anything
-# (edge parallel to a box axis); the test for them is skipped.
-AXIS_EPS_SQ = 1e-18
-
 
 def sat_triangle_box(tri: ArrayLike, box: Aabb) -> bool:
     """True iff the triangle (any (3, 3) array-like) and the closed box
@@ -128,10 +124,11 @@ def _sat_core(vp: np.ndarray, h: np.ndarray) -> np.ndarray:
     fb = f[:, _I2]
     p = v[:, None, _I2] * fa - v[:, None, _I1] * fb  # (vertex, j, i, N)
     r = np.abs(fb) * ht[_I1] + np.abs(fa) * ht[_I2]
-    # an edge parallel to the box axis gives a null axis that cannot separate
-    live = fb**2 + fa**2 >= AXIS_EPS_SQ
+    # an edge parallel to box axis i gives a null axis, where p = r = 0 and
+    # the strict tests below cannot separate; a short but nonzero axis is
+    # as valid as any other
     sep = (p.min(axis=0) > r) | (p.max(axis=0) < -r)
-    separated = (sep & live).any(axis=(0, 1))
+    separated = sep.any(axis=(0, 1))
 
     n = np.cross(f[0].T, f[1].T)
     r = (np.abs(n) * h).sum(axis=-1)

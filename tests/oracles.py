@@ -40,8 +40,13 @@ def clip_overlap(tri_verts, lo, hi) -> bool:
 
     The box is the product of closed intervals [lo, hi]; any surviving
     polygon (even a single touch point) counts as contact, matching the
-    separating-axis convention.  In floats, a cut point can round off a
-    box face and lose a contact made at a single point.
+    separating-axis convention.
+
+    Blind spot: in floats a cut point can round off a box face, so a
+    contact made at a single point can be missed (triangle (1,5,4)
+    (5,1,-1) (0,5,5) touches the box [2,3]^3 only at (2.5, 3, 2) and this
+    answers False).  Use :func:`clip_overlap_exact` as ground truth on
+    touching geometry.
     """
     poly = [np.asarray(v, dtype=np.float64) for v in tri_verts]
     return _clip_box(poly, np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64))
@@ -79,7 +84,9 @@ def clip_overlap_pairs(tri_verts: np.ndarray, centers: np.ndarray, halves: np.nd
     """Vectorized :func:`clip_overlap`, pair i = triangle i vs box i.
 
     Same emptiness answer as the scalar version, computed for all pairs
-    at once with a fixed-width polygon buffer.
+    at once with a fixed-width polygon buffer, and the same blind spot:
+    it can miss a single-point contact whose clipped position rounds off
+    a box face.
     """
     tv = np.asarray(tri_verts, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)

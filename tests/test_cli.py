@@ -1,7 +1,9 @@
 """Command-line frontend: round trips, exit codes, manifests."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,18 @@ def scene(tmp_path):
         "surface=flat.obj positive=0,0,1 above=10 across=20 below=30 forced=0\n"
     )
     return tmp_path, model_csv, config
+
+
+def run_module(*args):
+    """Run ``python -m reblock.cli`` on the reblock this process imported."""
+    src = str(Path(reblock.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "reblock.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def manifest_lines(path):
@@ -214,6 +228,35 @@ class TestMergeCommand:
         assert stats[0].startswith("label,")
         assert stats[-1].startswith("all,1,64.000000")
 
+    @pytest.mark.parametrize("convention", ["dissolved", "persistent"])
+    def test_pooled_merge_is_byte_identical(self, tmp_path, convention):
+        # the console entry point at --threads 2 starts a process pool
+        labels = np.random.default_rng(7).integers(1, 3, size=(4, 4, 4, 4))
+        blocks = [
+            Block(parent=(p, 0, 0), cell_min=(i, j, k), cell_dims=(1, 1, 1), label=int(labels[p, i, j, k]))
+            for p in range(4)
+            for i in range(4)
+            for j in range(4)
+            for k in range(4)
+        ]
+        src = tmp_path / "frag.csv"
+        write_model_csv(src, BlockModel(spec=SPEC, blocks=blocks))
+        outputs = []
+        for threads in ("2", "1"):
+            out = tmp_path / f"merged-{threads}.csv"
+            proc = run_module(
+                "merge",
+                *LATTICE_FLAGS,
+                "--model", str(src),
+                "--out", str(out),
+                "--convention", convention,
+                "--threads", threads,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(read_model_csv(tmp_path / "merged-1.csv", SPEC).blocks) < len(blocks)
+
     def test_convention_flag_is_required(self, tmp_path, capsys):
         code = main(
             [
@@ -352,10 +395,6 @@ class TestParserBehaviour:
         assert "expected 'x,y,z'" in capsys.readouterr().err
 
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "reblock.cli", "--version"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("--version")
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"reblock {reblock.__version__}"

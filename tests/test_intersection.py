@@ -63,6 +63,48 @@ def test_sat_separated_by_hair():
     assert not clip_overlap(shifted, UNIT_BOX.lo, UNIT_BOX.hi)
 
 
+def test_single_point_contact_the_float_clipper_misses():
+    # they meet only at (2.5, 3, 2); clip_overlap's cut point rounds off
+    # the box face there, so only the exact clipper is ground truth here
+    tv = tri((1.0, 5.0, 4.0), (5.0, 1.0, -1.0), (0.0, 5.0, 5.0))
+    box = Aabb(vec3(2.5, 2.5, 2.5), vec3(0.5, 0.5, 0.5))
+    assert sat_triangle_box(tv, box)
+    assert clip_overlap_exact(tv, box.center, box.half)
+
+
+DRIFT = 2.0**-33
+
+
+def nearly_parallel_edge(offset: float, axis: int) -> np.ndarray:
+    """A triangle whose edge 0-1 runs along box axis ``axis`` of
+    ``UNIT_BOX``, drifting by ``DRIFT`` in both other coordinates, and
+    lying ``offset`` beyond the box edge where those coordinates are
+    (-1, 1); vertex 2 points away from the box.
+
+    For 0 < offset <= DRIFT / 2 the only separating axis is the cross
+    product of that box axis with edge 0-1, whose squared norm is
+    2 * DRIFT**2 = 2**-65.
+    """
+    a, d = offset, DRIFT
+    local = tri(
+        (-0.5, -1 - a - d / 2, 1 + a - d / 2),
+        (0.5, -1 - a + d / 2, 1 + a + d / 2),
+        (0.0, -2.0, 2.0),
+    )
+    return np.roll(local, axis, axis=1)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("offset", [-(2.0**-36), 0.0, 2.0**-36, 2.0**-35, DRIFT / 2, DRIFT / 2 + 2.0**-40])
+def test_sat_nearly_null_edge_axis(offset, axis):
+    tv = nearly_parallel_edge(offset, axis)
+    edge = np.delete(tv[1] - tv[0], axis)
+    assert 0.0 < (edge**2).sum() < 1e-18
+    center, half = np.zeros(3), np.ones(3)
+    got = sat_pairs(tv[None], center[None], half[None])[0]
+    assert got == clip_overlap_exact(tv, center, half) == (offset <= 0.0)
+
+
 def test_sat_degenerate_triangle_rejected():
     bad = tri((0, 0, 0), (1, 1, 1), (2, 2, 2))
     with pytest.raises(DegenerateTriangle):

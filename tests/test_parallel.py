@@ -1,12 +1,15 @@
 """Process fan-out: ordering, the in-process fast path, worker context."""
 
+import multiprocessing as mp
+
 import pytest
 
+from reblock import parallel
 from reblock.errors import ValidationError
 from reblock.parallel import default_threads, parallel_map
 
-# spawned workers import this module fresh, so everything handed to the
-# pool has to live at module scope
+# under spawn, workers import this module fresh, so everything handed to
+# the pool has to live at module scope
 _CTX: dict = {}
 
 
@@ -27,6 +30,18 @@ def _init_offset(offset):
 def _clean_context():
     yield
     _CTX.clear()
+
+
+@pytest.fixture(params=["fork", "spawn"])
+def start_method(request, monkeypatch):
+    """Run a pooled test under each start method this platform offers.
+
+    Linux forks its workers; spawn is what every other platform uses.
+    """
+    if request.param not in mp.get_all_start_methods():
+        pytest.skip(f"no {request.param} start method on this platform")
+    monkeypatch.setattr(parallel, "_START_METHOD", request.param)
+    return request.param
 
 
 def test_orders_match_input():
@@ -51,16 +66,25 @@ def test_in_process_initializer_runs_once():
     assert _CTX["calls"] == 1
 
 
-def test_spawned_workers_match_serial():
+def test_pooled_workers_match_serial(start_method):
     items = list(range(37))
     serial = parallel_map(_square, items, threads=1)
     pooled = parallel_map(_square, items, threads=2)
     assert pooled == serial
 
 
-def test_spawned_workers_receive_initargs():
+def test_pooled_workers_receive_initargs(start_method):
     out = parallel_map(_with_context, list(range(8)), threads=2, initializer=_init_offset, initargs=(1000,))
     assert out == [1000 + x for x in range(8)]
+
+
+def test_initializer_replaces_inherited_context(start_method):
+    # a forked worker starts with a copy of this dict; the initializer
+    # must win over it in every worker, or stale state leaks into results
+    _CTX["offset"] = -(10**9)
+    out = parallel_map(_with_context, list(range(40)), threads=2, initializer=_init_offset, initargs=(1000,))
+    assert out == [1000 + x for x in range(40)]
+    assert _CTX["offset"] == -(10**9)
 
 
 def test_default_threads_positive():
