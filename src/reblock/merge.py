@@ -20,14 +20,15 @@ Two conventions over a parent's cell grid:
   block.  The test reads a face-contact table, not the grid: per pair of
   touching blocks, the axis and the number of cells their faces share.
 
-Both conventions start from one ordinal grid per class, painted once: each
-cell holds the index of its input block, or -1.  Eight scan patterns
-(mirrors of the parent along any subset of axes) give the greedy sweep
-eight different vantage points; the multi-scan driver keeps whichever
-result scores best under the chosen objective.  The dissolved sweep runs
-on ``np.flip`` views of the grid; the persistent ascent runs on integer
-records, and its one contact table serves all eight patterns, because a
-mirror only swaps the + and - faces along its axes.
+Both conventions start from one ordinal grid per class, painted in one
+vectorised pass: each cell holds the index of its input block, or -1.
+Eight scan patterns (mirrors of the parent along any subset of axes) give
+the greedy sweep eight different vantage points; the multi-scan driver
+keeps whichever result scores best under the chosen objective.  The
+dissolved sweep runs on one Python int per z-layer of a mirrored view,
+one AND per growth check; the persistent ascent runs on integer records,
+and its one contact table serves all eight patterns, because a mirror
+only swaps the + and - faces along its axes.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import EmptyInput, ValidationError
-from .lattice import IntTriple, subscript_of
+from .lattice import IntTriple
 
 Convention = Literal["dissolved", "persistent"]
 Objective = Literal["count", "aspect"]
@@ -87,15 +88,6 @@ class MergedBlock:
     label: int
 
 
-def _box_slices(n: Sequence[int], s: Sequence[int]) -> tuple[slice, slice, slice]:
-    """Grid slices for the cell box [n, n+s); arrays are indexed [z, y, x]."""
-    return (
-        slice(n[2], n[2] + s[2]),
-        slice(n[1], n[1] + s[1]),
-        slice(n[0], n[0] + s[0]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # dissolved convention
 # ---------------------------------------------------------------------------
@@ -106,74 +98,68 @@ def coalesce_binary(
     max_dims: IntTriple | None = None,
     token_life: int | None = None,
 ) -> list[MergedBlock]:
-    """Greedy re-tiling of the active (=1) cells of a binary occupancy map.
+    """Greedy re-tiling of the active (non-zero) cells of an occupancy map.
 
-    The input map is not modified.
+    Each z-layer of the map becomes one Python int, bit ``y*kx + x`` set
+    where cell (x, y) is active.  A growing block is always solid, so it
+    carries ``solid``, the AND of its layers, and ``rows``, bit 0 of each
+    of its rows; every growth check is then one AND against a mask: the
+    column beyond +x and the row segment beyond +y against ``solid``, the
+    block's footprint against the layer beyond +z.  An emitted block is
+    cleared with one AND-NOT per layer.  The input map is not modified.
     """
-    theta = np.array(theta, dtype=np.uint8)
-    kz, ky, kx = theta.shape
-    counts = (kx, ky, kz)
-    mx, my, mz = counts if max_dims is None else max_dims
-    flat = theta.ravel()
-    n_occupant = int(flat.sum())
+    kz, ky, kx = np.shape(theta)
+    mx, my, mz = (kx, ky, kz) if max_dims is None else max_dims
+    if min(mx, my, mz) < 1:
+        mx = my = mz = 1  # like a cap of 1, a cap below 1 blocks all growth
+    packed = np.packbits(np.reshape(theta, (kz, kx * ky)), axis=1, bitorder="little")
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    layers = [int.from_bytes(raw[z * width : (z + 1) * width], "little") for z in range(kz)]
+    remaining = sum(layer.bit_count() for layer in layers)
     out: list[MergedBlock] = []
-    count = 0
-
-    while True:
-        remaining = n_occupant - count
-        if remaining == 0:
-            break
-        first = int(flat.argmax())
+    nz = 0
+    while remaining > 0:
+        while not layers[nz]:
+            nz += 1
+        first = (layers[nz] & -layers[nz]).bit_length() - 1
+        ny, nx = divmod(first, kx)
         if remaining == 1:
-            n = subscript_of(first, counts)
-            out.append(MergedBlock(n, (1, 1, 1), label))
+            out.append(MergedBlock((nx, ny, nz), (1, 1, 1), label))
             break
-        nx, ny, nz = subscript_of(first, counts)
+        rx, ry, rz = min(mx, kx - nx), min(my, ky - ny), min(mz, kz - nz)
         sx = sy = sz = 1
+        solid = layers[nz]
+        rows = 1 << (ny * kx)
         i = token_life
         while True:
             barriers = 0
-            # +x: one new slab of cells at x = nx+sx .. nx+dx
-            dx = min(sx + 1, kx - nx)
-            if (
-                dx <= mx
-                and sy <= my
-                and sz <= mz
-                and dx > sx
-                and theta[nz : nz + sz, ny : ny + sy, nx + sx : nx + dx].all()
-            ):
-                sx = dx
+            column = rows << (nx + sx)
+            if sx < rx and solid & column == column:
+                sx += 1
             else:
                 barriers += 1
-            dy = min(sy + 1, ky - ny)
-            if (
-                sx <= mx
-                and dy <= my
-                and sz <= mz
-                and dy > sy
-                and theta[nz : nz + sz, ny + sy : ny + dy, nx : nx + sx].all()
-            ):
-                sy = dy
+            segment = ((1 << sx) - 1) << (nx + (ny + sy) * kx)
+            if sy < ry and solid & segment == segment:
+                rows |= 1 << ((ny + sy) * kx)
+                sy += 1
             else:
                 barriers += 1
-            dz = min(sz + 1, kz - nz)
-            if (
-                sx <= mx
-                and sy <= my
-                and dz <= mz
-                and dz > sz
-                and theta[nz + sz : nz + dz, ny : ny + sy, nx : nx + sx].all()
-            ):
-                sz = dz
+            footprint = (rows * ((1 << sx) - 1)) << nx
+            if sz < rz and layers[nz + sz] & footprint == footprint:
+                solid &= layers[nz + sz]
+                sz += 1
             else:
                 barriers += 1
             if i is not None:
                 i -= 1
-            if count + sx * sy * sz == n_occupant or barriers == 3 or i == 0:
+            if sx * sy * sz == remaining or barriers == 3 or i == 0:
                 break
         out.append(MergedBlock((nx, ny, nz), (sx, sy, sz), label))
-        theta[nz : nz + sz, ny : ny + sy, nx : nx + sx] = 0
-        count += sx * sy * sz
+        # footprint is current: the last +z check ran on the final rows and width
+        for z in range(nz, nz + sz):
+            layers[z] &= ~footprint
+        remaining -= sx * sy * sz
     return out
 
 
@@ -339,10 +325,12 @@ def aspect_ratio_objective(
     """Volume-weighted mean of max/min real block dimension."""
     if not blocks:
         raise EmptyInput("aspect-ratio objective over an empty block list")
+    mx, my, mz = (float(m) for m in min_dims)
     total_v = 0.0
     acc = 0.0
     for b in blocks:
-        d = [b.cell_dims[c] * float(min_dims[c]) for c in range(3)]
+        sx, sy, sz = b.cell_dims
+        d = (sx * mx, sy * my, sz * mz)
         v = d[0] * d[1] * d[2]
         total_v += v
         acc += v * (max(d) / min(d))
@@ -385,17 +373,23 @@ def merge_class(
                 "max merge dims cannot exceed the parent cell dimensions"
             )
     kx, ky, kz = counts
+    box = np.array(boxes, dtype=np.int64)
+    lo, dims = box[:, 0], box[:, 1]
+    volume = dims.prod(axis=1)
+    inside = (lo >= 0).all() and (dims >= 1).all() and (lo + dims <= counts).all()
+    if not inside or volume.sum() > kx * ky * kz:
+        raise ValidationError("input blocks overlap or leave the parent")
+    # cell j of a box, counted in the box's own raster order, lies at
+    # (j % sx, j // sx % sy, j // (sx * sy)) from the box's min corner
+    ordinal = np.repeat(np.arange(len(box)), volume)
+    j = np.arange(ordinal.size) - np.repeat(np.cumsum(volume) - volume, volume)
+    sx, sy = dims[ordinal, 0], dims[ordinal, 1]
+    corner = (lo @ np.array([1, kx, kx * ky]))[ordinal]
+    cell = corner + j % sx + kx * (j // sx % sy) + kx * ky * (j // (sx * sy))
+    if np.bincount(cell).max() > 1:
+        raise ValidationError("input blocks overlap or leave the parent")
     owner = np.full((kz, ky, kx), -1, dtype=np.int64)
-    for ordinal, (n, s) in enumerate(boxes):
-        window = owner[_box_slices(n, s)]
-        if (
-            min(n) < 0
-            or min(s) < 1
-            or window.shape != (s[2], s[1], s[0])
-            or (window != -1).any()
-        ):
-            raise ValidationError("input blocks overlap or leave the parent")
-        window[:] = ordinal
+    owner.ravel()[cell] = ordinal
 
     if params.convention == "persistent":
         contacts = face_contacts(owner)
@@ -403,9 +397,9 @@ def merge_class(
     for pattern in params.scan_patterns:
         flips = scan_flips(pattern)
         if params.convention == "dissolved":
-            view = np.flip(owner, tuple(2 - a for a in range(3) if flips[a]))
+            x, y, z = (-1 if flip else 1 for flip in flips)
             merged = coalesce_binary(
-                view >= 0, label, max_dims=params.max_dims, token_life=params.token_life
+                owner[::z, ::y, ::x] >= 0, label, params.max_dims, params.token_life
             )
         else:
             merged = coalesce_persistent(

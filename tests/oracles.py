@@ -3,8 +3,8 @@
 Nothing in here calls into :mod:`reblock` — these are deliberately
 separate implementations (polygon clipping in floats and in exact
 rationals, closed-form containment, winding numbers, heightfield
-interpolation, a brute-force bounding-box filter, a grid-slab persistent
-merge) used as ground truth by the unit and acceptance tests.
+interpolation, a brute-force bounding-box filter, grid-slab dissolved and
+persistent merges) used as ground truth by the unit and acceptance tests.
 """
 from __future__ import annotations
 
@@ -270,6 +270,83 @@ def index_candidates(vertices, triangles, lo, hi) -> np.ndarray:
     tri_lo, tri_hi = _inflate_flat(tv.min(axis=1), tv.max(axis=1))
     meet = ((tri_lo <= hi) & (tri_hi >= lo)).all(axis=1)
     return np.flatnonzero(meet).astype(np.int32)
+
+
+# ---------------------------------------------------------------------------
+# dissolved merge on the occupancy grid
+# ---------------------------------------------------------------------------
+
+def coalesce_binary_grid(theta, max_dims=None, token_life=None) -> list[tuple]:
+    """Dissolved merge that tests each growth step by slicing the grid.
+
+    ``theta`` is a [z, y, x] map of active (1) and empty (0) cells; it is
+    not modified.  A block seeds at the first active cell in raster order
+    and grows by one cell layer along +x, +y, +z in turn while the layer
+    is inside the parent, within ``max_dims`` and wholly active; three
+    blocked axes in one cycle, token expiry or consuming every active cell
+    emit it.  Blocks come out in emission order as (cell_min, dims).
+    """
+    theta = np.array(theta, dtype=np.uint8)
+    kz, ky, kx = theta.shape
+    mx, my, mz = (kx, ky, kz) if max_dims is None else max_dims
+    flat = theta.ravel()
+    n_occupant = int(flat.sum())
+    out: list[tuple] = []
+    count = 0
+    while True:
+        remaining = n_occupant - count
+        if remaining == 0:
+            break
+        first = int(flat.argmax())
+        nx, ny, nz = first % kx, first // kx % ky, first // (kx * ky)
+        if remaining == 1:
+            out.append(((nx, ny, nz), (1, 1, 1)))
+            break
+        sx = sy = sz = 1
+        i = token_life
+        while True:
+            barriers = 0
+            dx = min(sx + 1, kx - nx)
+            if (
+                dx <= mx
+                and sy <= my
+                and sz <= mz
+                and dx > sx
+                and theta[nz : nz + sz, ny : ny + sy, nx + sx : nx + dx].all()
+            ):
+                sx = dx
+            else:
+                barriers += 1
+            dy = min(sy + 1, ky - ny)
+            if (
+                sx <= mx
+                and dy <= my
+                and sz <= mz
+                and dy > sy
+                and theta[nz : nz + sz, ny + sy : ny + dy, nx : nx + sx].all()
+            ):
+                sy = dy
+            else:
+                barriers += 1
+            dz = min(sz + 1, kz - nz)
+            if (
+                sx <= mx
+                and sy <= my
+                and dz <= mz
+                and dz > sz
+                and theta[nz + sz : nz + dz, ny : ny + sy, nx : nx + sx].all()
+            ):
+                sz = dz
+            else:
+                barriers += 1
+            if i is not None:
+                i -= 1
+            if count + sx * sy * sz == n_occupant or barriers == 3 or i == 0:
+                break
+        out.append(((nx, ny, nz), (sx, sy, sz)))
+        theta[nz : nz + sz, ny : ny + sy, nx : nx + sx] = 0
+        count += sx * sy * sz
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import coalesce_persistent_grid
+from oracles import coalesce_binary_grid, coalesce_persistent_grid
 from reblock import merge
 from reblock.errors import EmptyInput, ValidationError
 from reblock.merge import (
@@ -121,6 +121,15 @@ def test_max_dims_respected():
     assert all(b.cell_dims == (2, 4, 4) for b in merged)
 
 
+def test_cap_below_one_blocks_all_growth():
+    """A cap below 1 on any axis leaves unit cells, as in the grid reference."""
+    theta = np.ones((2, 2, 3), dtype=np.uint8)
+    for caps in [(0, 2, 2), (3, 0, 2), (3, 2, -1)]:
+        merged = coalesce_binary(theta, label=0, max_dims=caps)
+        assert [(b.cell_min, b.cell_dims) for b in merged] == coalesce_binary_grid(theta, caps)
+        assert len(merged) == 12
+
+
 def test_token_life_limits_growth_cycles():
     theta = np.ones((1, 1, 6), dtype=np.uint8)
     # two cycles grow a seed by two cells at most
@@ -155,6 +164,25 @@ def test_dissolved_partition_invariants(theta):
         n, s = b.cell_min, b.cell_dims
         assert min(n) >= 0 and all(n[a] + s[a] <= counts[a] for a in range(3))
         assert theta[n[2] : n[2] + s[2], n[1] : n[1] + s[1], n[0] : n[0] + s[0]].all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.tuples(st.integers(1, 10), st.integers(1, 10), st.integers(1, 10)),
+    st.sampled_from([0.05, 0.3, 0.6, 0.9, 0.97, 1.0]),
+    st.none() | st.tuples(st.integers(1, 10), st.integers(1, 10), st.integers(1, 10)),
+    st.none() | st.integers(1, 3),
+    st.integers(0, 7),
+)
+def test_dissolved_matches_grid_reference(seed, counts, density, caps, token_life, pattern):
+    """The bit-plane kernel emits the grid-slab reference's blocks, in
+    order, on the mirrored boolean views ``merge_class`` passes it."""
+    rng = np.random.default_rng(seed)
+    owner = np.where(rng.random((counts[2], counts[1], counts[0])) < density, 0, -1)
+    view = np.flip(owner, tuple(2 - a for a in range(3) if scan_flips(pattern)[a])) >= 0
+    want = [MergedBlock(n, s, 4) for n, s in coalesce_binary_grid(view, caps, token_life)]
+    assert coalesce_binary(view, 4, max_dims=caps, token_life=token_life) == want
 
 
 def test_persistent_quad_join():
@@ -205,6 +233,8 @@ BAD_BOXES = [
     [((0, 0, 0), (5, 1, 1))],  # larger than the parent
     [((-1, 0, 0), (2, 1, 1))],  # leaves the parent at -x
     [((0, 0, 0), (0, 1, 1))],  # empty box
+    [((2, 0, 0), (2, 1, 1)), ((1, 0, 0), (2, 1, 1))],  # overlap, 4 cells in all
+    [((0, 0, 0), (3, 1, 1)), ((1, 0, 0), (3, 1, 1))],  # 6 cells, inside the parent
 ]
 
 
