@@ -7,9 +7,8 @@ Exit codes: 0 success, 1 validation problem (bad inputs, bad flags),
 output recording input hashes, the effective configuration, and counts;
 reruns on identical inputs differ only in the timing line.
 
-There is deliberately no ``--seed`` flag: every pseudo-random choice in
-the library is derived from the data itself, so runs are reproducible
-by construction.
+There is deliberately no ``--seed`` flag: the library makes no random
+choice, so runs are reproducible by construction.
 """
 
 from __future__ import annotations

@@ -49,10 +49,6 @@ class DegenerateTriangle(GeometryError):
     """A zero-normal triangle reached an operation that requires a proper one."""
 
 
-class UnresolvableRay(GeometryError):
-    """Parity ray casting exhausted its retry budget on pathological geometry."""
-
-
 class InconsistentSidedness(GeometryError):
     """A block's per-surface signs are incompatible with a layered surface stack."""
 

@@ -411,8 +411,7 @@ def merge_class(
                 max_dims=params.max_dims,
                 token_life=params.token_life,
             )
-        score = objective_value(merged, min_dims, params.objective)
-        runs.append((score, flips, merged))
+        runs.append((flips, merged))
         # one block is the fewest possible, and a dissolved class that one
         # pattern tiles with one box every pattern tiles with that box; ties
         # keep the first run.  Under persistent "aspect" another pattern may
@@ -421,7 +420,15 @@ def merge_class(
             params.convention == "dissolved" or params.objective == "count"
         ):
             break
-    _, best_flips, best = min(runs, key=lambda run: run[0])  # first of equal scores
+    # the order objective_value gives, first of equal scores; under "count"
+    # the aspect ratio only breaks ties of block count, so it is scored for
+    # the runs that tie the fewest blocks alone
+    if params.objective == "count":
+        fewest = min(len(merged) for _, merged in runs)
+        runs = [run for run in runs if len(run[1]) == fewest]
+    best_flips, best = runs[0] if len(runs) == 1 else min(
+        runs, key=lambda run: aspect_ratio_objective(run[1], min_dims)
+    )
     return [
         MergedBlock(
             tuple(

@@ -71,12 +71,6 @@ def mesh_aabb(mesh: TriangleMesh) -> Aabb:
     return aabb_from_bounds(vec3(*lo), vec3(*hi))
 
 
-def mesh_diagonal(mesh: TriangleMesh) -> float:
-    lo = mesh.vertices.min(axis=0)
-    hi = mesh.vertices.max(axis=0)
-    return float(np.linalg.norm(hi - lo))
-
-
 # ---------------------------------------------------------------------------
 # loaders
 # ---------------------------------------------------------------------------

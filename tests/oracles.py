@@ -3,8 +3,9 @@
 Nothing in here calls into :mod:`reblock` — these are deliberately
 separate implementations (polygon clipping in floats and in exact
 rationals, closed-form containment, winding numbers, heightfield
-interpolation, a brute-force bounding-box filter, grid-slab dissolved and
-persistent merges) used as ground truth by the unit and acceptance tests.
+interpolation, ray crossings in exact rationals, a brute-force
+bounding-box filter, grid-slab dissolved and persistent merges) used as
+ground truth by the unit and acceptance tests.
 """
 from __future__ import annotations
 
@@ -239,6 +240,60 @@ def sheet_height(xs, ys, height, x: float, y: float) -> float | None:
     if u >= v:  # the (i, j), (i+1, j), (i+1, j+1) half
         return z(0, 0) + u * (z(1, 0) - z(0, 0)) + v * (z(1, 1) - z(1, 0))
     return z(0, 0) + v * (z(0, 1) - z(0, 0)) + u * (z(1, 1) - z(0, 1))
+
+
+def _perturbed_sign(value: Fraction, slope: list[Fraction]) -> int:
+    """Sign of ``value + slope . (ε, ε², ε³)`` for an infinitesimal ε > 0."""
+    for v in [value, *slope]:
+        if v != 0:
+            return 1 if v > 0 else -1
+    return 0
+
+
+def exact_crossings(point, direction, vertices, triangles) -> int:
+    """Crossings of the ray from ``point`` with a triangle mesh, counted
+    over every triangle in exact rationals.
+
+    The ray runs along ``direction`` when that is a lattice axis, and else
+    from ``point`` through ``point + direction / |direction|`` rounded to
+    floats.  A tie is broken by moving the point, and its ray with it, to
+    point + (ε, ε², ε³) for an infinitesimal ε > 0.  A triangle counts
+    when the ray's line passes strictly inside its three edges and the
+    moved point lies strictly behind its plane along the ray.
+    """
+    d = np.asarray(direction, dtype=np.float64)
+    d = d / np.linalg.norm(d)
+    p = [Fraction(float(v)) for v in point]
+    if np.count_nonzero(d) == 1:
+        ray = [Fraction(float(v)) for v in d]
+    else:
+        end = np.asarray(point, dtype=np.float64) + d
+        ray = [Fraction(float(v)) - w for v, w in zip(end, p)]
+
+    def minus(u, v):
+        return [u[0] - v[0], u[1] - v[1], u[2] - v[2]]
+
+    def cross(u, v):
+        return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    count = 0
+    for tri in triangles:
+        a, b, c = ([Fraction(float(x)) for x in vertices[i]] for i in tri)
+        sides = set()
+        for u, v in ((a, b), (b, c), (c, a)):
+            # the moved line's side of edge (u, v): ray . ((u - p) x (v - p))
+            # grows by ray . ((v - u) x s) when p moves by s
+            slope = cross(ray, minus(v, u))
+            sides.add(_perturbed_sign(dot(ray, cross(minus(u, p), minus(v, p))), slope))
+        n = cross(minus(b, a), minus(c, a))
+        # behind the plane along the ray: n . (p - a) and n . ray differ in sign
+        behind = _perturbed_sign(dot(n, minus(p, a)), n) * _perturbed_sign(dot(n, ray), [])
+        if len(sides) == 1 and 0 not in sides and behind == -1:
+            count += 1
+    return count
 
 
 # ---------------------------------------------------------------------------

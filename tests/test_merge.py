@@ -526,3 +526,32 @@ def test_one_kernel_call_per_scan_pattern(monkeypatch, convention, objective, bo
     merge_class(boxes, (4, 1, 1), (1, 1, 1), params, label=0)
     kernel = "coalesce_binary" if convention == "dissolved" else "coalesce_persistent"
     assert calls == [kernel] * runs
+
+
+def test_aspect_ratio_scores_only_runs_tying_fewest_blocks(monkeypatch):
+    """Under objective "count" the aspect ratio only breaks ties of block
+    count: on a class whose scan patterns give 3 or 4 blocks, it is scored
+    for the four patterns that give 3, and the winner is unchanged."""
+    rows = [[1, 1, 1], [0, 1, 0], [1, 1, 0]]  # occupancy by y, then x
+    boxes = [((x, y, 0), (1, 1, 1)) for y, row in enumerate(rows) for x, v in enumerate(row) if v]
+    counts = (3, 3, 1)
+    per_pattern = [
+        len(merge_class(boxes, counts, (1, 1, 1), MergeParams(scan_patterns=(p,)), 0))
+        for p in ALL_SCAN_PATTERNS
+    ]
+    assert per_pattern == [3, 3, 4, 4, 3, 3, 4, 4]
+    want = min(
+        (
+            merge_class(boxes, counts, (1, 1, 1), MergeParams(scan_patterns=(p,)), 0)
+            for p in ALL_SCAN_PATTERNS
+        ),
+        key=lambda blocks: objective_value(blocks, (1, 1, 1), "count"),
+    )
+    calls = []
+    scored = merge.aspect_ratio_objective
+    monkeypatch.setattr(
+        merge, "aspect_ratio_objective", lambda *args: calls.append(args) or scored(*args)
+    )
+    best = merge_class(boxes, counts, (1, 1, 1), MergeParams(), 0)
+    assert len(calls) == 4
+    assert best == want

@@ -14,7 +14,6 @@ from reblock.mesh import (
     integrity_check,
     load_mesh,
     mesh_aabb,
-    mesh_diagonal,
     query_candidates,
     refine_mesh,
 )
@@ -103,7 +102,6 @@ def test_mesh_measures():
     box = mesh_aabb(mesh)
     assert box.lo == vec3(0, 0, 0)
     assert box.hi == vec3(3, 4, 12)
-    assert mesh_diagonal(mesh) == 13.0
 
 
 def test_refine_params_validation():

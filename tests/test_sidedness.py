@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reblock import sidedness
-from reblock.errors import UnresolvableRay
 from reblock.geometry import vec3
 from reblock.intersection import detect_overlaps
 from reblock.lattice import Block, BlockModel, LatticeSpec, cell_lut, parent_min_corner
-from reblock.mesh import TriangleMesh, build_index, mesh_diagonal
+from reblock.mesh import TriangleMesh, build_index
 from reblock.sidedness import (
     SIDE_ABOVE,
     SIDE_BELOW,
@@ -18,7 +17,6 @@ from reblock.sidedness import (
     cast_parity,
     cast_parity_many,
     classify_cells,
-    point_seed,
     write_sidedness_csv,
 )
 
@@ -26,6 +24,7 @@ from conftest import box_mesh, grid_surface, icosphere
 from oracles import (
     clip_overlap_pairs,
     distance_to_mesh,
+    exact_crossings,
     inside_box,
     inside_sphere,
     sheet_height,
@@ -55,8 +54,8 @@ def test_parity_against_flat_plane(plane):
     mesh, index = plane
     below = cast_parity((1.3, 1.1, 0.5), mesh, index)
     above = cast_parity((1.3, 1.1, 3.5), mesh, index)
-    assert below == ParityResult(1, SIDE_BELOW, False, 0)
-    assert above == ParityResult(0, SIDE_ABOVE, False, 0)
+    assert below == ParityResult(1, SIDE_BELOW, False)
+    assert above == ParityResult(0, SIDE_ABOVE, False)
 
 
 def test_parity_outside_support(plane):
@@ -79,21 +78,12 @@ def test_parity_counts_box_crossings(closed_box):
 
 def test_ray_through_shared_vertex_counts_once(plane):
     """The cast column passes exactly through a grid vertex shared by
-    several triangles; crossing dedup must report a single hit."""
+    several triangles, or along a cell diagonal or a cell edge shared by
+    two: the sheet crosses there, so each ray reports a single hit."""
     mesh, index = plane
-    res = cast_parity((2.0, 2.0, 0.25), mesh, index)
-    assert res.count == 1
-    assert res.side == SIDE_BELOW
-
-
-def test_recast_is_deterministic(plane):
-    mesh, index = plane
-    # on the diagonal edge shared by two grid triangles
-    point = (1.0, 1.0, 0.5)
-    a = cast_parity(point, mesh, index, seed=11)
-    b = cast_parity(point, mesh, index, seed=11)
-    assert a == b
-    assert a.side == SIDE_BELOW  # grazing resolved, but the answer is still below
+    for point in [(2.0, 2.0, 0.25), (1.0, 1.0, 0.5), (2.0, 1.0, 0.5)]:
+        res = cast_parity(point, mesh, index)
+        assert (res.count, res.side) == (1, SIDE_BELOW)
 
 
 def test_custom_direction(sphere):
@@ -110,7 +100,7 @@ def test_batch_matches_scalar_on_sphere(sphere, rng):
     pts = rng.uniform(-7.0, 7.0, size=(300, 3))
     batch = cast_parity_many(pts, mesh, index)
     for i in range(0, 300, 11):
-        solo = cast_parity(pts[i], mesh, index, seed=point_seed(pts[i]))
+        solo = cast_parity(pts[i], mesh, index)
         assert batch.sides[i] == solo.side
         assert batch.counts[i] == solo.count
         assert batch.outside_support[i] == solo.outside_support
@@ -138,50 +128,16 @@ def test_batch_matches_analytic_box(closed_box, rng):
     assert np.array_equal(batch.sides == SIDE_BELOW, want)
 
 
-def test_batch_dirty_rays_use_point_seed(plane):
-    """Points that force a recast get the same answer batched or alone."""
-    mesh, index = plane
-    pts = np.array([[1.0, 1.0, 0.5], [2.0, 2.0, 3.5], [0.5, 1.25, 0.5]])
-    batch = cast_parity_many(pts, mesh, index)
-    for i, p in enumerate(pts):
-        solo = cast_parity(p, mesh, index)
-        assert batch.sides[i] == solo.side
-
-
-def _one_point_loop(pts, mesh, index, direction, seeds):
-    """(side, count, outside_support, recasts) per point from cast_parity,
-    or None for a point whose ray stays grazing."""
-    out = []
-    for p, seed in zip(pts, seeds):
-        try:
-            res = cast_parity(p, mesh, index, direction, seed=int(seed))
-        except UnresolvableRay:
-            out.append(None)
-        else:
-            out.append((res.side, res.count, res.outside_support, res.recasts))
-    return out
-
-
-def _assert_batch_matches_loop(pts, mesh, direction, may_raise=False):
+def _assert_batch_matches_loop(pts, mesh, direction):
     """Casting the points together, grouped into shared ray lines, gives
-    each point what casting it alone gives, recast count included."""
+    each point what casting it alone gives."""
     index = build_index(mesh)
-    seeds = np.arange(len(pts)) * 7 + 3
-    want = _one_point_loop(pts, mesh, index, direction, seeds)
-    try:
-        batch = cast_parity_many(pts, mesh, index, direction, seeds=seeds)
-    except UnresolvableRay:
-        # a loop of cast_parity raises as well
-        assert may_raise and None in want
-        return
-    got = list(
-        zip(
-            batch.sides.tolist(),
-            batch.counts.tolist(),
-            batch.outside_support.tolist(),
-            batch.recasts.tolist(),
-        )
-    )
+    want = [
+        (res.side, res.count, res.outside_support)
+        for res in (cast_parity(p, mesh, index, direction) for p in pts)
+    ]
+    batch = cast_parity_many(pts, mesh, index, direction)
+    got = list(zip(batch.sides.tolist(), batch.counts.tolist(), batch.outside_support.tolist()))
     assert got == want
 
 
@@ -199,8 +155,8 @@ def _lattice_scenes(draw):
 
     Off the cast axis the points sit on a dyadic grid, so lines pass
     through the shared vertices and edges of the sheet (dyadic too) and
-    along the diagonals of the box's square x faces, which forces
-    recasts.  Box faces stay off the grid, and along the axis the points
+    along the diagonals of the box's square x faces, where exact ties are
+    broken.  Box faces stay off the grid, and along the axis the points
     are shifted off it, so that no point lies on a surface.
     """
     kind = draw(st.sampled_from(["sphere", "box", "sheet"]))
@@ -232,51 +188,50 @@ def _lattice_scenes(draw):
 @settings(max_examples=80, deadline=None)
 @given(_lattice_scenes())
 def test_batch_matches_scalar_loop_on_lattices(scene):
-    """Points sharing a ray line share one candidate query and one solve
-    per triangle; sides, counts, support flags and recast counts still
-    equal one-point casts with the same seeds."""
+    """Points sharing a ray line share one candidate query and one set of
+    edge signs per triangle; sides, counts and support flags still equal
+    one-point casts."""
     mesh, pts, direction = scene
-    _assert_batch_matches_loop(pts, mesh, direction, may_raise=True)
+    _assert_batch_matches_loop(pts, mesh, direction)
 
 
-@pytest.mark.parametrize("n_sheets", [2, 3])
-def test_batch_merges_close_crossings_like_scalar(n_sheets):
-    """Stacked sheets closer than the dedup tolerance, with cell centres
-    below, between and above them on shared lines: each point merges the
-    crossings beyond it the way a one-point cast does (with three sheets the
-    first and last are farther apart than the tolerance, so how hits are
-    grouped depends on where the point is)."""
-    gap = 3.4e-7
-    sheets = [
-        grid_surface([0.0, 2.0, 4.0], [0.0, 2.0, 4.0], 1.0 + k * gap)
-        for k in range(n_sheets)
-    ]
+@pytest.mark.parametrize("direction", [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), TILTED])
+def test_close_crossings_count_separately(direction):
+    """Two sheets 1e-8 × the mesh diagonal apart, with points below,
+    between and above them, on shared lines for a cast along z: every
+    point counts each sheet beyond it along the cast, however close."""
+    gap = 1e-8 * float(np.hypot(4.0, 4.0))
+    sheets = [grid_surface([0.0, 2.0, 4.0], [0.0, 2.0, 4.0], 1.0 + k * gap) for k in range(2)]
     n_v = len(sheets[0].vertices)
     mesh = TriangleMesh(
         np.concatenate([m.vertices for m in sheets]),
         np.concatenate([m.triangles + k * n_v for k, m in enumerate(sheets)]),
     )
-    assert gap < 1e-7 * mesh_diagonal(mesh) < 2 * gap
-    zs = [0.5] + [1.0 + (k + 0.5) * gap for k in range(n_sheets - 1)] + [1.5]
+    zs = [0.5, 1.0 + 0.5 * gap, 1.5]
     pts = np.array([(x, y, z) for x in (1.3, 2.7) for y in (0.6, 3.1) for z in zs])
-    _assert_batch_matches_loop(pts, mesh, (0.0, 0.0, 1.0))
+    batch = cast_parity_many(pts, mesh, build_index(mesh), direction)
+    beyond = [2, 1, 0] if direction[2] > 0 else [0, 1, 2]
+    assert batch.counts.tolist() == beyond * 4
+    assert batch.sides.tolist() == [SIDE_BELOW if n % 2 else SIDE_ABOVE for n in beyond] * 4
+    _assert_batch_matches_loop(pts, mesh, direction)
 
 
-def test_batch_support_flags_vary_along_a_line():
+def test_batch_support_is_shared_along_a_line():
     """A line inside the sphere's bounding box but clear of every
-    triangle's box: only far points, whose query boxes are inflated more
-    for tilted recasts, see candidates and count as inside the support."""
+    triangle's box: every point of a line has the same query box, so near
+    and far points alike see no candidates and are outside the support."""
     mesh = icosphere(subdiv=1, radius=1.0)
     pts = np.array([(0.8125, 0.8125, z) for z in (-400.0, -3.0, 0.0, 3.0, 400.0)])
     _assert_batch_matches_loop(pts, mesh, (0.0, 0.0, 1.0))
     batch = cast_parity_many(pts, mesh, build_index(mesh))
-    assert batch.outside_support.tolist() == [False, True, True, True, False]
+    assert batch.outside_support.all()
 
 
 @pytest.mark.parametrize("direction", [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0)])
 def test_batch_lines_in_face_planes_match_scalar(direction, closed_box):
     """Lines lying in the box's face planes, with points beyond the box
-    along them: every ray lies in a face's plane and is recast."""
+    along them: every ray lies in a face's plane, which it never crosses,
+    and the exact tie-break decides the faces it meets."""
     mesh, _ = closed_box
     axis = int(np.argmax(np.abs(direction)))
     pts = []
@@ -288,10 +243,10 @@ def test_batch_lines_in_face_planes_match_scalar(direction, closed_box):
     _assert_batch_matches_loop(np.array(pts), mesh, direction)
 
 
-def test_tilted_cast_recasts_without_requerying(plane, monkeypatch):
-    """A cast off the lattice axes puts every point on a line of its own,
-    so a grazing point recasts with the candidates of its main-pass query:
-    one query per point, grazing or not."""
+def test_tilted_cast_queries_once_per_point(plane, monkeypatch):
+    """A cast off the lattice axes puts every point on a line of its own:
+    one query per point, whether its ray runs through a shared vertex, a
+    cell diagonal or a cell edge, or clear of them."""
     mesh, index = plane
     d = np.array([0.3, 0.2, 1.0])
     # rays through a shared vertex, a cell diagonal and a cell edge graze
@@ -304,16 +259,15 @@ def test_tilted_cast_recasts_without_requerying(plane, monkeypatch):
     )
     batch = cast_parity_many(np.concatenate([grazing, clear]), mesh, index, d)
     assert len(calls) == 5
-    assert (batch.recasts[:3] > 0).all() and (batch.recasts[3:] == 0).all()
     assert (batch.sides == SIDE_BELOW).all()
 
 
 @pytest.mark.parametrize("on_surface", ["sheet", "in_plane"])
-def test_batch_raises_for_a_point_on_the_surface(on_surface):
-    """A point on the surface grazes on every recast, so the batch raises
-    as cast_parity does, even with clean points on the same line: on a
-    sheet it sits at a hit's origin, and on a triangle containing the cast
-    direction it lies in that triangle's plane."""
+def test_point_on_the_surface_gets_one_side_batched_or_alone(on_surface):
+    """A point on the surface gets the side its perturbation puts it on,
+    the same in a batch with clean points on its line as alone: on a
+    sheet, the side above it, and in the plane of a triangle containing
+    the cast direction, which no ray crosses, the side of no crossing."""
     if on_surface == "sheet":
         mesh = grid_surface([0.0, 4.0], [0.0, 4.0], 2.0)
     else:
@@ -322,11 +276,9 @@ def test_batch_raises_for_a_point_on_the_surface(on_surface):
             np.array([[0, 1, 2]]),
         )
     pts = np.array([(2.0, 1.0, z) for z in (-1.0, 2.0, 6.0)])
-    index = build_index(mesh)
-    with pytest.raises(UnresolvableRay):
-        cast_parity(pts[1], mesh, index)
-    with pytest.raises(UnresolvableRay):
-        cast_parity_many(pts, mesh, index)
+    _assert_batch_matches_loop(pts, mesh, (0.0, 0.0, 1.0))
+    batch = cast_parity_many(pts, mesh, build_index(mesh))
+    assert batch.counts.tolist() == ([1, 0, 0] if on_surface == "sheet" else [0, 0, 0])
 
 
 def _oracle_below(mesh, pts, direction, sheet=None):
@@ -405,15 +357,72 @@ def test_parity_matches_oracles_on_dyadic_lattices(scene):
 def test_parity_matches_oracles_through_shared_edges(kind, direction):
     """A 0.5-step lattice around a box whose faces lie on lattice planes,
     or under and over a dyadic sheet: rays in face planes and through
-    shared vertices and edges are recast, and every point still gets the
-    oracle's answer."""
+    shared vertices and edges get exact ties, and every point still gets
+    the oracle's answer."""
     sheet = _dyadic_sheet(0.1, 0.25, -0.5) if kind == "sheet" else None
     mesh = grid_surface(*sheet) if sheet else box_mesh((0.5, 0.5, 1.0), (3.5, 3.0, 3.5))
     axis = np.arange(-0.5, 4.6, 0.5)
     pts = _lattice_clear_of(mesh, [axis] * 3, 0.5)
     batch = cast_parity_many(pts, mesh, build_index(mesh), direction)
     assert np.array_equal(batch.sides == SIDE_BELOW, _oracle_below(mesh, pts, direction, sheet))
-    assert (batch.recasts > 0).any()
+
+
+@st.composite
+def _exact_scenes(draw):
+    """A dyadic box or sheet, the points of a dyadic lattice around it,
+    one of the seven test directions, and an offset of 0 or 1e6 m.
+
+    Every coordinate is on the lattice, so rays run through shared
+    vertices and edges, along the sheet's border and in the box's face
+    planes, and some points lie on the surface.
+    """
+    if draw(st.booleans()):
+        lo = [0.5 * draw(st.integers(0, 3)) for _ in range(3)]
+        mesh = box_mesh(lo, [a + 0.5 * draw(st.integers(1, 5)) for a in lo])
+    else:
+        slopes = st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5])
+        sx, sy = draw(slopes), draw(slopes)
+        mesh = grid_surface(
+            [0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 2.0, 4.0], lambda x, y: 1.5 + sx * x + sy * y
+        )
+    step = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    axes = []
+    for _ in range(3):
+        start = draw(st.integers(-1, int(4.0 / step) - 1))
+        axes.append(step * np.arange(start, start + draw(st.integers(1, 4))))
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    offset = draw(st.sampled_from([0.0, 1e6]))
+    mesh = TriangleMesh(mesh.vertices + offset, mesh.triangles)
+    return mesh, pts + offset, draw(st.sampled_from(LINE_DIRECTIONS + [TILTED]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_scenes())
+def test_parity_matches_exact_oracle_point_by_point(scene):
+    """Counts and sides equal a brute-force count over every triangle in
+    exact rationals, with the same tie-breaking perturbation."""
+    mesh, pts, direction = scene
+    batch = cast_parity_many(pts, mesh, build_index(mesh), direction)
+    want = [exact_crossings(p, direction, mesh.vertices, mesh.triangles) for p in pts]
+    assert batch.counts.tolist() == want
+    assert batch.sides.tolist() == [SIDE_BELOW if n % 2 else SIDE_ABOVE for n in want]
+
+
+def test_exact_path_decides_ties_on_a_dyadic_sheet(plane, monkeypatch):
+    """Rays through a shared vertex and along a shared edge of a dyadic
+    sheet, and a point on it, give exact zero signs that no float
+    evaluation can settle: the integer path decides them."""
+    mesh, index = plane
+    calls = []
+    for name in ("_exact_edges", "_exact_plane"):
+        exact = getattr(sidedness, name)
+        monkeypatch.setattr(
+            sidedness, name, lambda *args, f=exact, n=name: calls.append(n) or f(*args)
+        )
+    pts = np.array([(2.0, 2.0, 0.25), (1.0, 1.0, 0.5), (1.3, 1.1, 2.0), (1.3, 1.1, 0.5)])
+    batch = cast_parity_many(pts, mesh, index)
+    assert batch.counts.tolist() == [1, 1, 0, 1]
+    assert {"_exact_edges", "_exact_plane"} <= set(calls)
 
 
 def _classified_parent():
@@ -438,7 +447,6 @@ def test_classify_cells_mid_plane_partition():
     inter = cls.intersects[0].reshape(4, 4, 4)
     assert (inter[1:3] == True).all()  # noqa: E712
     assert not inter[0].any() and not inter[3].any()
-    assert not cls.outside_support.any()
 
 
 def test_classify_cells_direction_override():
