@@ -45,15 +45,3 @@ class Aabb(NamedTuple):
                     self.center.y + self.half.y,
                     self.center.z + self.half.z)
 
-
-def aabb_from_bounds(lo: Vec3, hi: Vec3) -> Aabb:
-    center = Vec3((lo.x + hi.x) * 0.5, (lo.y + hi.y) * 0.5, (lo.z + hi.z) * 0.5)
-    half = Vec3((hi.x - lo.x) * 0.5, (hi.y - lo.y) * 0.5, (hi.z - lo.z) * 0.5)
-    return Aabb(center, half)
-
-
-def aabb_overlaps(a: Aabb, b: Aabb) -> bool:
-    """Closed-interval overlap: boxes touching at a face/edge/corner count."""
-    return (abs(a.center.x - b.center.x) <= a.half.x + b.half.x
-            and abs(a.center.y - b.center.y) <= a.half.y + b.half.y
-            and abs(a.center.z - b.center.z) <= a.half.z + b.half.z)

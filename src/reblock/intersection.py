@@ -160,31 +160,34 @@ def detect_overlaps(
 ) -> OverlapMap:
     """Exact block-surface overlap pass over the whole model.
 
-    Every input block's AABB is run through the surface index for
-    candidates, which are then SAT-filtered; per parent and per surface
-    the union of intersecting triangle ids over that parent's blocks is
-    recorded.
+    Per surface, the boxes of all input blocks go to the surface index in
+    one query, and the candidate (block, triangle) pairs to one SAT call;
+    per parent and per surface the union of intersecting triangle ids over
+    that parent's blocks is recorded.
     """
     spec = model.spec
-    acc: dict[IntTriple, dict[int, list[np.ndarray]]] = {}
-    tri_verts = [mesh.tri_vertices() for mesh, _ in surfaces]
-    for block in model.blocks:
-        box = block.aabb(spec)
-        center = np.asarray(box.center, dtype=np.float64)[None, :]
-        half = np.asarray(box.half, dtype=np.float64)
-        for sid, (_, index) in enumerate(surfaces):
-            cand = query_candidates(index, box)
-            if len(cand) == 0:
-                continue
-            hits = sat_batch(tri_verts[sid][cand], center, half)[0]
-            if hits.any():
-                acc.setdefault(block.parent, {}).setdefault(sid, []).append(cand[hits])
+    parent, cell_min, cell_dims = (
+        np.array([getattr(b, f) for b in model.blocks], dtype=np.int64).reshape(-1, 3)
+        for f in ("parent", "cell_min", "cell_dims")
+    )
+    # a block's min corner, extent, centre and half extent, each computed
+    # with the float operations of its scalar form, in the same order
+    min_dims = np.asarray(spec.min_dims)
+    lo = np.asarray(spec.origin) + parent * np.asarray(spec.parent_dims) + cell_min * min_dims
+    hi = lo + cell_dims * min_dims
+    center, half = (lo + hi) * 0.5, (hi - lo) * 0.5
+    parents, parent_of = np.unique(parent, axis=0, return_inverse=True)
+    parent_of = parent_of.ravel()
     out = OverlapMap()
-    for parent, per_surface in acc.items():
-        out.parents[parent] = {
-            sid: np.unique(np.concatenate(ids)).astype(np.int32)
-            for sid, ids in sorted(per_surface.items())
-        }
+    for sid, (mesh, index) in enumerate(surfaces):
+        box, tri = query_candidates(index, center - half, center + half).T
+        hit = sat_pairs(mesh.tri_vertices()[tri], center[box], half[box])
+        # one key per recorded (parent, triangle), in parent then triangle order
+        key = np.unique(parent_of[box[hit]] * len(mesh) + tri[hit])
+        pid, tid = np.divmod(key, len(mesh))
+        starts = np.flatnonzero(np.diff(pid, prepend=-1))
+        for p, ids in zip(pid[starts], np.split(tid, starts[1:])):
+            out.parents.setdefault(tuple(parents[p].tolist()), {})[sid] = ids.astype(np.int32)
     return out
 
 

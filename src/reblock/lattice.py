@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MisalignedBlock, ValidationError
-from .geometry import Aabb, Vec3, aabb_from_bounds, vec3
+from .geometry import Vec3, vec3
 
 UNLABELLED = -1
 
@@ -147,11 +147,6 @@ class Block:
             base.y + (self.cell_min[1] + self.cell_dims[1] * 0.5) * spec.min_dims.y,
             base.z + (self.cell_min[2] + self.cell_dims[2] * 0.5) * spec.min_dims.z,
         )
-
-    def aabb(self, spec: LatticeSpec) -> Aabb:
-        lo = self.min_corner(spec)
-        d = self.dims(spec)
-        return aabb_from_bounds(lo, vec3(lo.x + d.x, lo.y + d.y, lo.z + d.z))
 
 
 def cells_of(spec: LatticeSpec, block: Block) -> list[IntTriple]:

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmptyMesh, RefinementOverflow, ValidationError
-from .geometry import Aabb, aabb_from_bounds, aabb_overlaps, vec3
 
 # Hard ceiling on triangles produced by refine_mesh.
 REFINE_CAP = 10_000_000
@@ -58,17 +57,6 @@ class TriangleMesh:
         if self._tri_verts is None:
             self._tri_verts = self.vertices[self.triangles]
         return self._tri_verts
-
-
-def mesh_aabb(mesh: TriangleMesh) -> Aabb:
-    lo = mesh.vertices.min(axis=0)
-    hi = mesh.vertices.max(axis=0)
-    extent = float((hi - lo).max())
-    eps = 1e-9 * max(1.0, extent)
-    flat = (hi - lo) < eps
-    lo = lo - np.where(flat, eps, 0.0)
-    hi = hi + np.where(flat, eps, 0.0)
-    return aabb_from_bounds(vec3(*lo), vec3(*hi))
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +364,12 @@ class MeshIndex:
     minimum, ``keys[k]`` holds those minima and ``hi_max[k]`` the running
     maximum of the box maxima in that order.  Both key rows are monotone,
     so two binary searches bound the run of triangles whose boxes can
-    meet a query interval on that axis.
+    meet a query interval on that axis; :func:`query_candidates` makes
+    them for a whole batch of boxes at once.
     """
 
     tri_lo: np.ndarray  # (M, 3) per-triangle AABB minima
     tri_hi: np.ndarray  # (M, 3) per-triangle AABB maxima
-    bounds: Aabb
     order: np.ndarray  # (3, M) int32 triangle ids sorted by tri_lo per axis
     keys: np.ndarray  # (3, M) tri_lo in that order
     hi_max: np.ndarray  # (3, M) running maximum of tri_hi in that order
@@ -393,8 +381,8 @@ def build_index(mesh: TriangleMesh) -> MeshIndex:
     tv = mesh.tri_vertices()
     lo = tv.min(axis=1)
     hi = tv.max(axis=1)
-    # inflate zero-thickness axes by 1e-9 * max(1, extent), as mesh_aabb does,
-    # so an axis-parallel triangle still presents a queryable volume
+    # inflate zero-thickness axes by 1e-9 * max(1, extent), so an
+    # axis-parallel triangle still presents a queryable volume
     extent = np.maximum((hi - lo).max(axis=1), 1.0)
     eps = (1e-9 * extent)[:, None]
     flat = (hi - lo) < eps
@@ -404,24 +392,36 @@ def build_index(mesh: TriangleMesh) -> MeshIndex:
     return MeshIndex(
         tri_lo=lo,
         tri_hi=hi,
-        bounds=mesh_aabb(mesh),
         order=order,
         keys=np.take_along_axis(lo.T, order, axis=1),
         hi_max=np.maximum.accumulate(np.take_along_axis(hi.T, order, axis=1), axis=1),
     )
 
 
-def query_candidates(index: MeshIndex, box: Aabb) -> np.ndarray:
-    """Triangle ids whose AABB meets ``box`` (closed), sorted, unique."""
-    if not aabb_overlaps(index.bounds, box):
-        return np.empty(0, dtype=np.int32)
-    qlo = np.asarray(box.lo, dtype=np.float64)
-    qhi = np.asarray(box.hi, dtype=np.float64)
+def query_candidates(index: MeshIndex, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Candidate triangles of a batch of closed boxes ``[lo, hi]``.
+
+    ``lo`` and ``hi`` are (B, 3) arrays.  Returns a (P, 2) int64 array of
+    (box, triangle) pairs, one per triangle whose inflated AABB meets the
+    box: grouped by box in input order, triangles ascending within a box.
+    """
+    lo = np.asarray(lo, dtype=np.float64).reshape(-1, 3)
+    hi = np.asarray(hi, dtype=np.float64).reshape(-1, 3)
     # on axis k, a triangle sorted before ``start`` ends below the box and
     # one sorted from ``stop`` on begins above it; scan the shortest window
-    start = [index.hi_max[k].searchsorted(qlo[k]) for k in range(3)]
-    stop = [index.keys[k].searchsorted(qhi[k], "right") for k in range(3)]
-    k = int(np.argmin(np.subtract(stop, start)))
-    ids = index.order[k, start[k] : stop[k]]
-    keep = (index.tri_lo[ids] <= qhi).all(axis=1) & (index.tri_hi[ids] >= qlo).all(axis=1)
-    return np.sort(ids[keep])
+    start = np.column_stack([index.hi_max[k].searchsorted(lo[:, k]) for k in range(3)])
+    stop = np.column_stack([index.keys[k].searchsorted(hi[:, k], "right") for k in range(3)])
+    axis = np.argmin(stop - start, axis=1)
+    boxes = np.arange(len(lo))
+    first = start[boxes, axis]
+    n = np.maximum(stop[boxes, axis] - first, 0)
+    # each box's window slots, as positions in the flattened ``order``
+    offset = np.cumsum(n) - n - first - axis * index.order.shape[1]
+    ids = index.order.ravel()[np.arange(n.sum()) - np.repeat(offset, n)]
+    keep = np.ones(len(ids), dtype=bool)
+    for k in range(3):
+        keep &= index.tri_lo[:, k][ids] <= np.repeat(hi[:, k], n)
+        keep &= index.tri_hi[:, k][ids] >= np.repeat(lo[:, k], n)
+    box, ids = np.repeat(boxes, n)[keep], ids[keep]
+    by_box = np.lexsort((ids, box))
+    return np.column_stack([box[by_box], ids[by_box]])

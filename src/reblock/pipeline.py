@@ -17,6 +17,7 @@ difference stays measurable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, Sequence
@@ -57,7 +58,7 @@ Mode = Literal["preclassified", "legacy-two-set"]
 
 # Per-surface block position: tagging's {+1, 0, -1}, plus a sentinel for
 # "not classified here — cast a ray from the block centroid".
-POS_RECAST = 2
+POS_UNCAST = 2
 
 
 @dataclass(frozen=True)
@@ -157,38 +158,50 @@ def _restructure_parent_inner(
     classes, inverse = np.unique(keys, axis=0, return_inverse=True)
 
     out_blocks: list[tuple[IntTriple, IntTriple, int]] = []
-    pos_rows: list[np.ndarray] = []
-    maj_rows: list[np.ndarray] = []
-    stride = 2 if preclassified else 1
+    class_of: list[int] = []
     for class_id, key in enumerate(classes):
         cell_ids = occupied[inverse == class_id]
-        label = int(key[0])
         boxes = [(subscript_of(int(i), counts), (1, 1, 1)) for i in cell_ids]
-        merged = merge_class(boxes, counts, spec.min_dims, params, label)
-        for b in merged:
-            pos = np.full(n_surfaces, POS_RECAST, dtype=np.int8)
-            maj = np.full(n_surfaces, SIDE_ABOVE, dtype=np.int8)
-            nx, ny, nz = b.cell_min
-            sx, sy, sz = b.cell_dims
-            for row, sid in enumerate(cls.surface_ids):
-                window = sides_grid[row, nz : nz + sz, ny : ny + sy, nx : nx + sx]
-                above = int((window == SIDE_ABOVE).sum())
-                maj[sid] = SIDE_ABOVE if above * 2 >= window.size else SIDE_BELOW
-                if key[1 + row * stride]:
-                    pos[sid] = ACROSS
-                elif preclassified:
-                    pos[sid] = np.int8(key[2 + row * stride])
-            out_blocks.append((b.cell_min, b.cell_dims, b.label))
-            pos_rows.append(pos)
-            maj_rows.append(maj)
+        merged = merge_class(boxes, counts, spec.min_dims, params, int(key[0]))
+        out_blocks.extend((b.cell_min, b.cell_dims, b.label) for b in merged)
+        class_of.extend([class_id] * len(merged))
+
+    n_blocks = len(out_blocks)
+    lo = np.array([b[0] for b in out_blocks], dtype=np.int64).reshape(n_blocks, 3)
+    hi = lo + np.array([b[1] for b in out_blocks], dtype=np.int64).reshape(n_blocks, 3)
+    above = _above_counts(sides_grid, lo, hi)
+    positions = np.full((n_blocks, n_surfaces), POS_UNCAST, dtype=np.int8)
+    majorities = np.full((n_blocks, n_surfaces), SIDE_ABOVE, dtype=np.int8)
+    majorities[:, cls.surface_ids] = np.where(
+        above * 2 >= (hi - lo).prod(axis=1), SIDE_ABOVE, SIDE_BELOW
+    ).T
+    # class key columns: the label, then per tested surface its intersect
+    # flag and, when preclassified, its side
+    stride = 2 if preclassified else 1
+    key_rows = classes[np.array(class_of, dtype=np.int64)]
+    sides = key_rows[:, 2::stride] if preclassified else POS_UNCAST
+    positions[:, cls.surface_ids] = np.where(key_rows[:, 1::stride] != 0, ACROSS, sides)
 
     return _ParentOut(
         parent=parent,
         blocks=out_blocks,
-        positions=np.array(pos_rows, dtype=np.int8).reshape(len(out_blocks), n_surfaces),
-        majorities=np.array(maj_rows, dtype=np.int8).reshape(len(out_blocks), n_surfaces),
+        positions=positions,
+        majorities=majorities,
         classification=cls if _CTX.get("keep_classifications") else None,
     )
+
+
+def _above_counts(sides_grid: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(S, N) count of cells classified above each surface row of the
+    (S, z, y, x) ``sides_grid`` inside each cell box [lo, hi) (x, y, z
+    columns), by inclusion-exclusion on a summed-volume table."""
+    table = np.zeros(np.add(sides_grid.shape, (0, 1, 1, 1)), dtype=np.int64)
+    table[:, 1:, 1:, 1:] = (sides_grid == SIDE_ABOVE).cumsum(1).cumsum(2).cumsum(3)
+    out = np.zeros((len(sides_grid), len(lo)), dtype=np.int64)
+    for corner in itertools.product((0, 1), repeat=3):
+        x, y, z = ((hi if c else lo)[:, k] for k, c in enumerate(corner))
+        out += (-1) ** (3 - sum(corner)) * table[:, z, y, x]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +271,7 @@ def restructure(
         for cell_min, cell_dims, label in res.blocks:
             geometry.append((res.parent, cell_min, cell_dims, label))
 
-    positions = np.full((len(geometry), n_surfaces), POS_RECAST, dtype=np.int8)
+    positions = np.full((len(geometry), n_surfaces), POS_UNCAST, dtype=np.int8)
     majorities = np.full((len(geometry), n_surfaces), SIDE_ABOVE, dtype=np.int8)
     row = n_pass
     for res in results:
@@ -275,7 +288,7 @@ def restructure(
         dtype=np.float64,
     ).reshape(len(geometry), 3)
     for sid, instr in enumerate(config.instructions):
-        missing = np.flatnonzero(positions[:, sid] == POS_RECAST)
+        missing = np.flatnonzero(positions[:, sid] == POS_UNCAST)
         if len(missing) == 0:
             continue
         mesh, index = surfaces[sid]

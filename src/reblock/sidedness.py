@@ -34,7 +34,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Aabb, Vec3
 from .intersection import OverlapMap, sat_batch
 from .lattice import IntTriple, LatticeSpec, cell_lut, parent_min_corner
 from .mesh import MeshIndex, TriangleMesh, query_candidates
@@ -213,9 +212,13 @@ def _ray_lines(pts: np.ndarray, axis: int | None) -> tuple[np.ndarray, np.ndarra
     return line_of, order[new_line]
 
 
-def _column_boxes(p: np.ndarray, e: np.ndarray, index: MeshIndex) -> list[Aabb | None]:
-    """Per line p + t e, a query box holding its part inside the extent of
-    the mesh's triangle boxes; None where the line misses that extent.
+def _column_boxes(
+    p: np.ndarray, e: np.ndarray, index: MeshIndex
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per line p + t e, the bounds ``(lo, hi)`` of a query box holding its
+    part inside the extent of the mesh's triangle boxes; lo = +inf and
+    hi = -inf, which no triangle box meets, where the line misses that
+    extent.
 
     On an axis along which the line does not move the box is the point's
     coordinate; on the others it is the line's segment through the
@@ -237,11 +240,8 @@ def _column_boxes(p: np.ndarray, e: np.ndarray, index: MeshIndex) -> list[Aabb |
     # rounded outwards, so that center -/+ half still encloses the box
     center = 0.5 * (box_lo + box_hi)
     half = np.nextafter(np.maximum(box_hi - center, center - box_lo), np.inf)
-    meets = (box_lo <= box_hi).all(axis=1)
-    return [
-        Aabb(Vec3(*c), Vec3(*h)) if m else None
-        for c, h, m in zip(center.tolist(), half.tolist(), meets.tolist())
-    ]
+    meets = (box_lo <= box_hi).all(axis=1, keepdims=True)
+    return np.where(meets, center - half, np.inf), np.where(meets, center + half, -np.inf)
 
 
 def _ramp(sizes: np.ndarray) -> np.ndarray:
@@ -258,12 +258,13 @@ def cast_parity_many(
     """Parity-classify many points at once.
 
     A cast along a lattice axis groups the points whose rays run along one
-    line (those sharing their off-axis coordinates): a line has one
-    candidate query and one set of edge signs per candidate, and each of
-    its points counts the crossings whose plane sign puts them beyond it.
-    A cast along any other direction d runs each point p's ray on its own
-    line, through fl(p + d).  A point whose line meets no candidate is
-    outside the surface's support.
+    line (those sharing their off-axis coordinates): a line has one query
+    box and one set of edge signs per candidate, and each of its points
+    counts the crossings whose plane sign puts them beyond it.  A cast
+    along any other direction d runs each point p's ray on its own line,
+    through fl(p + d).  The boxes of all lines go to the index in one
+    call.  A point whose line meets no candidate is outside the surface's
+    support.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     d = _normalize_direction(direction)
@@ -274,13 +275,9 @@ def cast_parity_many(
     q = None if axis is not None else p + d
     e = np.broadcast_to(d, p.shape) if q is None else q - p
 
-    cands = [
-        np.empty(0, dtype=np.int32) if box is None else query_candidates(index, box)
-        for box in _column_boxes(p, e, index)
-    ]
-    n_cand = np.array([len(c) for c in cands], dtype=np.int64)
-    pair_line = np.repeat(np.arange(len(heads)), n_cand)
-    tv = mesh.tri_vertices()[np.concatenate([np.empty(0, dtype=np.int32), *cands])]
+    pair_line, tri = query_candidates(index, *_column_boxes(p, e, index)).T
+    n_cand = np.bincount(pair_line, minlength=len(heads))
+    tv = mesh.tri_vertices()[tri]
     sign = _line_crossings(tv, p[pair_line], None if q is None else q[pair_line], axis, d)
 
     # every crossing of a line against every point on it: the crossing is

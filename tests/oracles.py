@@ -311,17 +311,12 @@ def _inflate_flat(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def index_candidates(vertices, triangles, lo, hi) -> np.ndarray:
     """Ids of the triangles whose bounding boxes meet the closed box [lo, hi].
 
-    A box that misses the mesh's own bounds gets none.  Flat axes of the
-    mesh bounds and of each triangle's bounds are inflated first, so an
+    Flat axes of each triangle's bounds are inflated first, so an
     axis-parallel triangle still has a volume to meet.  Sorted, int32.
     """
-    v = np.asarray(vertices, dtype=np.float64)
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
-    mesh_lo, mesh_hi = _inflate_flat(v.min(axis=0), v.max(axis=0))
-    if ((mesh_lo > hi) | (mesh_hi < lo)).any():
-        return np.empty(0, dtype=np.int32)
-    tv = v[np.asarray(triangles)]
+    tv = np.asarray(vertices, dtype=np.float64)[np.asarray(triangles)]
     tri_lo, tri_hi = _inflate_flat(tv.min(axis=1), tv.max(axis=1))
     meet = ((tri_lo <= hi) & (tri_hi >= lo)).all(axis=1)
     return np.flatnonzero(meet).astype(np.int32)

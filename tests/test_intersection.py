@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reblock.errors import DegenerateTriangle
 from reblock.geometry import Aabb, vec3
@@ -17,7 +19,7 @@ from reblock.lattice import Block, BlockModel, LatticeSpec, parent_min_corner
 from reblock.mesh import build_index
 
 from conftest import grid_surface, icosphere
-from oracles import clip_overlap, clip_overlap_exact, clip_overlap_pairs
+from oracles import clip_overlap, clip_overlap_exact, clip_overlap_pairs, index_candidates
 
 UNIT_BOX = Aabb(vec3(0, 0, 0), vec3(1, 1, 1))  # [-1,1]^3
 
@@ -249,6 +251,81 @@ def test_detect_overlaps_sphere_parent_subset():
         center = np.asarray(parent_min_corner(spec, parent)) + half
         for v in tv[:: max(1, len(tv) // 8)]:
             assert clip_overlap_exact(v, center, half)
+
+
+def _random_scene(seed: int):
+    """A model of 2-3 x 2-3 x 1-2 parents, each cut into blocks of several
+    sizes by random guillotine splits, and two surfaces across it: an
+    icosphere, and a sheet that is either wavy or flat on a lattice plane,
+    so that some blocks only touch it."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(2, 5, size=3)
+    min_dims = rng.choice([0.3, 0.5, 1.0, 2.5], size=3)
+    origin = rng.choice([0.0, 0.7, 1e5]) + np.zeros(3)
+    spec = LatticeSpec(vec3(*origin), vec3(*(counts * min_dims)), vec3(*min_dims))
+    n_parents = (rng.integers(2, 4), rng.integers(2, 4), rng.integers(1, 3))
+    blocks = []
+    for parent in np.ndindex(*n_parents):
+        pieces = [((0, 0, 0), tuple(int(c) for c in counts))]
+        for _ in range(rng.integers(0, 6)):
+            lo, dims = pieces.pop(rng.integers(len(pieces)))
+            axis = int(rng.integers(3))
+            if dims[axis] < 2:
+                pieces.append((lo, dims))
+                continue
+            cut = int(rng.integers(1, dims[axis]))
+            upper_lo = list(lo)
+            upper_lo[axis] += cut
+            lower, upper = list(dims), list(dims)
+            lower[axis], upper[axis] = cut, dims[axis] - cut
+            pieces += [(lo, tuple(lower)), (tuple(upper_lo), tuple(upper))]
+        blocks += [Block(parent, lo, dims, 0) for lo, dims in pieces]
+    size = np.asarray(spec.parent_dims) * n_parents
+    center = origin + size * rng.uniform(0.2, 0.8, size=3)
+    sphere = icosphere(subdiv=2, radius=float(size.min() * rng.uniform(0.2, 0.6)), center=center)
+    xs = origin[0] + np.linspace(-0.1, 1.1, 7) * size[0]
+    ys = origin[1] + np.linspace(-0.1, 1.1, 7) * size[1]
+    if rng.integers(2):
+        level = origin[2] + min_dims[2] * rng.integers(1, counts[2] * n_parents[2])
+        sheet = grid_surface(xs, ys, float(level))
+    else:
+        mid, amp = origin[2] + 0.5 * size[2], 0.3 * size[2]
+        sheet = grid_surface(xs, ys, lambda x, y: mid + amp * np.sin(x + 0.7 * y))
+    surfaces = [(mesh, build_index(mesh)) for mesh in (sphere, sheet)]
+    return BlockModel(spec, blocks), surfaces
+
+
+def _overlaps_block_by_block(model, surfaces) -> dict:
+    """Per block and surface, the oracle's candidates of the block's box,
+    then one SAT call on them; per (parent, surface), the union of hits."""
+    spec = model.spec
+    out: dict = {}
+    for block in model.blocks:
+        lo = np.asarray(block.min_corner(spec))
+        hi = lo + np.asarray(block.dims(spec))
+        center, half = (lo + hi) * 0.5, (hi - lo) * 0.5
+        for sid, (mesh, _) in enumerate(surfaces):
+            cand = index_candidates(mesh.vertices, mesh.triangles, center - half, center + half)
+            boxes = np.tile(center, (len(cand), 1)), np.tile(half, (len(cand), 1))
+            hits = cand[sat_pairs(mesh.tri_vertices()[cand], *boxes)]
+            if len(hits):
+                out.setdefault(block.parent, {}).setdefault(sid, set()).update(hits.tolist())
+    return {p: {sid: sorted(ids) for sid, ids in per.items()} for p, per in out.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_detect_overlaps_matches_block_by_block_reference(seed):
+    model, surfaces = _random_scene(seed)
+    overlap = detect_overlaps(model, surfaces)
+    got = {
+        p: {sid: ids.tolist() for sid, ids in per.items()}
+        for p, per in overlap.parents.items()
+    }
+    assert got == _overlaps_block_by_block(model, surfaces)
+    for per in overlap.parents.values():
+        assert list(per) == sorted(per)
+        assert all(ids.dtype == np.int32 for ids in per.values())
 
 
 def test_write_overlap_csv(tmp_path):

@@ -6,14 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reblock.errors import EmptyMesh, RefinementOverflow, ValidationError
-from reblock.geometry import Aabb, aabb_from_bounds, vec3
 from reblock.mesh import (
     RefineParams,
     TriangleMesh,
     build_index,
     integrity_check,
     load_mesh,
-    mesh_aabb,
     query_candidates,
     refine_mesh,
 )
@@ -98,10 +96,15 @@ def test_integrity_all_degenerate():
 
 
 def test_mesh_measures():
-    mesh = box_mesh((0, 0, 0), (3, 4, 12))
-    box = mesh_aabb(mesh)
-    assert box.lo == vec3(0, 0, 0)
-    assert box.hi == vec3(3, 4, 12)
+    """The extent of the triangle boxes is the first key and the last
+    running maximum of each axis: the mesh bounds, overhung by the
+    inflation of the faces flat on each axis."""
+    index = build_index(box_mesh((0, 0, 0), (3, 4, 12)))
+    lo, hi = index.keys[:, 0], index.hi_max[:, -1]
+    assert np.array_equal(lo, index.tri_lo.min(axis=0))
+    assert np.array_equal(hi, index.tri_hi.max(axis=0))
+    assert (lo < 0).all() and (hi > [3, 4, 12]).all()
+    assert np.allclose(lo, 0, atol=2e-8) and np.allclose(hi, [3, 4, 12], atol=2e-8)
 
 
 def test_refine_params_validation():
@@ -157,20 +160,21 @@ def test_refine_is_conforming():
     assert all(n in (1, 2) for n in counts.values())
 
 
-# dyadic coordinates keep box centres and halves exact, so boxes built to
-# touch a triangle box or the mesh bounds touch them exactly
+# dyadic coordinates keep box bounds exact, so boxes built to touch a
+# triangle box touch it exactly
 _GRID = st.integers(-16, 16).map(lambda k: k / 4)
 
 
 @st.composite
 def _index_scenes(draw):
-    """A small triangle soup and query boxes drawn from its own coordinates.
+    """A small triangle soup and a batch of query boxes drawn from its own
+    coordinates.
 
     Triangles may be flat on one axis, the whole soup may be flat, one
     triangle may dwarf the rest, and everything may sit 1e6 from the
-    origin.  Query bounds touch triangle boxes and the mesh bounds, fall
-    just past them, or come from the grid, and may have zero thickness
-    on any axis.
+    origin.  Query bounds touch triangle boxes (inflated or not), fall
+    just past them or far outside the soup, or come from the grid, and
+    may have zero thickness on any axis.  The batch may be empty.
     """
     n = draw(st.integers(1, 8))
     verts = np.array(draw(st.lists(_GRID, min_size=9 * n, max_size=9 * n))).reshape(n, 3, 3)
@@ -186,41 +190,59 @@ def _index_scenes(draw):
     offset = draw(st.sampled_from([0.0, 1e6]))
     verts += offset
     mesh = TriangleMesh(verts.reshape(-1, 3), np.arange(3 * n).reshape(n, 3))
+    index = build_index(mesh)
 
-    boxes = []
-    for _ in range(draw(st.integers(1, 12))):
+    lo, hi = [], []
+    for _ in range(draw(st.integers(0, 12))):
         bounds = []
         for k in range(3):
-            coords = st.sampled_from(sorted(set(verts[:, :, k].ravel())))
-            # vertex coordinates, so the mesh and triangle bounds too; the
-            # same nudged by less than a flat axis's inflation; grid values
+            # vertex coordinates and the inflated triangle box bounds; the
+            # same nudged by less than a flat axis's inflation or moved far
+            # off; grid values
+            values = set(verts[:, :, k].ravel()) | set(index.tri_lo[:, k]) | set(index.tri_hi[:, k])
+            coords = st.sampled_from(sorted(values))
             nudged = st.builds(lambda c, s: c + s * 2.0**-31, coords, st.sampled_from([-1, 1]))
-            pool = st.one_of(coords, nudged, _GRID.map(lambda g: g + offset))
+            far = st.builds(lambda c, s: c + s * 1e3, coords, st.sampled_from([-1, 1]))
+            pool = st.one_of(coords, nudged, far, _GRID.map(lambda g: g + offset))
             a, b = sorted((draw(pool), draw(pool)))
             bounds.append((a, a if draw(st.integers(0, 3)) == 0 else b))
-        lo, hi = zip(*bounds)
-        boxes.append(aabb_from_bounds(vec3(*lo), vec3(*hi)))
-    return mesh, boxes
+        lo.append([b[0] for b in bounds])
+        hi.append([b[1] for b in bounds])
+    return mesh, np.array(lo).reshape(-1, 3), np.array(hi).reshape(-1, 3)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_index_scenes())
-@example((icosphere(subdiv=2, radius=5.0), [Aabb(vec3(0, 0, 5.0), vec3(0.5, 0.5, 0.5))]))
+@example((icosphere(subdiv=2, radius=5.0),
+          np.array([[-0.5, -0.5, 4.5]]), np.array([[0.5, 0.5, 5.5]])))
+@example((grid_surface([0.0, 1.0], [0.0, 1.0], 0.0), np.empty((0, 3)), np.empty((0, 3))))
 def test_query_candidates_match_oracle(scene):
-    mesh, boxes = scene
-    index = build_index(mesh)
-    for box in boxes:
-        got = query_candidates(index, box)
-        want = index_candidates(mesh.vertices, mesh.triangles, box.lo, box.hi)
-        assert got.dtype == np.int32
-        assert np.array_equal(got, want), (box, got, want)
+    """Box by box, the batched query returns the oracle's triangles, with
+    the pairs grouped by box in input order and triangles ascending."""
+    mesh, lo, hi = scene
+    pairs = query_candidates(build_index(mesh), lo, hi)
+    assert pairs.shape[1:] == (2,) and pairs.dtype.kind == "i"
+    wants = [index_candidates(mesh.vertices, mesh.triangles, a, b) for a, b in zip(lo, hi)]
+    assert np.array_equal(pairs[:, 0], np.repeat(np.arange(len(lo)), [len(w) for w in wants]))
+    assert np.array_equal(pairs[:, 1], np.concatenate([np.empty(0, dtype=np.int32), *wants]))
 
 
 def test_index_empty_query():
     sphere = icosphere(subdiv=1, radius=1.0)
     index = build_index(sphere)
-    far = Aabb(vec3(50, 50, 50), vec3(1, 1, 1))
-    assert len(query_candidates(index, far)) == 0
+    pairs = query_candidates(index, [[49, 49, 49], [-2, -2, -2]], [[51, 51, 51], [2, 2, 2]])
+    assert set(pairs[:, 0]) == {1}
+    assert query_candidates(index, np.empty((0, 3)), np.empty((0, 3))).shape == (0, 2)
+
+
+def test_query_boxes_are_closed():
+    """A box that shares only a face with a triangle's box gets it; one a
+    hair away does not."""
+    tri = np.array([[0, 0, 0], [1, 0, 1], [0, 1, 1]])
+    index = build_index(TriangleMesh(tri, np.array([[0, 1, 2]])))
+    lo = [[1.0, 0.0, 0.0], [1.001, 0.0, 0.0]]
+    hi = [[2.0, 1.0, 1.0], [2.0, 1.0, 1.0]]
+    assert query_candidates(index, lo, hi).tolist() == [[0, 0]]
 
 
 def test_index_inflates_flat_triangle_boxes():
@@ -230,7 +252,24 @@ def test_index_inflates_flat_triangle_boxes():
     )
     index = build_index(TriangleMesh(verts, np.array([[0, 1, 2], [3, 4, 5]])))
     assert (index.tri_hi[0] - index.tri_lo[0])[2] > 0
-    below = aabb_from_bounds(vec3(0.2, 0.2, 4.0), vec3(0.4, 0.4, 5.0))
-    above = aabb_from_bounds(vec3(0.2, 0.2, 5.0), vec3(0.4, 0.4, 6.0))
-    assert list(query_candidates(index, below)) == [0]
-    assert list(query_candidates(index, above)) == [0]
+    below = ([0.2, 0.2, 4.0], [0.4, 0.4, 5.0])
+    above = ([0.2, 0.2, 5.0], [0.4, 0.4, 6.0])
+    pairs = query_candidates(index, *np.stack([below, above], axis=1))
+    assert pairs.tolist() == [[0, 0], [1, 0]]
+
+
+def test_boxes_on_a_flat_triangles_x_bounds_meet_it():
+    """A box of zero width placed on either x bound of a one-triangle
+    mesh flat in z meets the triangle, whatever the rounding of the
+    bounds' centre and half extent."""
+    misses = []
+    for x0 in np.linspace(0.1, 0.9, 27):
+        for x1 in np.linspace(1.1, 2.5, 69):
+            tri = np.array([[x0, 0, 0], [x1, 0, 0], [x0, 1, 0]])
+            mesh = TriangleMesh(tri, np.array([[0, 1, 2]]))
+            lo = np.array([[x0, 0.0, -1.0], [x1, 0.0, -1.0]])
+            hi = np.array([[x0, 0.5, 1.0], [x1, 0.5, 1.0]])
+            pairs = query_candidates(build_index(mesh), lo, hi)
+            if len(pairs) != 2:
+                misses.append((x0, x1))
+    assert not misses, f"{len(misses)} of {27 * 69} meshes lose a candidate"

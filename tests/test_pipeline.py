@@ -9,12 +9,13 @@ from reblock.merge import MergeParams
 from reblock.mesh import build_index, load_mesh
 from reblock.pipeline import (
     PipelineConfig,
+    _above_counts,
     heal_and_merge,
     load_surfaces,
     merge_model,
     restructure,
 )
-from reblock.sidedness import cast_parity_many
+from reblock.sidedness import SIDE_ABOVE, SIDE_BELOW, cast_parity_many
 from reblock.tagging import TaggingInstruction
 
 from conftest import grid_surface, write_obj
@@ -248,3 +249,23 @@ class TestHealing:
         assert total_cells(merged) == total_cells(model)
         for block in merged.blocks:
             assert block.label in (1, 2)
+
+
+def test_above_counts_match_window_sums():
+    """Per surface and cell box, the summed-volume table counts the cells
+    classified above exactly as a sum over the box's window does."""
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        counts = rng.integers(1, 6, size=3)
+        kx, ky, kz = counts.tolist()
+        grid = rng.choice([SIDE_ABOVE, SIDE_BELOW], size=(rng.integers(1, 4), kz, ky, kx))
+        lo = rng.integers(0, counts, size=(rng.integers(0, 12), 3))
+        hi = lo + 1 + rng.integers(0, counts - lo)
+        want = [
+            [
+                int((g[z0:z1, y0:y1, x0:x1] == SIDE_ABOVE).sum())
+                for (x0, y0, z0), (x1, y1, z1) in zip(lo.tolist(), hi.tolist())
+            ]
+            for g in grid
+        ]
+        assert _above_counts(grid, lo, hi).tolist() == want

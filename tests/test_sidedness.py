@@ -243,10 +243,10 @@ def test_batch_lines_in_face_planes_match_scalar(direction, closed_box):
     _assert_batch_matches_loop(np.array(pts), mesh, direction)
 
 
-def test_tilted_cast_queries_once_per_point(plane, monkeypatch):
+def test_tilted_cast_queries_one_box_per_point(plane, monkeypatch):
     """A cast off the lattice axes puts every point on a line of its own:
-    one query per point, whether its ray runs through a shared vertex, a
-    cell diagonal or a cell edge, or clear of them."""
+    one query call holding one box per point, whether its ray runs through
+    a shared vertex, a cell diagonal or a cell edge, or clear of them."""
     mesh, index = plane
     d = np.array([0.3, 0.2, 1.0])
     # rays through a shared vertex, a cell diagonal and a cell edge graze
@@ -258,8 +258,22 @@ def test_tilted_cast_queries_once_per_point(plane, monkeypatch):
         sidedness, "query_candidates", lambda *args: calls.append(args) or query(*args)
     )
     batch = cast_parity_many(np.concatenate([grazing, clear]), mesh, index, d)
-    assert len(calls) == 5
+    assert len(calls) == 1
+    _, lo, hi = calls[0]
+    assert lo.shape == hi.shape == (5, 3)
     assert (batch.sides == SIDE_BELOW).all()
+
+
+def test_cast_along_the_mesh_bounds_meets_the_sheet():
+    """A ray along the x bound of a flat sheet crosses it by the
+    perturbation rule, however the bound's centre and half extent round;
+    a ray an ulp past the other bound is outside the sheet's support."""
+    mesh = grid_surface([0.1, 1.1], [0.0, 1.0], 1.0)
+    index = build_index(mesh)
+    on_bound = cast_parity((0.1, 0.5, 0.0), mesh, index)
+    assert on_bound == ParityResult(count=1, side=SIDE_BELOW, outside_support=False)
+    past = cast_parity((np.nextafter(1.1, 2.0), 0.5, 0.0), mesh, index)
+    assert past == ParityResult(count=0, side=SIDE_ABOVE, outside_support=True)
 
 
 @pytest.mark.parametrize("on_surface", ["sheet", "in_plane"])
