@@ -19,6 +19,8 @@ Two conventions over a parent's cell grid:
   rectangle and every input block lands wholly inside exactly one output
   block.  The test reads a face-contact table, not the grid: per pair of
   touching blocks, the axis and the number of cells their faces share.
+  Each block keeps the sum of those areas per face, so the common failing
+  check, a foreign cell beyond the face, is one multiply and compare.
 
 Both conventions start from one ordinal grid per class, painted in one
 vectorised pass: each cell holds the index of its input block, or -1.
@@ -172,18 +174,20 @@ def face_contacts(owner: np.ndarray) -> list[tuple[int, int, int, int]]:
 
     A row ``(a, c, axis, area)`` says block ``a``'s +axis face touches
     block ``c``'s -axis face over ``area`` cells.  ``owner`` is a [z, y, x]
-    grid of block ordinals, -1 where no block is.
+    grid of block ordinals, -1 where no block is.  Rows are sorted by axis,
+    then ``a``, then ``c``: one ``np.unique`` over all three axes' keys.
     """
     n = int(owner.max()) + 1
-    rows: list[tuple[int, int, int, int]] = []
+    keys = []
     for axis in range(3):
         grid = np.moveaxis(owner, 2 - axis, 0)
         lo, hi = grid[:-1], grid[1:]
         touch = (lo != hi) & (lo >= 0) & (hi >= 0)
-        keys, area = np.unique(lo[touch] * n + hi[touch], return_counts=True)
-        a, c = (keys // n).tolist(), (keys % n).tolist()
-        rows += zip(a, c, [axis] * len(a), area.tolist())
-    return rows
+        keys.append((axis * n + lo[touch]) * n + hi[touch])
+    keys, area = np.unique(np.concatenate(keys), return_counts=True)
+    pair, c = np.divmod(keys, n)
+    axis, a = np.divmod(pair, n)
+    return list(zip(a.tolist(), c.tolist(), axis.tolist(), area.tolist()))
 
 
 def coalesce_persistent(
@@ -201,101 +205,100 @@ def coalesce_persistent(
     pairwise disjoint and inside the parent, and ``contacts`` their
     :func:`face_contacts` table, as ``merge_class`` builds them; neither
     is modified.  Blocks take turns absorbing the blocks behind their
-    +x/+y/+z faces; a face is absorbable when the contact areas of the
-    blocks behind it cover it, they share one length along the axis, and
-    their cell counts tile the extension box.  Smaller blocks move first
-    ("priority gives smaller blocks the earliest opportunity to grow");
-    passes repeat until one passes without an absorption.  Output is in
-    input order, in mirrored coordinates.
+    +x/+y/+z faces.  Smaller blocks move first ("priority gives smaller
+    blocks the earliest opportunity to grow"); passes repeat until one
+    passes without an absorption.  Output is in input order, in mirrored
+    coordinates.
+
+    Each record keeps ``room``, the cells from its min corner to the
+    parent's far faces, and ``cover``, the sum of the contact areas on each
+    of its six faces.  A turn tests each axis inline, no call made, in
+    order: the face lies inside the parent; no foreign cell lies beyond
+    it (``cover * length == size``); the blocks behind it share one length
+    along the axis; the grown block keeps within the caps; their cells
+    tile the extension box.  A block already past a cap on any axis gets
+    no room: growing along any axis would keep it past that cap.  An
+    absorbing block takes over the outward contacts, and their areas, of
+    the blocks it absorbs; a neighbour's back face only renames them, so
+    the neighbour's cover is unchanged.
     """
-    kx, ky, _ = counts
-    m = counts if max_dims is None else max_dims
-    lo = [
-        [k - n - s if flip else n for k, n, s, flip in zip(counts, n, s, flips)]
-        for n, s in boxes
-    ]
-    dims = [list(s) for _, s in boxes]
-    size = [s[0] * s[1] * s[2] for s in dims]
-    starts = [n[0] + kx * (n[1] + ky * n[2]) for n in lo]
+    kx, ky, kz = counts
+    m = mx, my, mz = counts if max_dims is None else max_dims
+    fx, fy, fz = flips
+    lo, room, dims, size, starts = [], [], [], [], []
+    for (x, y, z), (sx, sy, sz) in boxes:
+        x, y, z = kx - x - sx if fx else x, ky - y - sy if fy else y, kz - z - sz if fz else z
+        lo.append((x, y, z))
+        dims.append([sx, sy, sz])
+        size.append(sx * sy * sz)
+        starts.append(x + kx * (y + ky * z))
+        # past a cap already, whatever axis it would grow along: no room
+        room.append([sx, sy, sz] if sx > mx or sy > my or sz > mz else [kx - x, ky - y, kz - z])
     # face 2*axis + 1 is the -axis face; a mirror swaps + and - on its axes
     faces: list[list[dict[int, int]]] = [[{}, {}, {}, {}, {}, {}] for _ in boxes]
+    cover = [[0] * 6 for _ in boxes]
     for a, c, axis, area in contacts:
         up = 2 * axis + flips[axis]
         faces[a][up][c] = area
         faces[c][up ^ 1][a] = area
+        cover[a][up] += area
+        cover[c][up ^ 1] += area
     live = [True] * len(boxes)
-
-    def absorb(b: int, axis: int) -> bool:
-        """Absorb the blocks behind block ``b``'s +axis face, if feasible.
-
-        The caller checks that the face lies inside the parent.  Feasible
-        then means: the face's contact areas sum to its area (no foreign
-        cell lies beyond it); the blocks behind it share one length along
-        the axis; the grown block keeps within the caps; and their cell
-        counts tile the extension box exactly.  On success ``b`` takes over
-        their outward contacts; on failure nothing changes.
-        """
-        s = dims[b]
-        face = faces[b][2 * axis]
-        cross = size[b] // s[axis]
-        if sum(face.values()) != cross:
-            return False  # a foreign cell lies beyond the face
-        lengths = {dims[c][axis] for c in face}
-        if len(lengths) != 1:
-            return False  # failed uniform length requirement
-        n_extend = lengths.pop()
-        grown = list(s)
-        grown[axis] += n_extend
-        if grown[0] > m[0] or grown[1] > m[1] or grown[2] > m[2]:
-            return False  # past the merge-size caps
-        if sum(size[c] for c in face) != n_extend * cross:
-            return False  # join would not be a full rectangle
-
-        # the absorbed blocks tile the extension box, so each outward contact
-        # of theirs lies on one of b's new faces; contacts among them vanish
-        own = faces[b]
-        own[2 * axis] = {}
-        for c in face:
-            live[c] = False
-            for d, touching in enumerate(faces[c]):
-                if d == 2 * axis + 1:
-                    continue  # touches only b
-                for t, area in touching.items():
-                    if t in face:
-                        continue
-                    own[d][t] = own[d].get(t, 0) + area
-                    back = faces[t][d ^ 1]
-                    del back[c]
-                    back[b] = back.get(b, 0) + area
-        size[b] += n_extend * cross
-        s[axis] += n_extend
-        return True
 
     while True:
         # disjoint live blocks have distinct min corners, so the key is total
-        order = sorted(
-            (b for b in range(len(boxes)) if live[b]), key=lambda b: (size[b], starts[b])
-        )
+        order = sorted([(size[b], starts[b], b) for b in range(len(boxes)) if live[b]])
         if len(order) <= 1:
             break
         grew = False
-        for b in order:
+        for at_turn_start, _, b in order:
             if not live[b]:
                 continue
-            at_turn_start = size[b]
             i = token_life
-            room = [k - n for k, n in zip(counts, lo[b])]
-            s = dims[b]
+            s, r, cov, own, volume = dims[b], room[b], cover[b], faces[b], size[b]
             while True:
                 barriers = 0
-                for axis in range(3):
-                    if s[axis] == room[axis] or not absorb(b, axis):
+                for axis, up in ((0, 0), (1, 2), (2, 4)):
+                    if s[axis] == r[axis] or cov[up] * s[axis] != volume:
+                        barriers += 1  # no room, or a foreign cell lies beyond the face
+                        continue
+                    face = own[up]
+                    n = total = 0
+                    for c in face:
+                        if n and dims[c][axis] != n:
+                            total = -1  # failed uniform length requirement
+                            break
+                        n = dims[c][axis]
+                        total += size[c]
+                    # lengths differ, past the caps, or not a full rectangle
+                    if total < 0 or s[axis] + n > m[axis] or total != n * cov[up]:
                         barriers += 1
+                        continue
+                    # the absorbed blocks tile the extension box, so each outward
+                    # contact of theirs lies on one of b's new faces; contacts
+                    # among them vanish
+                    own[up] = {}
+                    cov[up] = 0
+                    for c in face:
+                        live[c] = False
+                        for d, touching in enumerate(faces[c]):
+                            if d == up + 1:
+                                continue  # touches only b
+                            for t, area in touching.items():
+                                if t in face:
+                                    continue
+                                own[d][t] = own[d].get(t, 0) + area
+                                cov[d] += area
+                                back = faces[t][d ^ 1]
+                                del back[c]
+                                back[b] = back.get(b, 0) + area
+                    size[b] = volume = volume + total
+                    s[axis] += n
                 if i is not None:
                     i -= 1
-                if s == room or barriers == 3 or i == 0:
+                if s == r or barriers == 3 or i == 0:
                     break
-            if size[b] != at_turn_start:
+            if volume != at_turn_start:
                 grew = True
         # a pass without a single absorption is the fixed point; comparing
         # cell counts over *all* records would deadlock on blocks that grew
@@ -303,11 +306,7 @@ def coalesce_persistent(
         if not grew:
             break
 
-    return [
-        MergedBlock(tuple(lo[b]), tuple(dims[b]), label)
-        for b in range(len(boxes))
-        if live[b]
-    ]
+    return [MergedBlock(lo[b], tuple(dims[b]), label) for b in range(len(boxes)) if live[b]]
 
 
 # ---------------------------------------------------------------------------

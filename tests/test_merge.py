@@ -225,6 +225,20 @@ def test_persistent_smallest_blocks_move_first():
     assert merged == [MergedBlock((0, 0, 0), (3, 2, 1), 0)]
 
 
+def test_persistent_block_past_a_cap_never_grows():
+    """Block 0 is 3 cells along y, past the cap of 2, and the two blocks
+    behind its +x face cover it, are 1 long along x and tile the
+    extension box.  Growing along x keeps its y length past the cap, so
+    the caps bind on every axis, not only the one a block grows along;
+    and block 1 may not take block 2 either."""
+    boxes = [((0, 0, 0), (1, 3, 1)), ((1, 0, 0), (1, 2, 1)), ((1, 2, 0), (1, 1, 1))]
+    counts = (3, 3, 1)
+    contacts = face_contacts(paint_owner(boxes, counts))
+    capped = coalesce_persistent(boxes, contacts, counts, (False,) * 3, 0, max_dims=(3, 2, 1))
+    assert [(b.cell_min, b.cell_dims) for b in capped] == boxes
+    assert persistent(boxes, counts) == [MergedBlock((0, 0, 0), (2, 3, 1), 0)]
+
+
 # boxes in a (4, 1, 1) parent that no convention may merge
 BAD_BOXES = [
     [((0, 0, 0), (2, 1, 1)), ((1, 0, 0), (2, 1, 1))],  # overlap

@@ -192,18 +192,20 @@ def _index_scenes(draw):
     mesh = TriangleMesh(verts.reshape(-1, 3), np.arange(3 * n).reshape(n, 3))
     index = build_index(mesh)
 
+    # per axis: vertex coordinates and the inflated triangle box bounds; the
+    # same nudged by less than a flat axis's inflation or moved far off;
+    # grid values.  Built once per scene, drawn from for every box.
+    pools = []
+    for k in range(3):
+        values = set(verts[:, :, k].ravel()) | set(index.tri_lo[:, k]) | set(index.tri_hi[:, k])
+        coords = st.sampled_from(sorted(values))
+        nudged = st.builds(lambda c, s: c + s * 2.0**-31, coords, st.sampled_from([-1, 1]))
+        far = st.builds(lambda c, s: c + s * 1e3, coords, st.sampled_from([-1, 1]))
+        pools.append(st.one_of(coords, nudged, far, _GRID.map(lambda g: g + offset)))
     lo, hi = [], []
     for _ in range(draw(st.integers(0, 12))):
         bounds = []
-        for k in range(3):
-            # vertex coordinates and the inflated triangle box bounds; the
-            # same nudged by less than a flat axis's inflation or moved far
-            # off; grid values
-            values = set(verts[:, :, k].ravel()) | set(index.tri_lo[:, k]) | set(index.tri_hi[:, k])
-            coords = st.sampled_from(sorted(values))
-            nudged = st.builds(lambda c, s: c + s * 2.0**-31, coords, st.sampled_from([-1, 1]))
-            far = st.builds(lambda c, s: c + s * 1e3, coords, st.sampled_from([-1, 1]))
-            pool = st.one_of(coords, nudged, far, _GRID.map(lambda g: g + offset))
+        for pool in pools:
             a, b = sorted((draw(pool), draw(pool)))
             bounds.append((a, a if draw(st.integers(0, 3)) == 0 else b))
         lo.append([b[0] for b in bounds])

@@ -1,5 +1,7 @@
 """End-to-end restructuring: scene goldens, mode contrast, healing, errors."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,22 @@ class TestRestructureScenes:
         assert sorted((b.cell_min, b.cell_dims, b.label) for b in crossed) == [
             ((0, 0, 0), (4, 4, 1), 30),
             ((0, 0, 1), (4, 4, 2), 20),
+            ((0, 0, 3), (4, 4, 1), 10),
+        ]
+
+    def test_forced_tagging_gives_a_tie_to_above(self, flat_scene):
+        """The legacy merge joins the two cut layers either side of z=2
+        into one block with exactly half of its cells above the plane;
+        forced tagging resolves that tie to the above side."""
+        model, instr = flat_scene
+        forced = replace(instr, forced=True)
+        out = restructure(
+            model, PipelineConfig(instructions=(forced,), mode="legacy-two-set")
+        )
+        crossed = [b for b in out.blocks if b.parent == (0, 0, 0)]
+        assert sorted((b.cell_min, b.cell_dims, b.label) for b in crossed) == [
+            ((0, 0, 0), (4, 4, 1), 30),
+            ((0, 0, 1), (4, 4, 2), 10),
             ((0, 0, 3), (4, 4, 1), 10),
         ]
 
