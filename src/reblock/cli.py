@@ -29,6 +29,7 @@ from .lattice import (
     Block,
     LatticeSpec,
     cell_lut,
+    paint_parent,
     parent_min_corner,
     read_model_csv,
     write_model_csv,
@@ -244,13 +245,8 @@ def _cmd_octree(args: argparse.Namespace) -> int:
     kx, ky, kz = spec.cell_counts
     out_blocks: list[Block] = []
     for parent in sorted(by_parent, key=lambda p: (p[2], p[1], p[0])):
-        covered = np.zeros((kz, ky, kx), dtype=bool)
-        for i in by_parent[parent]:
-            b = model.blocks[i]
-            nx, ny, nz = b.cell_min
-            sx, sy, sz = b.cell_dims
-            covered[nz : nz + sz, ny : ny + sy, nx : nx + sx] = True
-        if not covered.all():
+        _, owner = paint_parent(spec, model.take(by_parent[parent]))
+        if (owner < 0).any():
             raise ValidationError(
                 f"parent {parent} is not fully covered; the octree baseline "
                 "needs complete parents"
@@ -304,7 +300,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             "min_dims": args.min_dims,
         },
         threads=None,
-        outputs={"blocks": len(model.blocks)},
+        outputs={"blocks": len(model)},
         wall_time_s=time.perf_counter() - t0,
     )
     return 0

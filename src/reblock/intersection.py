@@ -166,10 +166,7 @@ def detect_overlaps(
     that parent's blocks is recorded.
     """
     spec = model.spec
-    parent, cell_min, cell_dims = (
-        np.array([getattr(b, f) for b in model.blocks], dtype=np.int64).reshape(-1, 3)
-        for f in ("parent", "cell_min", "cell_dims")
-    )
+    parent, cell_min, cell_dims = model.parent, model.cell_min, model.cell_dims
     # a block's min corner, extent, centre and half extent, each computed
     # with the float operations of its scalar form, in the same order
     min_dims = np.asarray(spec.min_dims)

@@ -41,7 +41,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import EmptyInput, ValidationError
-from .lattice import IntTriple
+from .lattice import IntTriple, expand_cells
 
 Convention = Literal["dissolved", "persistent"]
 Objective = Literal["count", "aspect"]
@@ -356,14 +356,15 @@ def merge_class(
 ) -> list[MergedBlock]:
     """Best merge of one class's blocks over the configured scan patterns.
 
-    The boxes are painted once onto an ordinal grid; they must be pairwise
-    disjoint and inside the parent.  Every pattern runs the configured
+    The boxes, ``(cell_min, cell_dims)`` pairs or an (N, 2, 3) array, are
+    painted once onto an ordinal grid; they must be pairwise disjoint and
+    inside the parent.  Every pattern runs the configured
     convention with the standard raster scan on a mirrored view of the
     parent and scores the result; ties keep the first configured pattern.
     When that can no longer change, after a first pattern that returns one
     block, the rest are skipped.  Only the winner is mirrored back.
     """
-    if not boxes:
+    if len(boxes) == 0:
         return []
     for axis in range(3):
         limit = counts[axis] if params.max_dims is None else params.max_dims[axis]
@@ -374,17 +375,10 @@ def merge_class(
     kx, ky, kz = counts
     box = np.array(boxes, dtype=np.int64)
     lo, dims = box[:, 0], box[:, 1]
-    volume = dims.prod(axis=1)
     inside = (lo >= 0).all() and (dims >= 1).all() and (lo + dims <= counts).all()
-    if not inside or volume.sum() > kx * ky * kz:
+    if not inside or dims.prod(axis=1).sum() > kx * ky * kz:
         raise ValidationError("input blocks overlap or leave the parent")
-    # cell j of a box, counted in the box's own raster order, lies at
-    # (j % sx, j // sx % sy, j // (sx * sy)) from the box's min corner
-    ordinal = np.repeat(np.arange(len(box)), volume)
-    j = np.arange(ordinal.size) - np.repeat(np.cumsum(volume) - volume, volume)
-    sx, sy = dims[ordinal, 0], dims[ordinal, 1]
-    corner = (lo @ np.array([1, kx, kx * ky]))[ordinal]
-    cell = corner + j % sx + kx * (j // sx % sy) + kx * ky * (j // (sx * sy))
+    ordinal, cell = expand_cells(lo, dims, counts)
     if np.bincount(cell).max() > 1:
         raise ValidationError("input blocks overlap or leave the parent")
     owner = np.full((kz, ky, kx), -1, dtype=np.int64)
@@ -402,7 +396,7 @@ def merge_class(
             )
         else:
             merged = coalesce_persistent(
-                boxes,
+                box.tolist(),
                 contacts,
                 counts,
                 flips,

@@ -51,11 +51,10 @@ class ModelStats:
 def _block_metrics(model: BlockModel) -> tuple[np.ndarray, ...]:
     """Per-block (label, volume, aspect ratio) arrays in model order."""
     d = np.asarray(model.spec.min_dims, dtype=np.float64)
-    if not model.blocks:
+    if not len(model):
         raise EmptyInput("cannot compute statistics of an empty model")
-    labels = np.fromiter((b.label for b in model.blocks), dtype=np.int64)
-    cells = np.array([b.cell_dims for b in model.blocks], dtype=np.float64)
-    dims = cells * d
+    labels = model.label
+    dims = model.cell_dims * d
     volumes = dims.prod(axis=1)
     ars = dims.max(axis=1) / dims.min(axis=1)
     return labels, volumes, ars
@@ -86,7 +85,7 @@ def compute_stats(model: BlockModel) -> ModelStats:
         )
     aggregate = LabelRow(
         label=None,
-        block_count=len(model.blocks),
+        block_count=len(model),
         volume=total_volume,
         pct_volume=100.0,
         vw_aspect_ratio=float((volumes * ars).sum() / total_volume),
@@ -102,8 +101,8 @@ def aspect_ratio_icdf(model: BlockModel) -> np.ndarray:
     the inverse CDF ("the lower the curve, the better").
     """
     _, volumes, ars = _block_metrics(model)
-    parents = np.array([b.parent for b in model.blocks], dtype=np.int64)
-    _, inverse = np.unique(parents, axis=0, return_inverse=True)
+    _, inverse = np.unique(model.parent, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
     n_parents = int(inverse.max()) + 1
     vol_sum = np.zeros(n_parents)
     va_sum = np.zeros(n_parents)

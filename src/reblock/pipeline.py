@@ -20,21 +20,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
 from .errors import ReblockError, ValidationError
 from .intersection import OverlapMap, detect_overlaps, write_overlap_csv
-from .lattice import (
-    Block,
-    BlockModel,
-    IntTriple,
-    LatticeSpec,
-    paint_parent,
-    subscript_of,
-)
-from .merge import MergeParams, merge_class
+from .lattice import BlockModel, IntTriple, LatticeSpec, paint_parent, subscript_of
+from .merge import MergedBlock, MergeParams, merge_class
 from .mesh import (
     MeshIndex,
     RefineParams,
@@ -107,17 +100,36 @@ def _set_context(ctx: dict) -> None:
     _CTX.update(ctx)
 
 
+def _rows(merged: Sequence[MergedBlock]) -> np.ndarray:
+    """(M, 7) rows of merged blocks: cell_min, cell_dims, label."""
+    rows = [(*b.cell_min, *b.cell_dims, b.label) for b in merged]
+    return np.array(rows, dtype=np.int64).reshape(-1, 7)
+
+
+def _assemble(spec: LatticeSpec, parts: Iterable[tuple]) -> BlockModel:
+    """One model from ``(parent, rows)`` parts, in order: a (3,) or (M, 3)
+    parent and (M, 7) rows as :func:`_rows` gives them."""
+    parents, rows = [np.empty((0, 3), dtype=np.int64)], [np.empty((0, 7), dtype=np.int64)]
+    for parent, part in parts:
+        parents.append(np.broadcast_to(parent, (len(part), 3)))
+        rows.append(part)
+    table = np.concatenate(rows)
+    return BlockModel.from_columns(
+        spec, np.concatenate(parents), table[:, 0:3], table[:, 3:6], table[:, 6]
+    )
+
+
 @dataclass
 class _ParentOut:
     parent: IntTriple
-    blocks: list[tuple[IntTriple, IntTriple, int]]
+    blocks: np.ndarray  # (n_blocks, 7) rows, as _rows gives them
     positions: np.ndarray  # (n_blocks, n_surfaces) int8
     majorities: np.ndarray  # (n_blocks, n_surfaces) int8
     classification: object | None = None
 
 
 def _restructure_parent(
-    task: tuple[IntTriple, list[Block], dict[int, np.ndarray]],
+    task: tuple[IntTriple, BlockModel, dict[int, np.ndarray]],
 ) -> _ParentOut:
     parent, blocks, per_surface = task
     try:
@@ -128,7 +140,7 @@ def _restructure_parent(
 
 def _restructure_parent_inner(
     parent: IntTriple,
-    blocks: list[Block],
+    blocks: BlockModel,
     per_surface: dict[int, np.ndarray],
 ) -> _ParentOut:
     spec: LatticeSpec = _CTX["spec"]
@@ -156,19 +168,19 @@ def _restructure_parent_inner(
             columns.append(cls.sides[row].astype(np.int64))
     keys = np.stack(columns, axis=1)[occupied]
     classes, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
 
-    out_blocks: list[tuple[IntTriple, IntTriple, int]] = []
-    class_of: list[int] = []
+    merged = []
     for class_id, key in enumerate(classes):
-        cell_ids = occupied[inverse == class_id]
-        boxes = [(subscript_of(int(i), counts), (1, 1, 1)) for i in cell_ids]
-        merged = merge_class(boxes, counts, spec.min_dims, params, int(key[0]))
-        out_blocks.extend((b.cell_min, b.cell_dims, b.label) for b in merged)
-        class_of.extend([class_id] * len(merged))
+        cells = np.stack(subscript_of(occupied[inverse == class_id], counts), axis=1)
+        boxes = np.stack([cells, np.ones_like(cells)], axis=1)
+        merged.append(_rows(merge_class(boxes, counts, spec.min_dims, params, int(key[0]))))
+    out_blocks = np.concatenate(merged)
+    class_of = np.repeat(np.arange(len(classes)), [len(m) for m in merged])
 
     n_blocks = len(out_blocks)
-    lo = np.array([b[0] for b in out_blocks], dtype=np.int64).reshape(n_blocks, 3)
-    hi = lo + np.array([b[1] for b in out_blocks], dtype=np.int64).reshape(n_blocks, 3)
+    lo = out_blocks[:, 0:3]
+    hi = lo + out_blocks[:, 3:6]
     above = _above_counts(sides_grid, lo, hi)
     positions = np.full((n_blocks, n_surfaces), POS_UNCAST, dtype=np.int8)
     majorities = np.full((n_blocks, n_surfaces), SIDE_ABOVE, dtype=np.int8)
@@ -178,7 +190,7 @@ def _restructure_parent_inner(
     # class key columns: the label, then per tested surface its intersect
     # flag and, when preclassified, its side
     stride = 2 if preclassified else 1
-    key_rows = classes[np.array(class_of, dtype=np.int64)]
+    key_rows = classes[class_of]
     sides = key_rows[:, 2::stride] if preclassified else POS_UNCAST
     positions[:, cls.surface_ids] = np.where(key_rows[:, 1::stride] != 0, ACROSS, sides)
 
@@ -240,13 +252,8 @@ def restructure(
         overlap.intersecting_parents(), key=lambda p: (p[2], p[1], p[0])
     )
     tasks = [
-        (
-            parent,
-            [model.blocks[i] for i in by_parent[parent]],
-            overlap.surfaces_of(parent),
-        )
+        (parent, model.take(by_parent[parent]), overlap.surfaces_of(parent))
         for parent in crossed
-        if parent in by_parent
     ]
     ctx = {
         "spec": spec,
@@ -260,33 +267,24 @@ def restructure(
         _restructure_parent, tasks, threads, initializer=_set_context, initargs=(ctx,)
     )
 
-    crossed_set = set(crossed)
+    through = np.ones(len(model), dtype=bool)
+    for parent in crossed:
+        through[by_parent[parent]] = False
     n_surfaces = len(surfaces)
-    geometry: list[tuple[IntTriple, IntTriple, IntTriple, int]] = []
-    for block in model.blocks:
-        if block.parent not in crossed_set:
-            geometry.append((block.parent, block.cell_min, block.cell_dims, block.label))
-    n_pass = len(geometry)
-    for res in results:
-        for cell_min, cell_dims, label in res.blocks:
-            geometry.append((res.parent, cell_min, cell_dims, label))
+    kept = np.column_stack([model.cell_min, model.cell_dims, model.label])[through]
+    staged = _assemble(
+        spec, [(model.parent[through], kept), *((r.parent, r.blocks) for r in results)]
+    )
+    positions = np.concatenate(
+        [np.full((len(kept), n_surfaces), POS_UNCAST, dtype=np.int8)]
+        + [r.positions for r in results]
+    )
+    majorities = np.concatenate(
+        [np.full((len(kept), n_surfaces), SIDE_ABOVE, dtype=np.int8)]
+        + [r.majorities for r in results]
+    )
 
-    positions = np.full((len(geometry), n_surfaces), POS_UNCAST, dtype=np.int8)
-    majorities = np.full((len(geometry), n_surfaces), SIDE_ABOVE, dtype=np.int8)
-    row = n_pass
-    for res in results:
-        n = len(res.blocks)
-        positions[row : row + n] = res.positions
-        majorities[row : row + n] = res.majorities
-        row += n
-
-    centroids = np.array(
-        [
-            Block(p, n, s, lbl).centroid(spec)
-            for p, n, s, lbl in geometry
-        ],
-        dtype=np.float64,
-    ).reshape(len(geometry), 3)
+    centroids = staged.centroids()
     for sid, instr in enumerate(config.instructions):
         missing = np.flatnonzero(positions[:, sid] == POS_UNCAST)
         if len(missing) == 0:
@@ -297,15 +295,9 @@ def restructure(
         )
         positions[missing, sid] = batch.sides
 
-    input_labels = np.fromiter((g[3] for g in geometry), dtype=np.int64)
-    labels = apply_tagging(positions, majorities, input_labels, config.instructions)
-
-    out = BlockModel(
-        spec,
-        [
-            Block(parent, cell_min, cell_dims, int(label))
-            for (parent, cell_min, cell_dims, _), label in zip(geometry, labels)
-        ],
+    labels = apply_tagging(positions, majorities, staged.label, config.instructions)
+    out = BlockModel.from_columns(
+        spec, staged.parent, staged.cell_min, staged.cell_dims, labels
     )
     out.validate()
 
@@ -322,23 +314,18 @@ def restructure(
     return out
 
 
-def _merge_parent(
-    task: tuple[IntTriple, list[tuple[IntTriple, IntTriple, int]]],
-) -> list[tuple[IntTriple, IntTriple, int]]:
-    parent, boxes = task
+def _merge_parent(task: tuple[IntTriple, BlockModel]) -> np.ndarray:
+    parent, part = task
     try:
         spec: LatticeSpec = _CTX["spec"]
         params: MergeParams = _CTX["params"]
-        by_label: dict[int, list[tuple[IntTriple, IntTriple]]] = {}
-        for cell_min, dims, label in boxes:
-            by_label.setdefault(label, []).append((cell_min, dims))
-        out: list[tuple[IntTriple, IntTriple, int]] = []
-        for label in sorted(by_label):
-            merged = merge_class(
-                by_label[label], spec.cell_counts, spec.min_dims, params, label
+        boxes = np.stack([part.cell_min, part.cell_dims], axis=1)
+        merged: list[MergedBlock] = []
+        for label in sorted(set(part.label.tolist())):
+            merged += merge_class(
+                boxes[part.label == label], spec.cell_counts, spec.min_dims, params, label
             )
-            out.extend((b.cell_min, b.cell_dims, b.label) for b in merged)
-        return out
+        return _rows(merged)
     except ReblockError as exc:
         raise type(exc)(f"parent {parent}: {exc}") from None
 
@@ -350,27 +337,12 @@ def merge_model(
     model.validate()
     by_parent = model.by_parent()
     parents = sorted(by_parent, key=lambda p: (p[2], p[1], p[0]))
-    tasks = []
-    for parent in parents:
-        boxes = [
-            (
-                model.blocks[i].cell_min,
-                model.blocks[i].cell_dims,
-                model.blocks[i].label,
-            )
-            for i in by_parent[parent]
-        ]
-        tasks.append((parent, boxes))
+    tasks = [(parent, model.take(by_parent[parent])) for parent in parents]
     ctx = {"spec": model.spec, "params": params}
     results = parallel_map(
         _merge_parent, tasks, threads, initializer=_set_context, initargs=(ctx,)
     )
-    blocks = [
-        Block(parent, cell_min, cell_dims, label)
-        for parent, merged in zip(parents, results)
-        for cell_min, cell_dims, label in merged
-    ]
-    out = BlockModel(model.spec, blocks)
+    out = _assemble(model.spec, zip(parents, results))
     out.validate()
     return out
 

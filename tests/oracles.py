@@ -1,18 +1,24 @@
 """Independent reference predicates the library must agree with.
 
-Nothing in here calls into :mod:`reblock` — these are deliberately
-separate implementations (polygon clipping in floats and in exact
-rationals, closed-form containment, winding numbers, heightfield
-interpolation, ray crossings in exact rationals, a brute-force
-bounding-box filter, grid-slab dissolved and persistent merges) used as
-ground truth by the unit and acceptance tests.
+Nothing in here calls into :mod:`reblock`, apart from raising its
+exception classes — these are deliberately separate implementations
+(polygon clipping in floats and in exact rationals, closed-form
+containment, winding numbers, heightfield interpolation, ray crossings in
+exact rationals, a brute-force bounding-box filter, grid-slab dissolved
+and persistent merges, a row-by-row model reader and a block-by-block
+disjointness check) used as ground truth by the unit and acceptance tests.
 """
 from __future__ import annotations
 
+import csv
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+
+from reblock.errors import MisalignedBlock, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -545,3 +551,115 @@ def coalesce_persistent_grid(owner, max_dims=None, token_life=None) -> list[tupl
             break
 
     return [(r.cell_min, tuple(r.dims)) for r in records if not r.subsumed]
+
+
+# ---------------------------------------------------------------------------
+# model CSV: one row at a time, one block at a time
+# ---------------------------------------------------------------------------
+
+_PARENT_SNAP = 1e-9
+_INGEST_SNAP = 1e-6
+_HEADER = ("x", "y", "z", "dx", "dy", "dz", "label")
+
+
+def _snap_count(value: float, what: str, context: str) -> int:
+    snapped = round(value)
+    if abs(value - snapped) > _INGEST_SNAP:
+        raise MisalignedBlock(f"{context}: {what} {value} is off-grid")
+    return int(snapped)
+
+
+def _base(spec, parent) -> tuple[float, float, float]:
+    out = tuple(float(spec.origin[a] + parent[a] * spec.parent_dims[a]) for a in range(3))
+    if not all(math.isfinite(v) for v in out):
+        x, y, z = out
+        raise ValueError(f"non-finite vector component: Vec3(x={x!r}, y={y!r}, z={z!r})")
+    return out
+
+
+def snap_row(spec, centroid, dims, label: int, context: str) -> tuple:
+    """One (centroid, dims) row onto the cell grid, scalar operations only:
+    ``(parent, cell_min, cell_dims, label)``."""
+    cell_dims = []
+    for axis in range(3):
+        if dims[axis] <= 0:
+            raise ValidationError(f"{context}: non-positive dimension {dims[axis]}")
+        s = _snap_count(dims[axis] / spec.min_dims[axis], "block size", context)
+        if s < 1:
+            raise MisalignedBlock(f"{context}: dimension below the minimum block size")
+        cell_dims.append(s)
+    parent = []
+    for axis in range(3):
+        q = (centroid[axis] - spec.origin[axis]) / spec.parent_dims[axis]
+        r = round(q)
+        parent.append(int(r) if abs(q - r) <= _PARENT_SNAP * max(1.0, abs(q)) else math.floor(q))
+    base = _base(spec, parent)
+    cell_min = []
+    for axis in range(3):
+        lo = centroid[axis] - dims[axis] * 0.5
+        n = _snap_count((lo - base[axis]) / spec.min_dims[axis], "block corner", context)
+        if n < 0 or n + cell_dims[axis] > spec.cell_counts[axis]:
+            raise MisalignedBlock(
+                f"{context}: block straddles a parent boundary on axis {axis}"
+            )
+        cell_min.append(n)
+    return tuple(parent), tuple(cell_min), tuple(cell_dims), label
+
+
+def validate_rows(spec, rows) -> None:
+    """Disjointness check, block by block, painting one grid per parent."""
+    counts = spec.cell_counts
+    kx, ky, kz = counts
+    grids: dict = {}
+    for ordinal, (parent, cell_min, cell_dims, _) in enumerate(rows):
+        for axis in range(3):
+            if cell_dims[axis] < 1:
+                raise ValidationError(f"block {ordinal} has empty extent")
+            if cell_min[axis] < 0 or cell_min[axis] + cell_dims[axis] > counts[axis]:
+                raise MisalignedBlock(f"block {ordinal} leaves its parent {parent}")
+        grid = grids.setdefault(parent, np.zeros((kz, ky, kx), dtype=bool))
+        nx, ny, nz = cell_min
+        sx, sy, sz = cell_dims
+        window = grid[nz : nz + sz, ny : ny + sy, nx : nx + sx]
+        if window.any():
+            raise ValidationError(
+                f"block {ordinal} overlaps another block in parent {parent}"
+            )
+        window[:] = True
+
+
+def read_model_rows(path, spec) -> list[tuple]:
+    """A model CSV read and snapped one row at a time, then validated:
+    ``(parent, cell_min, cell_dims, label)`` rows in file order."""
+    path = Path(path)
+    if not path.is_file():
+        raise ValidationError(f"model file not found: {path}")
+    rows = []
+    with path.open(newline="") as handle:
+        header = None
+        for lineno, row in enumerate(csv.reader(handle), start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if row[0].lstrip().startswith("#"):
+                continue
+            if header is None:
+                header = [c.strip().lower() for c in row]
+                if tuple(header) != _HEADER:
+                    raise ValidationError(
+                        f"{path}:{lineno}: expected header "
+                        f"'{','.join(_HEADER)}', got '{','.join(header)}'"
+                    )
+                continue
+            if len(row) != 7:
+                raise ValidationError(f"{path}:{lineno}: expected 7 fields, got {len(row)}")
+            try:
+                centroid = (float(row[0]), float(row[1]), float(row[2]))
+                dims = (float(row[3]), float(row[4]), float(row[5]))
+                label = int(row[6])
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            rows.append(snap_row(spec, centroid, dims, label, f"{path}:{lineno}"))
+    if header is None:
+        raise ValidationError(f"{path}: empty model file")
+    validate_rows(spec, rows)
+    return rows

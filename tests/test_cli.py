@@ -85,7 +85,7 @@ class TestRestructureCommand:
             read_model_csv(model_csv, SPEC), PipelineConfig(instructions=(instr,))
         )
         as_tuples = lambda m: [
-            (b.parent, b.cell_min, b.cell_dims, b.label) for b in m.sorted_blocks()
+            (b.parent, b.cell_min, b.cell_dims, b.label) for b in m.canonical().blocks
         ]
         assert as_tuples(got) == as_tuples(want)
         assert len(got.blocks) == 9

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import read_model_rows, validate_rows
 from reblock.errors import MisalignedBlock, ValidationError
 from reblock.geometry import vec3
 from reblock.lattice import (
@@ -72,7 +75,7 @@ def test_block_geometry():
     b = Block(parent=(1, 0, 0), cell_min=(1, 2, 3), cell_dims=(2, 1, 1), label=9)
     assert b.min_corner(spec) == vec3(12, 4, 6)
     assert b.dims(spec) == vec3(4, 2, 2)
-    assert b.centroid(spec) == vec3(14, 5, 7)
+    assert BlockModel(spec, [b]).centroids().tolist() == [[14, 5, 7]]
 
 
 def test_cells_of_enumerates_whole_prism():
@@ -88,7 +91,7 @@ def test_cell_lut_matches_block_centroids():
     for i in (0, 7, 63, 124):
         n = subscript_of(i, spec.cell_counts)
         b = Block(parent=(0, 0, 0), cell_min=n, cell_dims=(1, 1, 1))
-        assert np.allclose(lut[i] + base, np.asarray(b.centroid(spec)))
+        assert np.allclose(lut[i] + base, BlockModel(spec, [b]).centroids()[0])
 
 
 def test_paint_parent_and_overlap_guard():
@@ -143,7 +146,7 @@ def test_csv_round_trip(tmp_path):
     assert write_model_csv(path, model) == 3
     back = read_model_csv(path, spec)
     assert [(b.parent, b.cell_min, b.cell_dims, b.label) for b in back.blocks] == [
-        (b.parent, b.cell_min, b.cell_dims, b.label) for b in model.sorted_blocks()
+        (b.parent, b.cell_min, b.cell_dims, b.label) for b in model.canonical().blocks
     ]
 
 
@@ -185,3 +188,283 @@ def test_by_parent_preserves_input_order():
     groups = BlockModel(spec, blocks).by_parent()
     assert groups[(0, 0, 0)] == [0, 2]
     assert groups[(1, 1, 1)] == [1]
+
+
+# ---------------------------------------------------------------------------
+# error messages, pinned word for word
+# ---------------------------------------------------------------------------
+
+HEADER = "x,y,z,dx,dy,dz,label\n"
+
+
+def _read_error(tmp_path, text, spec=None):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as info:
+        read_model_csv(path, spec or make_spec())
+    return type(info.value), str(info.value).replace(str(path), "m.csv")
+
+
+def test_read_messages_header_fields_and_parse(tmp_path):
+    assert _read_error(tmp_path, "a,b,c\n") == (
+        ValidationError,
+        "m.csv:1: expected header 'x,y,z,dx,dy,dz,label', got 'a,b,c'",
+    )
+    assert _read_error(tmp_path, "# note\n\n X, Y,z,DX,dy,dz\n") == (
+        ValidationError,
+        "m.csv:3: expected header 'x,y,z,dx,dy,dz,label', got 'x,y,z,dx,dy,dz'",
+    )
+    assert _read_error(tmp_path, HEADER + "1,1,1,2,2,2,0\n1,2,3\n") == (
+        ValidationError,
+        "m.csv:3: expected 7 fields, got 3",
+    )
+    assert _read_error(tmp_path, HEADER + "1,abc,1,2,2,2,0\n") == (
+        ValidationError,
+        "m.csv:2: could not convert string to float: 'abc'",
+    )
+    assert _read_error(tmp_path, HEADER + "1,1,1,2,2,2,1.5\n") == (
+        ValidationError,
+        "m.csv:2: invalid literal for int() with base 10: '1.5'",
+    )
+    assert _read_error(tmp_path, "# only a comment\n\n") == (
+        ValidationError,
+        "m.csv: empty model file",
+    )
+
+
+@pytest.mark.parametrize(
+    "row, kind, message",
+    [
+        ("1,1,1,2,-2,2,0", ValidationError, "non-positive dimension -2.0"),
+        ("1,1,1,0,2,2,0", ValidationError, "non-positive dimension 0.0"),
+        ("1,1,1,2,2,3,0", MisalignedBlock, "block size 1.5 is off-grid"),
+        ("1,1,1,2,1e-07,2,0", MisalignedBlock, "dimension below the minimum block size"),
+        ("1,1.5,1,2,2,2,0", MisalignedBlock, "block corner 0.25 is off-grid"),
+        ("10,1,1,4,2,2,0", MisalignedBlock, "block straddles a parent boundary on axis 0"),
+        ("1,1,10,2,2,4,0", MisalignedBlock, "block straddles a parent boundary on axis 2"),
+    ],
+)
+def test_read_messages_snap(tmp_path, row, kind, message):
+    # two comments and a blank line sit before the bad row, on line 6
+    text = "# model\n" + HEADER + "\n# rows\n1,1,1,2,2,2,0\n" + row + "\n"
+    assert _read_error(tmp_path, text) == (kind, f"m.csv:6: {message}")
+
+
+def test_read_messages_first_faulty_row_wins(tmp_path):
+    # a row that fails to snap comes before one that fails to parse
+    text = HEADER + "1,1,1,2,2,2,0\n1,1,1,2,2,3,0\n1,2,3\n"
+    assert _read_error(tmp_path, text) == (MisalignedBlock, "m.csv:3: block size 1.5 is off-grid")
+    text = HEADER + "1,1,1,2,2,2,0\n1,2,3\n1,1,1,2,2,3,0\n"
+    assert _read_error(tmp_path, text) == (ValidationError, "m.csv:3: expected 7 fields, got 3")
+
+
+def test_read_messages_validate(tmp_path):
+    text = HEADER + "1,1,1,2,2,2,0\n5,5,5,2,2,2,0\n2,2,2,4,4,4,0\n"
+    assert _read_error(tmp_path, text) == (
+        ValidationError,
+        "block 2 overlaps another block in parent (0, 0, 0)",
+    )
+
+
+def _validate_error(blocks, spec=None):
+    with pytest.raises(ValidationError) as info:
+        BlockModel(spec or make_spec(parent=(4, 4, 4), cell=(1, 1, 1)), blocks).validate()
+    return type(info.value), str(info.value)
+
+
+def test_validate_messages():
+    p = (0, -1, 2)
+    whole = Block(p, (0, 0, 0), (4, 4, 4), 1)
+    other = Block((1, -1, 2), (0, 0, 0), (4, 4, 4), 1)
+    late = Block(p, (3, 3, 3), (1, 1, 1), 2)
+    assert _validate_error([other, whole, late, other]) == (
+        ValidationError,
+        "block 2 overlaps another block in parent (0, -1, 2)",
+    )
+    assert _validate_error([late, Block(p, (3, 0, 0), (2, 1, 1), 0)]) == (
+        MisalignedBlock,
+        "block 1 leaves its parent (0, -1, 2)",
+    )
+    assert _validate_error([Block(p, (-1, 0, 0), (1, 1, 1), 0)]) == (
+        MisalignedBlock,
+        "block 0 leaves its parent (0, -1, 2)",
+    )
+    assert _validate_error([late, Block(p, (0, 0, 0), (1, 0, 1), 0)]) == (
+        ValidationError,
+        "block 1 has empty extent",
+    )
+    # within one block the axes go in order, and on each axis an empty
+    # extent comes before leaving the parent
+    assert _validate_error([Block(p, (4, 0, 0), (1, 0, 1), 0)])[1] == (
+        "block 0 leaves its parent (0, -1, 2)"
+    )
+    assert _validate_error([Block(p, (4, 0, 0), (0, 1, 1), 0)])[1] == "block 0 has empty extent"
+    # the smallest faulty ordinal wins, whatever its fault
+    assert _validate_error([whole, late, Block(p, (0, 0, 0), (0, 1, 1), 0)])[1] == (
+        "block 1 overlaps another block in parent (0, -1, 2)"
+    )
+    assert _validate_error([late, Block(p, (0, 0, 0), (0, 1, 1), 0), whole])[1] == (
+        "block 1 has empty extent"
+    )
+
+
+def test_paint_parent_message():
+    spec = make_spec(parent=(4, 4, 4), cell=(1, 1, 1))
+    a = Block((2, 0, -3), (0, 0, 0), (2, 2, 2), 1)
+    with pytest.raises(ValidationError) as info:
+        paint_parent(spec, [a, Block((2, 0, -3), (1, 1, 1), (1, 1, 1), 2)])
+    assert str(info.value) == "overlapping blocks in parent (2, 0, -3)"
+
+
+# ---------------------------------------------------------------------------
+# the bulk reader and the painted validate against the row-by-row oracles
+# ---------------------------------------------------------------------------
+
+MIN_DIMS = (0.1, 2.5, 1.0, 0.3, 0.25, 7.0)
+ORIGINS = (0.0, 0.37, 1e6, -1e6, 1e6 + 0.1, -1e6 - 2.5)
+# in cells: inside and outside INGEST_SNAP, and far off the grid
+CELL_JITTER = (0.7e-6, -0.9e-6, 1.1e-6, -2e-6, 0.3)
+# in parents, scaled by max(1, |parent index|): inside and outside PARENT_SNAP
+PARENT_JITTER = (0.0, 0.5e-9, -0.9e-9, 1.1e-9, -3e-9)
+BAD_ROWS = (
+    "1,2,3",
+    "1,2,3,4,5,6,7,8",
+    "1,x,3,1,1,1,0",
+    "1,2,3,1,1,1,1.5",
+    "nan,1,1,1,1,1,0",
+    "1,1,1,inf,1,1,0",
+)
+
+
+def _outcome(read):
+    try:
+        return [(b.parent, b.cell_min, b.cell_dims, b.label) for b in read().blocks]
+    except Exception as exc:  # compared by class and message
+        return type(exc), str(exc)
+
+
+@st.composite
+def lattice_csvs(draw):
+    """A random lattice and the text of a model CSV on it: whole parents
+    tiled by slabs, shuffled, then a few rows jittered, duplicated, added
+    across a parent boundary or replaced by broken ones."""
+    md = [draw(st.sampled_from(MIN_DIMS)) for _ in range(3)]
+    k = [draw(st.integers(1, 4)) for _ in range(3)]
+    origin = [draw(st.sampled_from(ORIGINS)) for _ in range(3)]
+    spec = LatticeSpec(origin, [ki * d for ki, d in zip(k, md)], md)
+    index = st.integers(-3, 2) | st.sampled_from([-40000, 12345])
+    parents = draw(st.lists(st.tuples(index, index, index), min_size=1, max_size=3, unique=True))
+    blocks = []
+    for p in parents:
+        axis = draw(st.integers(0, 2))
+        cuts = draw(st.lists(st.integers(1, k[axis] - 1), unique=True)) if k[axis] > 1 else []
+        edges = [0, *sorted(cuts), k[axis]]
+        for lo, hi in zip(edges, edges[1:]):
+            n, s = [0, 0, 0], list(k)
+            n[axis], s[axis] = lo, hi - lo
+            blocks.append([p, n, s, draw(st.integers(-2, 5))])
+    blocks = draw(st.permutations(blocks))
+
+    def floats(p, n, s):
+        base = [spec.origin[a] + p[a] * spec.parent_dims[a] for a in range(3)]
+        centroid = [base[a] + (n[a] + s[a] * 0.5) * md[a] for a in range(3)]
+        return centroid, [s[a] * md[a] for a in range(3)]
+
+    rows = [(*floats(p, n, s), label) for p, n, s, label in blocks]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["jitter", "dims", "dup", "long", "straddle", "bad"]))
+        j = draw(st.integers(0, len(blocks) - 1))  # the block a new row is made from
+        p, n, s, _ = blocks[j]
+        a = draw(st.integers(0, 2))
+        if kind == "long":  # centred inside the parent, reaching past its far face
+            n, s = list(n), list(s)
+            n[a], s[a] = k[a] - 2, 3
+        centroid, dims = floats(p, n, s)
+        if kind == "jitter":
+            jitter = draw(st.sampled_from(CELL_JITTER)) * md[a]
+            (centroid if draw(st.booleans()) else dims)[a] += jitter
+        elif kind == "dims":
+            dims[a] = draw(st.sampled_from([0.0, -md[a], 0.4e-6 * md[a]]))
+        elif kind == "straddle":  # a two-cell block centred on a parent boundary
+            jitter = draw(st.sampled_from(PARENT_JITTER)) * max(1, abs(p[a]))
+            centroid[a] = spec.origin[a] + (p[a] + jitter) * spec.parent_dims[a]
+            dims[a] = 2 * md[a]
+        row = draw(st.sampled_from(BAD_ROWS)) if kind == "bad" else (centroid, dims, 0)
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    lines = [draw(st.sampled_from(["x,y,z,dx,dy,dz,label", " X, Y,Z,dx,DY,dz,Label "]))]
+    for row in rows:
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "# a comment", "  # indented, with, commas"])))
+        if isinstance(row, str):
+            lines.append(row)
+        else:
+            centroid, dims, label = row
+            lines.append(",".join(repr(float(v)) for v in (*centroid, *dims)) + f",{label}")
+    return spec, "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("bulk") / "model.csv"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lattice_csvs())
+def test_bulk_reader_matches_row_by_row_oracle(model_path, case):
+    spec, text = case
+    model_path.write_text(text)
+    assert _outcome(lambda: read_model_csv(model_path, spec)) == _outcome(
+        lambda: BlockModel(spec, [Block(*row) for row in read_model_rows(model_path, spec)])
+    )
+
+
+@st.composite
+def block_lists(draw):
+    k = [draw(st.integers(1, 4)) for _ in range(3)]
+    spec = LatticeSpec((0, 0, 0), k, (1, 1, 1))
+    parent = st.sampled_from([(0, 0, 0), (1, 0, 0), (0, -1, 2), (-7, 3, 0)])
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        n = tuple(draw(st.integers(-1, c)) for c in k)
+        s = tuple(draw(st.integers(0, c + 1)) for c in k)
+        rows.append((draw(parent), n, s, draw(st.integers(0, 3))))
+    return spec, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=block_lists())
+def test_painted_validate_matches_block_by_block_oracle(case):
+    spec, rows = case
+    model = BlockModel(spec, [Block(*row) for row in rows])
+
+    def outcome(check):
+        try:
+            check()
+        except ValidationError as exc:
+            return type(exc), str(exc)
+
+    assert outcome(model.validate) == outcome(lambda: validate_rows(spec, rows))
+    groups: dict = {}
+    for ordinal, row in enumerate(rows):
+        groups.setdefault(row[0], []).append(ordinal)
+    assert model.by_parent() == groups
+    key = lambda r: (r[0][2], r[0][1], r[0][0], raster_index(r[1], spec.cell_counts))
+    got = [(b.parent, b.cell_min, b.cell_dims, b.label) for b in model.canonical().blocks]
+    assert got == sorted(rows, key=key)
+
+
+def test_validate_paints_no_more_than_two_parents_of_overlap():
+    """Two thousand copies of one whole 32^3 parent: the overlap is reported
+    for block 1, and the paint stops there instead of expanding 65 M cells."""
+    spec = LatticeSpec((0, 0, 0), (32, 32, 32), (1, 1, 1))
+    model = BlockModel(spec, [Block((0, 0, 0), (0, 0, 0), (32, 32, 32), 1)] * 2000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as info:
+            model.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "block 1 overlaps another block in parent (0, 0, 0)"
+    # a naive paint holds 8 bytes for each of 2,000 x 32,768 cells: 524 MB
+    assert peak < 20 * 2**20

@@ -64,7 +64,7 @@ def patch_scene(tmp_path):
 
 
 def blocks_as_tuples(model):
-    return [(b.parent, b.cell_min, b.cell_dims, b.label) for b in model.sorted_blocks()]
+    return [(b.parent, b.cell_min, b.cell_dims, b.label) for b in model.canonical().blocks]
 
 
 def total_cells(model):
