@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import array
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -351,6 +352,9 @@ def block_from_floats(
     context: str = "block",
 ) -> Block:
     """Snap a float (centroid, dims) description onto the cell grid."""
+    for v in (*centroid, *dims):
+        if not math.isfinite(v):
+            raise ValidationError(f"{context}: non-finite value {v}")
     cell_dims = []
     for axis in range(3):
         if dims[axis] <= 0:
@@ -439,7 +443,10 @@ def read_model_csv(path: str | Path, spec: LatticeSpec) -> BlockModel:
     bad = np.flatnonzero(~ok.all(axis=1))
     if len(bad):
         i, where = bad[0], f"{path}:{lines[bad[0]]}"
-        block_from_floats(spec, centroid[i].tolist(), dims[i].tolist(), labels[i], where)
+        try:
+            block_from_floats(spec, centroid[i].tolist(), dims[i].tolist(), labels[i], where)
+        except OverflowError as exc:  # a finite value too large for the lattice
+            raise ValidationError(f"{where}: {exc}") from exc
         raise AssertionError(f"{where}: the bulk snap rejects a row block_from_floats accepts")
     if failure is not None:
         raise ValidationError(failure[0]) from failure[1]

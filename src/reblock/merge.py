@@ -22,26 +22,28 @@ Two conventions over a parent's cell grid:
   Each block keeps the sum of those areas per face, so the common failing
   check, a foreign cell beyond the face, is one multiply and compare.
 
-Both conventions start from one ordinal grid per class, painted in one
-vectorised pass: each cell holds the index of its input block, or -1.
+There are two entries.  ``merge_class`` checks a class's list of boxes
+and paints its ordinal grid: each cell holds the index of its box, or -1.
+``merge_grid``, the driver, takes such a grid, as restructuring builds it.
 Eight scan patterns (mirrors of the parent along any subset of axes) give
-the greedy sweep eight different vantage points; the multi-scan driver
-keeps whichever result scores best under the chosen objective.  The
-dissolved sweep runs on one Python int per z-layer of a mirrored view,
-one AND per growth check; the persistent ascent runs on integer records,
-and its one contact table serves all eight patterns, because a mirror
-only swaps the + and - faces along its axes.
+the greedy sweep eight vantage points; the driver keeps whichever result
+scores best under the chosen objective.  The dissolved sweep runs on one
+Python int per z-layer of a mirrored view, one AND per growth check, and
+one packing serves all eight views; the persistent ascent runs on integer
+records, and one contact table serves all eight, because a mirror only
+swaps the + and - faces along its axes.  Both kernels return
+``(cell_min, cell_dims)`` tuples; only the winner's are mirrored back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import EmptyInput, ValidationError
-from .lattice import IntTriple, expand_cells
+from .lattice import IntTriple, expand_cells, subscript_of
 
 Convention = Literal["dissolved", "persistent"]
 Objective = Literal["count", "aspect"]
@@ -81,8 +83,7 @@ class MergeParams:
             raise ValidationError("max merge dims must be positive")
 
 
-@dataclass(frozen=True)
-class MergedBlock:
+class MergedBlock(NamedTuple):
     """One output block, as a cell box local to its parent."""
 
     cell_min: IntTriple
@@ -94,32 +95,46 @@ class MergedBlock:
 # dissolved convention
 # ---------------------------------------------------------------------------
 
+def _layers(views: np.ndarray) -> list[int]:
+    """One Python int per z-layer of each [z, y, x] map stacked in ``views``,
+    bit ``y*kx + x`` set where cell (x, y) is active; one ``np.packbits``."""
+    kz, ky, kx = np.shape(views)[-3:]
+    packed = np.packbits(np.reshape(views, (-1, kx * ky)), axis=1, bitorder="little")
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(len(packed))]
+
+
 def coalesce_binary(
     theta: np.ndarray,
     label: int,
     max_dims: IntTriple | None = None,
     token_life: int | None = None,
 ) -> list[MergedBlock]:
-    """Greedy re-tiling of the active (non-zero) cells of an occupancy map.
-
-    Each z-layer of the map becomes one Python int, bit ``y*kx + x`` set
-    where cell (x, y) is active.  A growing block is always solid, so it
-    carries ``solid``, the AND of its layers, and ``rows``, bit 0 of each
-    of its rows; every growth check is then one AND against a mask: the
-    column beyond +x and the row segment beyond +y against ``solid``, the
-    block's footprint against the layer beyond +z.  An emitted block is
-    cleared with one AND-NOT per layer.  The input map is not modified.
-    """
+    """Greedy re-tiling of the active (non-zero) cells of a [z, y, x]
+    occupancy map, as :func:`_sweep` gives it.  The map is not modified."""
     kz, ky, kx = np.shape(theta)
-    mx, my, mz = (kx, ky, kz) if max_dims is None else max_dims
+    blocks = _sweep(_layers(theta), (kx, ky, kz), max_dims, token_life)
+    return [MergedBlock(n, s, label) for n, s in blocks]
+
+
+def _sweep(layers: list[int], counts: IntTriple, max_dims, token_life) -> list[tuple]:
+    """Greedy re-tiling of the active cells of ``layers``, as :func:`_layers`
+    packs them; emptied in place.  Returns ``(cell_min, cell_dims)`` pairs.
+
+    A growing block is always solid, so it carries ``solid``, the AND of
+    its layers, and ``rows``, bit 0 of each of its rows; every growth check
+    is then one AND against a mask: the column beyond +x and the row
+    segment beyond +y against ``solid``, the block's footprint against the
+    layer beyond +z.  An emitted block is cleared with one AND-NOT per
+    layer.
+    """
+    kx, ky, kz = counts
+    mx, my, mz = counts if max_dims is None else max_dims
     if min(mx, my, mz) < 1:
         mx = my = mz = 1  # like a cap of 1, a cap below 1 blocks all growth
-    packed = np.packbits(np.reshape(theta, (kz, kx * ky)), axis=1, bitorder="little")
-    width = packed.shape[1]
-    raw = packed.tobytes()
-    layers = [int.from_bytes(raw[z * width : (z + 1) * width], "little") for z in range(kz)]
     remaining = sum(layer.bit_count() for layer in layers)
-    out: list[MergedBlock] = []
+    out = []
     nz = 0
     while remaining > 0:
         while not layers[nz]:
@@ -127,7 +142,7 @@ def coalesce_binary(
         first = (layers[nz] & -layers[nz]).bit_length() - 1
         ny, nx = divmod(first, kx)
         if remaining == 1:
-            out.append(MergedBlock((nx, ny, nz), (1, 1, 1), label))
+            out.append(((nx, ny, nz), (1, 1, 1)))
             break
         rx, ry, rz = min(mx, kx - nx), min(my, ky - ny), min(mz, kz - nz)
         sx = sy = sz = 1
@@ -157,7 +172,7 @@ def coalesce_binary(
                 i -= 1
             if sx * sy * sz == remaining or barriers == 3 or i == 0:
                 break
-        out.append(MergedBlock((nx, ny, nz), (sx, sy, sz), label))
+        out.append(((nx, ny, nz), (sx, sy, sz)))
         # footprint is current: the last +z check ran on the final rows and width
         for z in range(nz, nz + sz):
             layers[z] &= ~footprint
@@ -195,20 +210,19 @@ def coalesce_persistent(
     contacts: Sequence[tuple[int, int, int, int]],
     counts: IntTriple,
     flips: tuple[bool, bool, bool],
-    label: int,
     max_dims: IntTriple | None = None,
     token_life: int | None = None,
-) -> list[MergedBlock]:
+) -> list[tuple[IntTriple, IntTriple]]:
     """Merge whole input blocks without ever splitting one.
 
     Runs on the parent mirrored along ``flips``.  ``boxes`` must be
     pairwise disjoint and inside the parent, and ``contacts`` their
-    :func:`face_contacts` table, as ``merge_class`` builds them; neither
+    :func:`face_contacts` table, as ``merge_grid`` builds them; neither
     is modified.  Blocks take turns absorbing the blocks behind their
     +x/+y/+z faces.  Smaller blocks move first ("priority gives smaller
     blocks the earliest opportunity to grow"); passes repeat until one
-    passes without an absorption.  Output is in input order, in mirrored
-    coordinates.
+    passes without an absorption.  Output is ``(cell_min, cell_dims)``
+    pairs in input order, in mirrored coordinates.
 
     Each record keeps ``room``, the cells from its min corner to the
     parent's far faces, and ``cover``, the sum of the contact areas on each
@@ -306,7 +320,7 @@ def coalesce_persistent(
         if not grew:
             break
 
-    return [MergedBlock(lo[b], tuple(dims[b]), label) for b in range(len(boxes)) if live[b]]
+    return [(lo[b], tuple(dims[b])) for b in range(len(boxes)) if live[b]]
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +333,17 @@ def scan_flips(pattern: int) -> tuple[bool, bool, bool]:
 
 
 def aspect_ratio_objective(
-    blocks: Sequence[MergedBlock], min_dims: Sequence[float]
+    blocks: Sequence[tuple], min_dims: Sequence[float]
 ) -> float:
-    """Volume-weighted mean of max/min real block dimension."""
+    """Volume-weighted mean of max/min real block dimension, over merged
+    blocks or ``(cell_min, cell_dims)`` pairs."""
     if not blocks:
         raise EmptyInput("aspect-ratio objective over an empty block list")
     mx, my, mz = (float(m) for m in min_dims)
     total_v = 0.0
     acc = 0.0
     for b in blocks:
-        sx, sy, sz = b.cell_dims
+        sx, sy, sz = b[1]
         d = (sx * mx, sy * my, sz * mz)
         v = d[0] * d[1] * d[2]
         total_v += v
@@ -354,24 +369,14 @@ def merge_class(
     params: MergeParams,
     label: int,
 ) -> list[MergedBlock]:
-    """Best merge of one class's blocks over the configured scan patterns.
+    """Best merge of one class's blocks, as :func:`merge_grid` gives it.
 
-    The boxes, ``(cell_min, cell_dims)`` pairs or an (N, 2, 3) array, are
-    painted once onto an ordinal grid; they must be pairwise disjoint and
-    inside the parent.  Every pattern runs the configured
-    convention with the standard raster scan on a mirrored view of the
-    parent and scores the result; ties keep the first configured pattern.
-    When that can no longer change, after a first pattern that returns one
-    block, the rest are skipped.  Only the winner is mirrored back.
+    The boxes, ``(cell_min, cell_dims)`` pairs or an (N, 2, 3) array, must
+    be pairwise disjoint and inside the parent; they are checked, then
+    painted once onto the ordinal grid the driver takes.
     """
     if len(boxes) == 0:
         return []
-    for axis in range(3):
-        limit = counts[axis] if params.max_dims is None else params.max_dims[axis]
-        if limit > counts[axis]:
-            raise ValidationError(
-                "max merge dims cannot exceed the parent cell dimensions"
-            )
     kx, ky, kz = counts
     box = np.array(boxes, dtype=np.int64)
     lo, dims = box[:, 0], box[:, 1]
@@ -383,27 +388,45 @@ def merge_class(
         raise ValidationError("input blocks overlap or leave the parent")
     owner = np.full((kz, ky, kx), -1, dtype=np.int64)
     owner.ravel()[cell] = ordinal
+    merged = merge_grid(owner, counts, min_dims, params, box.tolist())
+    return [MergedBlock(n, s, label) for n, s in merged]
 
-    if params.convention == "persistent":
+
+def merge_grid(
+    owner: np.ndarray, counts: IntTriple, min_dims: Sequence[float], params: MergeParams, boxes=None
+) -> list[tuple]:
+    """Best merge of one class over the configured scan patterns.
+
+    ``owner`` is the class's [z, y, x] ordinal grid, trusted: each cell
+    holds the index of its box in ``boxes``, or -1.  ``boxes`` None means
+    each cell is a box, numbered in raster order.  Every pattern runs the
+    convention with the standard raster scan on a mirrored view of the
+    parent and scores the result; ties keep the first configured pattern.
+    After a first pattern that returns one block, when that can no longer
+    change, the rest are skipped.  The dissolved views come from one
+    packing of the four x/y mirrors; a z mirror reverses the layers.
+    Returns the winner's ``(cell_min, cell_dims)`` pairs, mirrored back.
+    """
+    kz = counts[2]
+    caps = params.max_dims
+    if caps is not None and any(m > k for m, k in zip(caps, counts)):
+        raise ValidationError("max merge dims cannot exceed the parent cell dimensions")
+    if params.convention == "dissolved":
+        theta = owner >= 0
+        planes = _layers(np.stack([theta, theta[:, :, ::-1], theta[:, ::-1], theta[:, ::-1, ::-1]]))
+    else:
         contacts = face_contacts(owner)
+        if boxes is None:
+            cells = np.flatnonzero(owner.ravel() >= 0).tolist()
+            boxes = [(subscript_of(i, counts), (1, 1, 1)) for i in cells]
     runs = []
     for pattern in params.scan_patterns:
         flips = scan_flips(pattern)
         if params.convention == "dissolved":
-            x, y, z = (-1 if flip else 1 for flip in flips)
-            merged = coalesce_binary(
-                owner[::z, ::y, ::x] >= 0, label, params.max_dims, params.token_life
-            )
+            layers = planes[(pattern & 3) * kz : (pattern & 3) * kz + kz]
+            merged = _sweep(layers[::-1] if flips[2] else layers, counts, caps, params.token_life)
         else:
-            merged = coalesce_persistent(
-                box.tolist(),
-                contacts,
-                counts,
-                flips,
-                label,
-                max_dims=params.max_dims,
-                token_life=params.token_life,
-            )
+            merged = coalesce_persistent(boxes, contacts, counts, flips, caps, params.token_life)
         runs.append((flips, merged))
         # one block is the fewest possible, and a dissolved class that one
         # pattern tiles with one box every pattern tiles with that box; ties
@@ -423,13 +446,6 @@ def merge_class(
         runs, key=lambda run: aspect_ratio_objective(run[1], min_dims)
     )
     return [
-        MergedBlock(
-            tuple(
-                k - lo - d if flip else lo
-                for k, lo, d, flip in zip(counts, b.cell_min, b.cell_dims, best_flips)
-            ),
-            b.cell_dims,
-            label,
-        )
-        for b in best
+        (tuple(k - a - d if f else a for k, a, d, f in zip(counts, n, s, best_flips)), s)
+        for n, s in best
     ]

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import ReblockError, ValidationError
 from .intersection import OverlapMap, detect_overlaps, write_overlap_csv
-from .lattice import BlockModel, IntTriple, LatticeSpec, paint_parent, subscript_of
-from .merge import MergedBlock, MergeParams, merge_class
+from .lattice import BlockModel, IntTriple, LatticeSpec, paint_parent
+from .merge import MergeParams, merge_class, merge_grid
 from .mesh import (
     MeshIndex,
     RefineParams,
@@ -100,15 +100,9 @@ def _set_context(ctx: dict) -> None:
     _CTX.update(ctx)
 
 
-def _rows(merged: Sequence[MergedBlock]) -> np.ndarray:
-    """(M, 7) rows of merged blocks: cell_min, cell_dims, label."""
-    rows = [(*b.cell_min, *b.cell_dims, b.label) for b in merged]
-    return np.array(rows, dtype=np.int64).reshape(-1, 7)
-
-
 def _assemble(spec: LatticeSpec, parts: Iterable[tuple]) -> BlockModel:
     """One model from ``(parent, rows)`` parts, in order: a (3,) or (M, 3)
-    parent and (M, 7) rows as :func:`_rows` gives them."""
+    parent and (M, 7) rows of cell_min, cell_dims and label."""
     parents, rows = [np.empty((0, 3), dtype=np.int64)], [np.empty((0, 7), dtype=np.int64)]
     for parent, part in parts:
         parents.append(np.broadcast_to(parent, (len(part), 3)))
@@ -122,7 +116,7 @@ def _assemble(spec: LatticeSpec, parts: Iterable[tuple]) -> BlockModel:
 @dataclass
 class _ParentOut:
     parent: IntTriple
-    blocks: np.ndarray  # (n_blocks, 7) rows, as _rows gives them
+    blocks: np.ndarray  # (n_blocks, 7) rows, as _assemble takes them
     positions: np.ndarray  # (n_blocks, n_surfaces) int8
     majorities: np.ndarray  # (n_blocks, n_surfaces) int8
     classification: object | None = None
@@ -170,13 +164,18 @@ def _restructure_parent_inner(
     classes, inverse = np.unique(keys, axis=0, return_inverse=True)
     inverse = inverse.ravel()
 
-    merged = []
+    # each class's ordinal grid numbers its cells in raster order, so every
+    # cell is a unit block of its own
+    class_grid = np.full((kz, ky, kx), -1, dtype=np.int64)
+    class_grid.ravel()[occupied] = inverse
+    rows, class_of = [], []
     for class_id, key in enumerate(classes):
-        cells = np.stack(subscript_of(occupied[inverse == class_id], counts), axis=1)
-        boxes = np.stack([cells, np.ones_like(cells)], axis=1)
-        merged.append(_rows(merge_class(boxes, counts, spec.min_dims, params, int(key[0]))))
-    out_blocks = np.concatenate(merged)
-    class_of = np.repeat(np.arange(len(classes)), [len(m) for m in merged])
+        member = class_grid == class_id
+        owner = np.where(member, np.cumsum(member).reshape(member.shape) - 1, -1)
+        merged = merge_grid(owner, counts, spec.min_dims, params)
+        rows += [(*n, *s, int(key[0])) for n, s in merged]
+        class_of += [class_id] * len(merged)
+    out_blocks = np.array(rows, dtype=np.int64).reshape(-1, 7)
 
     n_blocks = len(out_blocks)
     lo = out_blocks[:, 0:3]
@@ -320,12 +319,13 @@ def _merge_parent(task: tuple[IntTriple, BlockModel]) -> np.ndarray:
         spec: LatticeSpec = _CTX["spec"]
         params: MergeParams = _CTX["params"]
         boxes = np.stack([part.cell_min, part.cell_dims], axis=1)
-        merged: list[MergedBlock] = []
+        rows = []
         for label in sorted(set(part.label.tolist())):
-            merged += merge_class(
+            merged = merge_class(
                 boxes[part.label == label], spec.cell_counts, spec.min_dims, params, label
             )
-        return _rows(merged)
+            rows += [(*n, *s, label) for n, s, _ in merged]
+        return np.array(rows, dtype=np.int64).reshape(-1, 7)
     except ReblockError as exc:
         raise type(exc)(f"parent {parent}: {exc}") from None
 

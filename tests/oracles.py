@@ -658,7 +658,13 @@ def read_model_rows(path, spec) -> list[tuple]:
                 label = int(row[6])
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            rows.append(snap_row(spec, centroid, dims, label, f"{path}:{lineno}"))
+            for v in (*centroid, *dims):
+                if not math.isfinite(v):
+                    raise ValidationError(f"{path}:{lineno}: non-finite value {v}")
+            try:
+                rows.append(snap_row(spec, centroid, dims, label, f"{path}:{lineno}"))
+            except OverflowError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     if header is None:
         raise ValidationError(f"{path}: empty model file")
     validate_rows(spec, rows)

@@ -58,6 +58,26 @@ def manifest_lines(path):
 
 
 class TestRestructureCommand:
+    @pytest.mark.parametrize("convention", ["dissolved", "persistent"])
+    def test_pooled_restructure_is_byte_identical(self, scene, convention):
+        # the console entry point at --threads 2 starts a process pool
+        tmp, model_csv, config = scene
+        outputs = []
+        for threads in ("2", "1"):
+            out = tmp / f"out-{threads}.csv"
+            proc = run_module(
+                "restructure",
+                *LATTICE_FLAGS,
+                "--model", str(model_csv),
+                "--config", str(config),
+                "--out", str(out),
+                "--convention", convention,
+                "--threads", threads,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_round_trip_matches_library(self, scene):
         tmp, model_csv, config = scene
         out = tmp / "out.csv"
@@ -371,6 +391,24 @@ class TestStatsCommand:
         # growth needs several depths; a single model gets the header only
         assert (out_dir / "growth.csv").read_text() == "depth_hi,depth_lo,ratio\n"
         assert (out_dir / "manifest.txt").is_file()
+
+    @pytest.mark.parametrize(
+        "row, value", [("nan,1,1,1,1,1,0", "nan"), ("1,1,1,inf,1,1,0", "inf")]
+    )
+    def test_non_finite_field_exits_1(self, tmp_path, capsys, row, value):
+        model_csv = tmp_path / "m.csv"
+        model_csv.write_text("x,y,z,dx,dy,dz,label\n" + row + "\n")
+        code = main(
+            [
+                "stats",
+                *LATTICE_FLAGS,
+                "--model", str(model_csv),
+                "--out-dir", str(tmp_path / "metrics"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"reblock: {model_csv}:2: non-finite value {value}\n"
 
 
 class TestParserBehaviour:

@@ -258,6 +258,26 @@ def test_read_messages_first_faulty_row_wins(tmp_path):
     assert _read_error(tmp_path, text) == (ValidationError, "m.csv:3: expected 7 fields, got 3")
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("nan,1,1,1,1,1,0", "non-finite value nan"),
+        ("1,1,1,inf,1,1,0", "non-finite value inf"),
+        ("1,-inf,1,nan,1,1,0", "non-finite value -inf"),
+        ("1,1,1,1e308,2,2,0", "cannot convert float infinity to integer"),
+    ],
+)
+def test_read_messages_non_finite(tmp_path, row, message):
+    """A field that is not finite, or whose quotient by the lattice is not,
+    names its line, in the reader and in the row-by-row oracle alike."""
+    text = HEADER + "1,1,1,2,2,2,0\n" + row + "\n"
+    want = (ValidationError, f"m.csv:3: {message}")
+    assert _read_error(tmp_path, text, make_spec(cell=(0.25, 1, 1))) == want
+    with pytest.raises(ValidationError) as info:
+        read_model_rows(tmp_path / "m.csv", make_spec(cell=(0.25, 1, 1)))
+    assert (type(info.value), str(info.value).replace(str(tmp_path / "m.csv"), "m.csv")) == want
+
+
 def test_read_messages_validate(tmp_path):
     text = HEADER + "1,1,1,2,2,2,0\n5,5,5,2,2,2,0\n2,2,2,4,4,4,0\n"
     assert _read_error(tmp_path, text) == (

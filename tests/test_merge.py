@@ -18,6 +18,7 @@ from reblock.merge import (
     coalesce_persistent,
     face_contacts,
     merge_class,
+    merge_grid,
     objective_value,
     scan_flips,
 )
@@ -46,19 +47,20 @@ def paint_owner(boxes, counts) -> np.ndarray:
     return owner
 
 
-def persistent(boxes, counts, label=0):
-    """The persistent kernel on scan pattern 0, fed as ``merge_class`` feeds it."""
-    contacts = face_contacts(paint_owner(boxes, counts))
-    return coalesce_persistent(boxes, contacts, counts, (False, False, False), label)
+def persistent(boxes, counts, max_dims=None):
+    """The persistent kernel's (cell_min, cell_dims) tuples on scan pattern
+    0, fed as ``merge_grid`` feeds it; they must equal the grid-slab
+    reference's."""
+    owner = paint_owner(boxes, counts)
+    got = coalesce_persistent(boxes, face_contacts(owner), counts, (False,) * 3, max_dims)
+    assert got == coalesce_persistent_grid(owner, max_dims)
+    return got
 
 
-def grid_kernel(boxes, contacts, counts, flips, label, max_dims=None, token_life=None):
+def grid_kernel(boxes, contacts, counts, flips, max_dims=None, token_life=None):
     """``coalesce_persistent``'s signature over the grid-slab reference."""
     view = np.flip(paint_owner(boxes, counts), tuple(2 - a for a in range(3) if flips[a]))
-    return [
-        MergedBlock(n, s, label)
-        for n, s in coalesce_persistent_grid(view, max_dims, token_life)
-    ]
+    return coalesce_persistent_grid(view, max_dims, token_life)
 
 
 def mirror(blocks, counts, pattern):
@@ -173,31 +175,45 @@ def test_dissolved_partition_invariants(theta):
     st.sampled_from([0.05, 0.3, 0.6, 0.9, 0.97, 1.0]),
     st.none() | st.tuples(st.integers(1, 10), st.integers(1, 10), st.integers(1, 10)),
     st.none() | st.integers(1, 3),
-    st.integers(0, 7),
+    st.permutations(ALL_SCAN_PATTERNS),
 )
-def test_dissolved_matches_grid_reference(seed, counts, density, caps, token_life, pattern):
-    """The bit-plane kernel emits the grid-slab reference's blocks, in
-    order, on the mirrored boolean views ``merge_class`` passes it."""
+def test_dissolved_matches_grid_reference(seed, counts, density, caps, token_life, patterns):
+    """``merge_grid`` packs a class once, and each pattern's bit-plane
+    sweep emits the grid-slab reference's blocks, in order, on the view
+    mirrored along that pattern's axes; so does ``coalesce_binary``."""
     rng = np.random.default_rng(seed)
     owner = np.where(rng.random((counts[2], counts[1], counts[0])) < density, 0, -1)
-    view = np.flip(owner, tuple(2 - a for a in range(3) if scan_flips(pattern)[a])) >= 0
-    want = [MergedBlock(n, s, 4) for n, s in coalesce_binary_grid(view, caps, token_life)]
-    assert coalesce_binary(view, 4, max_dims=caps, token_life=token_life) == want
+    owner.flat[rng.integers(owner.size)] = 0  # a class holds a cell
+    # merge_grid rejects caps past the parent; the kernels take them as no cap
+    fit = None if caps is None else tuple(min(c, k) for c, k in zip(caps, counts))
+    packings, runs = [], []
+    layers, sweep = merge._layers, merge._sweep
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(merge, "_layers", lambda views: packings.append(views) or layers(views))
+        mp.setattr(merge, "_sweep", lambda *args: runs.append(sweep(*args)) or runs[-1])
+        params = MergeParams(max_dims=fit, token_life=token_life, scan_patterns=patterns)
+        merge_grid(owner, counts, (1, 1, 1), params)
+    assert len(packings) == 1
+    assert len(runs) == 8 or len(runs[-1]) == 1  # a one-block run ends the scans
+    for pattern, got in zip(patterns, runs):
+        view = np.flip(owner, tuple(2 - a for a in range(3) if scan_flips(pattern)[a])) >= 0
+        want = coalesce_binary_grid(view, fit, token_life)
+        assert got == want
+    assert coalesce_binary(view, 4, max_dims=caps, token_life=token_life) == [
+        MergedBlock(n, s, 4) for n, s in want
+    ]
 
 
 def test_persistent_quad_join():
     boxes = [((0, 0, 0), (1, 1, 1)), ((1, 0, 0), (1, 1, 1)),
              ((0, 1, 0), (1, 1, 1)), ((1, 1, 0), (1, 1, 1))]
-    merged = persistent(boxes, (2, 2, 1), label=4)
-    assert merged == [MergedBlock((0, 0, 0), (2, 2, 1), 4)]
+    assert persistent(boxes, (2, 2, 1)) == [((0, 0, 0), (2, 2, 1))]
 
 
 def test_persistent_absorbs_whole_blocks_only():
     # B is 2 cells tall; absorbing it into A's 1-cell face would split it
     boxes = [((0, 0, 0), (1, 1, 1)), ((1, 0, 0), (1, 2, 1))]
-    merged = persistent(boxes, (2, 2, 1))
-    assert sorted(b.cell_min for b in merged) == [(0, 0, 0), (1, 0, 0)]
-    assert sorted(b.cell_dims for b in merged) == [(1, 1, 1), (1, 2, 1)]
+    assert persistent(boxes, (2, 2, 1)) == boxes
 
 
 def test_persistent_needs_uniform_length():
@@ -205,14 +221,12 @@ def test_persistent_needs_uniform_length():
     (length 8).  Their contacts cover the face and their cells number
     8 x the face area, but the lengths differ, so nothing may merge."""
     boxes = [((0, 0, 0), (1, 2, 1)), ((1, 1, 0), (1, 8, 1)), ((1, 0, 0), (8, 1, 1))]
-    merged = persistent(boxes, (9, 9, 1))
-    assert [(b.cell_min, b.cell_dims) for b in merged] == boxes
+    assert persistent(boxes, (9, 9, 1)) == boxes
 
 
 def test_persistent_chain_absorption():
     boxes = [((0, 0, 0), (1, 1, 1)), ((1, 0, 0), (1, 1, 1)), ((2, 0, 0), (2, 1, 1))]
-    merged = persistent(boxes, (4, 1, 1))
-    assert merged == [MergedBlock((0, 0, 0), (4, 1, 1), 0)]
+    assert persistent(boxes, (4, 1, 1)) == [((0, 0, 0), (4, 1, 1))]
 
 
 def test_persistent_smallest_blocks_move_first():
@@ -220,9 +234,9 @@ def test_persistent_smallest_blocks_move_first():
     the big block appears first in the input."""
     boxes = [((0, 0, 0), (2, 2, 1)), ((2, 0, 0), (1, 1, 1)), ((2, 1, 0), (1, 1, 1))]
     merged = persistent(boxes, (3, 2, 1))
-    assert MergedBlock((2, 0, 0), (1, 2, 1), 0) in merged or len(merged) == 1
+    assert ((2, 0, 0), (1, 2, 1)) in merged or len(merged) == 1
     # in fact the column join makes the final sweep possible
-    assert merged == [MergedBlock((0, 0, 0), (3, 2, 1), 0)]
+    assert merged == [((0, 0, 0), (3, 2, 1))]
 
 
 def test_persistent_block_past_a_cap_never_grows():
@@ -233,10 +247,8 @@ def test_persistent_block_past_a_cap_never_grows():
     and block 1 may not take block 2 either."""
     boxes = [((0, 0, 0), (1, 3, 1)), ((1, 0, 0), (1, 2, 1)), ((1, 2, 0), (1, 1, 1))]
     counts = (3, 3, 1)
-    contacts = face_contacts(paint_owner(boxes, counts))
-    capped = coalesce_persistent(boxes, contacts, counts, (False,) * 3, 0, max_dims=(3, 2, 1))
-    assert [(b.cell_min, b.cell_dims) for b in capped] == boxes
-    assert persistent(boxes, counts) == [MergedBlock((0, 0, 0), (2, 3, 1), 0)]
+    assert persistent(boxes, counts, max_dims=(3, 2, 1)) == boxes
+    assert persistent(boxes, counts) == [((0, 0, 0), (2, 3, 1))]
 
 
 # boxes in a (4, 1, 1) parent that no convention may merge
@@ -266,8 +278,8 @@ def test_persistent_input_not_modified():
     contacts = face_contacts(paint_owner(boxes, (4, 1, 1)))
     snapshot = (list(boxes), list(contacts))
     for pattern in ALL_SCAN_PATTERNS:
-        merged = coalesce_persistent(boxes, contacts, (4, 1, 1), scan_flips(pattern), 0)
-        assert merged == [MergedBlock((0, 0, 0), (4, 1, 1), 0)]
+        merged = coalesce_persistent(boxes, contacts, (4, 1, 1), scan_flips(pattern))
+        assert merged == [((0, 0, 0), (4, 1, 1))]
     assert (boxes, contacts) == snapshot
 
 
@@ -315,7 +327,7 @@ def test_persistent_containment_invariant(rng):
         boxes = random_partition_boxes(rng, counts)
         if not boxes:
             continue
-        merged = persistent(boxes, counts, label=1)
+        merged = [MergedBlock(n, s, 1) for n, s in persistent(boxes, counts)]
         cover = cover_map(merged, counts)
         assert cover.max(initial=0) <= 1
         assert int(cover.sum()) == sum(s[0] * s[1] * s[2] for _, s in boxes)
@@ -479,6 +491,13 @@ def test_persistent_matches_grid_reference(
         mp.setattr(merge, "coalesce_persistent", grid_kernel)
         want = merge_class(boxes, counts, (1, 2, 3), params, label=7)
     assert got == want
+    if boxes:
+        contacts = face_contacts(paint_owner(boxes, counts))
+        for pattern in patterns:
+            flips = scan_flips(pattern)
+            assert coalesce_persistent(
+                boxes, contacts, counts, flips, max_dims, token_life
+            ) == grid_kernel(boxes, contacts, counts, flips, max_dims, token_life)
 
 
 # a 1x3x3 class that pattern 0 merges into one box of aspect 3, while
@@ -534,11 +553,11 @@ def test_one_kernel_call_per_scan_pattern(monkeypatch, convention, objective, bo
 
         return call
 
-    for name in ("coalesce_binary", "coalesce_persistent"):
+    for name in ("_sweep", "coalesce_persistent"):
         monkeypatch.setattr(merge, name, counted(name))
     params = MergeParams(convention, objective)
     merge_class(boxes, (4, 1, 1), (1, 1, 1), params, label=0)
-    kernel = "coalesce_binary" if convention == "dissolved" else "coalesce_persistent"
+    kernel = "_sweep" if convention == "dissolved" else "coalesce_persistent"
     assert calls == [kernel] * runs
 
 

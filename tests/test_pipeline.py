@@ -4,10 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reblock import pipeline
 from reblock.errors import ValidationError
 from reblock.lattice import Block, BlockModel, LatticeSpec, cells_of, paint_parent
-from reblock.merge import MergeParams
+from reblock.merge import MergeParams, merge_class
 from reblock.mesh import build_index, load_mesh
 from reblock.pipeline import (
     PipelineConfig,
@@ -21,6 +24,7 @@ from reblock.sidedness import SIDE_ABOVE, SIDE_BELOW, cast_parity_many
 from reblock.tagging import TaggingInstruction
 
 from conftest import grid_surface, write_obj
+from test_merge import random_partition_boxes
 
 SPEC = LatticeSpec(origin=(0, 0, 0), parent_dims=(4, 4, 4), min_dims=(1, 1, 1))
 
@@ -267,6 +271,58 @@ class TestHealing:
         assert total_cells(merged) == total_cells(model)
         for block in merged.blocks:
             assert block.label in (1, 2)
+
+
+def unit_box_merge(owner, counts, min_dims, params):
+    """The box-list entry on a class's cells as unit boxes in raster order,
+    in place of the grid driver; it reads the grid's occupancy only."""
+    boxes = [(tuple(int(v) for v in n[::-1]), (1, 1, 1)) for n in np.argwhere(owner >= 0)]
+    return [(b.cell_min, b.cell_dims) for b in merge_class(boxes, counts, min_dims, params, 0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(1, 1, 1), (1, 0.5, 2), (0.5, 2, 1)]),
+    st.sampled_from(["dissolved", "persistent"]),
+    st.sampled_from(["count", "aspect"]),
+    st.none() | st.integers(1, 3),
+    st.booleans(),
+    st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True),
+    st.sampled_from(["preclassified", "legacy-two-set"]),
+)
+def test_restructure_matches_unit_box_merge(
+    seed, min_dims, convention, objective, token_life, capped, patterns, mode
+):
+    """On random crossed scenes, restructuring on class grids gives the
+    blocks, in order, that the box-list ``merge_class`` gives on each
+    class's unit boxes in raster order."""
+    rng = np.random.default_rng(seed)
+    spec = LatticeSpec(origin=(0, 0, 0), parent_dims=(4, 4, 4), min_dims=min_dims)
+    counts = spec.cell_counts
+    blocks = [
+        Block(parent=(p, 0, 0), cell_min=n, cell_dims=s, label=int(rng.integers(1, 3)))
+        for p in range(2)
+        for n, s in random_partition_boxes(rng, counts, keep=1.0)
+    ]
+    model = BlockModel(spec=spec, blocks=blocks)
+    instructions, surfaces = [], []
+    for i in range(int(rng.integers(1, 3))):
+        xs, ys = (-1.0, 1.5, 4.25, 6.5, 9.0), (-1.0, 1.75, 3.5, 5.0)
+        heights = dict(zip(((x, y) for y in ys for x in xs), rng.integers(2, 31, size=20) / 8))
+        mesh = grid_surface(xs, ys, lambda x, y: heights[x, y])
+        instructions.append(instruction(f"sheet{i}.obj", above=10 + i, across=20 + i, below=30 + i))
+        surfaces.append((mesh, build_index(mesh)))
+    caps = tuple(int(v) for v in rng.integers(1, np.add(counts, 1))) if capped else None
+    params = MergeParams(convention, objective, token_life, caps, tuple(patterns))
+    cfg = PipelineConfig(instructions=tuple(instructions), merge_params=params, mode=mode)
+    got = restructure(model, cfg, surfaces=surfaces)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "merge_grid", unit_box_merge)
+        want = restructure(model, cfg, surfaces=surfaces)
+    assert [(b.parent, b.cell_min, b.cell_dims, b.label) for b in got.blocks] == [
+        (b.parent, b.cell_min, b.cell_dims, b.label) for b in want.blocks
+    ]
 
 
 def test_above_counts_match_window_sums():
