@@ -76,7 +76,7 @@ class LatticeSpec:
         return kx * ky * kz
 
 
-def parent_index_of(spec: LatticeSpec, point: Vec3 | Sequence[float]) -> IntTriple:
+def parent_index_of(spec: LatticeSpec, point: Vec3 | Sequence[float], context="point") -> IntTriple:
     """Parent containing ``point`` under the lower-closed convention.
 
     Coordinates within ``PARENT_SNAP`` (relative) of a parent boundary
@@ -86,6 +86,8 @@ def parent_index_of(spec: LatticeSpec, point: Vec3 | Sequence[float]) -> IntTrip
     out = []
     for axis in range(3):
         q = (point[axis] - spec.origin[axis]) / spec.parent_dims[axis]
+        if not math.isfinite(q):
+            raise ValidationError(f"{context}: non-finite parent index {q}")
         r = round(q)
         if abs(q - r) <= PARENT_SNAP * max(1.0, abs(q)):
             out.append(int(r))
@@ -338,6 +340,8 @@ def paint_parent(
 # ---------------------------------------------------------------------------
 
 def _snap_count(value: float, what: str, context: str) -> int:
+    if not math.isfinite(value):
+        raise ValidationError(f"{context}: non-finite {what} {value}")
     snapped = round(value)
     if abs(value - snapped) > INGEST_SNAP:
         raise MisalignedBlock(f"{context}: {what} {value} is off-grid")
@@ -352,9 +356,6 @@ def block_from_floats(
     context: str = "block",
 ) -> Block:
     """Snap a float (centroid, dims) description onto the cell grid."""
-    for v in (*centroid, *dims):
-        if not math.isfinite(v):
-            raise ValidationError(f"{context}: non-finite value {v}")
     cell_dims = []
     for axis in range(3):
         if dims[axis] <= 0:
@@ -363,7 +364,7 @@ def block_from_floats(
         if s < 1:
             raise MisalignedBlock(f"{context}: dimension below the minimum block size")
         cell_dims.append(s)
-    parent = parent_index_of(spec, centroid)
+    parent = parent_index_of(spec, centroid, context)
     base = parent_min_corner(spec, parent)
     cell_min = []
     for axis in range(3):
@@ -443,10 +444,7 @@ def read_model_csv(path: str | Path, spec: LatticeSpec) -> BlockModel:
     bad = np.flatnonzero(~ok.all(axis=1))
     if len(bad):
         i, where = bad[0], f"{path}:{lines[bad[0]]}"
-        try:
-            block_from_floats(spec, centroid[i].tolist(), dims[i].tolist(), labels[i], where)
-        except OverflowError as exc:  # a finite value too large for the lattice
-            raise ValidationError(f"{where}: {exc}") from exc
+        block_from_floats(spec, centroid[i].tolist(), dims[i].tolist(), labels[i], where)
         raise AssertionError(f"{where}: the bulk snap rejects a row block_from_floats accepts")
     if failure is not None:
         raise ValidationError(failure[0]) from failure[1]

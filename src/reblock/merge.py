@@ -377,6 +377,7 @@ def merge_class(
     """
     if len(boxes) == 0:
         return []
+    _check_caps(params.max_dims, counts)
     kx, ky, kz = counts
     box = np.array(boxes, dtype=np.int64)
     lo, dims = box[:, 0], box[:, 1]
@@ -390,6 +391,11 @@ def merge_class(
     owner.ravel()[cell] = ordinal
     merged = merge_grid(owner, counts, min_dims, params, box.tolist())
     return [MergedBlock(n, s, label) for n, s in merged]
+
+
+def _check_caps(caps: IntTriple | None, counts: IntTriple) -> None:
+    if caps is not None and any(m > k for m, k in zip(caps, counts)):
+        raise ValidationError("max merge dims cannot exceed the parent cell dimensions")
 
 
 def merge_grid(
@@ -407,10 +413,8 @@ def merge_grid(
     packing of the four x/y mirrors; a z mirror reverses the layers.
     Returns the winner's ``(cell_min, cell_dims)`` pairs, mirrored back.
     """
-    kz = counts[2]
-    caps = params.max_dims
-    if caps is not None and any(m > k for m, k in zip(caps, counts)):
-        raise ValidationError("max merge dims cannot exceed the parent cell dimensions")
+    kz, caps = counts[2], params.max_dims
+    _check_caps(caps, counts)
     if params.convention == "dissolved":
         theta = owner >= 0
         planes = _layers(np.stack([theta, theta[:, :, ::-1], theta[:, ::-1], theta[:, ::-1, ::-1]]))

@@ -164,15 +164,15 @@ def _restructure_parent_inner(
     classes, inverse = np.unique(keys, axis=0, return_inverse=True)
     inverse = inverse.ravel()
 
-    # each class's ordinal grid numbers its cells in raster order, so every
-    # cell is a unit block of its own
-    class_grid = np.full((kz, ky, kx), -1, dtype=np.int64)
-    class_grid.ravel()[occupied] = inverse
+    # a cell's ordinal, a unit block of its own: its raster rank in its class
+    order = np.argsort(inverse, kind="stable")
+    rank = np.arange(len(order)) - np.searchsorted(inverse[order], inverse[order])
+    class_grid, rank_grid = np.full((2, kz, ky, kx), -1, dtype=np.int64)
+    class_grid.ravel()[occupied], rank_grid.ravel()[occupied[order]] = inverse, rank
     rows, class_of = [], []
     for class_id, key in enumerate(classes):
-        member = class_grid == class_id
-        owner = np.where(member, np.cumsum(member).reshape(member.shape) - 1, -1)
-        merged = merge_grid(owner, counts, spec.min_dims, params)
+        ordinals = np.where(class_grid == class_id, rank_grid, -1)
+        merged = merge_grid(ordinals, counts, spec.min_dims, params)
         rows += [(*n, *s, int(key[0])) for n, s in merged]
         class_of += [class_id] * len(merged)
     out_blocks = np.array(rows, dtype=np.int64).reshape(-1, 7)

@@ -563,6 +563,8 @@ _HEADER = ("x", "y", "z", "dx", "dy", "dz", "label")
 
 
 def _snap_count(value: float, what: str, context: str) -> int:
+    if not math.isfinite(value):
+        raise ValidationError(f"{context}: non-finite {what} {value}")
     snapped = round(value)
     if abs(value - snapped) > _INGEST_SNAP:
         raise MisalignedBlock(f"{context}: {what} {value} is off-grid")
@@ -591,6 +593,8 @@ def snap_row(spec, centroid, dims, label: int, context: str) -> tuple:
     parent = []
     for axis in range(3):
         q = (centroid[axis] - spec.origin[axis]) / spec.parent_dims[axis]
+        if not math.isfinite(q):
+            raise ValidationError(f"{context}: non-finite parent index {q}")
         r = round(q)
         parent.append(int(r) if abs(q - r) <= _PARENT_SNAP * max(1.0, abs(q)) else math.floor(q))
     base = _base(spec, parent)
@@ -658,13 +662,7 @@ def read_model_rows(path, spec) -> list[tuple]:
                 label = int(row[6])
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            for v in (*centroid, *dims):
-                if not math.isfinite(v):
-                    raise ValidationError(f"{path}:{lineno}: non-finite value {v}")
-            try:
-                rows.append(snap_row(spec, centroid, dims, label, f"{path}:{lineno}"))
-            except OverflowError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            rows.append(snap_row(spec, centroid, dims, label, f"{path}:{lineno}"))
     if header is None:
         raise ValidationError(f"{path}: empty model file")
     validate_rows(spec, rows)

@@ -393,9 +393,10 @@ class TestStatsCommand:
         assert (out_dir / "manifest.txt").is_file()
 
     @pytest.mark.parametrize(
-        "row, value", [("nan,1,1,1,1,1,0", "nan"), ("1,1,1,inf,1,1,0", "inf")]
+        "row, message",
+        [("nan,1,1,1,1,1,0", "parent index nan"), ("1,1,1,inf,1,1,0", "block size inf")],
     )
-    def test_non_finite_field_exits_1(self, tmp_path, capsys, row, value):
+    def test_non_finite_field_exits_1(self, tmp_path, capsys, row, message):
         model_csv = tmp_path / "m.csv"
         model_csv.write_text("x,y,z,dx,dy,dz,label\n" + row + "\n")
         code = main(
@@ -408,7 +409,7 @@ class TestStatsCommand:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err == f"reblock: {model_csv}:2: non-finite value {value}\n"
+        assert err == f"reblock: {model_csv}:2: non-finite {message}\n"
 
 
 class TestParserBehaviour:

@@ -261,10 +261,11 @@ def test_read_messages_first_faulty_row_wins(tmp_path):
 @pytest.mark.parametrize(
     "row, message",
     [
-        ("nan,1,1,1,1,1,0", "non-finite value nan"),
-        ("1,1,1,inf,1,1,0", "non-finite value inf"),
-        ("1,-inf,1,nan,1,1,0", "non-finite value -inf"),
-        ("1,1,1,1e308,2,2,0", "cannot convert float infinity to integer"),
+        ("nan,1,1,1,1,1,0", "non-finite parent index nan"),
+        ("1,-inf,1,1,1,1,0", "non-finite parent index -inf"),
+        ("1,1,1,inf,1,1,0", "non-finite block size inf"),
+        ("nan,1,1,1,nan,1,0", "non-finite block size nan"),
+        ("1,1,1,1e308,2,2,0", "non-finite block size inf"),
     ],
 )
 def test_read_messages_non_finite(tmp_path, row, message):

@@ -410,9 +410,17 @@ def test_merge_params_validation():
 
 
 def test_merge_class_rejects_oversized_cap():
-    params = MergeParams(max_dims=(5, 1, 1))
-    with pytest.raises(ValidationError, match="exceed"):
-        merge_class([((0, 0, 0), (1, 1, 1))], (4, 4, 4), (1, 1, 1), params, label=0)
+    """The caps are checked before the boxes, and the grid driver checks
+    them too."""
+    message = "^max merge dims cannot exceed the parent cell dimensions$"
+    owner = np.zeros((4, 4, 4), dtype=np.int64)
+    for convention in ["dissolved", "persistent"]:
+        params = MergeParams(convention=convention, max_dims=(5, 1, 1))
+        for boxes in [[((0, 0, 0), (1, 1, 1))], BAD_BOXES[0]]:
+            with pytest.raises(ValidationError, match=message):
+                merge_class(boxes, (4, 4, 4), (1, 1, 1), params, label=0)
+        with pytest.raises(ValidationError, match=message):
+            merge_grid(owner, (4, 4, 4), (1, 1, 1), params)
 
 
 def test_merge_class_empty_class():
