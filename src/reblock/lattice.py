@@ -88,6 +88,8 @@ def parent_index_of(spec: LatticeSpec, point: Vec3 | Sequence[float], context="p
         q = (point[axis] - spec.origin[axis]) / spec.parent_dims[axis]
         if not math.isfinite(q):
             raise ValidationError(f"{context}: non-finite parent index {q}")
+        if abs(q) >= 2**62:  # parents are int64, with room for the arithmetic on them
+            raise ValidationError(f"{context}: parent index {q} is out of range")
         r = round(q)
         if abs(q - r) <= PARENT_SNAP * max(1.0, abs(q)):
             out.append(int(r))
@@ -395,7 +397,7 @@ def read_model_csv(path: str | Path, spec: LatticeSpec) -> BlockModel:
     if not path.is_file():
         raise ValidationError(f"model file not found: {path}")
     values = array.array("d")  # x, y, z, dx, dy, dz of each row, unboxed
-    labels: list[int] = []
+    labels = array.array("q")  # int64: a label outside it fails to append
     lines: list[int] = []
     failure: tuple[str, Exception | None] | None = None
     extend, append, mark = values.extend, labels.append, lines.append  # the hot loop's calls
@@ -423,6 +425,9 @@ def read_model_csv(path: str | Path, spec: LatticeSpec) -> BlockModel:
             except ValueError as exc:
                 failure = (f"{path}:{lineno}: {exc}", exc)
                 break
+            except OverflowError as exc:
+                failure = (f"{path}:{lineno}: label {int(row[6])} is outside int64", exc)
+                break
             mark(lineno)
     if header is None:
         raise ValidationError(f"{path}: empty model file")
@@ -439,7 +444,7 @@ def read_model_csv(path: str | Path, spec: LatticeSpec) -> BlockModel:
         corner = (centroid - dims * 0.5 - (origin + parent * pdims)) / mdims
         low = np.rint(corner)
         ok = (dims > 0) & (np.abs(size - cells) <= INGEST_SNAP) & (cells >= 1)
-        ok &= np.abs(corner - low) <= INGEST_SNAP
+        ok &= (np.abs(corner - low) <= INGEST_SNAP) & (np.abs(q) < 2**62)
         ok &= (low >= 0) & (low + cells <= spec.cell_counts)
     bad = np.flatnonzero(~ok.all(axis=1))
     if len(bad):

@@ -2,17 +2,24 @@
 refinement, and the sort-and-sweep index that prunes block-vs-triangle
 candidates to the triangles whose bounding boxes meet a query box.
 
+The OBJ and OFF loaders parse each block of records with one ``np.loadtxt``
+call, NumPy's C reader; only a block that fails is read again, line by
+line, to name its first faulty line.
+
 Meshes are treated as immutable after construction; operations that
 "modify" a mesh return a new one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
+import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -37,17 +44,16 @@ class TriangleMesh:
 
     def __post_init__(self) -> None:
         self.vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
-        self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int32)
+        tris = np.asarray(self.triangles)  # range-checked before it narrows to int32
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise ValidationError("vertices must be an (N, 3) array")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
+        if tris.ndim != 2 or tris.shape[1] != 3:
             raise ValidationError("triangles must be an (M, 3) array")
         if not np.isfinite(self.vertices).all():
             raise ValidationError(f"mesh '{self.name}' has non-finite vertices")
-        if self.triangles.size and (
-            self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices)
-        ):
+        if tris.size and (tris.min() < 0 or tris.max() >= len(self.vertices)):
             raise ValidationError(f"mesh '{self.name}' has out-of-range vertex indices")
+        self.triangles = np.ascontiguousarray(tris, dtype=np.int32)
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -76,65 +82,92 @@ def load_mesh(path: str | Path) -> TriangleMesh:
     raise ValidationError(f"unsupported mesh format '{suffix}' for {path}")
 
 
-def _meaningful_lines(text: str) -> Iterable[tuple[int, str]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+_LINE = r"\n[^\S\n]*(\S.*)"  # a non-blank line, left-stripped
+_TAG = r"\n[^\S\n]*%s(?!\S)"  # an OBJ record's tag, first on its line
+_SUFFIX = r"/(?<=\S/)\S*"  # the /t/n part of an OBJ face reference
+
+
+def _text(path: Path) -> str:
+    """The file's lines, as ``str.splitlines`` breaks them, each after a
+    newline and with ``#`` comments cut."""
+    text = path.read_text()
+    if any(c in text for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
+        text = "\n".join(text.splitlines())
+    return re.sub("#.*", "", "\n" + text)
+
+
+def _table(lines: list[str], dtype: type, cols: int | None) -> np.ndarray | None:
+    """The first ``cols`` fields of each line (all, as many on each, if None)
+    as one ``dtype`` table from one ``np.loadtxt`` call; None when a line is
+    blank or short or a field is not a plain ASCII number of that type."""
+    if not lines:  # np.loadtxt warns on empty input
+        return np.empty((0, cols or 3), dtype)
+    try:
+        with warnings.catch_warnings():  # NumPy < 2 warns, then reads '1.0' as an int
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype, comments=None, usecols=cols and range(cols), ndmin=2)
+    except (ValueError, Warning):
+        return None
+    return table if len(table) == len(lines) else None  # np.loadtxt skips blank lines
+
+
+def _fault(path: Path, text: str, pattern: str, start: int, reasons: Iterable) -> NoReturn:
+    """Raise ``path:line: reason`` at the first match of ``pattern`` in
+    ``text``, from match ``start`` on, whose entry in ``reasons`` is set."""
+    for i, reason in enumerate(reasons, start):
+        if reason:
+            match = next(itertools.islice(re.finditer(pattern, text), i, None))
+            raise ValidationError(f"{path}:{text.count(chr(10), 0, match.start()) + 1}: {reason}")
+    raise AssertionError(f"{path}: the bulk read rejects a line the line-by-line read accepts")
+
+
+def _record_fault(tag: str, fields: str) -> str | None:
+    """What is wrong with a vertex line, or with an OBJ face line."""
+    if tag == "v":
+        return "bad vertex line" if _table([fields], np.float64, 3) is None else None
+    if (n := len(fields.split())) != 3:
+        return f"face with {n} vertices; only triangulated OBJ files are supported"
+    return "bad face line" if _table([re.sub(_SUFFIX, "", fields)], np.int64, 3) is None else None
+
+
+def _off_face_fault(line: str) -> str | None:
+    fields = line.split()
+    k = _table(fields[:1], np.int64, 1)
+    if k is not None and k[0, 0] != 3:
+        return f"face with {k[0, 0]} vertices; only triangles are supported"
+    if k is not None and len(fields) < 4:
+        return "truncated face line"
+    return "bad face line" if _table([line], np.int64, 4) is None else None
 
 
 def load_off(path: str | Path) -> TriangleMesh:
+    """OFF, counts on the header line or the next; colour fields are ignored."""
     path = Path(path)
-    lines = list(_meaningful_lines(path.read_text()))
+    text = _text(path)
+    lines = re.findall(_LINE, text)
     if not lines:
         raise ValidationError(f"{path}: empty OFF file")
-    pos = 0
-    header = lines[pos][1]
-    if header.upper().startswith("OFF"):
-        rest = header[3:].strip()
-        pos += 1
-    else:
-        raise ValidationError(f"{path}:{lines[pos][0]}: missing OFF header")
-    if rest:
-        counts_line = rest
-        counts_lineno = lines[0][0]
-    else:
-        if pos >= len(lines):
-            raise ValidationError(f"{path}: truncated OFF file")
-        counts_lineno, counts_line = lines[pos]
-        pos += 1
-    parts = counts_line.split()
-    if len(parts) < 2:
-        raise ValidationError(f"{path}:{counts_lineno}: expected 'nv nf ne' counts")
-    nv, nf = int(parts[0]), int(parts[1])
-
+    if not lines[0].upper().startswith("OFF"):
+        _fault(path, text, _LINE, 0, ["missing OFF header"])
+    rest = lines[0][3:].strip()
+    pos = 1 if rest else 2
+    if pos > len(lines):
+        raise ValidationError(f"{path}: truncated OFF file")
+    counts = _table([rest or lines[1]], np.int64, 2)
+    if counts is None or counts.min() < 0:
+        _fault(path, text, _LINE, pos - 1, ["expected 'nv nf ne' counts"])
+    nv, nf = counts[0].tolist()
     if pos + nv + nf > len(lines):
         raise ValidationError(f"{path}: fewer data lines than the header promises")
-    verts = np.empty((nv, 3), dtype=np.float64)
-    for i in range(nv):
-        lineno, line = lines[pos + i]
-        fields = line.split()
-        if len(fields) < 3:
-            raise ValidationError(f"{path}:{lineno}: bad vertex line")
-        verts[i] = [float(fields[0]), float(fields[1]), float(fields[2])]
-    pos += nv
-    tris = np.empty((nf, 3), dtype=np.int32)
-    for i in range(nf):
-        lineno, line = lines[pos + i]
-        fields = line.split()
-        if not fields:
-            raise ValidationError(f"{path}:{lineno}: bad face line")
-        k = int(fields[0])
-        if k != 3:
-            raise ValidationError(
-                f"{path}:{lineno}: face with {k} vertices; only triangles are supported"
-            )
-        if len(fields) < 4:
-            raise ValidationError(f"{path}:{lineno}: truncated face line")
-        tris[i] = [int(fields[1]), int(fields[2]), int(fields[3])]
+    verts = _table(lines[pos : pos + nv], np.float64, 3)
+    if verts is None:
+        _fault(path, text, _LINE, pos, (_record_fault("v", v) for v in lines[pos : pos + nv]))
     if nf == 0:
         raise EmptyMesh(f"{path}: OFF file declares no faces")
-    return TriangleMesh(verts, tris, name=path.stem)
+    faces = _table(lines[pos + nv : pos + nv + nf], np.int64, 4)
+    if faces is None or (faces[:, 0] != 3).any():
+        _fault(path, text, _LINE, pos + nv, map(_off_face_fault, lines[pos + nv : pos + nv + nf]))
+    return TriangleMesh(verts, faces[:, 1:], name=path.stem)
 
 
 def load_obj(path: str | Path) -> TriangleMesh:
@@ -145,38 +178,20 @@ def load_obj(path: str | Path) -> TriangleMesh:
     rejected rather than fanned.
     """
     path = Path(path)
-    verts: list[list[float]] = []
-    tris: list[list[int]] = []
-    for lineno, line in _meaningful_lines(path.read_text()):
-        fields = line.split()
-        tag = fields[0]
-        if tag == "v":
-            if len(fields) < 4:
-                raise ValidationError(f"{path}:{lineno}: bad vertex line")
-            verts.append([float(fields[1]), float(fields[2]), float(fields[3])])
-        elif tag == "f":
-            refs = fields[1:]
-            if len(refs) != 3:
-                raise ValidationError(
-                    f"{path}:{lineno}: face with {len(refs)} vertices; "
-                    "only triangulated OBJ files are supported"
-                )
-            idx = []
-            for ref in refs:
-                head = ref.split("/", 1)[0]
-                value = int(head)
-                if value < 0:
-                    value = len(verts) + 1 + value
-                idx.append(value - 1)
-            tris.append(idx)
-        # every other record type (vn, vt, usemtl, o, g, s, ...) is ignored
-    if not tris:
+    text = _text(path)
+    verts = _table(re.findall(_TAG % "v" + "(.*)", text), np.float64, 3)
+    refs = _table(re.findall(_TAG % "f" + "(.*)", re.sub(_SUFFIX, "", text)), np.int64, None)
+    if verts is None or refs is None or refs.shape[1] != 3:
+        records = _TAG % "([vf])" + "(.*)"  # every other record type is ignored
+        _fault(path, text, records, 0, itertools.starmap(_record_fault, re.findall(records, text)))
+    if not len(refs):
         raise EmptyMesh(f"{path}: no faces found")
-    return TriangleMesh(
-        np.asarray(verts, dtype=np.float64),
-        np.asarray(tris, dtype=np.int32),
-        name=path.stem,
-    )
+    negative = refs < 0
+    if negative.any():  # -k is the k-th vertex back from the face's line
+        tags = "".join(re.findall(_TAG % "([vf])", text)).encode()
+        is_vertex = np.frombuffer(tags, np.uint8) == ord("v")
+        refs += negative * (np.cumsum(is_vertex)[~is_vertex, None] + 1)
+    return TriangleMesh(verts, refs - 1, name=path.stem)
 
 
 # ---------------------------------------------------------------------------

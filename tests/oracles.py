@@ -5,8 +5,9 @@ exception classes — these are deliberately separate implementations
 (polygon clipping in floats and in exact rationals, closed-form
 containment, winding numbers, heightfield interpolation, ray crossings in
 exact rationals, a brute-force bounding-box filter, grid-slab dissolved
-and persistent merges, a row-by-row model reader and a block-by-block
-disjointness check) used as ground truth by the unit and acceptance tests.
+and persistent merges, a row-by-row model reader, a block-by-block
+disjointness check and line-by-line OBJ and OFF readers) used as ground
+truth by the unit and acceptance tests.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from reblock.errors import MisalignedBlock, ValidationError
+from reblock.errors import EmptyMesh, MisalignedBlock, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +596,8 @@ def snap_row(spec, centroid, dims, label: int, context: str) -> tuple:
         q = (centroid[axis] - spec.origin[axis]) / spec.parent_dims[axis]
         if not math.isfinite(q):
             raise ValidationError(f"{context}: non-finite parent index {q}")
+        if abs(q) >= 2**62:
+            raise ValidationError(f"{context}: parent index {q} is out of range")
         r = round(q)
         parent.append(int(r) if abs(q - r) <= _PARENT_SNAP * max(1.0, abs(q)) else math.floor(q))
     base = _base(spec, parent)
@@ -662,8 +665,140 @@ def read_model_rows(path, spec) -> list[tuple]:
                 label = int(row[6])
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            if not -(2**63) <= label < 2**63:
+                raise ValidationError(f"{path}:{lineno}: label {label} is outside int64")
             rows.append(snap_row(spec, centroid, dims, label, f"{path}:{lineno}"))
     if header is None:
         raise ValidationError(f"{path}: empty model file")
     validate_rows(spec, rows)
     return rows
+
+
+# ---------------------------------------------------------------------------
+# surface meshes: one line at a time
+# ---------------------------------------------------------------------------
+
+def _number(text: str, kind: type):
+    """``kind(text)``, for the spellings NumPy's C reader takes: ASCII, no
+    digit-group underscores, and integers within int64."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"unsupported spelling {text!r}")
+    value = kind(text)
+    if kind is int and not -(2**63) <= value < 2**63:
+        raise ValueError(f"{text} is outside int64")
+    return value
+
+
+def _meaningful_lines(text: str):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _mesh_arrays(path: Path, verts: list, tris: list) -> tuple[np.ndarray, np.ndarray]:
+    """The checks a triangle mesh makes on construction, in its order."""
+    vertices = np.asarray(verts, dtype=np.float64).reshape(-1, 3)
+    if not np.isfinite(vertices).all():
+        raise ValidationError(f"mesh '{path.stem}' has non-finite vertices")
+    if any(not 0 <= i < len(vertices) for tri in tris for i in tri):
+        raise ValidationError(f"mesh '{path.stem}' has out-of-range vertex indices")
+    return vertices, np.asarray(tris, dtype=np.int32).reshape(-1, 3)
+
+
+def _vertex(path: Path, lineno: int, fields: list[str]) -> list[float]:
+    try:
+        if len(fields) < 3:
+            raise ValueError("short")
+        return [_number(f, float) for f in fields[:3]]
+    except ValueError:
+        raise ValidationError(f"{path}:{lineno}: bad vertex line") from None
+
+
+def load_off_lines(path) -> tuple[np.ndarray, np.ndarray]:
+    """An OFF file read one line at a time: ``(vertices, triangles)``."""
+    path = Path(path)
+    lines = list(_meaningful_lines(path.read_text()))
+    if not lines:
+        raise ValidationError(f"{path}: empty OFF file")
+    header = lines[0][1]
+    if not header.upper().startswith("OFF"):
+        raise ValidationError(f"{path}:{lines[0][0]}: missing OFF header")
+    rest, pos = header[3:].strip(), 1
+    if rest:
+        counts_lineno, counts_line = lines[0][0], rest
+    else:
+        if pos >= len(lines):
+            raise ValidationError(f"{path}: truncated OFF file")
+        counts_lineno, counts_line = lines[pos]
+        pos += 1
+    parts = counts_line.split()
+    try:
+        nv, nf = _number(parts[0], int), _number(parts[1], int)
+        if nv < 0 or nf < 0:
+            raise ValueError("negative")
+    except (IndexError, ValueError):
+        raise ValidationError(f"{path}:{counts_lineno}: expected 'nv nf ne' counts") from None
+    if pos + nv + nf > len(lines):
+        raise ValidationError(f"{path}: fewer data lines than the header promises")
+    verts = [_vertex(path, lineno, line.split()) for lineno, line in lines[pos : pos + nv]]
+    pos += nv
+    tris = []
+    for lineno, line in lines[pos : pos + nf]:
+        fields = line.split()
+        try:
+            k = _number(fields[0], int)
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: bad face line") from None
+        if k != 3:
+            raise ValidationError(
+                f"{path}:{lineno}: face with {k} vertices; only triangles are supported"
+            )
+        if len(fields) < 4:
+            raise ValidationError(f"{path}:{lineno}: truncated face line")
+        try:
+            tris.append([_number(f, int) for f in fields[1:4]])
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: bad face line") from None
+    if nf == 0:
+        raise EmptyMesh(f"{path}: OFF file declares no faces")
+    return _mesh_arrays(path, verts, tris)
+
+
+def load_obj_lines(path) -> tuple[np.ndarray, np.ndarray]:
+    """An OBJ file read one line at a time: ``(vertices, triangles)``.
+    A negative reference counts back from the vertices read so far."""
+    path = Path(path)
+    verts: list[list[float]] = []
+    tris: list[list[int]] = []
+    for lineno, line in _meaningful_lines(path.read_text()):
+        fields = line.split()
+        tag = fields[0]
+        if tag == "v":
+            verts.append(_vertex(path, lineno, fields[1:]))
+        elif tag == "f":
+            refs = fields[1:]
+            if len(refs) != 3:
+                raise ValidationError(
+                    f"{path}:{lineno}: face with {len(refs)} vertices; "
+                    "only triangulated OBJ files are supported"
+                )
+            idx = []
+            for ref in refs:
+                try:
+                    value = _number(ref.split("/", 1)[0], int)
+                except ValueError:
+                    raise ValidationError(f"{path}:{lineno}: bad face line") from None
+                if value < 0:
+                    value = len(verts) + 1 + value
+                idx.append(value - 1)
+            tris.append(idx)
+        # every other record type (vn, vt, usemtl, o, g, s, ...) is ignored
+    if not tris:
+        raise EmptyMesh(f"{path}: no faces found")
+    return _mesh_arrays(path, verts, tris)
+
+
+def load_mesh_lines(path) -> tuple[np.ndarray, np.ndarray]:
+    """``load_off_lines`` or ``load_obj_lines``, by file extension."""
+    return (load_off_lines if Path(path).suffix.lower() == ".off" else load_obj_lines)(path)

@@ -197,6 +197,32 @@ class TestRestructureCommand:
         assert code == 1
         assert name.split(".")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, text, where",
+        [
+            ("bent.obj", "v 0 0 1\nv 1 0 x\nv 0 1 1\nf 1 2 3\n", "2: bad vertex line"),
+            ("bent.off", "OFF\n3 1 0\n0 0 1\n1 0 1\n0 1 1\n3 0 1 q\n", "6: bad face line"),
+            ("bent.off", "OFF\n3 one 0\n", "2: expected 'nv nf ne' counts"),
+        ],
+        ids=["obj-vertex", "off-face", "off-counts"],
+    )
+    def test_malformed_surface_exits_1(self, scene, capsys, name, text, where):
+        tmp, model_csv, _ = scene
+        (tmp / name).write_text(text)
+        config = tmp / "bent.cfg"
+        config.write_text(f"surface={name} positive=0,0,1 above=1 across=2 below=3 forced=0\n")
+        code = main(
+            [
+                "restructure",
+                *LATTICE_FLAGS,
+                "--model", str(model_csv),
+                "--config", str(config),
+                "--out", str(tmp / "out.csv"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"reblock: {tmp / name}:{where}\n"
+
     def test_unlayered_abstract_stack_exits_2(self, tmp_path, capsys):
         # two horizontal planes listed bottom-up: blocks between them read
         # "+1 then -1", which no layered stack can produce, and abstract
@@ -410,6 +436,31 @@ class TestStatsCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"reblock: {model_csv}:2: non-finite {message}\n"
+
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("4e19,2,2,4,4,4,0", "parent index 1e+19 is out of range"),
+            (
+                "2,2,2,4,4,4,99999999999999999999999",
+                "label 99999999999999999999999 is outside int64",
+            ),
+        ],
+    )
+    def test_field_outside_int64_exits_1(self, tmp_path, capsys, row, message):
+        model_csv = tmp_path / "m.csv"
+        model_csv.write_text("x,y,z,dx,dy,dz,label\n" + row + "\n")
+        code = main(
+            [
+                "stats",
+                *LATTICE_FLAGS,
+                "--model", str(model_csv),
+                "--out-dir", str(tmp_path / "metrics"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"reblock: {model_csv}:2: {message}\n"
 
 
 class TestParserBehaviour:

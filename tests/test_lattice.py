@@ -279,6 +279,35 @@ def test_read_messages_non_finite(tmp_path, row, message):
     assert (type(info.value), str(info.value).replace(str(tmp_path / "m.csv"), "m.csv")) == want
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("4e19,2,2,4,4,4,0", "parent index 1e+19 is out of range"),
+        ("-1.9e19,2,2,4,4,4,0", "parent index -4.75e+18 is out of range"),
+        ("2,2,2,4,4,4,99999999999999999999999", "label 99999999999999999999999 is outside int64"),
+        ("2,2,2,4,4,4,-9223372036854775809", "label -9223372036854775809 is outside int64"),
+    ],
+)
+def test_read_messages_outside_int64(tmp_path, row, message):
+    """A parent index of 2**62 or more, or a label outside int64, names its
+    line in the reader and in the row-by-row oracle alike."""
+    spec = make_spec(parent=(4, 4, 4), cell=(1, 1, 1))
+    text = HEADER + "2,2,2,4,4,4,0\n" + row + "\n"
+    want = (ValidationError, f"m.csv:3: {message}")
+    assert _read_error(tmp_path, text, spec) == want
+    with pytest.raises(ValidationError) as info:
+        read_model_rows(tmp_path / "m.csv", spec)
+    assert (type(info.value), str(info.value).replace(str(tmp_path / "m.csv"), "m.csv")) == want
+
+
+def test_parent_index_limit():
+    spec = make_spec(parent=(1, 1, 1), cell=(1, 1, 1))
+    assert parent_index_of(spec, (2.0**62 - 1024, 0, 0)) == (2**62 - 1024, 0, 0)
+    with pytest.raises(ValidationError) as info:
+        parent_index_of(spec, (-(2.0**62), 0, 0))
+    assert str(info.value) == "point: parent index -4.611686018427388e+18 is out of range"
+
+
 def test_read_messages_validate(tmp_path):
     text = HEADER + "1,1,1,2,2,2,0\n5,5,5,2,2,2,0\n2,2,2,4,4,4,0\n"
     assert _read_error(tmp_path, text) == (
@@ -354,6 +383,8 @@ BAD_ROWS = (
     "1,2,3,1,1,1,1.5",
     "nan,1,1,1,1,1,0",
     "1,1,1,inf,1,1,0",
+    "-1e200,1,1,1,1,1,0",
+    "1,1,1,1,1,1,99999999999999999999999",
 )
 
 

@@ -17,7 +17,7 @@ from reblock.mesh import (
 )
 
 from conftest import box_mesh, grid_surface, icosphere, write_obj
-from oracles import index_candidates
+from oracles import index_candidates, load_mesh_lines
 
 
 def test_load_obj_round_trip(tmp_path):
@@ -72,6 +72,232 @@ def test_load_mesh_missing_and_unknown(tmp_path):
     stray.write_text("solid\n")
     with pytest.raises(ValidationError, match="unsupported"):
         load_mesh(stray)
+
+
+def _error(load, path):
+    with pytest.raises((ValidationError, EmptyMesh)) as info:
+        load(path)
+    return type(info.value), str(info.value).replace(str(path.parent) + "/", "")
+
+
+# name -> (text, error class, message); the path shows as the file name
+LOADER_FAULTS = {
+    "x.obj": ("v 0 0 0\nv 1 0 x\nf 1 2 3\n", ValidationError, "x.obj:2: bad vertex line"),
+    "bare.obj": (
+        "v 0 0 0\n  v # no fields\nf 1 2 3\n",
+        ValidationError,
+        "bare.obj:2: bad vertex line",
+    ),
+    "short.obj": ("\n\nv 0 0\n", ValidationError, "short.obj:3: bad vertex line"),
+    "under.obj": ("v 1_0 0 0\n", ValidationError, "under.obj:1: bad vertex line"),
+    "arabic.obj": ("v \u0661 0 0\n", ValidationError, "arabic.obj:1: bad vertex line"),
+    "order.obj": (
+        "v 0 0 0\nf 1 2 3 4\nv 1 x 1\n",
+        ValidationError,
+        "order.obj:2: face with 4 vertices; only triangulated OBJ files are supported",
+    ),
+    "float.obj": (
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3.0\n",
+        ValidationError,
+        "float.obj:4: bad face line",
+    ),
+    "slash.obj": (
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nf /1 2 3\n",
+        ValidationError,
+        "slash.obj:4: bad face line",
+    ),
+    "zero.obj": (
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\n",
+        ValidationError,
+        "mesh 'zero' has out-of-range vertex indices",
+    ),
+    "none.obj": ("v 0 0 0\n# f 1 2 3\n", EmptyMesh, "none.obj: no faces found"),
+    "q.off": (
+        "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 q\n",
+        ValidationError,
+        "q.off:6: bad face line",
+    ),
+    "count.off": ("OFF\nx 1 0\n", ValidationError, "count.off:2: expected 'nv nf ne' counts"),
+    "negative.off": (
+        "OFF -1 2 0\n0 0 0\n3 0 1 2\n3 0 1 2\n",
+        ValidationError,
+        "negative.off:1: expected 'nv nf ne' counts",
+    ),
+    "vertex.off": (
+        "OFF\n3 1\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n",
+        ValidationError,
+        "vertex.off:4: bad vertex line",
+    ),
+    "quad.off": (
+        "OFF\n3 1\n0 0 0\n1 0 0\n0 1 0\n4 0 1 2 3\n",
+        ValidationError,
+        "quad.off:6: face with 4 vertices; only triangles are supported",
+    ),
+    "cut.off": (
+        "OFF\n3 1\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n",
+        ValidationError,
+        "cut.off:6: truncated face line",
+    ),
+    "header.off": ("# c\n\nCOFF\n3 1\n", ValidationError, "header.off:3: missing OFF header"),
+    "lines.off": (
+        "OFF\n3 2\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+        ValidationError,
+        "lines.off: fewer data lines than the header promises",
+    ),
+    "faceless.off": (
+        "OFF\n3 0\n0 0 0\n1 0 0\n0 1 0\n",
+        EmptyMesh,
+        "faceless.off: OFF file declares no faces",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LOADER_FAULTS)
+def test_loader_messages(tmp_path, name):
+    """A malformed surface fails at its first faulty line, in the loader and
+    in the line-by-line oracle alike."""
+    text, kind, message = LOADER_FAULTS[name]
+    path = tmp_path / name
+    path.write_text(text)
+    assert _error(load_mesh, path) == (kind, message)
+    assert _error(load_mesh_lines, path) == (kind, message)
+
+
+def test_triangle_indices_checked_before_narrowing(tmp_path):
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
+    with pytest.raises(ValidationError, match="out-of-range vertex indices"):
+        TriangleMesh(verts, np.array([[0, 1, 2**32 + 2]]))
+    path = tmp_path / "wide.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4294967299\n")
+    with pytest.raises(ValidationError, match="out-of-range vertex indices"):
+        load_mesh(path)
+
+
+# ---------------------------------------------------------------------------
+# the bulk loaders against the line-by-line oracles
+# ---------------------------------------------------------------------------
+
+COORDS = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e-307, 1e-307)
+SPELLINGS = ("%r", "%.17g", "%.6e")
+GAPS = (" ", "\t", "  ", " \t ", "\xa0")  # the last is a no-break space
+COMMENTS = ("", "", " # note", "#4", " # f 1 2 3")
+OBJ_OTHERS = (
+    "vn 0 0 1", "vt 0.5 0.25", "o part", "g two words", "s off", "usemtl stone",
+    "v1 2 3", "fo 1 2 3", "# v 1 2 3", "",
+)
+OBJ_BAD = (
+    "v", "v 1 2", "v 1 0 x", "v 1_0 0 0", "v nan 0 0", "f", "f 1 2", "f 1 1 2 1", "f 1 2 x",
+    "f 1.0 1 1", "f /1 1 1", "f 0 1 1", "f 1 1 4294967299", "f 1 1 99999999999999999999",
+)
+OFF_BAD = ("1 0", "1 0 x", "3 0 1", "4 0 1 2 3", "3 0 1 q", "x", "3 0 1 2.5", "3 0 0 9")
+
+
+def _finish(draw, lines):
+    """Indent lines, add comments and blank lines, and join with one line end."""
+    out = []
+    for line in lines:
+        if draw(st.integers(0, 4)) == 0:
+            out.append(draw(st.sampled_from(["", "   ", "# a comment", "\t# f 9 9 9"])))
+        indent = draw(st.sampled_from(["", "", " ", "\t"]))
+        out.append(indent + line + draw(st.sampled_from(COMMENTS)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(out) + draw(st.sampled_from([end, ""]))
+
+
+@st.composite
+def obj_texts(draw):
+    """``("obj", text)``: vertex, face and other records in random order, in
+    the spellings the format allows; half the texts also get malformed
+    records."""
+    gap = lambda: draw(st.sampled_from(GAPS))
+    spell = lambda x: draw(st.sampled_from(SPELLINGS)) % x
+    malformed, lines, nv = draw(st.booleans()), [], 0
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["v", "v", "f", "f", "other", "bad"]))
+        if kind == "v" or (kind == "f" and not nv):
+            coords = draw(st.lists(COORDS, min_size=3, max_size=4))  # a fourth is w
+            lines.append("v" + gap() + gap().join(spell(c) for c in coords))
+            nv += 1
+        elif kind == "f":
+            refs = []
+            for _ in range(3):
+                k = draw(st.integers(1, max(nv, 1)))
+                k = k - nv - 1 if draw(st.booleans()) else k  # -1 is the last vertex
+                refs.append(str(k) + draw(st.sampled_from(["", "/1", "/2/3", "//3", "/"])))
+            lines.append("f" + gap() + gap().join(refs))
+        elif kind == "other" or not malformed:
+            lines.append(draw(st.sampled_from(OBJ_OTHERS)))
+        else:
+            lines.append(draw(st.sampled_from(OBJ_BAD)))
+    return "obj", _finish(draw, lines)
+
+
+@st.composite
+def off_texts(draw):
+    """``("off", text)``: a vertex block and a face block, with colour
+    fields, counts on the header line or the next; half the texts get a
+    malformed line or count."""
+    gap = lambda: draw(st.sampled_from(GAPS))
+    colour = lambda: draw(st.sampled_from(["", " 255 0 0", " 0.5 0.5 0.5 1.0"]))
+    nv, nf = draw(st.integers(0, 6)), draw(st.integers(0, 5))
+    spell = lambda x: draw(st.sampled_from(SPELLINGS)) % x
+    data = [gap().join(spell(draw(COORDS)) for _ in range(3)) + colour() for _ in range(nv)]
+    for _ in range(nf):
+        refs = [str(draw(st.integers(0, max(nv - 1, 0)))) for _ in range(3)]
+        data.append("3" + gap() + gap().join(refs) + colour())
+    counts = [str(nv), str(nf), "0"][: draw(st.integers(2, 3))]
+    if draw(st.booleans()):
+        if draw(st.booleans()) and data:
+            data[draw(st.integers(0, len(data) - 1))] = draw(st.sampled_from(OFF_BAD))
+        else:
+            bad = draw(st.sampled_from(["x", "-1", "1.0", str(nv + nf + 1)]))
+            counts[draw(st.integers(0, 1))] = bad
+    data += draw(st.lists(st.sampled_from(["0 0 0", "extra text"]), max_size=2))
+    header = draw(st.sampled_from(["OFF", "off"]))
+    if draw(st.booleans()):
+        return "off", _finish(draw, [header + " " + gap().join(counts), *data])
+    return "off", _finish(draw, [header, gap().join(counts), *data])
+
+
+@pytest.fixture(scope="module")
+def mesh_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("meshes")
+
+
+def _loaded(load, path):
+    try:
+        vertices, triangles = load(path)
+    except (ValidationError, EmptyMesh) as exc:  # compared by class and message
+        return type(exc), str(exc)
+    return vertices.dtype, vertices.tobytes(), triangles.dtype, triangles.tobytes(), triangles.shape
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=obj_texts() | off_texts())
+def test_bulk_loader_matches_line_by_line_oracle(mesh_dir, case):
+    suffix, text = case
+    path = mesh_dir / f"surface.{suffix}"
+    path.write_bytes(text.encode())
+
+    def bulk(path):
+        mesh = load_mesh(path)
+        return mesh.vertices, mesh.triangles
+
+    assert _loaded(bulk, path) == _loaded(load_mesh_lines, path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(COORDS, min_size=3, max_size=30), st.sampled_from(SPELLINGS))
+@example([5e-324, -2.2250738585072014e-308, -0.0], "%r")
+@example([4.9406564584124654e-324, 1.7976931348623157e308, 0.1], "%.17g")
+def test_loaded_floats_equal_python_float(mesh_dir, xs, spelling):
+    words = [spelling % x for x in xs[: len(xs) // 3 * 3]]
+    rows = [" ".join(words[i : i + 3]) for i in range(0, len(words), 3)]
+    (mesh_dir / "f.obj").write_text("".join(f"v {row}\n" for row in rows) + "f 1 1 1\n")
+    (mesh_dir / "f.off").write_text(f"OFF\n{len(rows)} 1 0\n" + "\n".join(rows) + "\n3 0 0 0\n")
+    want = np.array([float(w) for w in words]).view(np.uint64)
+    for name in ("f.obj", "f.off"):
+        assert np.array_equal(load_mesh(mesh_dir / name).vertices.ravel().view(np.uint64), want)
 
 
 def test_integrity_drops_degenerates():
