@@ -2,10 +2,16 @@
 
 Four subcommands — ``restructure``, ``merge``, ``octree``, ``stats`` —
 wire model CSVs, surface meshes, and the tagging config to the library.
+They share one skeleton: :func:`main` reads the input model on the lattice
+the flags give, the subcommand computes its result, and :func:`_finish`
+writes the output model (with its ``<stem>.stats.csv`` for ``merge`` and
+``octree``) and a manifest next to it.  The manifest records input hashes,
+the configuration — every flag but file paths and ``--threads`` — and its
+hash, the thread count and the block count; reruns on identical inputs
+differ only in the timing line.
+
 Exit codes: 0 success, 1 validation problem (bad inputs, bad flags),
-2 geometry failure.  Every successful run writes a manifest next to its
-output recording input hashes, the effective configuration, and counts;
-reruns on identical inputs differ only in the timing line.
+2 geometry failure.
 
 There is deliberately no ``--seed`` flag: the library makes no random
 choice, so runs are reproducible by construction.
@@ -18,7 +24,7 @@ import hashlib
 import sys
 import time
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,10 +32,8 @@ from . import __version__
 from .errors import GeometryError, ValidationError
 from .lattice import (
     BlockModel,
-    Block,
     LatticeSpec,
     cell_lut,
-    paint_parent,
     parent_min_corner,
     read_model_csv,
     write_model_csv,
@@ -51,54 +55,27 @@ from .pipeline import PipelineConfig, merge_model, restructure
 from .sidedness import SIDE_BELOW, cast_parity_many
 from .tagging import parse_instruction_file
 
-
-def _float_triple(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected 'x,y,z', got '{text}'")
-    try:
-        x, y, z = (float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"non-numeric triple '{text}'") from exc
-    return x, y, z
+# parsed entries the manifest does not echo: file paths, --threads, and
+# argparse's own
+_NOT_CONFIG = frozenset(
+    ("command", "func", "threads", "model", "config", "surfaces", "out", "out_dir",
+     "manifest", "diagnostics_dir")
+)
 
 
-def _int_triple(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected 'nx,ny,nz', got '{text}'")
-    try:
-        x, y, z = (int(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"non-integer triple '{text}'") from exc
-    return x, y, z
+def _triple(kind: type, form: str, noun: str) -> Callable[[str], tuple]:
+    """An argparse type reading ``form``, three comma-separated ``kind``s."""
 
+    def parse(text: str) -> tuple:
+        parts = text.split(",")
+        if len(parts) != 3:
+            raise argparse.ArgumentTypeError(f"expected '{form}', got '{text}'")
+        try:
+            return tuple(kind(p) for p in parts)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"non-{noun} triple '{text}'") from exc
 
-def _add_lattice_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--origin",
-        type=_float_triple,
-        default=(0.0, 0.0, 0.0),
-        help="lattice origin 'x,y,z' (default 0,0,0)",
-    )
-    sub.add_argument(
-        "--parent-dims",
-        type=_float_triple,
-        required=True,
-        help="parent block size 'dx,dy,dz'",
-    )
-    sub.add_argument(
-        "--min-dims",
-        type=_float_triple,
-        required=True,
-        help="minimum block (cell) size 'dx,dy,dz'",
-    )
-
-
-def _spec_from(args: argparse.Namespace) -> LatticeSpec:
-    return LatticeSpec(
-        origin=args.origin, parent_dims=args.parent_dims, min_dims=args.min_dims
-    )
+    return parse
 
 
 def _merge_params(args: argparse.Namespace) -> MergeParams:
@@ -147,29 +124,43 @@ def write_manifest(
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _stats_path(out: str) -> Path:
-    p = Path(out)
-    return p.parent / (p.stem + ".stats.csv")
+def _finish(
+    args: argparse.Namespace, t0: float, result: BlockModel, inputs: Sequence[str | Path]
+) -> int:
+    """Write ``result`` to ``--out``, with its ``<stem>.stats.csv`` for
+    ``merge`` and ``octree``, then the manifest (into ``--out-dir`` for
+    ``stats``, which writes its own CSVs)."""
+    if "out" in args:
+        blocks = write_model_csv(args.out, result)
+        if args.command in ("merge", "octree"):
+            out = Path(args.out)
+            write_stats_csv(out.parent / (out.stem + ".stats.csv"), compute_stats(result))
+        manifest = args.manifest or f"{args.out}.manifest.txt"
+    else:
+        blocks, manifest = len(result), Path(args.out_dir) / "manifest.txt"
+    write_manifest(
+        manifest,
+        inputs=[args.model, *inputs],
+        config_echo={k: v for k, v in vars(args).items() if k not in _NOT_CONFIG},
+        threads=getattr(args, "threads", None),
+        outputs={"blocks": blocks},
+        wall_time_s=time.perf_counter() - t0,
+    )
+    return 0
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed flags and the input model, and returns
+# its result and the inputs it read besides the model
 # ---------------------------------------------------------------------------
 
-def _cmd_restructure(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    spec = _spec_from(args)
-    model = read_model_csv(args.model, spec)
+def _cmd_restructure(args: argparse.Namespace, model: BlockModel) -> tuple[BlockModel, list]:
     instructions = parse_instruction_file(args.config)
     refine = None
     if args.refine_area is not None or args.refine_edge is not None:
         refine = RefineParams(
-            max_triangle_area=(
-                args.refine_area if args.refine_area is not None else float("inf")
-            ),
-            max_edge_length=(
-                args.refine_edge if args.refine_edge is not None else float("inf")
-            ),
+            max_triangle_area=float("inf") if args.refine_area is None else args.refine_area,
+            max_edge_length=float("inf") if args.refine_edge is None else args.refine_edge,
         )
     config = PipelineConfig(
         instructions=tuple(instructions),
@@ -179,59 +170,15 @@ def _cmd_restructure(args: argparse.Namespace) -> int:
         diagnostics_dir=args.diagnostics_dir,
     )
     result = restructure(model, config, threads=args.threads)
-    n_rows = write_model_csv(args.out, result)
-    write_manifest(
-        args.manifest or f"{args.out}.manifest.txt",
-        inputs=[args.model, args.config] + [i.surface_path for i in instructions],
-        config_echo={
-            "mode": args.mode,
-            "convention": args.convention,
-            "objective": args.objective,
-            "scans": args.scans,
-            "token": args.token,
-            "max_merge": args.max_merge,
-            "origin": args.origin,
-            "parent_dims": args.parent_dims,
-            "min_dims": args.min_dims,
-        },
-        threads=args.threads,
-        outputs={"blocks": n_rows},
-        wall_time_s=time.perf_counter() - t0,
-    )
-    return 0
+    return result, [args.config, *(i.surface_path for i in instructions)]
 
 
-def _cmd_merge(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    spec = _spec_from(args)
-    model = read_model_csv(args.model, spec)
-    merged = merge_model(model, _merge_params(args), threads=args.threads)
-    n_rows = write_model_csv(args.out, merged)
-    write_stats_csv(_stats_path(args.out), compute_stats(merged))
-    write_manifest(
-        args.manifest or f"{args.out}.manifest.txt",
-        inputs=[args.model],
-        config_echo={
-            "convention": args.convention,
-            "objective": args.objective,
-            "scans": args.scans,
-            "token": args.token,
-            "max_merge": args.max_merge,
-            "origin": args.origin,
-            "parent_dims": args.parent_dims,
-            "min_dims": args.min_dims,
-        },
-        threads=args.threads,
-        outputs={"blocks": n_rows},
-        wall_time_s=time.perf_counter() - t0,
-    )
-    return 0
+def _cmd_merge(args: argparse.Namespace, model: BlockModel) -> tuple[BlockModel, list]:
+    return merge_model(model, _merge_params(args), threads=args.threads), []
 
 
-def _cmd_octree(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    spec = _spec_from(args)
-    model = read_model_csv(args.model, spec)
+def _cmd_octree(args: argparse.Namespace, model: BlockModel) -> tuple[BlockModel, list]:
+    spec = model.spec
     validate_dyadic(spec.cell_counts, args.depth)
     surfaces = []
     for path in args.surfaces:
@@ -240,50 +187,32 @@ def _cmd_octree(args: argparse.Namespace) -> int:
         mesh, _ = integrity_check(load_mesh(path))
         surfaces.append((mesh, build_index(mesh)))
 
-    by_parent = model.by_parent()
-    lut = cell_lut(spec)
-    kx, ky, kz = spec.cell_counts
-    out_blocks: list[Block] = []
-    for parent in sorted(by_parent, key=lambda p: (p[2], p[1], p[0])):
-        _, owner = paint_parent(spec, model.take(by_parent[parent]))
-        if (owner < 0).any():
+    by_parent = model.by_parent()  # parents in raster order: z, then y, then x
+    volume = model.cell_dims.prod(axis=1)
+    for parent, ordinals in by_parent.items():
+        # the model is validated: its blocks are disjoint and inside their parents
+        if volume[ordinals].sum() != spec.cells_per_parent:
             raise ValidationError(
                 f"parent {parent} is not fully covered; the octree baseline "
                 "needs complete parents"
             )
+    lut = cell_lut(spec)
+    rows = []
+    for parent in by_parent:
         centers = lut + np.asarray(parent_min_corner(spec, parent))
         labels = np.zeros(spec.cells_per_parent, dtype=np.int64)
         for sid, (mesh, index) in enumerate(surfaces):
             batch = cast_parity_many(centers, mesh, index)
             labels |= (batch.sides == SIDE_BELOW).astype(np.int64) << sid
-        grid = labels.reshape(kz, ky, kx)
-        for blk in octree_decompose(grid, args.depth, args.merge == "intra"):
-            out_blocks.append(Block(parent, blk.cell_min, blk.cell_dims, blk.label))
-
-    result = BlockModel(spec, out_blocks)
-    n_rows = write_model_csv(args.out, result)
-    write_stats_csv(_stats_path(args.out), compute_stats(result))
-    write_manifest(
-        args.manifest or f"{args.out}.manifest.txt",
-        inputs=[args.model] + list(args.surfaces),
-        config_echo={
-            "depth": args.depth,
-            "merge": args.merge,
-            "origin": args.origin,
-            "parent_dims": args.parent_dims,
-            "min_dims": args.min_dims,
-        },
-        threads=None,
-        outputs={"blocks": n_rows},
-        wall_time_s=time.perf_counter() - t0,
-    )
-    return 0
+        grid = labels.reshape(spec.cell_counts[::-1])
+        leaves = octree_decompose(grid, args.depth, args.merge == "intra")
+        rows += [(*parent, *n, *s, label) for n, s, label in leaves]
+    table = np.array(rows, dtype=np.int64).reshape(-1, 10)
+    result = BlockModel.from_columns(spec, table[:, 0:3], table[:, 3:6], table[:, 6:9], table[:, 9])
+    return result, list(args.surfaces)
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    spec = _spec_from(args)
-    model = read_model_csv(args.model, spec)
+def _cmd_stats(args: argparse.Namespace, model: BlockModel) -> tuple[BlockModel, list]:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_stats_csv(out / "stats.csv", compute_stats(model))
@@ -291,19 +220,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     write_cdf_csv(out / "cdf.csv", block_dimension_cdf(model))
     # Growth ratios need runs at several depths; a single model has none.
     write_growth_csv(out / "growth.csv", ())
-    write_manifest(
-        out / "manifest.txt",
-        inputs=[args.model],
-        config_echo={
-            "origin": args.origin,
-            "parent_dims": args.parent_dims,
-            "min_dims": args.min_dims,
-        },
-        threads=None,
-        outputs={"blocks": len(model)},
-        wall_time_s=time.perf_counter() - t0,
-    )
-    return 0
+    return model, []
 
 
 # ---------------------------------------------------------------------------
@@ -319,32 +236,34 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="reblock",
-        description="Restructure block models against triangle-mesh surfaces.",
-    )
-    parser.add_argument("--version", action="version", version=f"reblock {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser(
-        "restructure", help="full pipeline: overlap, classify, merge, tag"
-    )
-    _add_lattice_flags(p)
-    p.add_argument("--model", required=True, help="input block-model CSV")
-    p.add_argument("--config", required=True, help="tagging-instruction file")
-    p.add_argument("--out", required=True, help="output block-model CSV")
+def _add_command(subs, name: str, help: str, func, writes_model: bool = True):
+    """A subcommand with the lattice flags and ``--model``, plus ``--out``
+    and ``--manifest`` when it writes a model."""
+    p = subs.add_parser(name, help=help)
+    coords = _triple(float, "x,y,z", "numeric")
     p.add_argument(
-        "--mode",
-        choices=("preclassified", "legacy-two-set"),
-        default="preclassified",
-        help="consolidation regime (default preclassified)",
+        "--origin", type=coords, default=(0.0, 0.0, 0.0),
+        help="lattice origin 'x,y,z' (default 0,0,0)",
     )
+    p.add_argument("--parent-dims", type=coords, required=True, help="parent block size 'dx,dy,dz'")
+    p.add_argument(
+        "--min-dims", type=coords, required=True, help="minimum block (cell) size 'dx,dy,dz'"
+    )
+    p.add_argument("--model", required=True, help="input block-model CSV")
+    if writes_model:
+        p.add_argument("--out", required=True, help="output block-model CSV")
+        p.add_argument("--manifest", default=None, help="manifest path override")
+    p.set_defaults(func=func)
+    return p
+
+
+def _add_merge_flags(p: argparse.ArgumentParser, convention_required: bool) -> None:
     p.add_argument(
         "--convention",
         choices=("dissolved", "persistent"),
         default="dissolved",
-        help="merging convention (default dissolved)",
+        required=convention_required,
+        help="merging convention" + ("" if convention_required else " (default dissolved)"),
     )
     p.add_argument(
         "--objective",
@@ -358,9 +277,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--token", type=int, default=None, help="token life span")
     p.add_argument(
-        "--max-merge", type=_int_triple, default=None,
+        "--max-merge", type=_triple(int, "nx,ny,nz", "integer"), default=None,
         help="cap on merged cell dims 'nx,ny,nz'",
     )
+    p.add_argument(
+        "--threads", type=int, default=default_threads(),
+        help="worker processes for per-parent stages",
+    )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="reblock",
+        description="Restructure block models against triangle-mesh surfaces.",
+    )
+    parser.add_argument("--version", action="version", version=f"reblock {__version__}")
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    p = _add_command(
+        subs, "restructure", "full pipeline: overlap, classify, merge, tag", _cmd_restructure
+    )
+    p.add_argument("--config", required=True, help="tagging-instruction file")
+    p.add_argument(
+        "--mode",
+        choices=("preclassified", "legacy-two-set"),
+        default="preclassified",
+        help="consolidation regime (default preclassified)",
+    )
+    _add_merge_flags(p, convention_required=False)
     p.add_argument(
         "--refine-area", type=float, default=None,
         help="refine surfaces until triangle areas are below this",
@@ -370,54 +314,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="refine surfaces until edge lengths are below this",
     )
     p.add_argument(
-        "--threads", type=int, default=default_threads(),
-        help="worker processes for per-parent stages",
-    )
-    p.add_argument("--manifest", default=None, help="manifest path override")
-    p.add_argument(
         "--diagnostics-dir", default=None,
         help="also write overlap.csv and sidedness.csv here",
     )
-    p.set_defaults(func=_cmd_restructure)
 
-    p = subs.add_parser("merge", help="standalone class-by-class merging")
-    _add_lattice_flags(p)
-    p.add_argument("--model", required=True, help="input block-model CSV")
-    p.add_argument("--out", required=True, help="output block-model CSV")
-    p.add_argument(
-        "--convention", choices=("dissolved", "persistent"), required=True
-    )
-    p.add_argument(
-        "--objective", choices=("count", "aspect"), default="count"
-    )
-    p.add_argument("--scans", type=int, choices=(1, 8), default=8)
-    p.add_argument("--token", type=int, default=None, help="token life span")
-    p.add_argument("--max-merge", type=_int_triple, default=None)
-    p.add_argument("--threads", type=int, default=default_threads())
-    p.add_argument("--manifest", default=None, help="manifest path override")
-    p.set_defaults(func=_cmd_merge)
+    p = _add_command(subs, "merge", "standalone class-by-class merging", _cmd_merge)
+    _add_merge_flags(p, convention_required=True)
 
-    p = subs.add_parser("octree", help="octree baseline decomposition")
-    _add_lattice_flags(p)
-    p.add_argument("--model", required=True, help="input block-model CSV")
-    p.add_argument(
-        "--surfaces", nargs="+", required=True, help="surface mesh files"
-    )
+    p = _add_command(subs, "octree", "octree baseline decomposition", _cmd_octree)
+    p.add_argument("--surfaces", nargs="+", required=True, help="surface mesh files")
     p.add_argument("--depth", type=int, required=True, help="maximum depth")
     p.add_argument(
         "--merge", choices=("none", "intra"), default="none",
         help="intra-scale octant merging (default none)",
     )
-    p.add_argument("--out", required=True, help="output block-model CSV")
-    p.add_argument("--manifest", default=None, help="manifest path override")
-    p.set_defaults(func=_cmd_octree)
 
-    p = subs.add_parser("stats", help="emit metric CSVs for a model")
-    _add_lattice_flags(p)
-    p.add_argument("--model", required=True, help="input block-model CSV")
+    p = _add_command(
+        subs, "stats", "emit metric CSVs for a model", _cmd_stats, writes_model=False
+    )
     p.add_argument("--out-dir", required=True, help="directory for the CSVs")
-    p.set_defaults(func=_cmd_stats)
-
     return parser
 
 
@@ -428,16 +343,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except ValidationError as exc:
+        t0 = time.perf_counter()
+        spec = LatticeSpec(
+            origin=args.origin, parent_dims=args.parent_dims, min_dims=args.min_dims
+        )
+        result, inputs = args.func(args, read_model_csv(args.model, spec))
+        return _finish(args, t0, result, inputs)
+    except (ValidationError, GeometryError, OSError) as exc:
         print(f"reblock: {exc}", file=sys.stderr)
-        return 1
-    except GeometryError as exc:
-        print(f"reblock: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"reblock: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, GeometryError) else 1
 
 
 if __name__ == "__main__":

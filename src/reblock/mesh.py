@@ -3,8 +3,9 @@ refinement, and the sort-and-sweep index that prunes block-vs-triangle
 candidates to the triangles whose bounding boxes meet a query box.
 
 The OBJ and OFF loaders parse each block of records with one ``np.loadtxt``
-call, NumPy's C reader; only a block that fails is read again, line by
-line, to name its first faulty line.
+call, NumPy's C reader; only a block that fails to parse, or holds a
+non-finite coordinate or a reference to a missing vertex, is read again,
+line by line, to name its first faulty line.
 
 Meshes are treated as immutable after construction; operations that
 "modify" a mesh return a new one.
@@ -121,23 +122,36 @@ def _fault(path: Path, text: str, pattern: str, start: int, reasons: Iterable) -
     raise AssertionError(f"{path}: the bulk read rejects a line the line-by-line read accepts")
 
 
-def _record_fault(tag: str, fields: str) -> str | None:
-    """What is wrong with a vertex line, or with an OBJ face line."""
+def _record_fault(tag: str, fields: str, before: int = 0, nv: int = 0) -> str | None:
+    """What is wrong with a vertex line, or with an OBJ face line that
+    follows ``before`` of the file's ``nv`` vertex lines."""
     if tag == "v":
-        return "bad vertex line" if _table([fields], np.float64, 3) is None else None
+        if (v := _table([fields], np.float64, 3)) is None:
+            return "bad vertex line"
+        return None if np.isfinite(v).all() else "non-finite vertex"
     if (n := len(fields.split())) != 3:
         return f"face with {n} vertices; only triangulated OBJ files are supported"
-    return "bad face line" if _table([re.sub(_SUFFIX, "", fields)], np.int64, 3) is None else None
+    if (refs := _table([re.sub(_SUFFIX, "", fields)], np.int64, 3)) is None:
+        return "bad face line"
+    refs = np.where(refs < 0, refs + before + 1, refs)  # -k counts back from the line
+    return None if _in_range(refs - 1, nv) else "vertex reference out of range"
 
 
-def _off_face_fault(line: str) -> str | None:
+def _off_face_fault(line: str, nv: int) -> str | None:
     fields = line.split()
     k = _table(fields[:1], np.int64, 1)
     if k is not None and k[0, 0] != 3:
         return f"face with {k[0, 0]} vertices; only triangles are supported"
     if k is not None and len(fields) < 4:
         return "truncated face line"
-    return "bad face line" if _table([line], np.int64, 4) is None else None
+    if (face := _table([line], np.int64, 4)) is None:
+        return "bad face line"
+    return None if _in_range(face[:, 1:], nv) else "vertex index out of range"
+
+
+def _in_range(refs: np.ndarray, nv: int) -> bool:
+    """Whether every 0-based reference names one of ``nv`` vertices."""
+    return bool(((refs >= 0) & (refs < nv)).all())
 
 
 def load_off(path: str | Path) -> TriangleMesh:
@@ -160,13 +174,14 @@ def load_off(path: str | Path) -> TriangleMesh:
     if pos + nv + nf > len(lines):
         raise ValidationError(f"{path}: fewer data lines than the header promises")
     verts = _table(lines[pos : pos + nv], np.float64, 3)
-    if verts is None:
+    if verts is None or not np.isfinite(verts).all():
         _fault(path, text, _LINE, pos, (_record_fault("v", v) for v in lines[pos : pos + nv]))
     if nf == 0:
         raise EmptyMesh(f"{path}: OFF file declares no faces")
     faces = _table(lines[pos + nv : pos + nv + nf], np.int64, 4)
-    if faces is None or (faces[:, 0] != 3).any():
-        _fault(path, text, _LINE, pos + nv, map(_off_face_fault, lines[pos + nv : pos + nv + nf]))
+    if faces is None or (faces[:, 0] != 3).any() or not _in_range(faces[:, 1:], nv):
+        faults = (_off_face_fault(f, nv) for f in lines[pos + nv : pos + nv + nf])
+        _fault(path, text, _LINE, pos + nv, faults)
     return TriangleMesh(verts, faces[:, 1:], name=path.stem)
 
 
@@ -181,17 +196,22 @@ def load_obj(path: str | Path) -> TriangleMesh:
     text = _text(path)
     verts = _table(re.findall(_TAG % "v" + "(.*)", text), np.float64, 3)
     refs = _table(re.findall(_TAG % "f" + "(.*)", re.sub(_SUFFIX, "", text)), np.int64, None)
-    if verts is None or refs is None or refs.shape[1] != 3:
-        records = _TAG % "([vf])" + "(.*)"  # every other record type is ignored
-        _fault(path, text, records, 0, itertools.starmap(_record_fault, re.findall(records, text)))
-    if not len(refs):
-        raise EmptyMesh(f"{path}: no faces found")
-    negative = refs < 0
-    if negative.any():  # -k is the k-th vertex back from the face's line
-        tags = "".join(re.findall(_TAG % "([vf])", text)).encode()
-        is_vertex = np.frombuffer(tags, np.uint8) == ord("v")
-        refs += negative * (np.cumsum(is_vertex)[~is_vertex, None] + 1)
-    return TriangleMesh(verts, refs - 1, name=path.stem)
+    if verts is not None and refs is not None and refs.shape[1] == 3:
+        negative = refs < 0
+        if negative.any():  # -k is the k-th vertex back from the face's line
+            tags = "".join(re.findall(_TAG % "([vf])", text)).encode()
+            is_vertex = np.frombuffer(tags, np.uint8) == ord("v")
+            refs += negative * (np.cumsum(is_vertex)[~is_vertex, None] + 1)
+        if np.isfinite(verts).all() and _in_range(refs - 1, len(verts)):
+            if not len(refs):
+                raise EmptyMesh(f"{path}: no faces found")
+            return TriangleMesh(verts, refs - 1, name=path.stem)
+    pattern = _TAG % "([vf])" + "(.*)"  # every other record type is ignored
+    records = re.findall(pattern, text)
+    is_vertex = [tag == "v" for tag, _ in records]
+    before, nv = itertools.accumulate(is_vertex), sum(is_vertex)
+    faults = (_record_fault(*record, n, nv) for record, n in zip(records, before))
+    _fault(path, text, pattern, 0, faults)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ReblockError, ValidationError
 from .intersection import OverlapMap, detect_overlaps, write_overlap_csv
 from .lattice import BlockModel, IntTriple, LatticeSpec, paint_parent
-from .merge import MergeParams, merge_class, merge_grid
+from .merge import MergeParams, _check_caps, merge_class, merge_grid
 from .mesh import (
     MeshIndex,
     RefineParams,
@@ -234,6 +234,7 @@ def restructure(
     unchanged.
     """
     model.validate()
+    _check_caps(config.merge_params.max_dims, model.spec.cell_counts)
     if not config.instructions:
         return model
     if surfaces is None:
@@ -335,6 +336,7 @@ def merge_model(
 ) -> BlockModel:
     """Merge every parent's blocks class-by-class, in parallel over parents."""
     model.validate()
+    _check_caps(params.max_dims, model.spec.cell_counts)
     by_parent = model.by_parent()
     parents = sorted(by_parent, key=lambda p: (p[2], p[1], p[0]))
     tasks = [(parent, model.take(by_parent[parent])) for parent in parents]

@@ -696,13 +696,8 @@ def _meaningful_lines(text: str):
             yield lineno, line
 
 
-def _mesh_arrays(path: Path, verts: list, tris: list) -> tuple[np.ndarray, np.ndarray]:
-    """The checks a triangle mesh makes on construction, in its order."""
+def _mesh_arrays(verts: list, tris: list) -> tuple[np.ndarray, np.ndarray]:
     vertices = np.asarray(verts, dtype=np.float64).reshape(-1, 3)
-    if not np.isfinite(vertices).all():
-        raise ValidationError(f"mesh '{path.stem}' has non-finite vertices")
-    if any(not 0 <= i < len(vertices) for tri in tris for i in tri):
-        raise ValidationError(f"mesh '{path.stem}' has out-of-range vertex indices")
     return vertices, np.asarray(tris, dtype=np.int32).reshape(-1, 3)
 
 
@@ -710,9 +705,12 @@ def _vertex(path: Path, lineno: int, fields: list[str]) -> list[float]:
     try:
         if len(fields) < 3:
             raise ValueError("short")
-        return [_number(f, float) for f in fields[:3]]
+        xyz = [_number(f, float) for f in fields[:3]]
     except ValueError:
         raise ValidationError(f"{path}:{lineno}: bad vertex line") from None
+    if not all(math.isfinite(c) for c in xyz):
+        raise ValidationError(f"{path}:{lineno}: non-finite vertex")
+    return xyz
 
 
 def load_off_lines(path) -> tuple[np.ndarray, np.ndarray]:
@@ -760,18 +758,23 @@ def load_off_lines(path) -> tuple[np.ndarray, np.ndarray]:
             tris.append([_number(f, int) for f in fields[1:4]])
         except ValueError:
             raise ValidationError(f"{path}:{lineno}: bad face line") from None
+        if not all(0 <= i < nv for i in tris[-1]):
+            raise ValidationError(f"{path}:{lineno}: vertex index out of range")
     if nf == 0:
         raise EmptyMesh(f"{path}: OFF file declares no faces")
-    return _mesh_arrays(path, verts, tris)
+    return _mesh_arrays(verts, tris)
 
 
 def load_obj_lines(path) -> tuple[np.ndarray, np.ndarray]:
     """An OBJ file read one line at a time: ``(vertices, triangles)``.
-    A negative reference counts back from the vertices read so far."""
+    A negative reference counts back from the vertices read so far; a
+    positive one may name any vertex of the file."""
     path = Path(path)
+    lines = list(_meaningful_lines(path.read_text()))
+    nv = sum(line.split()[0] == "v" for _, line in lines)
     verts: list[list[float]] = []
     tris: list[list[int]] = []
-    for lineno, line in _meaningful_lines(path.read_text()):
+    for lineno, line in lines:
         fields = line.split()
         tag = fields[0]
         if tag == "v":
@@ -783,20 +786,18 @@ def load_obj_lines(path) -> tuple[np.ndarray, np.ndarray]:
                     f"{path}:{lineno}: face with {len(refs)} vertices; "
                     "only triangulated OBJ files are supported"
                 )
-            idx = []
-            for ref in refs:
-                try:
-                    value = _number(ref.split("/", 1)[0], int)
-                except ValueError:
-                    raise ValidationError(f"{path}:{lineno}: bad face line") from None
-                if value < 0:
-                    value = len(verts) + 1 + value
-                idx.append(value - 1)
-            tris.append(idx)
+            try:
+                values = [_number(ref.split("/", 1)[0], int) for ref in refs]
+            except ValueError:
+                raise ValidationError(f"{path}:{lineno}: bad face line") from None
+            values = [len(verts) + 1 + v if v < 0 else v for v in values]
+            if not all(1 <= v <= nv for v in values):
+                raise ValidationError(f"{path}:{lineno}: vertex reference out of range")
+            tris.append([v - 1 for v in values])
         # every other record type (vn, vt, usemtl, o, g, s, ...) is ignored
     if not tris:
         raise EmptyMesh(f"{path}: no faces found")
-    return _mesh_arrays(path, verts, tris)
+    return _mesh_arrays(verts, tris)
 
 
 def load_mesh_lines(path) -> tuple[np.ndarray, np.ndarray]:

@@ -384,18 +384,22 @@ class TestOctreeCommand:
         assert "(3, 3, 3)" in capsys.readouterr().err
 
     def test_partial_parent_exits_1(self, tmp_path, capsys):
+        # the first partial parent in (z, y, x) order is named
         src = tmp_path / "partial.csv"
-        write_model_csv(
-            src,
-            BlockModel(
-                spec=SPEC,
-                blocks=[Block(parent=(0, 0, 0), cell_min=(0, 0, 0), cell_dims=(4, 4, 2), label=1)],
-            ),
-        )
+        blocks = [
+            Block(parent=(0, 0, 0), cell_min=(0, 0, 0), cell_dims=(4, 4, 4), label=1),
+            Block(parent=(0, 0, 1), cell_min=(0, 0, 0), cell_dims=(4, 4, 2), label=1),
+            Block(parent=(1, 0, 0), cell_min=(0, 0, 2), cell_dims=(4, 4, 2), label=1),
+            Block(parent=(1, 0, 0), cell_min=(0, 0, 0), cell_dims=(4, 4, 1), label=1),
+        ]
+        write_model_csv(src, BlockModel(spec=SPEC, blocks=blocks))
         write_obj(tmp_path / "s.obj", box_mesh((-1, -1, -1), (5, 5, 2)))
         code = self.run(src, tmp_path / "s.obj", tmp_path / "out.csv", depth=2, merge="none")
         assert code == 1
-        assert "fully covered" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "reblock: parent (1, 0, 0) is not fully covered; the octree baseline "
+            "needs complete parents\n"
+        )
 
 
 class TestStatsCommand:
@@ -461,6 +465,80 @@ class TestStatsCommand:
         )
         assert code == 1
         assert capsys.readouterr().err == f"reblock: {model_csv}:2: {message}\n"
+
+
+CONFIG_KEYS = {
+    "restructure": [
+        "convention", "max_merge", "min_dims", "mode", "objective", "origin", "parent_dims",
+        "refine_area", "refine_edge", "scans", "token",
+    ],
+    "merge": [
+        "convention", "max_merge", "min_dims", "objective", "origin", "parent_dims", "scans",
+        "token",
+    ],
+    "octree": ["depth", "merge", "min_dims", "origin", "parent_dims"],
+    "stats": ["min_dims", "origin", "parent_dims"],
+}
+
+
+class TestSharedSkeleton:
+    @pytest.mark.parametrize("command", CONFIG_KEYS)
+    def test_manifest_echoes_every_flag_but_paths_and_threads(self, scene, command):
+        tmp, model_csv, config = scene
+        out = tmp / "out.csv"
+        flags = {
+            "restructure": ["--config", str(config), "--out", str(out), "--threads", "1"],
+            "merge": ["--convention", "persistent", "--out", str(out), "--threads", "1"],
+            "octree": ["--surfaces", str(tmp / "flat.obj"), "--depth", "2", "--out", str(out)],
+            "stats": ["--out-dir", str(tmp / "metrics")],
+        }[command]
+        assert main([command, *LATTICE_FLAGS, "--model", str(model_csv), *flags]) == 0
+        manifest = tmp / ("metrics/manifest.txt" if command == "stats" else "out.csv.manifest.txt")
+        keys = [l[7:].split("=")[0] for l in manifest_lines(manifest) if l.startswith("config ")]
+        assert keys == CONFIG_KEYS[command]
+
+    def test_refinement_changes_the_config_hash(self, scene):
+        tmp, model_csv, config = scene
+        hashes = []
+        for area in ("0.5", "2.0"):
+            out = tmp / f"out-{area}.csv"
+            argv = [
+                "restructure", *LATTICE_FLAGS,
+                "--model", str(model_csv),
+                "--config", str(config),
+                "--out", str(out),
+                "--threads", "1",
+                "--refine-area", area,
+            ]
+            assert main(argv) == 0
+            lines = manifest_lines(tmp / f"out-{area}.csv.manifest.txt")
+            assert f"config refine_area={area}" in lines
+            assert "config refine_edge=None" in lines
+            hashes += [l for l in lines if l.startswith("config_hash=")]
+        assert len(hashes) == 2 and hashes[0] != hashes[1]
+
+    @pytest.mark.parametrize("command", ["restructure", "merge"])
+    def test_merge_cap_past_the_parent_exits_1(self, scene, capsys, command):
+        # checked before any parent is merged, so also when no surface
+        # crosses a parent
+        tmp, model_csv, _ = scene
+        write_obj(tmp / "far.obj", grid_surface((-1.0, 7.9), (-1.0, 5.0), 50.0))
+        config = tmp / "far.cfg"
+        config.write_text("surface=far.obj positive=0,0,1 above=10 across=20 below=30 forced=0\n")
+        argv = [
+            command, *LATTICE_FLAGS,
+            "--model", str(model_csv),
+            "--out", str(tmp / "out.csv"),
+            "--max-merge", "9,9,9",
+            "--threads", "1",
+        ]
+        restructure = command == "restructure"
+        argv += ["--config", str(config)] if restructure else ["--convention", "dissolved"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "reblock: max merge dims cannot exceed the parent cell dimensions\n"
+        )
+        assert not (tmp / "out.csv").exists()
 
 
 class TestParserBehaviour:

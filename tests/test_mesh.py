@@ -109,7 +109,27 @@ LOADER_FAULTS = {
     "zero.obj": (
         "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\n",
         ValidationError,
-        "mesh 'zero' has out-of-range vertex indices",
+        "zero.obj:4: vertex reference out of range",
+    ),
+    "back.obj": (
+        "v 0 0 0\nv 1 0 0\nf 1 2 -3\nv 0 1 0\nf 1 2 3\n",
+        ValidationError,
+        "back.obj:3: vertex reference out of range",
+    ),
+    "nan.obj": (
+        "v 0 0 0\nv nan 0 0\nv 0 1 0\nf 1 2 3\n",
+        ValidationError,
+        "nan.obj:2: non-finite vertex",
+    ),
+    "first.obj": (
+        "v 0 0 0\nv 1 0 0\nf 1 2 4\nv 0 inf 0\n",
+        ValidationError,
+        "first.obj:3: vertex reference out of range",
+    ),
+    "inf.obj": (
+        "v 0 0 0\nv 1 0 0\nv 0 -inf 0\nf 1 2 3\nf 1 2 9\n",
+        ValidationError,
+        "inf.obj:3: non-finite vertex",
     ),
     "none.obj": ("v 0 0 0\n# f 1 2 3\n", EmptyMesh, "none.obj: no faces found"),
     "q.off": (
@@ -144,6 +164,16 @@ LOADER_FAULTS = {
         ValidationError,
         "lines.off: fewer data lines than the header promises",
     ),
+    "past.off": (
+        "OFF\n3 2\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 1 3\n",
+        ValidationError,
+        "past.off:7: vertex index out of range",
+    ),
+    "nan.off": (
+        "OFF\n3 1\n0 0 0\n1 NaN 0\n0 1 0\n3 0 1 5\n",
+        ValidationError,
+        "nan.off:4: non-finite vertex",
+    ),
     "faceless.off": (
         "OFF\n3 0\n0 0 0\n1 0 0\n0 1 0\n",
         EmptyMesh,
@@ -169,7 +199,7 @@ def test_triangle_indices_checked_before_narrowing(tmp_path):
         TriangleMesh(verts, np.array([[0, 1, 2**32 + 2]]))
     path = tmp_path / "wide.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4294967299\n")
-    with pytest.raises(ValidationError, match="out-of-range vertex indices"):
+    with pytest.raises(ValidationError, match="wide.obj:4: vertex reference out of range"):
         load_mesh(path)
 
 
@@ -187,7 +217,7 @@ OBJ_OTHERS = (
 )
 OBJ_BAD = (
     "v", "v 1 2", "v 1 0 x", "v 1_0 0 0", "v nan 0 0", "f", "f 1 2", "f 1 1 2 1", "f 1 2 x",
-    "f 1.0 1 1", "f /1 1 1", "f 0 1 1", "f 1 1 4294967299", "f 1 1 99999999999999999999",
+    "f 1.0 1 1", "f /1 1 1", "f 0 1 1", "f 1 1 4294967299", "f 1 1 99999999999999999999", "f 1 1 -99",
 )
 OFF_BAD = ("1 0", "1 0 x", "3 0 1", "4 0 1 2 3", "3 0 1 q", "x", "3 0 1 2.5", "3 0 0 9")
 

@@ -222,11 +222,21 @@ class TestConfigAndErrors:
         with pytest.raises(ValidationError, match="0 surfaces for 1 instructions"):
             restructure(model, PipelineConfig(instructions=(instr,)), surfaces=[])
 
-    def test_worker_errors_name_the_parent(self):
-        model = full_parent_model((0, 0, 0))
+    def test_worker_errors_name_the_parent(self, monkeypatch):
+        def fail(*args):
+            raise ValidationError("cannot merge")
+
+        monkeypatch.setattr(pipeline, "merge_class", fail)
+        with pytest.raises(ValidationError, match=r"^parent \(0, 0, 0\): cannot merge$"):
+            merge_model(full_parent_model((0, 0, 0)), MergeParams())
+
+    def test_merge_caps_checked_before_the_workers(self, flat_scene):
+        model, instr = flat_scene
         params = MergeParams(max_dims=(8, 8, 8))
-        with pytest.raises(ValidationError, match=r"parent \(0, 0, 0\)"):
+        with pytest.raises(ValidationError, match="^max merge dims cannot exceed"):
             merge_model(model, params)
+        with pytest.raises(ValidationError, match="^max merge dims cannot exceed"):
+            restructure(model, PipelineConfig(instructions=(), merge_params=params))
 
     def test_diagnostics_artifacts(self, flat_scene, tmp_path):
         model, instr = flat_scene

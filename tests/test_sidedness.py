@@ -381,24 +381,45 @@ def test_parity_matches_oracles_through_shared_edges(kind, direction):
     assert np.array_equal(batch.sides == SIDE_BELOW, _oracle_below(mesh, pts, direction, sheet))
 
 
+def _soup(*meshes: TriangleMesh) -> TriangleMesh:
+    """The triangles of several meshes as one mesh."""
+    offsets = np.cumsum([0] + [len(m.vertices) for m in meshes[:-1]])
+    triangles = [m.triangles + k for m, k in zip(meshes, offsets)]
+    return TriangleMesh(np.vstack([m.vertices for m in meshes]), np.vstack(triangles))
+
+
 @st.composite
 def _exact_scenes(draw):
-    """A dyadic box or sheet, the points of a dyadic lattice around it,
-    one of the seven test directions, and an offset of 0 or 1e6 m.
+    """A dyadic surface, the points of a dyadic lattice around it, one of
+    the seven test directions, and an offset of 0 or 1e6 m.
 
+    The surface is a box, a sheet, or one of three that break the closed
+    or sheet precondition: a box with one triangle missing, a box with one
+    triangle twice, and a sheet folded back over itself along x = 4.
     Every coordinate is on the lattice, so rays run through shared
     vertices and edges, along the sheet's border and in the box's face
     planes, and some points lie on the surface.
     """
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["box", "sheet", "holed box", "doubled box", "fold"]))
+    xs, ys = [0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 2.0, 4.0]
+    if kind.endswith("box"):
         lo = [0.5 * draw(st.integers(0, 3)) for _ in range(3)]
         mesh = box_mesh(lo, [a + 0.5 * draw(st.integers(1, 5)) for a in lo])
-    else:
+        tri = draw(st.integers(0, 11))
+        if kind == "holed box":
+            mesh = TriangleMesh(mesh.vertices, np.delete(mesh.triangles, tri, axis=0))
+        elif kind == "doubled box":
+            mesh = TriangleMesh(mesh.vertices, np.vstack([mesh.triangles, mesh.triangles[tri]]))
+    elif kind == "sheet":
         slopes = st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5])
         sx, sy = draw(slopes), draw(slopes)
-        mesh = grid_surface(
-            [0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 2.0, 4.0], lambda x, y: 1.5 + sx * x + sy * y
-        )
+        mesh = grid_surface(xs, ys, lambda x, y: 1.5 + sx * x + sy * y)
+    else:
+        low = draw(st.sampled_from([1.0, 1.5]))
+        high = low + draw(st.sampled_from([0.25, 1.0, 2.0]))
+        bend = grid_surface([low, high], ys, 4.0)  # in the plane z = 4, then turned to x = 4
+        bend = TriangleMesh(bend.vertices[:, ::-1], bend.triangles)
+        mesh = _soup(grid_surface(xs, ys, low), bend, grid_surface(xs, ys, high))
     step = draw(st.sampled_from([0.25, 0.5, 1.0]))
     axes = []
     for _ in range(3):
@@ -410,7 +431,7 @@ def _exact_scenes(draw):
     return mesh, pts + offset, draw(st.sampled_from(LINE_DIRECTIONS + [TILTED]))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(_exact_scenes())
 def test_parity_matches_exact_oracle_point_by_point(scene):
     """Counts and sides equal a brute-force count over every triangle in
