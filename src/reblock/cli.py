@@ -39,7 +39,7 @@ from .lattice import (
     write_model_csv,
 )
 from .merge import ALL_SCAN_PATTERNS, MergeParams
-from .mesh import RefineParams, build_index, integrity_check, load_mesh
+from .mesh import RefineParams
 from .metrics import (
     block_dimension_cdf,
     compute_stats,
@@ -51,7 +51,7 @@ from .metrics import (
 )
 from .octree import octree_decompose, validate_dyadic
 from .parallel import default_threads
-from .pipeline import PipelineConfig, merge_model, restructure
+from .pipeline import PipelineConfig, load_surface, merge_model, restructure
 from .sidedness import SIDE_BELOW, cast_parity_many
 from .tagging import parse_instruction_file
 
@@ -129,12 +129,14 @@ def _finish(
 ) -> int:
     """Write ``result`` to ``--out``, with its ``<stem>.stats.csv`` for
     ``merge`` and ``octree``, then the manifest (into ``--out-dir`` for
-    ``stats``, which writes its own CSVs)."""
+    ``stats``, which writes its own CSVs).  The stats are computed first,
+    so a model they reject leaves no output behind."""
     if "out" in args:
+        stats = compute_stats(result) if args.command in ("merge", "octree") else None
         blocks = write_model_csv(args.out, result)
-        if args.command in ("merge", "octree"):
+        if stats is not None:
             out = Path(args.out)
-            write_stats_csv(out.parent / (out.stem + ".stats.csv"), compute_stats(result))
+            write_stats_csv(out.parent / (out.stem + ".stats.csv"), stats)
         manifest = args.manifest or f"{args.out}.manifest.txt"
     else:
         blocks, manifest = len(result), Path(args.out_dir) / "manifest.txt"
@@ -180,12 +182,7 @@ def _cmd_merge(args: argparse.Namespace, model: BlockModel) -> tuple[BlockModel,
 def _cmd_octree(args: argparse.Namespace, model: BlockModel) -> tuple[BlockModel, list]:
     spec = model.spec
     validate_dyadic(spec.cell_counts, args.depth)
-    surfaces = []
-    for path in args.surfaces:
-        if not Path(path).is_file():
-            raise ValidationError(f"surface file not found: {path}")
-        mesh, _ = integrity_check(load_mesh(path))
-        surfaces.append((mesh, build_index(mesh)))
+    surfaces = [load_surface(path) for path in args.surfaces]
 
     by_parent = model.by_parent()  # parents in raster order: z, then y, then x
     volume = model.cell_dims.prod(axis=1)

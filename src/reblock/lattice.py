@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import array
 import csv
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -76,28 +75,6 @@ class LatticeSpec:
         return kx * ky * kz
 
 
-def parent_index_of(spec: LatticeSpec, point: Vec3 | Sequence[float], context="point") -> IntTriple:
-    """Parent containing ``point`` under the lower-closed convention.
-
-    Coordinates within ``PARENT_SNAP`` (relative) of a parent boundary
-    snap onto it first, so boundary points land in the parent whose lower
-    face they sit on, independent of float noise.
-    """
-    out = []
-    for axis in range(3):
-        q = (point[axis] - spec.origin[axis]) / spec.parent_dims[axis]
-        if not math.isfinite(q):
-            raise ValidationError(f"{context}: non-finite parent index {q}")
-        if abs(q) >= 2**62:  # parents are int64, with room for the arithmetic on them
-            raise ValidationError(f"{context}: parent index {q} is out of range")
-        r = round(q)
-        if abs(q - r) <= PARENT_SNAP * max(1.0, abs(q)):
-            out.append(int(r))
-        else:
-            out.append(int(np.floor(q)))
-    return (out[0], out[1], out[2])
-
-
 def parent_min_corner(spec: LatticeSpec, parent: IntTriple) -> Vec3:
     return vec3(
         spec.origin.x + parent[0] * spec.parent_dims.x,
@@ -137,13 +114,6 @@ class Block:
             base.x + self.cell_min[0] * spec.min_dims.x,
             base.y + self.cell_min[1] * spec.min_dims.y,
             base.z + self.cell_min[2] * spec.min_dims.z,
-        )
-
-    def dims(self, spec: LatticeSpec) -> Vec3:
-        return vec3(
-            self.cell_dims[0] * spec.min_dims.x,
-            self.cell_dims[1] * spec.min_dims.y,
-            self.cell_dims[2] * spec.min_dims.z,
         )
 
 
@@ -341,57 +311,14 @@ def paint_parent(
 # CSV I/O
 # ---------------------------------------------------------------------------
 
-def _snap_count(value: float, what: str, context: str) -> int:
-    if not math.isfinite(value):
-        raise ValidationError(f"{context}: non-finite {what} {value}")
-    snapped = round(value)
-    if abs(value - snapped) > INGEST_SNAP:
-        raise MisalignedBlock(f"{context}: {what} {value} is off-grid")
-    return int(snapped)
-
-
-def block_from_floats(
-    spec: LatticeSpec,
-    centroid: Sequence[float],
-    dims: Sequence[float],
-    label: int,
-    context: str = "block",
-) -> Block:
-    """Snap a float (centroid, dims) description onto the cell grid."""
-    cell_dims = []
-    for axis in range(3):
-        if dims[axis] <= 0:
-            raise ValidationError(f"{context}: non-positive dimension {dims[axis]}")
-        s = _snap_count(dims[axis] / spec.min_dims[axis], "block size", context)
-        if s < 1:
-            raise MisalignedBlock(f"{context}: dimension below the minimum block size")
-        cell_dims.append(s)
-    parent = parent_index_of(spec, centroid, context)
-    base = parent_min_corner(spec, parent)
-    cell_min = []
-    for axis in range(3):
-        lo = centroid[axis] - dims[axis] * 0.5
-        n = _snap_count((lo - base[axis]) / spec.min_dims[axis], "block corner", context)
-        if n < 0 or n + cell_dims[axis] > spec.cell_counts[axis]:
-            raise MisalignedBlock(
-                f"{context}: block straddles a parent boundary on axis {axis}"
-            )
-        cell_min.append(n)
-    return Block(
-        parent=parent,
-        cell_min=(cell_min[0], cell_min[1], cell_min[2]),
-        cell_dims=(cell_dims[0], cell_dims[1], cell_dims[2]),
-        label=label,
-    )
-
-
 def read_model_csv(path: str | Path, spec: LatticeSpec) -> BlockModel:
     """Load `x,y,z,dx,dy,dz,label` rows, snap onto the lattice, validate.
 
-    Rows are parsed one at a time, then snapped all at once with the float
-    operations of :func:`block_from_floats`, in the same order.  The first
-    row in file order with a fault goes through :func:`block_from_floats`,
-    which raises that fault's message.
+    Rows are parsed one at a time, then snapped all at once.  The first row
+    in file order that fails a snap check reports its first failure: the
+    size checks, then the parent checks, then the corner checks, each group
+    axis by axis.  A snap fault in a row before one that fails to parse
+    wins over the parse fault.
     """
     path = Path(path)
     if not path.is_file():
@@ -443,18 +370,42 @@ def read_model_csv(path: str | Path, spec: LatticeSpec) -> BlockModel:
         parent = np.where(near, np.rint(q), np.floor(q))
         corner = (centroid - dims * 0.5 - (origin + parent * pdims)) / mdims
         low = np.rint(corner)
-        ok = (dims > 0) & (np.abs(size - cells) <= INGEST_SNAP) & (cells >= 1)
-        ok &= (np.abs(corner - low) <= INGEST_SNAP) & (np.abs(q) < 2**62)
-        ok &= (low >= 0) & (low + cells <= spec.cell_counts)
-    bad = np.flatnonzero(~ok.all(axis=1))
+        # (failure mask, error, message, value) per check, grouped in report
+        # order; parents are int64, with room for the arithmetic on them
+        checks = (
+            (
+                (dims <= 0, ValidationError, "non-positive dimension {}", dims),
+                (~np.isfinite(size), ValidationError, "non-finite block size {}", size),
+                (np.abs(size - cells) > INGEST_SNAP, MisalignedBlock,
+                 "block size {} is off-grid", size),
+                (cells < 1, MisalignedBlock, "dimension below the minimum block size", size),
+            ),
+            (
+                (~np.isfinite(q), ValidationError, "non-finite parent index {}", q),
+                (np.abs(q) >= 2**62, ValidationError, "parent index {} is out of range", q),
+            ),
+            (
+                (~np.isfinite(corner), ValidationError, "non-finite block corner {}", corner),
+                (np.abs(corner - low) > INGEST_SNAP, MisalignedBlock,
+                 "block corner {} is off-grid", corner),
+                ((low < 0) | (low + cells > spec.cell_counts), MisalignedBlock,
+                 "block straddles a parent boundary on axis {axis}", corner),
+            ),
+        )
+    failed = np.logical_or.reduce([mask for group in checks for mask, *_ in group])
+    bad = np.flatnonzero(failed.any(axis=1))
     if len(bad):
-        i, where = bad[0], f"{path}:{lines[bad[0]]}"
-        block_from_floats(spec, centroid[i].tolist(), dims[i].tolist(), labels[i], where)
-        raise AssertionError(f"{where}: the bulk snap rejects a row block_from_floats accepts")
+        i = bad[0]
+        error, message, value, axis = next(
+            (*check, axis)
+            for group in checks for axis in range(3) for mask, *check in group if mask[i, axis]
+        )
+        raise error(f"{path}:{lines[i]}: " + message.format(value[i, axis].item(), axis=axis))
     if failure is not None:
         raise ValidationError(failure[0]) from failure[1]
     model = BlockModel.from_columns(spec, parent, low, cells, labels)
-    del values, rows, size, cells, q, near, parent, corner, low, ok  # before validate paints
+    # free the snap's arrays before validate paints
+    del values, rows, size, cells, q, near, parent, corner, low, checks, failed
     model.validate()
     return model
 

@@ -69,21 +69,24 @@ class PipelineConfig:
             raise ValidationError(f"unknown consolidation mode '{self.mode}'")
 
 
+def load_surface(
+    path: str | Path, refine_params: RefineParams | None = None
+) -> tuple[TriangleMesh, MeshIndex]:
+    """Load, sanity-check, optionally refine, and index one surface."""
+    if not Path(path).is_file():
+        raise ValidationError(f"surface file not found: {path}")
+    mesh, _ = integrity_check(load_mesh(path))
+    if refine_params is not None:
+        mesh = refine_mesh(mesh, refine_params)
+    return mesh, build_index(mesh)
+
+
 def load_surfaces(
     instructions: Sequence[TaggingInstruction],
     refine_params: RefineParams | None = None,
 ) -> list[tuple[TriangleMesh, MeshIndex]]:
-    """Load, sanity-check, optionally refine, and index each surface."""
-    out: list[tuple[TriangleMesh, MeshIndex]] = []
-    for instr in instructions:
-        path = Path(instr.surface_path)
-        if not path.is_file():
-            raise ValidationError(f"surface file not found: {path}")
-        mesh, _ = integrity_check(load_mesh(path))
-        if refine_params is not None:
-            mesh = refine_mesh(mesh, refine_params)
-        out.append((mesh, build_index(mesh)))
-    return out
+    """:func:`load_surface` for each instruction's surface."""
+    return [load_surface(i.surface_path, refine_params) for i in instructions]
 
 
 # ---------------------------------------------------------------------------

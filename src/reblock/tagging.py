@@ -85,9 +85,11 @@ def parse_instruction_file(path: str | Path) -> list[TaggingInstruction]:
             raise ValidationError(
                 f"{path}:{lineno}: positive direction must be 'ux,uy,uz'"
             ) from exc
-        norm = math.sqrt(ux * ux + uy * uy + uz * uz)
+        norm = math.hypot(ux, uy, uz)  # no overflow or underflow in the squares
         if norm == 0.0 or not math.isfinite(norm):
-            raise ValidationError(f"{path}:{lineno}: zero positive direction")
+            raise ValidationError(
+                f"{path}:{lineno}: positive direction must be non-zero and finite"
+            )
         try:
             above = int(fields["above"])
             across = int(fields["across"])

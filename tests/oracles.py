@@ -572,14 +572,6 @@ def _snap_count(value: float, what: str, context: str) -> int:
     return int(snapped)
 
 
-def _base(spec, parent) -> tuple[float, float, float]:
-    out = tuple(float(spec.origin[a] + parent[a] * spec.parent_dims[a]) for a in range(3))
-    if not all(math.isfinite(v) for v in out):
-        x, y, z = out
-        raise ValueError(f"non-finite vector component: Vec3(x={x!r}, y={y!r}, z={z!r})")
-    return out
-
-
 def snap_row(spec, centroid, dims, label: int, context: str) -> tuple:
     """One (centroid, dims) row onto the cell grid, scalar operations only:
     ``(parent, cell_min, cell_dims, label)``."""
@@ -600,11 +592,11 @@ def snap_row(spec, centroid, dims, label: int, context: str) -> tuple:
             raise ValidationError(f"{context}: parent index {q} is out of range")
         r = round(q)
         parent.append(int(r) if abs(q - r) <= _PARENT_SNAP * max(1.0, abs(q)) else math.floor(q))
-    base = _base(spec, parent)
     cell_min = []
     for axis in range(3):
         lo = centroid[axis] - dims[axis] * 0.5
-        n = _snap_count((lo - base[axis]) / spec.min_dims[axis], "block corner", context)
+        base = spec.origin[axis] + parent[axis] * spec.parent_dims[axis]  # inf past float range
+        n = _snap_count((lo - base) / spec.min_dims[axis], "block corner", context)
         if n < 0 or n + cell_dims[axis] > spec.cell_counts[axis]:
             raise MisalignedBlock(
                 f"{context}: block straddles a parent boundary on axis {axis}"

@@ -534,9 +534,9 @@ def test_c09_embedded_channel_retains_outer_labels(tmp_path):
     seen = {"channel": 0, "kept": 0}
     for b in out.blocks:
         lo_corner = b.min_corner(spec)
-        dims = b.dims(spec)
-        x0, x1 = lo_corner.x, lo_corner.x + dims.x
-        z0, z1 = lo_corner.z, lo_corner.z + dims.z
+        dx, _, dz = np.asarray(b.cell_dims) * spec.min_dims
+        x0, x1 = lo_corner.x, lo_corner.x + dx
+        z0, z1 = lo_corner.z, lo_corner.z + dz
         assert b.label in (1, 2, channel)
         if z0 > lo_height(x1, 0) and z1 < hi_height(x0, 0):
             assert b.label == channel, (b, "inside the channel")

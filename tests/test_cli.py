@@ -540,6 +540,21 @@ class TestSharedSkeleton:
         )
         assert not (tmp / "out.csv").exists()
 
+    @pytest.mark.parametrize("command", ["merge", "octree"])
+    def test_empty_model_exits_1_and_writes_nothing(self, scene, capsys, command):
+        tmp, _, _ = scene
+        model_csv = tmp / "empty.csv"
+        model_csv.write_text("x,y,z,dx,dy,dz,label\n")
+        flags = {
+            "merge": ["--convention", "dissolved", "--threads", "1"],
+            "octree": ["--surfaces", str(tmp / "flat.obj"), "--depth", "2"],
+        }[command]
+        out = tmp / "out.csv"
+        argv = [command, *LATTICE_FLAGS, "--model", str(model_csv), "--out", str(out), *flags]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "reblock: cannot compute statistics of an empty model\n"
+        assert sorted(p.name for p in tmp.iterdir()) == ["empty.csv", "flat.obj", "in.csv", "tags.cfg"]
+
 
 class TestParserBehaviour:
     def test_version_flag(self, capsys):

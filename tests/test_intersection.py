@@ -302,7 +302,7 @@ def _overlaps_block_by_block(model, surfaces) -> dict:
     out: dict = {}
     for block in model.blocks:
         lo = np.asarray(block.min_corner(spec))
-        hi = lo + np.asarray(block.dims(spec))
+        hi = lo + np.asarray(block.cell_dims) * spec.min_dims
         center, half = (lo + hi) * 0.5, (hi - lo) * 0.5
         for sid, (mesh, _) in enumerate(surfaces):
             cand = index_candidates(mesh.vertices, mesh.triangles, center - half, center + half)

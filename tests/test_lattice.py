@@ -14,11 +14,9 @@ from reblock.lattice import (
     Block,
     BlockModel,
     LatticeSpec,
-    block_from_floats,
     cell_lut,
     cells_of,
     paint_parent,
-    parent_index_of,
     parent_min_corner,
     raster_index,
     read_model_csv,
@@ -44,15 +42,6 @@ def test_spec_rejects_non_multiple():
         make_spec(parent=(0, 10, 10))
 
 
-def test_parent_index_floor_and_snap():
-    spec = make_spec(origin=(-5, -5, -5))
-    assert parent_index_of(spec, (0, 0, 0)) == (0, 0, 0)
-    assert parent_index_of(spec, (-5.0, -5.0, -5.0)) == (0, 0, 0)
-    assert parent_index_of(spec, (-5.1, 0, 0)) == (-1, 0, 0)
-    # float noise just below a boundary still snaps onto it
-    assert parent_index_of(spec, (5.0 - 1e-12, 0, 0)) == (1, 0, 0)
-
-
 def test_parent_geometry():
     spec = make_spec(origin=(1, 2, 3))
     assert parent_min_corner(spec, (1, 0, -1)) == vec3(11, 2, -7)
@@ -74,7 +63,6 @@ def test_block_geometry():
     spec = make_spec()
     b = Block(parent=(1, 0, 0), cell_min=(1, 2, 3), cell_dims=(2, 1, 1), label=9)
     assert b.min_corner(spec) == vec3(12, 4, 6)
-    assert b.dims(spec) == vec3(4, 2, 2)
     assert BlockModel(spec, [b]).centroids().tolist() == [[14, 5, 7]]
 
 
@@ -116,22 +104,6 @@ def test_model_validate_catches_escapes_and_overlaps():
     b = Block(parent=(0, 0, 0), cell_min=(1, 1, 1), cell_dims=(1, 1, 1))
     with pytest.raises(ValidationError, match="overlaps"):
         BlockModel(spec, [a, b]).validate()
-
-
-def test_block_from_floats_snaps():
-    spec = make_spec()
-    b = block_from_floats(spec, centroid=(3.0 + 1e-8, 3.0, 1.0), dims=(2, 2, 2), label=5)
-    assert b.parent == (0, 0, 0)
-    assert b.cell_min == (1, 1, 0)
-    assert b.cell_dims == (1, 1, 1)
-
-
-def test_block_from_floats_rejects_off_grid():
-    spec = make_spec()
-    with pytest.raises(MisalignedBlock, match="off-grid"):
-        block_from_floats(spec, centroid=(3.7, 3.0, 1.0), dims=(2, 2, 2), label=5)
-    with pytest.raises(MisalignedBlock, match="straddles"):
-        block_from_floats(spec, centroid=(10.0, 3.0, 1.0), dims=(4, 2, 2), label=5)
 
 
 def test_csv_round_trip(tmp_path):
@@ -205,6 +177,17 @@ def _read_error(tmp_path, text, spec=None):
     return type(info.value), str(info.value).replace(str(path), "m.csv")
 
 
+def _read_both(tmp_path, text, spec=None):
+    """The blocks a model CSV reads as, or its error's class and message,
+    from the reader and the row-by-row oracle alike."""
+    path, spec = tmp_path / "m.csv", spec or make_spec()
+    path.write_text(text)
+    got = _outcome(lambda: read_model_csv(path, spec))
+    oracle = lambda: BlockModel(spec, [Block(*r) for r in read_model_rows(path, spec)])
+    assert got == _outcome(oracle)
+    return got if isinstance(got, list) else (got[0], got[1].replace(str(path), "m.csv"))
+
+
 def test_read_messages_header_fields_and_parse(tmp_path):
     assert _read_error(tmp_path, "a,b,c\n") == (
         ValidationError,
@@ -240,14 +223,18 @@ def test_read_messages_header_fields_and_parse(tmp_path):
         ("1,1,1,2,2,3,0", MisalignedBlock, "block size 1.5 is off-grid"),
         ("1,1,1,2,1e-07,2,0", MisalignedBlock, "dimension below the minimum block size"),
         ("1,1.5,1,2,2,2,0", MisalignedBlock, "block corner 0.25 is off-grid"),
+        ("3.7,3,1,2,2,2,0", MisalignedBlock, "block corner 1.35 is off-grid"),
         ("10,1,1,4,2,2,0", MisalignedBlock, "block straddles a parent boundary on axis 0"),
         ("1,1,10,2,2,4,0", MisalignedBlock, "block straddles a parent boundary on axis 2"),
+        # two faults in one group: the lower axis reports first
+        ("1,1,1,3,-2,2,0", MisalignedBlock, "block size 1.5 is off-grid"),
+        ("10,1.5,1,4,2,2,0", MisalignedBlock, "block straddles a parent boundary on axis 0"),
     ],
 )
 def test_read_messages_snap(tmp_path, row, kind, message):
     # two comments and a blank line sit before the bad row, on line 6
     text = "# model\n" + HEADER + "\n# rows\n1,1,1,2,2,2,0\n" + row + "\n"
-    assert _read_error(tmp_path, text) == (kind, f"m.csv:6: {message}")
+    assert _read_both(tmp_path, text) == (kind, f"m.csv:6: {message}")
 
 
 def test_read_messages_first_faulty_row_wins(tmp_path):
@@ -273,10 +260,7 @@ def test_read_messages_non_finite(tmp_path, row, message):
     names its line, in the reader and in the row-by-row oracle alike."""
     text = HEADER + "1,1,1,2,2,2,0\n" + row + "\n"
     want = (ValidationError, f"m.csv:3: {message}")
-    assert _read_error(tmp_path, text, make_spec(cell=(0.25, 1, 1))) == want
-    with pytest.raises(ValidationError) as info:
-        read_model_rows(tmp_path / "m.csv", make_spec(cell=(0.25, 1, 1)))
-    assert (type(info.value), str(info.value).replace(str(tmp_path / "m.csv"), "m.csv")) == want
+    assert _read_both(tmp_path, text, make_spec(cell=(0.25, 1, 1))) == want
 
 
 @pytest.mark.parametrize(
@@ -294,18 +278,61 @@ def test_read_messages_outside_int64(tmp_path, row, message):
     spec = make_spec(parent=(4, 4, 4), cell=(1, 1, 1))
     text = HEADER + "2,2,2,4,4,4,0\n" + row + "\n"
     want = (ValidationError, f"m.csv:3: {message}")
-    assert _read_error(tmp_path, text, spec) == want
-    with pytest.raises(ValidationError) as info:
-        read_model_rows(tmp_path / "m.csv", spec)
-    assert (type(info.value), str(info.value).replace(str(tmp_path / "m.csv"), "m.csv")) == want
+    assert _read_both(tmp_path, text, spec) == want
 
 
-def test_parent_index_limit():
-    spec = make_spec(parent=(1, 1, 1), cell=(1, 1, 1))
-    assert parent_index_of(spec, (2.0**62 - 1024, 0, 0)) == (2**62 - 1024, 0, 0)
-    with pytest.raises(ValidationError) as info:
-        parent_index_of(spec, (-(2.0**62), 0, 0))
-    assert str(info.value) == "point: parent index -4.611686018427388e+18 is out of range"
+def test_read_messages_non_finite_corner(tmp_path):
+    """A corner past the float range: the block's low face overflows, or,
+    for a centroid at the float limit, its parent's low face does too."""
+    spec = make_spec(parent=(1e300, 1e300, 1e300), cell=(1e299, 1e299, 1e299))
+    for row, value in [
+        ("-1.7e308,5e299,5e299,1e308,1e299,1e299,0", "-inf"),
+        ("-1.7976931348623157e308,5e299,5e299,1e299,1e299,1e299,0", "nan"),
+    ]:
+        assert _read_both(tmp_path, HEADER + row + "\n", spec) == (
+            ValidationError,
+            f"m.csv:2: non-finite block corner {value}",
+        )
+
+
+SHIFTED = make_spec(origin=(-5, -5, -5))  # parent 0 spans [-5, 5) on each axis
+UNIT = make_spec(parent=(1, 1, 1), cell=(1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "spec, row, want",
+    [
+        (SHIFTED, "0,0,0,2,2,2,1", [((0, 0, 0), (2, 2, 2), (1, 1, 1), 1)]),
+        # a centroid on parent 0's lower face lies in parent 0 (parent -1: corner 4.5)
+        (SHIFTED, "-5,-5,-5,2,2,2,0", (MisalignedBlock, "block corner -0.5 is off-grid")),
+        # just below that face: parent -1 (parent 0: corner -0.55)
+        (SHIFTED, "-5.1,0,0,2,2,2,0", (MisalignedBlock, "block corner 4.45 is off-grid")),
+        # float noise just below a boundary snaps onto it: parent 1 (parent 0: corner 4.5)
+        (
+            SHIFTED,
+            "4.999999999999,0,0,2,2,2,0",
+            (MisalignedBlock, "block corner -0.5000000000005 is off-grid"),
+        ),
+        # noise within INGEST_SNAP cells on a corner snaps onto the grid
+        (make_spec(), "3.00000001,3,1,2,2,2,5", [((0, 0, 0), (1, 1, 0), (1, 1, 1), 5)]),
+        # parent indices are int64 with room for the arithmetic on them
+        (
+            UNIT,
+            "4.611686018427387e+18,0.5,0.5,1,1,1,0",
+            [((2**62 - 1024, 0, 0), (0, 0, 0), (1, 1, 1), 0)],
+        ),
+        (
+            UNIT,
+            "-4.611686018427388e+18,0.5,0.5,1,1,1,0",
+            (ValidationError, "parent index -4.611686018427388e+18 is out of range"),
+        ),
+    ],
+    ids=["inside", "lower-face", "floor", "boundary-noise", "cell-noise", "int64-in", "int64-out"],
+)
+def test_read_snaps_onto_parents_and_cells(tmp_path, spec, row, want):
+    if isinstance(want, tuple):
+        want = (want[0], f"m.csv:2: {want[1]}")
+    assert _read_both(tmp_path, HEADER + row + "\n", spec) == want
 
 
 def test_read_messages_validate(tmp_path):

@@ -59,7 +59,9 @@ def test_parse_good_file(tmp_path):
         ("surface=a.obj positive=0,0,1 above=1 across=0 below=1", "missing keys: forced"),
         ("surface=a.obj positive=0,0,1 above=1 across=0 below=1 forced=0 junk", "key=value"),
         ("surface=a.obj positive=0,0,1 above=1 across=0 below=1 forced=2", "forced must be 0 or 1"),
-        ("surface=a.obj positive=0,0,0 above=1 across=0 below=1 forced=0", "zero positive"),
+        ("surface=a.obj positive=0,0,0 above=1 across=0 below=1 forced=0", "non-zero and finite"),
+        ("surface=a.obj positive=nan,0,1 above=1 across=0 below=1 forced=0", "non-zero and finite"),
+        ("surface=a.obj positive=0,inf,1 above=1 across=0 below=1 forced=0", "non-zero and finite"),
         ("surface=a.obj positive=0,0 above=1 across=0 below=1 forced=0", "ux,uy,uz"),
         ("surface=a.obj positive=0,0,1 above=x across=0 below=1 forced=0", "integers"),
         ("surface=a.obj positive=0,0,1 above=1 across=0 below=1 forced=0 above=2", "duplicate"),
@@ -72,6 +74,17 @@ def test_parse_errors_cite_line(tmp_path, line, msg):
     with pytest.raises(ValidationError, match=msg) as err:
         parse_instruction_file(f)
     assert ":2:" in str(err.value)  # the offending line number
+
+
+@pytest.mark.parametrize(
+    "positive, unit",
+    [("1e200,1e200,0", vec3(1 / 2**0.5, 1 / 2**0.5, 0)), ("1e-200,0,0", vec3(1, 0, 0))],
+)
+def test_parse_direction_at_the_float_limits(tmp_path, positive, unit):
+    """A direction whose squared norm overflows or underflows is still valid."""
+    f = tmp_path / "tags.txt"
+    f.write_text(GOOD_LINE.replace("positive=0,0,1", f"positive={positive}"))
+    assert parse_instruction_file(f)[0].positive_direction == unit
 
 
 def test_parse_missing_file(tmp_path):
