@@ -50,9 +50,11 @@ class LatticeSpec:
     cell_counts: IntTriple = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "origin", vec3(*self.origin))
-        object.__setattr__(self, "parent_dims", vec3(*self.parent_dims))
-        object.__setattr__(self, "min_dims", vec3(*self.min_dims))
+        for name in ("origin", "parent_dims", "min_dims"):
+            v = tuple(float(c) for c in getattr(self, name))
+            if not np.isfinite(v).all():
+                raise ValidationError(f"lattice {name} must be finite, got {v}")
+            object.__setattr__(self, name, Vec3(*v))
         counts = []
         for axis in range(3):
             p = self.parent_dims[axis]
@@ -86,13 +88,6 @@ def parent_min_corner(spec: LatticeSpec, parent: IntTriple) -> Vec3:
 def raster_index(n: IntTriple, counts: IntTriple) -> int:
     """Flat cell index: x fastest, then y, then z.  Takes arrays too."""
     return (n[2] * counts[1] + n[1]) * counts[0] + n[0]
-
-
-def subscript_of(i: int, counts: IntTriple) -> IntTriple:
-    kx, ky, _ = counts
-    nx = i % kx
-    rest = i // kx
-    return (nx, rest % ky, rest // ky)
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,12 +22,15 @@ Two conventions over a parent's cell grid:
   Each block keeps the sum of those areas per face, so the common failing
   check, a foreign cell beyond the face, is one multiply and compare.
 
-There are two entries.  ``merge_class`` checks a class's list of boxes
+There are three entries.  ``merge_class`` checks a class's list of boxes
 and paints its ordinal grid: each cell holds the index of its box, or -1.
-``merge_grid``, the driver, takes such a grid, as restructuring builds it.
-Eight scan patterns (mirrors of the parent along any subset of axes) give
-the greedy sweep eight vantage points; the driver keeps whichever result
-scores best under the chosen objective.  The dissolved sweep runs on one
+``merge_grid`` takes such a grid, as restructuring builds it, and builds
+the class's kernel input from it.  ``merge_prepared`` runs the scan
+patterns on that input, as ``pipeline.merge_model`` builds it for many
+classes at once with :func:`mirror_layers` and :func:`class_contacts`.
+Eight scan patterns (mirrors of the parent along any subset of axes)
+give the greedy sweep eight vantage points; whichever result scores best
+under the chosen objective is kept.  The dissolved sweep runs on one
 Python int per z-layer of a mirrored view, one AND per growth check, and
 one packing serves all eight views; the persistent ascent runs on integer
 records, and one contact table serves all eight, because a mirror only
@@ -43,7 +46,7 @@ from typing import Literal, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptyInput, ValidationError
-from .lattice import IntTriple, expand_cells, subscript_of
+from .lattice import IntTriple, expand_cells
 
 Convention = Literal["dissolved", "persistent"]
 Objective = Literal["count", "aspect"]
@@ -103,6 +106,14 @@ def _layers(views: np.ndarray) -> list[int]:
     width = packed.shape[1]
     raw = packed.tobytes()
     return [int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(len(packed))]
+
+
+def mirror_layers(theta: np.ndarray) -> list[int]:
+    """:func:`_layers` of the four x/y mirrors of each [z, y, x] map stacked
+    in ``theta``: per map, 4 * kz ints, the map as it is, then mirrored
+    along x, along y, and along both."""
+    mirrors = [theta, theta[..., ::-1], theta[..., ::-1, :], theta[..., ::-1, ::-1]]
+    return _layers(np.stack(mirrors, axis=-4))
 
 
 def coalesce_binary(
@@ -185,24 +196,42 @@ def _sweep(layers: list[int], counts: IntTriple, max_dims, token_life) -> list[t
 # ---------------------------------------------------------------------------
 
 def face_contacts(owner: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """Face-contact table of an ordinal grid, one row per touching pair.
+    """Face-contact table of one class's ordinal grid, one row per touching
+    pair, as :func:`class_contacts` gives it; ``owner`` is a [z, y, x] grid
+    of block ordinals, -1 where no block is."""
+    return class_contacts(np.where(owner >= 0, 0, -1), owner, [int(owner.max()) + 1])[0]
+
+
+def class_contacts(
+    classes: np.ndarray, owner: np.ndarray, sizes: Sequence[int]
+) -> list[list[tuple[int, int, int, int]]]:
+    """Face-contact tables of many classes, one list per class.
 
     A row ``(a, c, axis, area)`` says block ``a``'s +axis face touches
-    block ``c``'s -axis face over ``area`` cells.  ``owner`` is a [z, y, x]
-    grid of block ordinals, -1 where no block is.  Rows are sorted by axis,
-    then ``a``, then ``c``: one ``np.unique`` over all three axes' keys.
+    block ``c``'s -axis face over ``area`` cells.  ``classes`` and ``owner``
+    are grids of one shape, [z, y, x] last, any leading axes: each cell's
+    class, -1 where no block is, and its block's ordinal within the class;
+    class ``i`` holds ``sizes[i]`` blocks.  Only blocks of one class touch.
+    Each table is sorted by axis, then ``a``, then ``c``: one ``np.unique``
+    over every class's keys, class ``i``'s offset past those of the classes
+    before it.
     """
-    n = int(owner.max()) + 1
+    sizes = np.asarray(sizes, dtype=np.int64)
+    span = 3 * sizes * sizes
+    base = np.cumsum(span) - span
     keys = []
     for axis in range(3):
-        grid = np.moveaxis(owner, 2 - axis, 0)
-        lo, hi = grid[:-1], grid[1:]
-        touch = (lo != hi) & (lo >= 0) & (hi >= 0)
-        keys.append((axis * n + lo[touch]) * n + hi[touch])
+        k, o = (np.moveaxis(grid, -1 - axis, 0) for grid in (classes, owner))
+        touch = (k[:-1] == k[1:]) & (k[:-1] >= 0) & (o[:-1] != o[1:])
+        cls, n = k[:-1][touch], sizes[k[:-1][touch]]
+        keys.append(base[cls] + (axis * n + o[:-1][touch]) * n + o[1:][touch])
     keys, area = np.unique(np.concatenate(keys), return_counts=True)
-    pair, c = np.divmod(keys, n)
-    axis, a = np.divmod(pair, n)
-    return list(zip(a.tolist(), c.tolist(), axis.tolist(), area.tolist()))
+    cls = np.searchsorted(base, keys, side="right") - 1
+    pair, c = np.divmod(keys - base[cls], sizes[cls])
+    axis, a = np.divmod(pair, sizes[cls])
+    rows = list(zip(a.tolist(), c.tolist(), axis.tolist(), area.tolist()))
+    bounds = np.searchsorted(cls, np.arange(len(sizes) + 1)).tolist()
+    return [rows[i:j] for i, j in zip(bounds, bounds[1:])]
 
 
 def coalesce_persistent(
@@ -389,7 +418,7 @@ def merge_class(
         raise ValidationError("input blocks overlap or leave the parent")
     owner = np.full((kz, ky, kx), -1, dtype=np.int64)
     owner.ravel()[cell] = ordinal
-    merged = merge_grid(owner, counts, min_dims, params, box.tolist())
+    merged = merge_grid(owner, counts, min_dims, params, box)
     return [MergedBlock(n, s, label) for n, s in merged]
 
 
@@ -401,33 +430,47 @@ def _check_caps(caps: IntTriple | None, counts: IntTriple) -> None:
 def merge_grid(
     owner: np.ndarray, counts: IntTriple, min_dims: Sequence[float], params: MergeParams, boxes=None
 ) -> list[tuple]:
-    """Best merge of one class over the configured scan patterns.
+    """Best merge of one class, as :func:`merge_prepared` gives it.
 
     ``owner`` is the class's [z, y, x] ordinal grid, trusted: each cell
-    holds the index of its box in ``boxes``, or -1.  ``boxes`` None means
-    each cell is a box, numbered in raster order.  Every pattern runs the
-    convention with the standard raster scan on a mirrored view of the
-    parent and scores the result; ties keep the first configured pattern.
-    After a first pattern that returns one block, when that can no longer
-    change, the rest are skipped.  The dissolved views come from one
-    packing of the four x/y mirrors; a z mirror reverses the layers.
-    Returns the winner's ``(cell_min, cell_dims)`` pairs, mirrored back.
+    holds the index of its box in ``boxes``, an (N, 2, 3) array of
+    ``cell_min`` and ``cell_dims`` rows, or -1.  ``boxes`` None means each
+    cell is a box, numbered in raster order.  The dissolved input is
+    the grid's :func:`mirror_layers`, the persistent one its boxes and
+    :func:`face_contacts` table.
+    """
+    _check_caps(params.max_dims, counts)
+    if params.convention == "dissolved":
+        return merge_prepared(mirror_layers(owner >= 0), counts, min_dims, params)
+    if boxes is None:
+        z, y, x = np.nonzero(owner >= 0)
+        boxes = np.stack([np.column_stack([x, y, z]), np.ones((len(x), 3), dtype=np.int64)], 1)
+    return merge_prepared((boxes, face_contacts(owner)), counts, min_dims, params)
+
+
+def merge_prepared(
+    inputs, counts: IntTriple, min_dims: Sequence[float], params: MergeParams
+) -> list[tuple]:
+    """Best merge of one class over the configured scan patterns.
+
+    ``inputs`` is the class's kernel input, trusted: under dissolved its
+    :func:`mirror_layers` ints, under persistent a pair of its boxes, an
+    (N, 2, 3) array of ``cell_min`` and ``cell_dims`` rows, and their
+    :func:`class_contacts` table.  Every pattern runs the convention with
+    the standard raster scan on a mirrored view of the parent and scores
+    the result; ties keep the first configured pattern.  After a first
+    pattern that returns one block, when that can no longer change, the
+    rest are skipped.  A z mirror reverses the dissolved layers.  Returns
+    the winner's ``(cell_min, cell_dims)`` pairs, mirrored back.
     """
     kz, caps = counts[2], params.max_dims
-    _check_caps(caps, counts)
-    if params.convention == "dissolved":
-        theta = owner >= 0
-        planes = _layers(np.stack([theta, theta[:, :, ::-1], theta[:, ::-1], theta[:, ::-1, ::-1]]))
-    else:
-        contacts = face_contacts(owner)
-        if boxes is None:
-            cells = np.flatnonzero(owner.ravel() >= 0).tolist()
-            boxes = [(subscript_of(i, counts), (1, 1, 1)) for i in cells]
+    if params.convention == "persistent":
+        boxes, contacts = inputs[0].tolist(), inputs[1]
     runs = []
     for pattern in params.scan_patterns:
         flips = scan_flips(pattern)
         if params.convention == "dissolved":
-            layers = planes[(pattern & 3) * kz : (pattern & 3) * kz + kz]
+            layers = inputs[(pattern & 3) * kz : (pattern & 3) * kz + kz]
             merged = _sweep(layers[::-1] if flips[2] else layers, counts, caps, params.token_life)
         else:
             merged = coalesce_persistent(boxes, contacts, counts, flips, caps, params.token_life)

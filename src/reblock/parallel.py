@@ -55,8 +55,10 @@ def parallel_map(
         return [fn(item) for item in items]
     ctx = mp.get_context(_START_METHOD)
     chunksize = max(1, -(-len(items) // (threads * 4)))
+    # under fork the pool starts every worker up front, so it gets no more
+    # workers than there are items
     with ProcessPoolExecutor(
-        max_workers=threads,
+        max_workers=min(threads, len(items)),
         mp_context=ctx,
         initializer=initializer,
         initargs=tuple(initargs),

@@ -3,7 +3,9 @@
 The per-parent middle stages are independent and run on a process pool;
 everything that crosses parents (overlap detection, tagging, assembly)
 is single-threaded and order-stable, so output models are byte-identical
-for any thread count.
+for any thread count.  ``merge_model`` also builds every class's merge
+input before the pool starts, a window of whole parents at a time, so
+its workers run only the scan patterns.
 
 Two consolidation regimes are supported.  ``preclassified`` (the
 default) folds each cell's per-surface sidedness into its merge class,
@@ -26,8 +28,16 @@ import numpy as np
 
 from .errors import ReblockError, ValidationError
 from .intersection import OverlapMap, detect_overlaps, write_overlap_csv
-from .lattice import BlockModel, IntTriple, LatticeSpec, paint_parent
-from .merge import MergeParams, _check_caps, merge_class, merge_grid
+from .lattice import BlockModel, IntTriple, LatticeSpec, expand_cells, paint_parent
+from .merge import (
+    MergeParams,
+    _check_caps,
+    class_contacts,
+    merge_class,  # uncalled here; perfbench/tracing.py probes it on this module
+    merge_grid,
+    merge_prepared,
+    mirror_layers,
+)
 from .mesh import (
     MeshIndex,
     RefineParams,
@@ -317,18 +327,76 @@ def restructure(
     return out
 
 
-def _merge_parent(task: tuple[IntTriple, BlockModel]) -> np.ndarray:
-    parent, part = task
+# merge_model builds the classes of a run of whole parents at a time, those
+# whose first class starts within one window of this many class-grid cells
+_CLASS_CELLS = 1 << 15
+
+
+def _merge_tasks(model: BlockModel, params: MergeParams) -> list[tuple]:
+    """One task per parent, parents in raster order: the parent and, per
+    label ascending, the label and its class's input to
+    :func:`merge_prepared`, boxes in input order.
+
+    Each window of parents is painted with one ``expand_cells`` call:
+    under dissolved, onto one occupancy map per class, packed with one
+    :func:`mirror_layers`; under persistent, onto (parents, z, y, x) grids
+    of class and ordinal within the class, read by one
+    :func:`class_contacts`.  The model must be valid.
+    """
+    counts, k = model.spec.cell_counts, model.spec.cells_per_parent
+    order = np.lexsort((model.label, *model.parent.T))
+    parent, label = model.parent[order], model.label[order]
+    lo, dims = model.cell_min[order], model.cell_dims[order]
+    n = len(order)
+    new_parent = np.ones(n, dtype=bool)
+    new_parent[1:] = (parent[1:] != parent[:-1]).any(axis=1)
+    new_class = new_parent.copy()
+    new_class[1:] |= label[1:] != label[:-1]
+    parent_of, class_of = np.cumsum(new_parent) - 1, np.cumsum(new_class) - 1
+    class_start = np.append(np.flatnonzero(new_class), n)  # rows, per class
+    parent_start = np.append(class_of[new_parent], len(class_start) - 1)  # classes, per parent
+    rank = np.arange(n) - class_start[class_of]
+    window = np.flatnonzero(np.diff(parent_start[:-1] // max(1, _CLASS_CELLS // k))) + 1
+    inputs: list = []
+    if params.convention == "persistent":
+        boxes = np.stack([lo, dims], axis=1)
+    for p0, p1 in zip([0, *window], [*window, len(parent_start) - 1]):
+        c0, c1 = parent_start[p0], parent_start[p1]
+        r0, r1 = class_start[c0], class_start[c1]
+        ordinal, cell = expand_cells(lo[r0:r1], dims[r0:r1], counts)
+        row = ordinal + r0
+        if params.convention == "dissolved":
+            theta = np.zeros((c1 - c0, k), dtype=bool)
+            theta[class_of[row] - c0, cell] = True
+            layers = mirror_layers(theta.reshape(-1, *counts[::-1]))
+            step = 4 * counts[2]
+            inputs += [layers[i : i + step] for i in range(0, len(layers), step)]
+        else:
+            grid = np.full((2, (p1 - p0) * k), -1, dtype=np.int64)
+            at = (parent_of[row] - p0) * k + cell
+            grid[0, at], grid[1, at] = class_of[row] - c0, rank[row]
+            grid = grid.reshape(2, p1 - p0, *counts[::-1])
+            contacts = class_contacts(grid[0], grid[1], np.diff(class_start[c0 : c1 + 1]))
+            bounds = class_start[c0 : c1 + 1].tolist()
+            inputs += [(boxes[i:j], t) for i, j, t in zip(bounds, bounds[1:], contacts)]
+    labels = label[class_start[:-1]].tolist()
+    parents = parent[class_start[parent_start[:-1]]].tolist()
+    bounds = parent_start.tolist()
+    return [
+        (tuple(p), list(zip(labels[i:j], inputs[i:j])))
+        for p, i, j in zip(parents, bounds, bounds[1:])
+    ]
+
+
+def _merge_parent(task: tuple[IntTriple, list[tuple]]) -> np.ndarray:
+    parent, classes = task
     try:
         spec: LatticeSpec = _CTX["spec"]
         params: MergeParams = _CTX["params"]
-        boxes = np.stack([part.cell_min, part.cell_dims], axis=1)
         rows = []
-        for label in sorted(set(part.label.tolist())):
-            merged = merge_class(
-                boxes[part.label == label], spec.cell_counts, spec.min_dims, params, label
-            )
-            rows += [(*n, *s, label) for n, s, _ in merged]
+        for label, inputs in classes:
+            merged = merge_prepared(inputs, spec.cell_counts, spec.min_dims, params)
+            rows += [(*n, *s, label) for n, s in merged]
         return np.array(rows, dtype=np.int64).reshape(-1, 7)
     except ReblockError as exc:
         raise type(exc)(f"parent {parent}: {exc}") from None
@@ -337,17 +405,19 @@ def _merge_parent(task: tuple[IntTriple, BlockModel]) -> np.ndarray:
 def merge_model(
     model: BlockModel, params: MergeParams, threads: int = 1
 ) -> BlockModel:
-    """Merge every parent's blocks class-by-class, in parallel over parents."""
+    """Merge every parent's blocks class-by-class, in parallel over parents.
+
+    The calling process builds every class's kernel input
+    (:func:`_merge_tasks`); the workers run the scan patterns on them.
+    """
     model.validate()
     _check_caps(params.max_dims, model.spec.cell_counts)
-    by_parent = model.by_parent()
-    parents = sorted(by_parent, key=lambda p: (p[2], p[1], p[0]))
-    tasks = [(parent, model.take(by_parent[parent])) for parent in parents]
+    tasks = _merge_tasks(model, params)
     ctx = {"spec": model.spec, "params": params}
     results = parallel_map(
         _merge_parent, tasks, threads, initializer=_set_context, initargs=(ctx,)
     )
-    out = _assemble(model.spec, zip(parents, results))
+    out = _assemble(model.spec, ((parent, rows) for (parent, _), rows in zip(tasks, results)))
     out.validate()
     return out
 

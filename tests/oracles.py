@@ -1,13 +1,15 @@
 """Independent reference predicates the library must agree with.
 
 Nothing in here calls into :mod:`reblock`, apart from raising its
-exception classes — these are deliberately separate implementations
-(polygon clipping in floats and in exact rationals, closed-form
-containment, winding numbers, heightfield interpolation, ray crossings in
-exact rationals, a brute-force bounding-box filter, grid-slab dissolved
-and persistent merges, a row-by-row model reader, a block-by-block
-disjointness check and line-by-line OBJ and OFF readers) used as ground
-truth by the unit and acceptance tests.
+exception classes and the class-by-class model merge, which runs the
+box-list ``merge_class`` on each class — these are deliberately separate
+implementations (polygon clipping in floats and in exact rationals,
+closed-form containment, winding numbers, heightfield interpolation, ray
+crossings in exact rationals, a brute-force bounding-box filter,
+grid-slab dissolved and persistent merges, a per-class model merge, a
+row-by-row model reader, a block-by-block disjointness check and
+line-by-line OBJ and OFF readers) used as ground truth by the unit and
+acceptance tests.
 """
 from __future__ import annotations
 
@@ -552,6 +554,29 @@ def coalesce_persistent_grid(owner, max_dims=None, token_life=None) -> list[tupl
             break
 
     return [(r.cell_min, tuple(r.dims)) for r in records if not r.subsumed]
+
+
+# ---------------------------------------------------------------------------
+# whole-model merge, one class at a time
+# ---------------------------------------------------------------------------
+
+def merge_by_class(model, params) -> list[tuple]:
+    """Merge of a valid model as ``(parent, cell_min, cell_dims, label)``
+    rows: ``merge_class`` on each (parent, label) class's boxes in input
+    order, parents in raster order (z, then y, then x), labels ascending,
+    each class's blocks as it returns them."""
+    from reblock.merge import merge_class
+
+    spec, classes = model.spec, {}
+    for p, n, s, label in zip(
+        model.parent.tolist(), model.cell_min.tolist(), model.cell_dims.tolist(), model.label.tolist()
+    ):
+        classes.setdefault((p[2], p[1], p[0], label), []).append((tuple(n), tuple(s)))
+    rows = []
+    for (pz, py, px, label), boxes in sorted(classes.items()):
+        for b in merge_class(boxes, spec.cell_counts, spec.min_dims, params, label):
+            rows.append(((px, py, pz), b.cell_min, b.cell_dims, label))
+    return rows
 
 
 # ---------------------------------------------------------------------------

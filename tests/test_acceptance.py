@@ -390,13 +390,14 @@ def _merge_workload(nx, ny, nz, cells=4):
 
 
 def test_c07_outputs_byte_identical_across_thread_counts(tmp_path):
-    outputs = {}
     model = _merge_workload(10, 10, 5)
-    for threads in (1, 2, 8):
-        path = tmp_path / f"merge-t{threads}.csv"
-        write_model_csv(path, merge_model(model, MergeParams(), threads=threads))
-        outputs[threads] = path.read_bytes()
-    assert outputs[1] == outputs[2] == outputs[8]
+    for convention in ("dissolved", "persistent"):
+        outputs = {}
+        for threads in (1, 2, 8):
+            path = tmp_path / f"merge-{convention}-t{threads}.csv"
+            write_model_csv(path, merge_model(model, MergeParams(convention), threads=threads))
+            outputs[threads] = path.read_bytes()
+        assert outputs[1] == outputs[2] == outputs[8]
 
     write_obj(tmp_path / "flat.obj", grid_surface((-1.0, 7.9), (-1.0, 5.0), 2.0))
     scene = BlockModel(

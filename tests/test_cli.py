@@ -577,6 +577,27 @@ class TestParserBehaviour:
         assert code == 1
         assert "expected 'x,y,z'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--origin", "nan,0,0", *LATTICE_FLAGS], "origin must be finite, got (nan, 0.0, 0.0)"),
+            (
+                ["--parent-dims", "4,4,inf", "--min-dims", "1,1,1"],
+                "parent_dims must be finite, got (4.0, 4.0, inf)",
+            ),
+            (
+                ["--parent-dims", "4,4,4", "--min-dims", "1,-inf,1"],
+                "min_dims must be finite, got (1.0, -inf, 1.0)",
+            ),
+        ],
+    )
+    def test_non_finite_lattice_flag_exits_1(self, scene, capsys, flags, message):
+        tmp, model_csv, _ = scene
+        argv = ["stats", *flags, "--model", str(model_csv), "--out-dir", str(tmp / "metrics")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"reblock: lattice {message}\n"
+        assert not (tmp / "metrics").exists()
+
     def test_module_entry_point(self):
         proc = run_module("--version")
         assert proc.returncode == 0

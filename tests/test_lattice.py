@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +22,6 @@ from reblock.lattice import (
     parent_min_corner,
     raster_index,
     read_model_csv,
-    subscript_of,
     write_model_csv,
 )
 
@@ -42,6 +43,17 @@ def test_spec_rejects_non_multiple():
         make_spec(parent=(0, 10, 10))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("origin", (math.nan, 0, 0)), ("parent_dims", (4, 4, math.inf)), ("min_dims", (1, -math.inf, 1))],
+)
+def test_spec_rejects_non_finite_fields(field, value):
+    fields = {"origin": (0, 0, 0), "parent_dims": (4, 4, 4), "min_dims": (1, 1, 1), field: value}
+    want = tuple(float(v) for v in value)
+    with pytest.raises(ValidationError, match=re.escape(f"lattice {field} must be finite, got {want}")):
+        LatticeSpec(**fields)
+
+
 def test_parent_geometry():
     spec = make_spec(origin=(1, 2, 3))
     assert parent_min_corner(spec, (1, 0, -1)) == vec3(11, 2, -7)
@@ -50,13 +62,13 @@ def test_parent_geometry():
 @given(st.integers(0, 4), st.integers(0, 5), st.integers(0, 6))
 def test_raster_subscript_round_trip(nx, ny, nz):
     counts = (5, 6, 7)
-    assert subscript_of(raster_index((nx, ny, nz), counts), counts) == (nx, ny, nz)
+    assert np.unravel_index(raster_index((nx, ny, nz), counts), counts[::-1]) == (nz, ny, nx)
 
 
 def test_raster_order_is_x_fastest():
     counts = (3, 2, 2)
-    seen = [subscript_of(i, counts) for i in range(12)]
-    assert seen[:4] == [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)]
+    seen = [raster_index(n, counts) for n in [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)]]
+    assert seen == [0, 1, 2, 3]
 
 
 def test_block_geometry():
@@ -77,7 +89,7 @@ def test_cell_lut_matches_block_centroids():
     lut = cell_lut(spec)
     base = np.asarray(parent_min_corner(spec, (0, 0, 0)))
     for i in (0, 7, 63, 124):
-        n = subscript_of(i, spec.cell_counts)
+        n = tuple(int(v) for v in np.unravel_index(i, spec.cell_counts[::-1])[::-1])
         b = Block(parent=(0, 0, 0), cell_min=n, cell_dims=(1, 1, 1))
         assert np.allclose(lut[i] + base, BlockModel(spec, [b]).centroids()[0])
 

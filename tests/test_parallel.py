@@ -87,5 +87,32 @@ def test_initializer_replaces_inherited_context(start_method):
     assert _CTX["offset"] == -(10**9)
 
 
+def test_pool_gets_no_more_workers_than_items(monkeypatch):
+    # a stand-in for the executor records its worker count and chunk size
+    # and maps in-process, so no process starts
+    pools = []
+
+    class Recording:
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            pools.append([max_workers])
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            pools[-1].append(chunksize)
+            return map(fn, items)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", Recording)
+    assert parallel_map(_with_context, [1, 2, 3], 8, _init_offset, (10,)) == [11, 12, 13]
+    assert parallel_map(_with_context, list(range(40)), 2, _init_offset, (0,)) == list(range(40))
+    assert parallel_map(_with_context, list(range(40)), 64, _init_offset, (0,)) == list(range(40))
+    assert pools == [[3, 1], [2, 5], [40, 1]]
+
+
 def test_default_threads_positive():
     assert default_threads() >= 1

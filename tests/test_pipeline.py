@@ -24,6 +24,7 @@ from reblock.sidedness import SIDE_ABOVE, SIDE_BELOW, cast_parity_many
 from reblock.tagging import TaggingInstruction
 
 from conftest import grid_surface, write_obj
+from oracles import merge_by_class
 from test_merge import random_partition_boxes
 
 SPEC = LatticeSpec(origin=(0, 0, 0), parent_dims=(4, 4, 4), min_dims=(1, 1, 1))
@@ -226,7 +227,7 @@ class TestConfigAndErrors:
         def fail(*args):
             raise ValidationError("cannot merge")
 
-        monkeypatch.setattr(pipeline, "merge_class", fail)
+        monkeypatch.setattr(pipeline, "merge_prepared", fail)
         with pytest.raises(ValidationError, match=r"^parent \(0, 0, 0\): cannot merge$"):
             merge_model(full_parent_model((0, 0, 0)), MergeParams())
 
@@ -281,6 +282,47 @@ class TestHealing:
         assert total_cells(merged) == total_cells(model)
         for block in merged.blocks:
             assert block.label in (1, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+    st.sampled_from([(1, 1, 1), (1, 0.5, 2)]),
+    st.sampled_from(["dissolved", "persistent"]),
+    st.sampled_from(["count", "aspect"]),
+    st.none() | st.integers(1, 3),
+    st.booleans(),
+    st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True),
+    st.sampled_from([1, 40, 1 << 16]),
+)
+def test_merge_model_matches_class_by_class_merge(
+    seed, counts, min_dims, convention, objective, token_life, capped, patterns, window
+):
+    """On random models of several parents and labels, rows shuffled
+    across parents, ``merge_model``'s classes, built before the workers
+    run, give the blocks, in order, that ``merge_class`` gives class by
+    class; also when they are built in windows of a few parents."""
+    rng = np.random.default_rng(seed)
+    spec = LatticeSpec((0.5, -2, 3), np.multiply(counts, min_dims), min_dims)
+    blocks = []
+    for parent in {tuple(int(v) for v in p) for p in rng.integers(-2, 3, size=(rng.integers(1, 6), 3))}:
+        labels = rng.integers(1, 9, size=rng.integers(1, 4))  # one label, or several
+        blocks += [
+            Block(parent, n, s, int(rng.choice(labels)))
+            for n, s in random_partition_boxes(rng, counts, keep=float(rng.choice([0.6, 1.0])))
+        ]
+    if not blocks:
+        blocks = [Block((0, 0, 0), (0, 0, 0), counts, 1)]
+    model = BlockModel(spec, [blocks[i] for i in rng.permutation(len(blocks))])
+    caps = tuple(int(v) for v in rng.integers(1, np.add(counts, 1))) if capped else None
+    params = MergeParams(convention, objective, token_life, caps, tuple(patterns))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_CLASS_CELLS", window)
+        got = merge_model(model, params)
+    assert [(b.parent, b.cell_min, b.cell_dims, b.label) for b in got.blocks] == merge_by_class(
+        model, params
+    )
 
 
 def unit_box_merge(owner, counts, min_dims, params):
