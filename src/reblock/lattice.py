@@ -12,8 +12,7 @@ bookkeeping exact regardless of coordinate magnitude.
 
 from __future__ import annotations
 
-import array
-import csv
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -22,6 +21,7 @@ import numpy as np
 
 from .errors import MisalignedBlock, ValidationError
 from .geometry import Vec3, vec3
+from .tables import parse_table
 
 UNLABELLED = -1
 
@@ -306,56 +306,53 @@ def paint_parent(
 # CSV I/O
 # ---------------------------------------------------------------------------
 
+# a data row as NumPy's C reader parses it
+_ROW_DTYPE = np.dtype([("centroid", "f8", 3), ("dims", "f8", 3), ("label", "i8")])
+# each field's type, and what is said of a value that type takes but NumPy's
+# C reader does not: digit-group underscores and non-ASCII digits
+_FIELDS = ((float, "could not convert string to float: {!r}"),) * 6 + (
+    (int, "invalid literal for int() with base 10: {!r}"),
+)
+
+
 def read_model_csv(path: str | Path, spec: LatticeSpec) -> BlockModel:
     """Load `x,y,z,dx,dy,dz,label` rows, snap onto the lattice, validate.
 
-    Rows are parsed one at a time, then snapped all at once.  The first row
-    in file order that fails a snap check reports its first failure: the
-    size checks, then the parent checks, then the corner checks, each group
-    axis by axis.  A snap fault in a row before one that fails to parse
-    wins over the parse fault.
+    The file is UTF-8, with or without a byte-order mark.  Blank lines and
+    lines that start with ``#`` are skipped, and a field may be
+    double-quoted within its line.  NumPy's C reader parses every row in
+    one call.  Only if it refuses the file are the rows parsed again, to
+    find the first bad line.  The rows before it are snapped all at once,
+    and the first in file order that fails a snap check reports its first
+    failure: the size checks, then the parent checks, then the corner
+    checks, each group axis by axis.  Only then is the bad line reported.
     """
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"model file not found: {path}")
-    values = array.array("d")  # x, y, z, dx, dy, dz of each row, unboxed
-    labels = array.array("q")  # int64: a label outside it fails to append
-    lines: list[int] = []
-    failure: tuple[str, Exception | None] | None = None
-    extend, append, mark = values.extend, labels.append, lines.append  # the hot loop's calls
-    with path.open(newline="") as handle:
-        header: list[str] | None = None
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if "#" in row[0] and row[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = [c.strip().lower() for c in row]
-                if tuple(header) != CSV_HEADER:
-                    raise ValidationError(
-                        f"{path}:{lineno}: expected header "
-                        f"'{','.join(CSV_HEADER)}', got '{','.join(header)}'"
-                    )
-                continue
-            if len(row) != 7:
-                failure = (f"{path}:{lineno}: expected 7 fields, got {len(row)}", None)
-                break
-            try:
-                extend(map(float, row[:6]))
-                append(int(row[6]))
-            except ValueError as exc:
-                failure = (f"{path}:{lineno}: {exc}", exc)
-                break
-            except OverflowError as exc:
-                failure = (f"{path}:{lineno}: label {int(row[6])} is outside int64", exc)
-                break
-            mark(lineno)
-    if header is None:
+    text = path.read_text(encoding="utf-8-sig").split("\n")
+    numbers = [n for n, line in enumerate(text, 1) if line.strip() and line.lstrip()[0] != "#"]
+    if not numbers:
         raise ValidationError(f"{path}: empty model file")
-    # the rows before one the loop rejected are snapped, and may fail, first
-    rows = np.asarray(values)[: 6 * len(lines)].reshape(-1, 2, 3)
-    centroid, dims = rows.transpose(1, 0, 2)
+    header = [c.strip().lower() for c in parse_table([text[numbers[0] - 1]], object, None, ",")[0]]
+    if tuple(header) != CSV_HEADER:
+        raise ValidationError(
+            f"{path}:{numbers[0]}: expected header "
+            f"'{','.join(CSV_HEADER)}', got '{','.join(header)}'"
+        )
+    numbers = numbers[1:]
+    rows = [text[n - 1] for n in numbers]
+    del text
+    table = parse_table(rows, _ROW_DTYPE, None, ",")
+    fault = None
+    if table is None:  # parse again, only to find the first bad line
+        parts = itertools.takewhile(lambda part: part is not None, _row_tables(rows))
+        table = np.concatenate([np.empty((0, 1), _ROW_DTYPE), *parts])
+        if len(table) < len(rows):
+            fault = f"{path}:{numbers[len(table)]}: {_row_fault(rows[len(table)])}"
+    del rows
+    table = table.reshape(-1)
+    centroid, dims, labels = table["centroid"], table["dims"], table["label"].copy()
     origin, pdims, mdims = (np.asarray(v) for v in (spec.origin, spec.parent_dims, spec.min_dims))
     with np.errstate(all="ignore"):  # a non-finite value fails a check
         size = dims / mdims
@@ -395,14 +392,43 @@ def read_model_csv(path: str | Path, spec: LatticeSpec) -> BlockModel:
             (*check, axis)
             for group in checks for axis in range(3) for mask, *check in group if mask[i, axis]
         )
-        raise error(f"{path}:{lines[i]}: " + message.format(value[i, axis].item(), axis=axis))
-    if failure is not None:
-        raise ValidationError(failure[0]) from failure[1]
+        raise error(f"{path}:{numbers[i]}: " + message.format(value[i, axis].item(), axis=axis))
+    if fault is not None:
+        raise ValidationError(fault)
     model = BlockModel.from_columns(spec, parent, low, cells, labels)
     # free the snap's arrays before validate paints
-    del values, rows, size, cells, q, near, parent, corner, low, checks, failed
+    del table, centroid, dims, size, cells, q, near, parent, corner, low, checks, failed
     model.validate()
     return model
+
+
+def _row_tables(rows: list[str]):
+    """``rows`` parsed by NumPy's C reader 1,024 at a time, and one at a
+    time in a block it refuses; None for each row it refuses."""
+    for at in range(0, len(rows), 1024):
+        block = rows[at : at + 1024]
+        table = parse_table(block, _ROW_DTYPE, None, ",")
+        yield from [table] if table is not None else (
+            parse_table([row], _ROW_DTYPE, None, ",") for row in block
+        )
+
+
+def _row_fault(line: str) -> str:
+    """Why NumPy's C reader refuses a data line, in the words ``float`` and
+    ``int`` use for a field they refuse too."""
+    fields = parse_table([line], object, None, ",")[0].tolist()
+    if len(fields) != 7:
+        return f"expected 7 fields, got {len(fields)}"
+    for field, (kind, refused) in zip(fields, _FIELDS):
+        try:
+            value = kind(field)
+        except ValueError as exc:
+            return str(exc)
+        if "_" in field or not field.strip().isascii():
+            return refused.format(field)
+        if kind is int and not -(2**63) <= value < 2**63:
+            return f"label {value} is outside int64"
+    raise AssertionError(f"NumPy's C reader refuses a line float() and int() accept: {line!r}")
 
 
 _ROW = "%r,%r,%r,%r,%r,%r,%d\n"

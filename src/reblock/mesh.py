@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +24,7 @@ from typing import Iterable, NoReturn, Sequence
 import numpy as np
 
 from .errors import EmptyMesh, RefinementOverflow, ValidationError
+from .tables import parse_table
 
 # Hard ceiling on triangles produced by refine_mesh.
 REFINE_CAP = 10_000_000
@@ -97,21 +97,6 @@ def _text(path: Path) -> str:
     return re.sub("#.*", "", "\n" + text)
 
 
-def _table(lines: list[str], dtype: type, cols: int | None) -> np.ndarray | None:
-    """The first ``cols`` fields of each line (all, as many on each, if None)
-    as one ``dtype`` table from one ``np.loadtxt`` call; None when a line is
-    blank or short or a field is not a plain ASCII number of that type."""
-    if not lines:  # np.loadtxt warns on empty input
-        return np.empty((0, cols or 3), dtype)
-    try:
-        with warnings.catch_warnings():  # NumPy < 2 warns, then reads '1.0' as an int
-            warnings.simplefilter("error")
-            table = np.loadtxt(lines, dtype, comments=None, usecols=cols and range(cols), ndmin=2)
-    except (ValueError, Warning):
-        return None
-    return table if len(table) == len(lines) else None  # np.loadtxt skips blank lines
-
-
 def _fault(path: Path, text: str, pattern: str, start: int, reasons: Iterable) -> NoReturn:
     """Raise ``path:line: reason`` at the first match of ``pattern`` in
     ``text``, from match ``start`` on, whose entry in ``reasons`` is set."""
@@ -126,12 +111,12 @@ def _record_fault(tag: str, fields: str, before: int = 0, nv: int = 0) -> str | 
     """What is wrong with a vertex line, or with an OBJ face line that
     follows ``before`` of the file's ``nv`` vertex lines."""
     if tag == "v":
-        if (v := _table([fields], np.float64, 3)) is None:
+        if (v := parse_table([fields], np.float64, 3)) is None:
             return "bad vertex line"
         return None if np.isfinite(v).all() else "non-finite vertex"
     if (n := len(fields.split())) != 3:
         return f"face with {n} vertices; only triangulated OBJ files are supported"
-    if (refs := _table([re.sub(_SUFFIX, "", fields)], np.int64, 3)) is None:
+    if (refs := parse_table([re.sub(_SUFFIX, "", fields)], np.int64, 3)) is None:
         return "bad face line"
     refs = np.where(refs < 0, refs + before + 1, refs)  # -k counts back from the line
     return None if _in_range(refs - 1, nv) else "vertex reference out of range"
@@ -139,12 +124,12 @@ def _record_fault(tag: str, fields: str, before: int = 0, nv: int = 0) -> str | 
 
 def _off_face_fault(line: str, nv: int) -> str | None:
     fields = line.split()
-    k = _table(fields[:1], np.int64, 1)
+    k = parse_table(fields[:1], np.int64, 1)
     if k is not None and k[0, 0] != 3:
         return f"face with {k[0, 0]} vertices; only triangles are supported"
     if k is not None and len(fields) < 4:
         return "truncated face line"
-    if (face := _table([line], np.int64, 4)) is None:
+    if (face := parse_table([line], np.int64, 4)) is None:
         return "bad face line"
     return None if _in_range(face[:, 1:], nv) else "vertex index out of range"
 
@@ -167,18 +152,18 @@ def load_off(path: str | Path) -> TriangleMesh:
     pos = 1 if rest else 2
     if pos > len(lines):
         raise ValidationError(f"{path}: truncated OFF file")
-    counts = _table([rest or lines[1]], np.int64, 2)
+    counts = parse_table([rest or lines[1]], np.int64, 2)
     if counts is None or counts.min() < 0:
         _fault(path, text, _LINE, pos - 1, ["expected 'nv nf ne' counts"])
     nv, nf = counts[0].tolist()
     if pos + nv + nf > len(lines):
         raise ValidationError(f"{path}: fewer data lines than the header promises")
-    verts = _table(lines[pos : pos + nv], np.float64, 3)
+    verts = parse_table(lines[pos : pos + nv], np.float64, 3)
     if verts is None or not np.isfinite(verts).all():
         _fault(path, text, _LINE, pos, (_record_fault("v", v) for v in lines[pos : pos + nv]))
     if nf == 0:
         raise EmptyMesh(f"{path}: OFF file declares no faces")
-    faces = _table(lines[pos + nv : pos + nv + nf], np.int64, 4)
+    faces = parse_table(lines[pos + nv : pos + nv + nf], np.int64, 4)
     if faces is None or (faces[:, 0] != 3).any() or not _in_range(faces[:, 1:], nv):
         faults = (_off_face_fault(f, nv) for f in lines[pos + nv : pos + nv + nf])
         _fault(path, text, _LINE, pos + nv, faults)
@@ -194,8 +179,8 @@ def load_obj(path: str | Path) -> TriangleMesh:
     """
     path = Path(path)
     text = _text(path)
-    verts = _table(re.findall(_TAG % "v" + "(.*)", text), np.float64, 3)
-    refs = _table(re.findall(_TAG % "f" + "(.*)", re.sub(_SUFFIX, "", text)), np.int64, None)
+    verts = parse_table(re.findall(_TAG % "v" + "(.*)", text), np.float64, 3)
+    refs = parse_table(re.findall(_TAG % "f" + "(.*)", re.sub(_SUFFIX, "", text)), np.int64, None)
     if verts is not None and refs is not None and refs.shape[1] == 3:
         negative = refs < 0
         if negative.any():  # -k is the k-th vertex back from the face's line

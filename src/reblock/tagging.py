@@ -96,6 +96,8 @@ def parse_instruction_file(path: str | Path) -> list[TaggingInstruction]:
             below = int(fields["below"])
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: labels must be integers") from exc
+        if not all(-(2**63) <= label < 2**63 for label in (above, across, below)):
+            raise ValidationError(f"{path}:{lineno}: labels must be integers within int64")
         if fields["forced"] not in ("0", "1"):
             raise ValidationError(f"{path}:{lineno}: forced must be 0 or 1")
         surface = Path(fields["surface"])

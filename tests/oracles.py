@@ -652,39 +652,49 @@ def validate_rows(spec, rows) -> None:
         window[:] = True
 
 
+def _model_field(text: str, kind: type):
+    """``kind(text)``, for the spellings NumPy's C reader takes: no
+    digit-group underscores, ASCII digits, and labels within int64.  Past
+    ``kind`` itself, a refused spelling fails in ``kind``'s words."""
+    value = kind(text)
+    if "_" in text or not text.strip().isascii():
+        if kind is float:
+            raise ValueError(f"could not convert string to float: {text!r}")
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    if kind is int and not -(2**63) <= value < 2**63:
+        raise ValueError(f"label {value} is outside int64")
+    return value
+
+
 def read_model_rows(path, spec) -> list[tuple]:
     """A model CSV read and snapped one row at a time, then validated:
-    ``(parent, cell_min, cell_dims, label)`` rows in file order."""
+    ``(parent, cell_min, cell_dims, label)`` rows in file order.  The file
+    is UTF-8 with an optional byte-order mark, and each line is a CSV
+    record of its own: a quote left open ends with its line."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"model file not found: {path}")
     rows = []
-    with path.open(newline="") as handle:
-        header = None
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if row[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = [c.strip().lower() for c in row]
-                if tuple(header) != _HEADER:
-                    raise ValidationError(
-                        f"{path}:{lineno}: expected header "
-                        f"'{','.join(_HEADER)}', got '{','.join(header)}'"
-                    )
-                continue
-            if len(row) != 7:
-                raise ValidationError(f"{path}:{lineno}: expected 7 fields, got {len(row)}")
-            try:
-                centroid = (float(row[0]), float(row[1]), float(row[2]))
-                dims = (float(row[3]), float(row[4]), float(row[5]))
-                label = int(row[6])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            if not -(2**63) <= label < 2**63:
-                raise ValidationError(f"{path}:{lineno}: label {label} is outside int64")
-            rows.append(snap_row(spec, centroid, dims, label, f"{path}:{lineno}"))
+    header = None
+    for lineno, line in enumerate(path.read_text(encoding="utf-8-sig").split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        row = next(csv.reader([line]))
+        if header is None:
+            header = [c.strip().lower() for c in row]
+            if tuple(header) != _HEADER:
+                raise ValidationError(
+                    f"{path}:{lineno}: expected header "
+                    f"'{','.join(_HEADER)}', got '{','.join(header)}'"
+                )
+            continue
+        if len(row) != 7:
+            raise ValidationError(f"{path}:{lineno}: expected 7 fields, got {len(row)}")
+        try:
+            *values, label = (_model_field(f, kind) for f, kind in zip(row, (float,) * 6 + (int,)))
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        rows.append(snap_row(spec, values[:3], values[3:], label, f"{path}:{lineno}"))
     if header is None:
         raise ValidationError(f"{path}: empty model file")
     validate_rows(spec, rows)

@@ -223,6 +223,32 @@ class TestRestructureCommand:
         assert code == 1
         assert capsys.readouterr().err == f"reblock: {tmp / name}:{where}\n"
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            "above=99999999999999999999999 across=2 below=3",
+            "above=1 across=2 below=-99999999999999999999",
+        ],
+    )
+    def test_label_outside_int64_exits_1(self, scene, capsys, labels):
+        tmp, model_csv, _ = scene
+        config = tmp / "huge.cfg"
+        config.write_text(f"surface=flat.obj positive=0,0,1 {labels} forced=0\n")
+        code = main(
+            [
+                "restructure",
+                *LATTICE_FLAGS,
+                "--model", str(model_csv),
+                "--config", str(config),
+                "--out", str(tmp / "out.csv"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"reblock: {config}:1: labels must be integers within int64\n"
+        )
+        assert not (tmp / "out.csv").exists()
+
     def test_unlayered_abstract_stack_exits_2(self, tmp_path, capsys):
         # two horizontal planes listed bottom-up: blocks between them read
         # "+1 then -1", which no layered stack can produce, and abstract

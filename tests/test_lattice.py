@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import read_model_rows, validate_rows
@@ -257,6 +257,55 @@ def test_read_messages_first_faulty_row_wins(tmp_path):
     assert _read_error(tmp_path, text) == (ValidationError, "m.csv:3: expected 7 fields, got 3")
 
 
+def test_read_finds_the_first_bad_line_past_the_first_block(tmp_path):
+    """In a file longer than one block of the reread, a quote left open ends
+    with its line, the first bad line is named, and a snap fault in an
+    earlier row still wins."""
+    rows = [f"{10 * i + 1},1,1,2,2,2,{i}" for i in range(3000)]
+    rows[1500] = '15001,1,1,2,2,2,"1500'
+    assert len(_read_both(tmp_path, HEADER + "\n".join(rows) + "\n")) == 3000
+    rows[2500] += ",9"
+    assert _read_both(tmp_path, HEADER + "\n".join(rows) + "\n") == (
+        ValidationError,
+        "m.csv:2502: expected 7 fields, got 8",
+    )
+    rows[2100] = "21001,1,1,2,2,3,0"
+    assert _read_both(tmp_path, HEADER + "\n".join(rows) + "\n") == (
+        MisalignedBlock,
+        "m.csv:2102: block size 1.5 is off-grid",
+    )
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        # a byte-order mark, CRLF, padded and quoted fields, no last newline
+        (
+            '\ufeffx,y,z,dx,dy,dz,"label"\r\n"1.0" ,1, 1 ,2,2,2, 7\r\n"3",1,1,2,2,2,"-0"',
+            [((0, 0, 0), (0, 0, 0), (1, 1, 1), 7), ((0, 0, 0), (1, 0, 0), (1, 1, 1), 0)],
+        ),
+        (HEADER + "1,1,1,2,2,2,007\n", [((0, 0, 0), (0, 0, 0), (1, 1, 1), 7)]),
+        # float() and int() take these, NumPy's C reader does not
+        (HEADER + "1_0,1,1,2,2,2,0\n", "2: could not convert string to float: '1_0'"),
+        (HEADER + "1,1,1,2,2,2,1_0\n", "2: invalid literal for int() with base 10: '1_0'"),
+        (HEADER + "1,1,\u0661,2,2,2,0\n", "2: could not convert string to float: '\u0661'"),
+        (HEADER + "1,1,1,2,2,2,\u0662\n", "2: invalid literal for int() with base 10: '\u0662'"),
+        # a quote left open ends with its line: the next line stays a row
+        (
+            HEADER + '1,1,1,2,2,2,"4\n3,1,1,2,2,2,x\n',
+            "3: invalid literal for int() with base 10: 'x'",
+        ),
+        (HEADER + '""\n', "2: expected 7 fields, got 1"),
+    ],
+    ids=["bom-crlf-quotes", "leading-zeros", "float-underscore", "int-underscore",
+         "float-arabic-indic", "int-arabic-indic", "open-quote", "empty-quotes"],
+)
+def test_read_spellings(tmp_path, text, want):
+    if isinstance(want, str):
+        want = (ValidationError, f"m.csv:{want}")
+    assert _read_both(tmp_path, text) == want
+
+
 @pytest.mark.parametrize(
     "row, message",
     [
@@ -424,7 +473,25 @@ BAD_ROWS = (
     "1,1,1,inf,1,1,0",
     "-1e200,1,1,1,1,1,0",
     "1,1,1,1,1,1,99999999999999999999999",
+    "1,1,1,1,1,1,9223372036854775808",
+    "1,1,1,1,1,1,-9223372036854775809",
+    # float() and int() take digit groups and non-ASCII digits; the reader does not
+    "1_0,1,1,1,1,1,0",
+    "1,1,1,1,1,1,1_0",
+    "\u0661,1,1,1,1,1,0",
+    "1,1,1,1,1,1,\u0661",
+    # quotes: a quoted comma, a quote after a space (a plain character), and
+    # quotes left open, which end with their line
+    '"1,1",1,1,1,1,1,0',
+    ' "1",1,1,1,1,1,0',
+    '"1,1,1,1,1,1,0',
+    '1,1,1,1,1,1,"0',
 )
+# lines the reader skips: blank, or a comment
+SKIPPED = ("", " \t ", "# a comment", "  # indented, with, commas")
+# how a row writes each field: bare, padded, double-quoted
+SPELLINGS = ("{}", " {} ", '"{}"', '"{}" ', "\t{}\u3000")
+LABELS = (-2, -1, 0, 1, 2, 5, 2**63 - 1, -(2**63))
 
 
 def _outcome(read):
@@ -438,7 +505,9 @@ def _outcome(read):
 def lattice_csvs(draw):
     """A random lattice and the text of a model CSV on it: whole parents
     tiled by slabs, shuffled, then a few rows jittered, duplicated, added
-    across a parent boundary or replaced by broken ones."""
+    across a parent boundary or replaced by broken ones.  Fields may be
+    padded or quoted; lines end in LF or CRLF, the last maybe in neither;
+    a byte-order mark may lead."""
     md = [draw(st.sampled_from(MIN_DIMS)) for _ in range(3)]
     k = [draw(st.integers(1, 4)) for _ in range(3)]
     origin = [draw(st.sampled_from(ORIGINS)) for _ in range(3)]
@@ -453,7 +522,7 @@ def lattice_csvs(draw):
         for lo, hi in zip(edges, edges[1:]):
             n, s = [0, 0, 0], list(k)
             n[axis], s[axis] = lo, hi - lo
-            blocks.append([p, n, s, draw(st.integers(-2, 5))])
+            blocks.append([p, n, s, draw(st.sampled_from(LABELS))])
     blocks = draw(st.permutations(blocks))
 
     def floats(p, n, s):
@@ -485,13 +554,17 @@ def lattice_csvs(draw):
     lines = [draw(st.sampled_from(["x,y,z,dx,dy,dz,label", " X, Y,Z,dx,DY,dz,Label "]))]
     for row in rows:
         if draw(st.integers(0, 5)) == 0:
-            lines.append(draw(st.sampled_from(["", "# a comment", "  # indented, with, commas"])))
+            lines.append(draw(st.sampled_from(SKIPPED)))
         if isinstance(row, str):
             lines.append(row)
         else:
             centroid, dims, label = row
-            lines.append(",".join(repr(float(v)) for v in (*centroid, *dims)) + f",{label}")
-    return spec, "\n".join(lines) + "\n"
+            spell = draw(st.sampled_from(SPELLINGS)).format
+            fields = [repr(float(v)) for v in (*centroid, *dims)] + [str(label)]
+            lines.append(",".join(spell(f) for f in fields))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return spec, bom + newline.join(lines) + draw(st.sampled_from([newline, ""]))
 
 
 @pytest.fixture(scope="module")
@@ -501,9 +574,20 @@ def model_path(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None)
 @given(case=lattice_csvs())
+# a byte-order mark, CRLF, padded and quoted fields, no newline at the end
+@example(case=(
+    make_spec(), '\ufeff x , y,z,dx,"dy",dz,label\r\n"1", 1 ,1,2,2,2, 3 \r\n1,1,3,2,2,2,"4"'
+))
+@example(case=(make_spec(), HEADER + "1,1,1,2,2,2,0\n1_0,1,1,2,2,2,0\n"))  # digit groups
+@example(case=(make_spec(), HEADER + "1,1,1,2,2,2,0\n1,1,3,2,2,2,1_0\n"))
+@example(case=(make_spec(), HEADER + "\u0661,1,1,2,2,2,0\n"))  # non-ASCII digits
+@example(case=(make_spec(), HEADER + "1,1,1,2,2,2,\u0661\n"))
+@example(case=(make_spec(), HEADER + f"1,1,1,2,2,2,{2**63 - 1}\n1,1,3,2,2,2,{-(2**63)}"))
+@example(case=(make_spec(), HEADER + f"1,1,1,2,2,2,{2**63}\n"))  # past int64
+@example(case=(make_spec(), HEADER + f"1,1,1,2,2,2,{-(2**63) - 1}\n"))
 def test_bulk_reader_matches_row_by_row_oracle(model_path, case):
     spec, text = case
-    model_path.write_text(text)
+    model_path.write_text(text, encoding="utf-8")
     assert _outcome(lambda: read_model_csv(model_path, spec)) == _outcome(
         lambda: BlockModel(spec, [Block(*row) for row in read_model_rows(model_path, spec)])
     )

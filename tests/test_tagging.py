@@ -64,6 +64,14 @@ def test_parse_good_file(tmp_path):
         ("surface=a.obj positive=0,inf,1 above=1 across=0 below=1 forced=0", "non-zero and finite"),
         ("surface=a.obj positive=0,0 above=1 across=0 below=1 forced=0", "ux,uy,uz"),
         ("surface=a.obj positive=0,0,1 above=x across=0 below=1 forced=0", "integers"),
+        (
+            "surface=a.obj positive=0,0,1 above=99999999999999999999999 across=0 below=1 forced=0",
+            "labels must be integers within int64",
+        ),
+        (
+            "surface=a.obj positive=0,0,1 above=1 across=0 below=-9223372036854775809 forced=0",
+            "labels must be integers within int64",
+        ),
         ("surface=a.obj positive=0,0,1 above=1 across=0 below=1 forced=0 above=2", "duplicate"),
         ("surface=a.obj positive=0,0,1 above=1 across=0 below=1 forced=0 tilt=3", "unknown key"),
     ],
@@ -85,6 +93,14 @@ def test_parse_direction_at_the_float_limits(tmp_path, positive, unit):
     f = tmp_path / "tags.txt"
     f.write_text(GOOD_LINE.replace("positive=0,0,1", f"positive={positive}"))
     assert parse_instruction_file(f)[0].positive_direction == unit
+
+
+def test_parse_labels_at_the_int64_limits(tmp_path):
+    f = tmp_path / "tags.txt"
+    line = GOOD_LINE.replace("above=1", f"above={2**63 - 1}")
+    f.write_text(line.replace("below=-1", f"below={-(2**63)}"))
+    rule = parse_instruction_file(f)[0]
+    assert (rule.label_above, rule.label_below) == (2**63 - 1, -(2**63))
 
 
 def test_parse_missing_file(tmp_path):
