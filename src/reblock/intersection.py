@@ -25,7 +25,7 @@ from numpy.typing import ArrayLike
 
 from .errors import DegenerateTriangle
 from .geometry import Aabb
-from .lattice import BlockModel, IntTriple
+from .lattice import BlockModel, IntTriple, unique_rows
 from .mesh import MeshIndex, TriangleMesh, query_candidates
 
 
@@ -173,8 +173,7 @@ def detect_overlaps(
     lo = np.asarray(spec.origin) + parent * np.asarray(spec.parent_dims) + cell_min * min_dims
     hi = lo + cell_dims * min_dims
     center, half = (lo + hi) * 0.5, (hi - lo) * 0.5
-    parents, parent_of = np.unique(parent, axis=0, return_inverse=True)
-    parent_of = parent_of.ravel()
+    parents, parent_of = unique_rows(parent)
     out = OverlapMap()
     for sid, (mesh, index) in enumerate(surfaces):
         box, tri = query_candidates(index, center - half, center + half).T

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import MisalignedBlock, ValidationError
 from .geometry import Vec3, vec3
-from .tables import parse_table
+from .tables import parse_table, read_text
 
 UNLABELLED = -1
 
@@ -164,6 +164,19 @@ def expand_cells(
     return ordinal, cell
 
 
+def unique_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(table, axis=0, return_inverse=True)`` of an (N, C) integer
+    table, by one ``np.lexsort`` rather than a sort of rows as opaque
+    records: the distinct rows in ascending order, and each row's index
+    among them."""
+    order = np.lexsort(table.T[::-1])
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (table[order[1:]] != table[order[:-1]]).any(axis=1)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return table[order[new]], inverse
+
+
 # ---------------------------------------------------------------------------
 # model container
 # ---------------------------------------------------------------------------
@@ -282,26 +295,6 @@ class BlockModel:
             raise MisalignedBlock(f"block {first} leaves its parent {parent}")
 
 
-def paint_parent(
-    spec: LatticeSpec, blocks: Sequence[Block] | BlockModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rasterize blocks of one parent onto its cell grid.
-
-    Returns ``(labels, owner)`` arrays of shape (Kz, Ky, Kx): ``labels``
-    holds each covering block's label, ``owner`` its ordinal; uncovered
-    cells hold UNLABELLED / −1.  Raises on any double-covered cell.
-    """
-    part = blocks if isinstance(blocks, BlockModel) else BlockModel(spec, blocks)
-    ordinal, cell = expand_cells(part.cell_min, part.cell_dims, spec.cell_counts)
-    owner = np.full(spec.cell_counts[::-1], -1, dtype=np.int64)
-    labels = np.full_like(owner, UNLABELLED)
-    owner.ravel()[cell] = ordinal
-    if np.count_nonzero(owner >= 0) < len(cell):
-        raise ValidationError(f"overlapping blocks in parent {tuple(part.parent[0].tolist())}")
-    labels.ravel()[cell] = part.label[ordinal]
-    return labels, owner
-
-
 # ---------------------------------------------------------------------------
 # CSV I/O
 # ---------------------------------------------------------------------------
@@ -330,7 +323,7 @@ def read_model_csv(path: str | Path, spec: LatticeSpec) -> BlockModel:
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"model file not found: {path}")
-    text = path.read_text(encoding="utf-8-sig").split("\n")
+    text = read_text(path).split("\n")
     numbers = [n for n, line in enumerate(text, 1) if line.strip() and line.lstrip()[0] != "#"]
     if not numbers:
         raise ValidationError(f"{path}: empty model file")

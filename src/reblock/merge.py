@@ -24,10 +24,11 @@ Two conventions over a parent's cell grid:
 
 There are three entries.  ``merge_class`` checks a class's list of boxes
 and paints its ordinal grid: each cell holds the index of its box, or -1.
-``merge_grid`` takes such a grid, as restructuring builds it, and builds
-the class's kernel input from it.  ``merge_prepared`` runs the scan
-patterns on that input, as ``pipeline.merge_model`` builds it for many
-classes at once with :func:`mirror_layers` and :func:`class_contacts`.
+``merge_grid`` takes such a grid and builds the class's kernel input from
+it.  ``merge_prepared`` runs the scan patterns on that input, as the
+pipeline builds it for many classes at once with :func:`mirror_layers`
+and :func:`class_contacts`, for ``merge_model`` and for restructuring
+alike.
 Eight scan patterns (mirrors of the parent along any subset of axes)
 give the greedy sweep eight vantage points; whichever result scores best
 under the chosen objective is kept.  The dissolved sweep runs on one
@@ -434,17 +435,13 @@ def merge_grid(
 
     ``owner`` is the class's [z, y, x] ordinal grid, trusted: each cell
     holds the index of its box in ``boxes``, an (N, 2, 3) array of
-    ``cell_min`` and ``cell_dims`` rows, or -1.  ``boxes`` None means each
-    cell is a box, numbered in raster order.  The dissolved input is
-    the grid's :func:`mirror_layers`, the persistent one its boxes and
-    :func:`face_contacts` table.
+    ``cell_min`` and ``cell_dims`` rows, or -1.  The dissolved input is
+    the grid's :func:`mirror_layers`, which needs no boxes; the persistent
+    one is the boxes and the grid's :func:`face_contacts` table.
     """
     _check_caps(params.max_dims, counts)
     if params.convention == "dissolved":
         return merge_prepared(mirror_layers(owner >= 0), counts, min_dims, params)
-    if boxes is None:
-        z, y, x = np.nonzero(owner >= 0)
-        boxes = np.stack([np.column_stack([x, y, z]), np.ones((len(x), 3), dtype=np.int64)], 1)
     return merge_prepared((boxes, face_contacts(owner)), counts, min_dims, params)
 
 

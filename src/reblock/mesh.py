@@ -24,7 +24,7 @@ from typing import Iterable, NoReturn, Sequence
 import numpy as np
 
 from .errors import EmptyMesh, RefinementOverflow, ValidationError
-from .tables import parse_table
+from .tables import parse_table, read_text
 
 # Hard ceiling on triangles produced by refine_mesh.
 REFINE_CAP = 10_000_000
@@ -91,7 +91,7 @@ _SUFFIX = r"/(?<=\S/)\S*"  # the /t/n part of an OBJ face reference
 def _text(path: Path) -> str:
     """The file's lines, as ``str.splitlines`` breaks them, each after a
     newline and with ``#`` comments cut."""
-    text = path.read_text()
+    text = read_text(path)
     if any(c in text for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
         text = "\n".join(text.splitlines())
     return re.sub("#.*", "", "\n" + text)

@@ -1,11 +1,14 @@
 """End-to-end restructuring: overlap → decompose → classify → merge → tag.
 
-The per-parent middle stages are independent and run on a process pool;
-everything that crosses parents (overlap detection, tagging, assembly)
-is single-threaded and order-stable, so output models are byte-identical
-for any thread count.  ``merge_model`` also builds every class's merge
-input before the pool starts, a window of whole parents at a time, so
-its workers run only the scan patterns.
+Only the merge's scan patterns run on a process pool.  Everything else
+(overlap detection, cell classification, the merge inputs, tagging and
+assembly) runs in the calling process and is order-stable, so output
+models are byte-identical for any thread count.  ``merge_model`` and
+``restructure`` build every class's merge input before the pool starts, a
+window of whole parents at a time (:func:`_merge_tasks`): ``merge_model``
+from the model's (parent, label) classes, ``restructure`` from the cells
+of the parents a surface crosses, classified a window at a time with one
+cast per surface and one sort of the cells' class keys.
 
 Two consolidation regimes are supported.  ``preclassified`` (the
 default) folds each cell's per-surface sidedness into its merge class,
@@ -27,14 +30,13 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from .errors import ReblockError, ValidationError
-from .intersection import OverlapMap, detect_overlaps, write_overlap_csv
-from .lattice import BlockModel, IntTriple, LatticeSpec, expand_cells, paint_parent
+from .intersection import detect_overlaps, write_overlap_csv
+from .lattice import BlockModel, IntTriple, LatticeSpec, expand_cells, unique_rows
 from .merge import (
     MergeParams,
     _check_caps,
     class_contacts,
     merge_class,  # uncalled here; perfbench/tracing.py probes it on this module
-    merge_grid,
     merge_prepared,
     mirror_layers,
 )
@@ -51,6 +53,7 @@ from .parallel import parallel_map
 from .sidedness import (
     SIDE_ABOVE,
     SIDE_BELOW,
+    CellClassification,
     cast_parity_many,
     classify_cells,
     write_sidedness_csv,
@@ -100,7 +103,7 @@ def load_surfaces(
 
 
 # ---------------------------------------------------------------------------
-# per-parent worker
+# worker context and assembly
 # ---------------------------------------------------------------------------
 
 # Read-only context shared by every worker; sent once per process by the
@@ -123,95 +126,6 @@ def _assemble(spec: LatticeSpec, parts: Iterable[tuple]) -> BlockModel:
     table = np.concatenate(rows)
     return BlockModel.from_columns(
         spec, np.concatenate(parents), table[:, 0:3], table[:, 3:6], table[:, 6]
-    )
-
-
-@dataclass
-class _ParentOut:
-    parent: IntTriple
-    blocks: np.ndarray  # (n_blocks, 7) rows, as _assemble takes them
-    positions: np.ndarray  # (n_blocks, n_surfaces) int8
-    majorities: np.ndarray  # (n_blocks, n_surfaces) int8
-    classification: object | None = None
-
-
-def _restructure_parent(
-    task: tuple[IntTriple, BlockModel, dict[int, np.ndarray]],
-) -> _ParentOut:
-    parent, blocks, per_surface = task
-    try:
-        return _restructure_parent_inner(parent, blocks, per_surface)
-    except ReblockError as exc:
-        raise type(exc)(f"parent {parent}: {exc}") from None
-
-
-def _restructure_parent_inner(
-    parent: IntTriple,
-    blocks: BlockModel,
-    per_surface: dict[int, np.ndarray],
-) -> _ParentOut:
-    spec: LatticeSpec = _CTX["spec"]
-    surfaces = _CTX["surfaces"]
-    directions = _CTX["directions"]
-    params: MergeParams = _CTX["params"]
-    preclassified = _CTX["mode"] == "preclassified"
-    n_surfaces = len(surfaces)
-    counts = spec.cell_counts
-    kx, ky, kz = counts
-
-    labels_grid, owner = paint_parent(spec, blocks)
-    flat_labels = labels_grid.reshape(-1)
-    occupied = np.flatnonzero(owner.reshape(-1) != -1)
-
-    cls = classify_cells(
-        spec, parent, surfaces, OverlapMap(parents={parent: per_surface}), directions
-    )
-    sides_grid = cls.sides.reshape(len(cls.surface_ids), kz, ky, kx)
-
-    columns = [flat_labels]
-    for row in range(len(cls.surface_ids)):
-        columns.append(cls.intersects[row].astype(np.int64))
-        if preclassified:
-            columns.append(cls.sides[row].astype(np.int64))
-    keys = np.stack(columns, axis=1)[occupied]
-    classes, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-
-    # a cell's ordinal, a unit block of its own: its raster rank in its class
-    order = np.argsort(inverse, kind="stable")
-    rank = np.arange(len(order)) - np.searchsorted(inverse[order], inverse[order])
-    class_grid, rank_grid = np.full((2, kz, ky, kx), -1, dtype=np.int64)
-    class_grid.ravel()[occupied], rank_grid.ravel()[occupied[order]] = inverse, rank
-    rows, class_of = [], []
-    for class_id, key in enumerate(classes):
-        ordinals = np.where(class_grid == class_id, rank_grid, -1)
-        merged = merge_grid(ordinals, counts, spec.min_dims, params)
-        rows += [(*n, *s, int(key[0])) for n, s in merged]
-        class_of += [class_id] * len(merged)
-    out_blocks = np.array(rows, dtype=np.int64).reshape(-1, 7)
-
-    n_blocks = len(out_blocks)
-    lo = out_blocks[:, 0:3]
-    hi = lo + out_blocks[:, 3:6]
-    above = _above_counts(sides_grid, lo, hi)
-    positions = np.full((n_blocks, n_surfaces), POS_UNCAST, dtype=np.int8)
-    majorities = np.full((n_blocks, n_surfaces), SIDE_ABOVE, dtype=np.int8)
-    majorities[:, cls.surface_ids] = np.where(
-        above * 2 >= (hi - lo).prod(axis=1), SIDE_ABOVE, SIDE_BELOW
-    ).T
-    # class key columns: the label, then per tested surface its intersect
-    # flag and, when preclassified, its side
-    stride = 2 if preclassified else 1
-    key_rows = classes[class_of]
-    sides = key_rows[:, 2::stride] if preclassified else POS_UNCAST
-    positions[:, cls.surface_ids] = np.where(key_rows[:, 1::stride] != 0, ACROSS, sides)
-
-    return _ParentOut(
-        parent=parent,
-        blocks=out_blocks,
-        positions=positions,
-        majorities=majorities,
-        classification=cls if _CTX.get("keep_classifications") else None,
     )
 
 
@@ -245,6 +159,15 @@ def restructure(
     parents a surface crosses are rebuilt from cells, merged class by
     class, then tagged.  With no instructions the input is returned
     unchanged.
+
+    Crossed parents are taken in raster order, a window of them at a time:
+    one paint of their blocks, one :func:`classify_cells`, and one
+    :func:`unique_rows` that gives each occupied cell its class, keyed by
+    parent, label and per-surface flags.  The classes, as a model of unit
+    cells labelled by class, go to :func:`_merge_tasks` and the workers,
+    as :func:`merge_model`'s classes do.  A cell's classification depends
+    on its own arithmetic only, so no output depends on the window size or
+    the thread count.
     """
     model.validate()
     _check_caps(config.merge_params.max_dims, model.spec.cell_counts)
@@ -256,46 +179,72 @@ def restructure(
         raise ValidationError(
             f"{len(surfaces)} surfaces for {len(config.instructions)} instructions"
         )
-    spec = model.spec
+    spec, params = model.spec, config.merge_params
+    kx, ky, kz = spec.cell_counts
+    k, n_surfaces = spec.cells_per_parent, len(surfaces)
     directions = [i.positive_direction for i in config.instructions]
     overlap = detect_overlaps(model, surfaces)
 
     by_parent = model.by_parent()
-    crossed = sorted(
-        overlap.intersecting_parents(), key=lambda p: (p[2], p[1], p[0])
-    )
-    tasks = [
-        (parent, model.take(by_parent[parent]), overlap.surfaces_of(parent))
-        for parent in crossed
-    ]
-    ctx = {
-        "spec": spec,
-        "surfaces": list(surfaces),
-        "directions": directions,
-        "params": config.merge_params,
-        "mode": config.mode,
-        "keep_classifications": config.diagnostics_dir is not None,
-    }
+    crossed = sorted(overlap.intersecting_parents(), key=lambda p: (p[2], p[1], p[0]))
+    through = np.ones(len(model), dtype=bool)
+    local = np.indices((kz, ky, kx)).reshape(3, -1)[::-1].T  # raster index -> cell
+    windows, tasks, classified = [], [], []
+    step = max(1, _CLASS_CELLS // k)
+    for window in (crossed[i : i + step] for i in range(0, len(crossed), step)):
+        rows = [by_parent[p] for p in window]
+        where = np.repeat(np.arange(len(window)), [len(r) for r in rows])
+        rows = np.concatenate(rows)
+        through[rows] = False
+        # one paint of the window's blocks, disjoint in a valid model: each
+        # occupied cell as (window parent * k + raster index), in that order
+        ordinal, cell = expand_cells(model.cell_min[rows], model.cell_dims[rows], spec.cell_counts)
+        at = where[ordinal] * k + cell
+        order = np.argsort(at)
+        cells, label = at[order], model.label[rows[ordinal[order]]]
+        intersects, sides = classify_cells(spec, window, surfaces, overlap, directions)
+        # class keys: window parent, label, then per surface its intersect
+        # flag, -1 where it does not cross the parent, and when preclassified
+        # its side; a parent's classes come out in the order of its own keys
+        flags = np.where(sides != 0, intersects, -1)
+        columns = np.stack([flags, sides], 1) if config.mode == "preclassified" else flags[:, None]
+        keys = np.column_stack([cells // k, label, columns.reshape(-1, len(window) * k)[:, cells].T])
+        classes, class_of = unique_rows(keys)
+        parents = np.array(window)
+        unit = BlockModel.from_columns(
+            spec, parents[cells // k], local[cells % k], np.ones((len(cells), 3)), class_of
+        )
+        tasks += _merge_tasks(unit, params)
+        # the window's parents stacked along z, for _above_counts
+        windows.append((parents, classes, sides.reshape(n_surfaces, -1, ky, kx)))
+        if config.diagnostics_dir is not None:
+            for w, parent in enumerate(window):
+                ids = sorted(overlap.surfaces_of(parent))
+                classified.append(CellClassification(parent, ids, intersects[ids, w], sides[ids, w]))
+    ctx = {"spec": spec, "params": params}
     results = parallel_map(
-        _restructure_parent, tasks, threads, initializer=_set_context, initargs=(ctx,)
+        _merge_parent, tasks, threads, initializer=_set_context, initargs=(ctx,)
     )
 
-    through = np.ones(len(model), dtype=bool)
-    for parent in crossed:
-        through[by_parent[parent]] = False
-    n_surfaces = len(surfaces)
     kept = np.column_stack([model.cell_min, model.cell_dims, model.label])[through]
-    staged = _assemble(
-        spec, [(model.parent[through], kept), *((r.parent, r.blocks) for r in results)]
-    )
-    positions = np.concatenate(
-        [np.full((len(kept), n_surfaces), POS_UNCAST, dtype=np.int8)]
-        + [r.positions for r in results]
-    )
-    majorities = np.concatenate(
-        [np.full((len(kept), n_surfaces), SIDE_ABOVE, dtype=np.int8)]
-        + [r.majorities for r in results]
-    )
+    parts = [(model.parent[through], kept)]
+    positions = [np.full((len(kept), n_surfaces), POS_UNCAST)]
+    majorities = [np.full((len(kept), n_surfaces), SIDE_ABOVE)]
+    done = 0
+    for parents, classes, sides_grid in windows:
+        blocks = np.concatenate(results[done : done + len(parents)])
+        done += len(parents)
+        key = classes[blocks[:, 6]]
+        lo, dims = blocks[:, 0:3], blocks[:, 3:6]
+        lift = key[:, :1] * [0, 0, kz]
+        above = _above_counts(sides_grid, lo + lift, lo + dims + lift)
+        majorities.append(np.where(above * 2 >= dims.prod(axis=1), SIDE_ABOVE, SIDE_BELOW).T)
+        flags = key[:, 2::2] if config.mode == "preclassified" else key[:, 2:]
+        side = key[:, 3::2] if config.mode == "preclassified" else POS_UNCAST
+        positions.append(np.where(flags == 1, ACROSS, np.where(flags == 0, side, POS_UNCAST)))
+        parts.append((parents[key[:, 0]], np.column_stack([lo, dims, key[:, 1]])))
+    staged = _assemble(spec, parts)
+    positions, majorities = np.concatenate(positions), np.concatenate(majorities)
 
     centroids = staged.centroids()
     for sid, instr in enumerate(config.instructions):
@@ -318,17 +267,13 @@ def restructure(
         diag = Path(config.diagnostics_dir)
         diag.mkdir(parents=True, exist_ok=True)
         write_overlap_csv(diag / "overlap.csv", overlap)
-        write_sidedness_csv(
-            diag / "sidedness.csv",
-            spec,
-            [r.classification for r in results if r.classification is not None],
-            n_surfaces,
-        )
+        write_sidedness_csv(diag / "sidedness.csv", spec, classified, n_surfaces)
     return out
 
 
-# merge_model builds the classes of a run of whole parents at a time, those
-# whose first class starts within one window of this many class-grid cells
+# _merge_tasks builds the classes of a run of whole parents at a time, those
+# whose first class starts within one window of this many class-grid cells;
+# restructure classifies this many cells, or one parent's, at a time
 _CLASS_CELLS = 1 << 15
 
 

@@ -22,7 +22,8 @@ its perturbation puts it on.
 
 Cell pre-classification assigns every cell of a surface-crossed parent a
 per-surface side (above/below) plus a separate intersect flag, and leaves
-cells of un-crossed surfaces untested.
+cells of un-crossed surfaces untested.  It classifies a window of parents
+at a time, so each surface is cast once per window.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .intersection import OverlapMap, sat_batch
-from .lattice import IntTriple, LatticeSpec, cell_lut, parent_min_corner
+from .lattice import IntTriple, LatticeSpec, cell_lut
 from .mesh import MeshIndex, TriangleMesh, query_candidates
 
 SIDE_ABOVE = 1
@@ -314,7 +315,8 @@ def cast_parity(
 
 @dataclass
 class CellClassification:
-    """Per-surface cell states for one parent, raster-ordered.
+    """Per-surface cell states of one parent, raster-ordered, as the
+    sidedness diagnostics write them.
 
     ``sides`` carries a definite above/below for every cell (intersected
     cells included — their centroid parity is what class-based merging
@@ -330,39 +332,41 @@ class CellClassification:
 
 def classify_cells(
     spec: LatticeSpec,
-    parent: IntTriple,
+    parents: Sequence[IntTriple] | IntTriple,
     surfaces: Sequence[tuple[TriangleMesh, MeshIndex]],
     overlap: OverlapMap,
     directions: Sequence[Sequence[float]] | None = None,
-) -> CellClassification:
-    """Classify every cell of one parent against each crossing surface.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classify every cell of a window of parents against every surface.
 
-    Intersect flags come from exact SAT against the surface's triangles
-    recorded for this parent; sidedness comes from parity casts at cell
-    centroids.
+    ``parents`` is a sequence of parent indices, or one.  Returns
+    ``(intersects, sides)``, (S, W, K) arrays over surfaces, parents and
+    cells in raster order.  Where a surface crosses a parent, each cell's
+    intersect flag comes from exact SAT against the surface's triangles
+    recorded for that parent, and its side from a parity cast at its
+    centre, one cast per surface over every cell of the window's parents
+    it crosses.  Elsewhere the flag is False and the side 0.
     """
-    per_surface = overlap.surfaces_of(parent)
-    surface_ids = sorted(per_surface)
+    parents = np.asarray(parents, dtype=np.int64).reshape(-1, 3)
     k_total = spec.cells_per_parent
-    base = parent_min_corner(spec, parent)
-    centers = cell_lut(spec) + np.asarray(base, dtype=np.float64)
+    base = np.asarray(spec.origin) + parents * np.asarray(spec.parent_dims)
+    centers = base[:, None, :] + cell_lut(spec)
     halves = np.asarray(spec.min_dims, dtype=np.float64) * 0.5
+    recorded = [overlap.surfaces_of(p) for p in map(tuple, parents.tolist())]
 
-    intersects = np.zeros((len(surface_ids), k_total), dtype=bool)
-    sides = np.zeros((len(surface_ids), k_total), dtype=np.int8)
-    for row, sid in enumerate(surface_ids):
-        mesh, index = surfaces[sid]
-        tris = per_surface[sid]
-        tv = mesh.tri_vertices()[tris]
-        intersects[row] = sat_batch(tv, centers, halves).any(axis=1)
+    intersects = np.zeros((len(surfaces), len(parents), k_total), dtype=bool)
+    sides = np.zeros((len(surfaces), len(parents), k_total), dtype=np.int8)
+    for sid, (mesh, index) in enumerate(surfaces):
+        crossed = [w for w, per_surface in enumerate(recorded) if sid in per_surface]
+        if not crossed:
+            continue
+        for w in crossed:
+            tv = mesh.tri_vertices()[recorded[w][sid]]
+            intersects[sid, w] = sat_batch(tv, centers[w], halves).any(axis=1)
         direction = (0.0, 0.0, 1.0) if directions is None else directions[sid]
-        sides[row] = cast_parity_many(centers, mesh, index, direction).sides
-    return CellClassification(
-        parent=parent,
-        surface_ids=surface_ids,
-        intersects=intersects,
-        sides=sides,
-    )
+        cast = cast_parity_many(centers[crossed].reshape(-1, 3), mesh, index, direction)
+        sides[sid, crossed] = cast.sides.reshape(len(crossed), k_total)
+    return intersects, sides
 
 
 def write_sidedness_csv(

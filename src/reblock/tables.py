@@ -1,16 +1,34 @@
-"""Text tables parsed in bulk by NumPy's C reader.
+"""Text files read as UTF-8, and tables parsed in bulk by NumPy's C reader.
 
-Surface meshes and model CSVs are read with :func:`parse_table`.  A reader
-that gets ``None`` back for a whole file parses it again in parts, down to
-single lines, with the same call, only to find the first bad line and say
-why it is bad.
+Model CSVs, surface meshes and instruction files are read with
+:func:`read_text`.  Surface meshes and model CSVs are parsed with
+:func:`parse_table`.  A reader that gets ``None`` back for a whole file
+parses it again in parts, down to single lines, with the same call, only
+to find the first bad line and say why it is bad.
 """
 
 from __future__ import annotations
 
 import warnings
+from pathlib import Path
 
 import numpy as np
+
+from .errors import ValidationError
+
+
+def read_text(path: Path) -> str:
+    """The file's text as UTF-8, after a byte-order mark if it has one.
+
+    Bytes that are not UTF-8 raise ``path:line: not valid UTF-8``, the line
+    counted by newlines up to the first such byte.
+    """
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"{path}:{line}: not valid UTF-8") from None
 
 
 def parse_table(

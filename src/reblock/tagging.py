@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import InconsistentSidedness, MissingSidedness, ValidationError
 from .geometry import Vec3, vec3
+from .tables import read_text
 
 ACROSS = 0
 ABOVE = 1
@@ -58,7 +59,7 @@ def parse_instruction_file(path: str | Path) -> list[TaggingInstruction]:
         raise ValidationError(f"instruction file not found: {path}")
     base = path.parent
     out: list[TaggingInstruction] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -1,12 +1,14 @@
 """Independent reference predicates the library must agree with.
 
 Nothing in here calls into :mod:`reblock`, apart from raising its
-exception classes and the class-by-class model merge, which runs the
-box-list ``merge_class`` on each class — these are deliberately separate
-implementations (polygon clipping in floats and in exact rationals,
-closed-form containment, winding numbers, heightfield interpolation, ray
-crossings in exact rationals, a brute-force bounding-box filter,
-grid-slab dissolved and persistent merges, a per-class model merge, a
+exception classes, the class-by-class model merge, which runs the
+box-list ``merge_class`` on each class, and the parent-by-parent
+restructure, which runs the library's stages on one crossed parent at a
+time — these are deliberately separate implementations (polygon clipping
+in floats and in exact rationals, closed-form containment, winding
+numbers, heightfield interpolation, ray crossings in exact rationals, a
+brute-force bounding-box filter, grid-slab dissolved and persistent
+merges, a per-class model merge, a per-parent painter and restructure, a
 row-by-row model reader, a block-by-block disjointness check and
 line-by-line OBJ and OFF readers) used as ground truth by the unit and
 acceptance tests.
@@ -577,6 +579,109 @@ def merge_by_class(model, params) -> list[tuple]:
         for b in merge_class(boxes, spec.cell_counts, spec.min_dims, params, label):
             rows.append(((px, py, pz), b.cell_min, b.cell_dims, label))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# restructuring, one crossed parent at a time
+# ---------------------------------------------------------------------------
+
+def paint_parent(spec, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """``(labels, owner)`` [z, y, x] grids of one parent's blocks (a list of
+    ``Block`` or a ``BlockModel``): each cell's block label and ordinal, -1
+    where no block is.  A cell two blocks cover raises ValidationError."""
+    kx, ky, kz = spec.cell_counts
+    owner = np.full((kz, ky, kx), -1, dtype=np.int64)
+    labels = np.full_like(owner, -1)
+    for i, b in enumerate(getattr(blocks, "blocks", blocks)):
+        (x, y, z), (sx, sy, sz) = b.cell_min, b.cell_dims
+        box = (slice(z, z + sz), slice(y, y + sy), slice(x, x + sx))
+        if (owner[box] >= 0).any():
+            raise ValidationError(f"overlapping blocks in parent {tuple(b.parent)}")
+        owner[box], labels[box] = i, b.label
+    return labels, owner
+
+
+def restructure_by_parent(model, config, surfaces) -> tuple[list[tuple], list]:
+    """Restructure of a valid model as ``(parent, cell_min, cell_dims,
+    label)`` rows, and the crossed parents' ``CellClassification``s.
+
+    Pass-through blocks come first, in input order; then the crossed
+    parents in raster order, each painted and classified on its own: SAT
+    against the triangles recorded for it and a parity cast of its cell
+    centres, per surface that crosses it.  Its cells' classes, keyed by
+    label and per crossing surface the intersect flag and (preclassified)
+    the side, go to ``merge_class`` as unit boxes in raster order, keys
+    ascending.  A block's majority side counts its cells; a position left
+    open is cast from the block's centroid.
+    """
+    from reblock.intersection import detect_overlaps, sat_batch
+    from reblock.lattice import BlockModel
+    from reblock.merge import merge_class
+    from reblock.sidedness import CellClassification, cast_parity_many
+    from reblock.tagging import apply_tagging
+
+    spec, n_surfaces = model.spec, len(surfaces)
+    kx, ky, kz = spec.cell_counts
+    overlap = detect_overlaps(model, surfaces)
+    directions = [i.positive_direction for i in config.instructions]
+    cells = [(x, y, z) for z in range(kz) for y in range(ky) for x in range(kx)]
+    halves = np.asarray(spec.min_dims) * 0.5
+    stride = 2 if config.mode == "preclassified" else 1
+    rows, positions, majorities, by_parent = [], [], [], {}
+    for b in model.blocks:
+        if b.parent in overlap.parents:
+            by_parent.setdefault(b.parent, []).append(b)
+        else:
+            rows.append((b.parent, b.cell_min, b.cell_dims, b.label))
+            positions.append([None] * n_surfaces)
+            majorities.append([1] * n_surfaces)
+    classifications = []
+    for parent in sorted(by_parent, key=lambda p: (p[2], p[1], p[0])):
+        labels, owner = paint_parent(spec, by_parent[parent])
+        base = [o + p * d for o, p, d in zip(spec.origin, parent, spec.parent_dims)]
+        centers = np.array([[b + (n + 0.5) * m for b, n, m in zip(base, c, spec.min_dims)] for c in cells])
+        ids = sorted(overlap.parents[parent])
+        intersects = np.array([
+            sat_batch(surfaces[s][0].tri_vertices()[overlap.parents[parent][s]], centers, halves).any(axis=1)
+            for s in ids
+        ])
+        sides = np.array([cast_parity_many(centers, *surfaces[s], directions[s]).sides for s in ids])
+        classifications.append(CellClassification(parent, ids, intersects, sides))
+        classes = {}
+        for i in np.flatnonzero(owner.ravel() >= 0).tolist():
+            key = [int(labels.flat[i])]
+            for row in range(len(ids)):
+                key += [int(intersects[row, i])]
+                key += [int(sides[row, i])] if config.mode == "preclassified" else []
+            classes.setdefault(tuple(key), []).append((cells[i], (1, 1, 1)))
+        grids = sides.reshape(len(ids), kz, ky, kx)
+        for key, boxes in sorted(classes.items()):
+            for b in merge_class(boxes, spec.cell_counts, spec.min_dims, config.merge_params, key[0]):
+                rows.append((parent, b.cell_min, b.cell_dims, key[0]))
+                (x, y, z), (sx, sy, sz) = b.cell_min, b.cell_dims
+                above = (grids[:, z : z + sz, y : y + sy, x : x + sx] == 1).sum(axis=(1, 2, 3))
+                position, majority = [None] * n_surfaces, [1] * n_surfaces
+                for row, s in enumerate(ids):
+                    if key[1 + stride * row]:
+                        position[s] = 0
+                    elif config.mode == "preclassified":
+                        position[s] = key[2 + stride * row]
+                    majority[s] = 1 if 2 * above[row] >= sx * sy * sz else -1
+                positions.append(position)
+                majorities.append(majority)
+    staged = BlockModel.from_columns(spec, *([r[k] for r in rows] for k in range(4)))
+    centroids = staged.centroids()
+    for s, (mesh, index) in enumerate(surfaces):
+        missing = [i for i, p in enumerate(positions) if p[s] is None]
+        if missing:
+            cast = cast_parity_many(centroids[missing], mesh, index, directions[s])
+            for i, side in zip(missing, cast.sides.tolist()):
+                positions[i][s] = side
+    tagged = apply_tagging(
+        np.array(positions).reshape(-1, n_surfaces), np.array(majorities).reshape(-1, n_surfaces),
+        staged.label, config.instructions,
+    )
+    return [(*r[:3], label) for r, label in zip(rows, tagged.tolist())], classifications
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,13 @@ import pytest
 
 import reblock
 from reblock.cli import main
-from reblock.lattice import Block, BlockModel, LatticeSpec, paint_parent, read_model_csv, write_model_csv
+from reblock.lattice import Block, BlockModel, LatticeSpec, read_model_csv, write_model_csv
 from reblock.merge import MergeParams
 from reblock.pipeline import PipelineConfig, restructure
 from reblock.tagging import TaggingInstruction
 
 from conftest import box_mesh, grid_surface, write_obj
+from oracles import paint_parent
 
 SPEC = LatticeSpec(origin=(0, 0, 0), parent_dims=(4, 4, 4), min_dims=(1, 1, 1))
 LATTICE_FLAGS = ["--parent-dims", "4,4,4", "--min-dims", "1,1,1"]
@@ -491,6 +492,16 @@ class TestStatsCommand:
         )
         assert code == 1
         assert capsys.readouterr().err == f"reblock: {model_csv}:2: {message}\n"
+
+    def test_model_not_utf8_exits_1(self, tmp_path, capsys):
+        model_csv = tmp_path / "m.csv"
+        model_csv.write_bytes(b"x,y,z,dx,dy,dz,label\n2,2,2,4,4,4,1\n6,2,2,4,4,4,\xff\n")
+        code = main(
+            ["stats", *LATTICE_FLAGS, "--model", str(model_csv), "--out-dir", str(tmp_path / "m")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"reblock: {model_csv}:3: not valid UTF-8\n"
+        assert not (tmp_path / "m").exists()
 
 
 CONFIG_KEYS = {

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import read_model_rows, validate_rows
+from oracles import paint_parent, read_model_rows, validate_rows
 from reblock.errors import MisalignedBlock, ValidationError
 from reblock.geometry import vec3
 from reblock.lattice import (
@@ -18,10 +18,10 @@ from reblock.lattice import (
     LatticeSpec,
     cell_lut,
     cells_of,
-    paint_parent,
     parent_min_corner,
     raster_index,
     read_model_csv,
+    unique_rows,
     write_model_csv,
 )
 
@@ -95,6 +95,8 @@ def test_cell_lut_matches_block_centroids():
 
 
 def test_paint_parent_and_overlap_guard():
+    """The test oracles' one-parent painter, which the restructure and CLI
+    tests read output grids with."""
     spec = make_spec(parent=(4, 4, 4), cell=(1, 1, 1))
     a = Block(parent=(0, 0, 0), cell_min=(0, 0, 0), cell_dims=(2, 4, 4), label=1)
     b = Block(parent=(0, 0, 0), cell_min=(2, 0, 0), cell_dims=(2, 4, 4), label=2)
@@ -105,6 +107,16 @@ def test_paint_parent_and_overlap_guard():
     clash = Block(parent=(0, 0, 0), cell_min=(1, 0, 0), cell_dims=(1, 1, 1), label=3)
     with pytest.raises(ValidationError, match="overlapping"):
         paint_parent(spec, [a, clash])
+
+
+def test_unique_rows_match_numpy():
+    rng = np.random.default_rng(3)
+    for n, c in [(0, 3), (1, 1), (40, 3), (300, 6)]:
+        table = rng.integers(-3, 3, size=(n, c)) * rng.choice([1, 2**61], size=(n, c))
+        rows, inverse = unique_rows(table)
+        want_rows, want_inverse = np.unique(table, axis=0, return_inverse=True)
+        assert rows.tolist() == want_rows.tolist()
+        assert inverse.tolist() == want_inverse.ravel().tolist()
 
 
 def test_model_validate_catches_escapes_and_overlaps():

@@ -193,6 +193,22 @@ def test_loader_messages(tmp_path, name):
     assert _error(load_mesh_lines, path) == (kind, message)
 
 
+@pytest.mark.parametrize(
+    "name, data, line",
+    [
+        ("bad.obj", b"# caf\xc3\xa9\nv 0 0 0\nv 1 0 0 # \xff\nv 0 1 0\nf 1 2 3\n", 3),
+        ("bad.off", b"OFF\n3 1 0\n0 0 0\n1 0 0 # \xc3\n0 1 0\n3 0 1 2\n", 4),
+    ],
+)
+def test_loaders_reject_invalid_utf8(tmp_path, name, data, line):
+    """UTF-8 comments are fine; a byte that is not UTF-8 fails at its line."""
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert _error(load_mesh, path) == (ValidationError, f"{name}:{line}: not valid UTF-8")
+    path.write_bytes(data.replace(b"\xff", b"").replace(b"\xc3\n", b"\n"))
+    assert len(load_mesh(path)) == 1
+
+
 def test_triangle_indices_checked_before_narrowing(tmp_path):
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
     with pytest.raises(ValidationError, match="out-of-range vertex indices"):

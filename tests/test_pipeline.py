@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from reblock import pipeline
 from reblock.errors import ValidationError
-from reblock.lattice import Block, BlockModel, LatticeSpec, cells_of, paint_parent
-from reblock.merge import MergeParams, merge_class
+from reblock.intersection import detect_overlaps, write_overlap_csv
+from reblock.lattice import Block, BlockModel, LatticeSpec, cells_of
+from reblock.merge import MergeParams
 from reblock.mesh import build_index, load_mesh
 from reblock.pipeline import (
     PipelineConfig,
@@ -20,11 +21,17 @@ from reblock.pipeline import (
     merge_model,
     restructure,
 )
-from reblock.sidedness import SIDE_ABOVE, SIDE_BELOW, cast_parity_many
+from reblock.sidedness import (
+    CODE_UNTESTED,
+    SIDE_ABOVE,
+    SIDE_BELOW,
+    cast_parity_many,
+    write_sidedness_csv,
+)
 from reblock.tagging import TaggingInstruction
 
 from conftest import grid_surface, write_obj
-from oracles import merge_by_class
+from oracles import merge_by_class, paint_parent, restructure_by_parent
 from test_merge import random_partition_boxes
 
 SPEC = LatticeSpec(origin=(0, 0, 0), parent_dims=(4, 4, 4), min_dims=(1, 1, 1))
@@ -325,11 +332,35 @@ def test_merge_model_matches_class_by_class_merge(
     )
 
 
-def unit_box_merge(owner, counts, min_dims, params):
-    """The box-list entry on a class's cells as unit boxes in raster order,
-    in place of the grid driver; it reads the grid's occupancy only."""
-    boxes = [(tuple(int(v) for v in n[::-1]), (1, 1, 1)) for n in np.argwhere(owner >= 0)]
-    return [(b.cell_min, b.cell_dims) for b in merge_class(boxes, counts, min_dims, params, 0)]
+def crossed_scene(seed, min_dims, n_sheets=None):
+    """Six parents of random blocks, rows shuffled, and one to three
+    random sheets, each over its own x and y range and forced or not: a
+    sheet may cross some parents and miss others."""
+    rng = np.random.default_rng(seed)
+    spec = LatticeSpec(origin=(0, 0, 0), parent_dims=(4, 4, 4), min_dims=min_dims)
+    keep = float(rng.choice([0.7, 1.0]))
+    blocks = [
+        Block((px, py, 0), n, s, int(rng.integers(1, 3)))
+        for py in range(2)
+        for px in range(3)
+        for n, s in random_partition_boxes(rng, spec.cell_counts, keep)
+    ]
+    model = BlockModel(spec, [blocks[i] for i in rng.permutation(len(blocks))])
+    instructions, surfaces = [], []
+    for i in range(n_sheets or int(rng.integers(1, 4))):
+        x0, x1 = sorted(rng.choice([-1.0, 3.25, 5.5, 6.75, 13.0], 2, replace=False))
+        y0, y1 = sorted(rng.choice([-1.0, 2.5, 5.25, 9.0], 2, replace=False))
+        xs, ys = np.linspace(x0, x1, 5), np.linspace(y0, y1, 4)
+        heights = dict(zip(((x, y) for y in ys for x in xs), rng.integers(2, 31, size=20) / 8))
+        mesh = grid_surface(xs, ys, lambda x, y: heights[x, y])
+        forced = bool(rng.integers(2))
+        instructions.append(instruction(f"sheet{i}.obj", 10 + i, 20 + i, 30 + i, forced))
+        surfaces.append((mesh, build_index(mesh)))
+    return model, tuple(instructions), surfaces
+
+
+def rows_of(model):
+    return [(b.parent, b.cell_min, b.cell_dims, b.label) for b in model.blocks]
 
 
 @settings(max_examples=60, deadline=None)
@@ -346,35 +377,61 @@ def unit_box_merge(owner, counts, min_dims, params):
 def test_restructure_matches_unit_box_merge(
     seed, min_dims, convention, objective, token_life, capped, patterns, mode
 ):
-    """On random crossed scenes, restructuring on class grids gives the
-    blocks, in order, that the box-list ``merge_class`` gives on each
-    class's unit boxes in raster order."""
+    """On random crossed scenes, where a sheet may cross only some
+    parents, restructuring on windows of parents gives the blocks, in
+    order, that the parent-by-parent oracle gives: one classification per
+    parent and the box-list ``merge_class`` on each class's unit boxes."""
+    model, instructions, surfaces = crossed_scene(seed, min_dims)
+    counts = model.spec.cell_counts
     rng = np.random.default_rng(seed)
-    spec = LatticeSpec(origin=(0, 0, 0), parent_dims=(4, 4, 4), min_dims=min_dims)
-    counts = spec.cell_counts
-    blocks = [
-        Block(parent=(p, 0, 0), cell_min=n, cell_dims=s, label=int(rng.integers(1, 3)))
-        for p in range(2)
-        for n, s in random_partition_boxes(rng, counts, keep=1.0)
-    ]
-    model = BlockModel(spec=spec, blocks=blocks)
-    instructions, surfaces = [], []
-    for i in range(int(rng.integers(1, 3))):
-        xs, ys = (-1.0, 1.5, 4.25, 6.5, 9.0), (-1.0, 1.75, 3.5, 5.0)
-        heights = dict(zip(((x, y) for y in ys for x in xs), rng.integers(2, 31, size=20) / 8))
-        mesh = grid_surface(xs, ys, lambda x, y: heights[x, y])
-        instructions.append(instruction(f"sheet{i}.obj", above=10 + i, across=20 + i, below=30 + i))
-        surfaces.append((mesh, build_index(mesh)))
     caps = tuple(int(v) for v in rng.integers(1, np.add(counts, 1))) if capped else None
     params = MergeParams(convention, objective, token_life, caps, tuple(patterns))
-    cfg = PipelineConfig(instructions=tuple(instructions), merge_params=params, mode=mode)
-    got = restructure(model, cfg, surfaces=surfaces)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "merge_grid", unit_box_merge)
-        want = restructure(model, cfg, surfaces=surfaces)
-    assert [(b.parent, b.cell_min, b.cell_dims, b.label) for b in got.blocks] == [
-        (b.parent, b.cell_min, b.cell_dims, b.label) for b in want.blocks
-    ]
+    cfg = PipelineConfig(instructions=instructions, merge_params=params, mode=mode)
+    want, _ = restructure_by_parent(model, cfg, surfaces)
+    assert rows_of(restructure(model, cfg, surfaces=surfaces)) == want
+
+
+@pytest.mark.parametrize("mode", ["preclassified", "legacy-two-set"])
+@pytest.mark.parametrize("convention", ["dissolved", "persistent"])
+def test_restructure_does_not_depend_on_window_or_threads(convention, mode):
+    """Windows of one parent, of three and of all six, each at one and two
+    threads, give the oracle's blocks, block for block."""
+    model, instructions, surfaces = crossed_scene(5, (1, 0.5, 2), n_sheets=2)
+    cfg = PipelineConfig(instructions, MergeParams(convention=convention), mode)
+    want, _ = restructure_by_parent(model, cfg, surfaces)
+    k = model.spec.cells_per_parent
+    for window in (k, 3 * k, 6 * k):
+        for threads in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pipeline, "_CLASS_CELLS", window)
+                got = restructure(model, cfg, surfaces=surfaces, threads=threads)
+            assert rows_of(got) == want, (window, threads)
+
+
+def test_diagnostics_match_the_parent_by_parent_oracle(tmp_path, monkeypatch):
+    """On two sheets, one of which misses a crossed parent, the overlap and
+    sidedness CSVs written from windows of three parents equal, byte for
+    byte, the ones the parent-by-parent classifications give."""
+    spec = LatticeSpec(origin=(0, 0, 0), parent_dims=(4, 4, 4), min_dims=(1, 1, 1))
+    model = full_parent_model(*((px, py, 0) for py in range(2) for px in range(3)))
+    wide = grid_surface((-1.0, 5.5, 13.0), (-1.0, 9.0), lambda x, y: 1.25 + x / 8)
+    narrow = grid_surface((-1.0, 3.5, 6.75), (-1.0, 3.25), 2.625)
+    surfaces = [(mesh, build_index(mesh)) for mesh in (wide, narrow)]
+    cfg = PipelineConfig(
+        (instruction("wide.obj"), instruction("narrow.obj")), diagnostics_dir=str(tmp_path / "got")
+    )
+    monkeypatch.setattr(pipeline, "_CLASS_CELLS", 3 * spec.cells_per_parent)
+    restructure(model, cfg, surfaces=surfaces)
+    _, classifications = restructure_by_parent(model, cfg, surfaces)
+    assert [c.surface_ids for c in classifications] == [[0, 1], [0, 1], [0], [0], [0], [0]]
+    want = tmp_path / "want"
+    want.mkdir()
+    write_overlap_csv(want / "overlap.csv", detect_overlaps(model, surfaces))
+    write_sidedness_csv(want / "sidedness.csv", spec, classifications, 2)
+    for name in ("overlap.csv", "sidedness.csv"):
+        assert (tmp_path / "got" / name).read_bytes() == (want / name).read_bytes()
+    codes = [line.rsplit(",", 1)[1] for line in (want / "sidedness.csv").read_text().splitlines()]
+    assert codes.count(str(CODE_UNTESTED)) == 4 * 64
 
 
 def test_above_counts_match_window_sums():

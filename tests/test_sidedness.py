@@ -13,6 +13,7 @@ from reblock.mesh import TriangleMesh, build_index
 from reblock.sidedness import (
     SIDE_ABOVE,
     SIDE_BELOW,
+    CellClassification,
     ParityResult,
     cast_parity,
     cast_parity_many,
@@ -474,23 +475,42 @@ def test_classify_cells_mid_plane_partition():
     """Plane through the parent's waist: 16 clean above, 16 clean below,
     32 touching cells, and every cell still carries a definite side."""
     spec, surfaces, overlap = _classified_parent()
-    cls = classify_cells(spec, (0, 0, 0), surfaces, overlap)
-    assert cls.surface_ids == [0]
-    sides = cls.sides[0].reshape(4, 4, 4)  # [z, y, x]
+    intersects, sides = classify_cells(spec, (0, 0, 0), surfaces, overlap)
+    assert intersects.shape == sides.shape == (1, 1, 64)
+    sides = sides[0].reshape(4, 4, 4)  # [z, y, x]
     assert (sides[:2] == SIDE_BELOW).all()
     assert (sides[2:] == SIDE_ABOVE).all()
-    inter = cls.intersects[0].reshape(4, 4, 4)
+    inter = intersects[0].reshape(4, 4, 4)
     assert (inter[1:3] == True).all()  # noqa: E712
     assert not inter[0].any() and not inter[3].any()
 
 
 def test_classify_cells_direction_override():
     spec, surfaces, overlap = _classified_parent()
-    cls = classify_cells(spec, (0, 0, 0), surfaces, overlap, directions=[(0, 0, -1)])
-    sides = cls.sides[0].reshape(4, 4, 4)
+    _, sides = classify_cells(spec, (0, 0, 0), surfaces, overlap, directions=[(0, 0, -1)])
+    sides = sides[0].reshape(4, 4, 4)
     # casting downward flips which half sees an odd crossing count
     assert (sides[:2] == SIDE_ABOVE).all()
     assert (sides[2:] == SIDE_BELOW).all()
+
+
+def test_classify_cells_window_matches_parent_by_parent():
+    """A window of parents is classified as each of them alone; a parent
+    the surface does not cross gets no flag and side 0."""
+    spec = LatticeSpec(vec3(0, 0, 0), vec3(4, 4, 4), vec3(1, 1, 1))
+    parents = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)]
+    model = BlockModel(spec, [Block(p, (0, 0, 0), (4, 4, 4), 0) for p in parents])
+    mesh = grid_surface([-1.0, 2.5, 6.5], [-1.0, 3.5], lambda x, y: 1.25 + x / 4)
+    surfaces = [(mesh, build_index(mesh))]
+    overlap = detect_overlaps(model, surfaces)
+    assert sorted(overlap.parents) == [(0, 0, 0), (1, 0, 0)]
+    intersects, sides = classify_cells(spec, parents, surfaces, overlap)
+    for w, parent in enumerate(parents[:2]):
+        alone = classify_cells(spec, parent, surfaces, overlap)
+        assert intersects[:, w].tolist() == alone[0][:, 0].tolist()
+        assert sides[:, w].tolist() == alone[1][:, 0].tolist()
+        assert intersects[:, w].any() and (sides[:, w] != 0).all()
+    assert not intersects[:, 2:].any() and not sides[:, 2:].any()
 
 
 def _stepped_sheet():
@@ -518,7 +538,7 @@ def test_classify_cells_intersects_match_clip_oracle(scene):
     model = BlockModel(spec, [Block(parent, (0, 0, 0), (kx, ky, kz), 0)])
     surfaces = [(mesh, build_index(mesh))]
     overlap = detect_overlaps(model, surfaces)
-    cls = classify_cells(spec, parent, surfaces, overlap)
+    intersects, _ = classify_cells(spec, parent, surfaces, overlap)
 
     tv = mesh.tri_vertices()[overlap.surfaces_of(parent)[0]]
     centers = cell_lut(spec) + np.asarray(parent_min_corner(spec, parent))
@@ -526,14 +546,14 @@ def test_classify_cells_intersects_match_clip_oracle(scene):
     half = np.asarray(spec.min_dims) * 0.5
     hits = clip_overlap_pairs(tv[t], centers[c], half).reshape(len(centers), len(tv))
     expected = hits.any(axis=1).tolist()
-    assert cls.surface_ids == [0]
-    assert cls.intersects[0].tolist() == expected
+    assert intersects[0, 0].tolist() == expected
     assert 0 < sum(expected) < len(expected)
 
 
 def test_write_sidedness_csv(tmp_path):
     spec, surfaces, overlap = _classified_parent()
-    cls = classify_cells(spec, (0, 0, 0), surfaces, overlap)
+    intersects, sides = classify_cells(spec, (0, 0, 0), surfaces, overlap)
+    cls = CellClassification((0, 0, 0), [0], intersects[:, 0], sides[:, 0])
     path = tmp_path / "sides.csv"
     rows = write_sidedness_csv(path, spec, [cls], n_surfaces=2)
     lines = path.read_text().strip().splitlines()

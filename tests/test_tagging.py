@@ -103,6 +103,14 @@ def test_parse_labels_at_the_int64_limits(tmp_path):
     assert (rule.label_above, rule.label_below) == (2**63 - 1, -(2**63))
 
 
+def test_parse_rejects_invalid_utf8(tmp_path):
+    f = tmp_path / "tags.txt"
+    f.write_bytes(b"# r\xc3\xa8gle\n" + GOOD_LINE.encode().replace(b"top", b"t\xe8p"))
+    with pytest.raises(ValidationError) as err:
+        parse_instruction_file(f)
+    assert str(err.value) == f"{f}:2: not valid UTF-8"
+
+
 def test_parse_missing_file(tmp_path):
     with pytest.raises(ValidationError, match="not found"):
         parse_instruction_file(tmp_path / "none.txt")
