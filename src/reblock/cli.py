@@ -279,7 +279,7 @@ def _add_merge_flags(p: argparse.ArgumentParser, convention_required: bool) -> N
     )
     p.add_argument(
         "--threads", type=int, default=default_threads(),
-        help="worker processes for per-parent stages",
+        help="processes, this one included, for per-parent stages (default: the CPUs it may use)",
     )
 
 

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyInput, ValidationError
-from .lattice import BlockModel
+from .lattice import BlockModel, unique_rows
 
 STATS_HEADER = (
     "label",
@@ -101,8 +101,7 @@ def aspect_ratio_icdf(model: BlockModel) -> np.ndarray:
     the inverse CDF ("the lower the curve, the better").
     """
     _, volumes, ars = _block_metrics(model)
-    _, inverse = np.unique(model.parent, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
+    _, inverse = unique_rows(model.parent)
     n_parents = int(inverse.max()) + 1
     vol_sum = np.zeros(n_parents)
     va_sum = np.zeros(n_parents)

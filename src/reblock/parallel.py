@@ -1,14 +1,13 @@
 """Deterministic fan-out over parents.
 
-Workers are separate processes.  On Linux they are forked, so they start
-with the parent's imported modules and cost milliseconds, not a fresh
-interpreter and a NumPy import each; elsewhere they are spawned, because
-fork is unavailable (Windows) or unsafe with system frameworks (macOS).
-Output does not depend on which: every worker's context comes from the
-initializer, which replaces whatever state a forked worker inherited,
-results come back in submission order, and nothing a worker computes
-depends on which process ran it — which is what makes outputs
-byte-identical for any thread count.
+``threads`` processes, the caller included, each map one contiguous share
+of the items; there is no pool.  The caller starts a child per share but
+the first, each with a one-way pipe, then maps the first share itself.
+Children are forked on Linux, starting in milliseconds with their share
+in memory, and spawned elsewhere (fork is missing on Windows and unsafe
+with macOS frameworks).  Each process's context comes from the
+initializer, replacing whatever a forked child inherited, and shares are
+joined in input order: outputs are byte-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import ValidationError
@@ -24,14 +22,23 @@ from .errors import ValidationError
 T = TypeVar("T")
 R = TypeVar("R")
 
-# Under fork, ProcessPoolExecutor forks every worker before it starts its
-# own manager thread, so the parent's only other threads at that point are
-# NumPy's idle BLAS workers.
+# children fork before the caller starts work, while NumPy's BLAS threads idle
 _START_METHOD = "fork" if sys.platform.startswith("linux") else "spawn"
 
 
 def default_threads() -> int:
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _child(conn, send, fn, share, initializer, initargs) -> None:
+    conn.close()  # forked, this copy would keep a dead caller's pipe open: send would block
+    try:
+        if initializer is not None:
+            initializer(*initargs)
+        outcome = [fn(item) for item in share], None
+    except Exception as exc:
+        outcome = [], exc
+    send.send(outcome)
 
 
 def parallel_map(
@@ -41,26 +48,37 @@ def parallel_map(
     initializer: Callable[..., None] | None = None,
     initargs: Iterable = (),
 ) -> list[R]:
-    """Order-preserving map, in-process when one thread is enough.
-
-    ``initializer`` receives the shared read-only context exactly once
-    per worker (or once in-process), so large payloads such as surface
-    meshes are not re-pickled per item.
-    """
+    """Order-preserving map over ``threads`` processes; ``initializer`` runs
+    once in each.  A failure raises the first failing item's error."""
     if threads < 1:
         raise ValidationError("thread count must be positive")
-    if threads == 1 or len(items) <= 1:
+    n, children = max(1, min(threads, len(items))), []
+    ctx, initargs = mp.get_context(_START_METHOD), tuple(initargs)
+    try:
+        for i in range(1, n):
+            conn, send = ctx.Pipe(duplex=False)
+            share = items[len(items) * i // n : len(items) * (i + 1) // n]
+            child = ctx.Process(target=_child, args=(conn, send, fn, share, initializer, initargs))
+            child.start()
+            children.append((child, conn))
+            send.close()
         if initializer is not None:
             initializer(*initargs)
-        return [fn(item) for item in items]
-    ctx = mp.get_context(_START_METHOD)
-    chunksize = max(1, -(-len(items) // (threads * 4)))
-    # under fork the pool starts every worker up front, so it gets no more
-    # workers than there are items
-    with ProcessPoolExecutor(
-        max_workers=min(threads, len(items)),
-        mp_context=ctx,
-        initializer=initializer,
-        initargs=tuple(initargs),
-    ) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+        results = [fn(item) for item in items[: len(items) // n]]
+        for child, conn in children:
+            try:
+                part, exc = conn.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"worker process ended with exit code {child.exitcode}") from None
+            conn.close()
+            if exc is not None:
+                raise exc
+            results += part
+        return results
+    finally:
+        for child, conn in children:
+            if not conn.closed:  # unread, it may be blocked writing to its pipe
+                child.terminate()
+            child.join()
+            conn.close()

@@ -1,14 +1,16 @@
 """End-to-end restructuring: overlap → decompose → classify → merge → tag.
 
-Only the merge's scan patterns run on a process pool.  Everything else
-(overlap detection, cell classification, the merge inputs, tagging and
-assembly) runs in the calling process and is order-stable, so output
-models are byte-identical for any thread count.  ``merge_model`` and
-``restructure`` build every class's merge input before the pool starts, a
-window of whole parents at a time (:func:`_merge_tasks`): ``merge_model``
-from the model's (parent, label) classes, ``restructure`` from the cells
-of the parents a surface crosses, classified a window at a time with one
-cast per surface and one sort of the cells' class keys.
+Only the merge's scan patterns run over ``threads`` processes, the
+calling process included (:func:`parallel_map`; there is no pool).
+Everything else (overlap detection, cell classification, the merge
+inputs, tagging and assembly) runs in the calling process alone and is
+order-stable, so output models are byte-identical for any thread count.
+``merge_model`` and ``restructure`` build every class's merge input
+before any child process starts, a window of whole parents at a time
+(:func:`_merge_tasks`): ``merge_model`` from the model's (parent, label)
+classes, ``restructure`` from the cells of the parents a surface
+crosses, classified a window at a time with one cast per surface and one
+sort of the cells' class keys.
 
 Two consolidation regimes are supported.  ``preclassified`` (the
 default) folds each cell's per-surface sidedness into its merge class,
@@ -106,8 +108,8 @@ def load_surfaces(
 # worker context and assembly
 # ---------------------------------------------------------------------------
 
-# Read-only context shared by every worker; sent once per process by the
-# pool initializer (or set in-process for single-threaded runs).
+# Read-only context shared by every process that merges; set once per
+# process by parallel_map's initializer, in the caller as in each child.
 _CTX: dict = {}
 
 
