@@ -22,13 +22,14 @@ Two conventions over a parent's cell grid:
   Each block keeps the sum of those areas per face, so the common failing
   check, a foreign cell beyond the face, is one multiply and compare.
 
-There are three entries.  ``merge_class`` checks a class's list of boxes
-and paints its ordinal grid: each cell holds the index of its box, or -1.
-``merge_grid`` takes such a grid and builds the class's kernel input from
-it.  ``merge_prepared`` runs the scan patterns on that input, as the
-pipeline builds it for many classes at once with :func:`mirror_layers`
-and :func:`class_contacts`, for ``merge_model`` and for restructuring
-alike.
+There are two entries.  :func:`class_inputs` builds the kernel input of
+every (parent, label) class of a set of block rows, a window of whole
+parents at a time: under dissolved the class's :func:`mirror_layers`
+ints, under persistent its boxes and their :func:`class_contacts` table.
+:func:`merge_prepared` runs the scan patterns on one class's input.  The
+pipeline builds the inputs of ``merge_model`` and of restructuring with
+the first and hands them to workers running the second; ``merge_class``
+checks one class's list of boxes and makes a one-class call of each.
 Eight scan patterns (mirrors of the parent along any subset of axes)
 give the greedy sweep eight vantage points; whichever result scores best
 under the chosen objective is kept.  The dissolved sweep runs on one
@@ -196,13 +197,6 @@ def _sweep(layers: list[int], counts: IntTriple, max_dims, token_life) -> list[t
 # persistent convention
 # ---------------------------------------------------------------------------
 
-def face_contacts(owner: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """Face-contact table of one class's ordinal grid, one row per touching
-    pair, as :func:`class_contacts` gives it; ``owner`` is a [z, y, x] grid
-    of block ordinals, -1 where no block is."""
-    return class_contacts(np.where(owner >= 0, 0, -1), owner, [int(owner.max()) + 1])[0]
-
-
 def class_contacts(
     classes: np.ndarray, owner: np.ndarray, sizes: Sequence[int]
 ) -> list[list[tuple[int, int, int, int]]]:
@@ -247,7 +241,7 @@ def coalesce_persistent(
 
     Runs on the parent mirrored along ``flips``.  ``boxes`` must be
     pairwise disjoint and inside the parent, and ``contacts`` their
-    :func:`face_contacts` table, as ``merge_grid`` builds them; neither
+    :func:`class_contacts` table, as :func:`class_inputs` builds them; neither
     is modified.  Blocks take turns absorbing the blocks behind their
     +x/+y/+z faces.  Smaller blocks move first ("priority gives smaller
     blocks the earliest opportunity to grow"); passes repeat until one
@@ -399,28 +393,25 @@ def merge_class(
     params: MergeParams,
     label: int,
 ) -> list[MergedBlock]:
-    """Best merge of one class's blocks, as :func:`merge_grid` gives it.
+    """Best merge of one class's blocks, as :func:`merge_prepared` gives it.
 
     The boxes, ``(cell_min, cell_dims)`` pairs or an (N, 2, 3) array, must
     be pairwise disjoint and inside the parent; they are checked, then
-    painted once onto the ordinal grid the driver takes.
+    handed to :func:`class_inputs` as one class.
     """
     if len(boxes) == 0:
         return []
     _check_caps(params.max_dims, counts)
-    kx, ky, kz = counts
     box = np.array(boxes, dtype=np.int64)
     lo, dims = box[:, 0], box[:, 1]
     inside = (lo >= 0).all() and (dims >= 1).all() and (lo + dims <= counts).all()
-    if not inside or dims.prod(axis=1).sum() > kx * ky * kz:
+    if not inside or dims.prod(axis=1).sum() > np.prod(counts):
         raise ValidationError("input blocks overlap or leave the parent")
-    ordinal, cell = expand_cells(lo, dims, counts)
-    if np.bincount(cell).max() > 1:
+    if np.bincount(expand_cells(lo, dims, counts)[1]).max() > 1:
         raise ValidationError("input blocks overlap or leave the parent")
-    owner = np.full((kz, ky, kx), -1, dtype=np.int64)
-    owner.ravel()[cell] = ordinal
-    merged = merge_grid(owner, counts, min_dims, params, box)
-    return [MergedBlock(n, s, label) for n, s in merged]
+    zero = np.zeros_like(lo)
+    [(_, [(_, inputs)])] = class_inputs(zero, zero[:, 0], lo, dims, counts, params.convention)
+    return [MergedBlock(n, s, label) for n, s in merge_prepared(inputs, counts, min_dims, params)]
 
 
 def _check_caps(caps: IntTriple | None, counts: IntTriple) -> None:
@@ -428,21 +419,75 @@ def _check_caps(caps: IntTriple | None, counts: IntTriple) -> None:
         raise ValidationError("max merge dims cannot exceed the parent cell dimensions")
 
 
-def merge_grid(
-    owner: np.ndarray, counts: IntTriple, min_dims: Sequence[float], params: MergeParams, boxes=None
-) -> list[tuple]:
-    """Best merge of one class, as :func:`merge_prepared` gives it.
+# class_inputs builds the classes of a run of whole parents at a time, those
+# whose first class starts within one window of this many class-grid cells;
+# restructure classifies this many cells, or one parent's, at a time
+_CLASS_CELLS = 1 << 15
 
-    ``owner`` is the class's [z, y, x] ordinal grid, trusted: each cell
-    holds the index of its box in ``boxes``, an (N, 2, 3) array of
-    ``cell_min`` and ``cell_dims`` rows, or -1.  The dissolved input is
-    the grid's :func:`mirror_layers`, which needs no boxes; the persistent
-    one is the boxes and the grid's :func:`face_contacts` table.
+
+def class_inputs(
+    parent: np.ndarray,
+    label: np.ndarray,
+    cell_min: np.ndarray,
+    cell_dims: np.ndarray,
+    counts: IntTriple,
+    convention: Convention,
+) -> list[tuple]:
+    """One task per parent, parents in raster order: the parent and, per
+    label ascending, the label and its class's input to
+    :func:`merge_prepared`, boxes in row order.
+
+    The rows are integer columns of a valid model: (N, 3) ``parent``,
+    ``cell_min`` and ``cell_dims`` and (N,) ``label``, blocks of one
+    parent disjoint and inside it.  Each window of parents is painted with
+    one ``expand_cells`` call: under dissolved, onto one occupancy map per
+    class, packed with one :func:`mirror_layers`; under persistent, onto
+    (parents, z, y, x) grids of class and ordinal within the class, read
+    by one :func:`class_contacts`.
     """
-    _check_caps(params.max_dims, counts)
-    if params.convention == "dissolved":
-        return merge_prepared(mirror_layers(owner >= 0), counts, min_dims, params)
-    return merge_prepared((boxes, face_contacts(owner)), counts, min_dims, params)
+    k = int(np.prod(counts))
+    order = np.lexsort((label, *parent.T))
+    parent, label = parent[order], label[order]
+    lo, dims = cell_min[order], cell_dims[order]
+    n = len(order)
+    new_parent = np.ones(n, dtype=bool)
+    new_parent[1:] = (parent[1:] != parent[:-1]).any(axis=1)
+    new_class = new_parent.copy()
+    new_class[1:] |= label[1:] != label[:-1]
+    parent_of, class_of = np.cumsum(new_parent) - 1, np.cumsum(new_class) - 1
+    class_start = np.append(np.flatnonzero(new_class), n)  # rows, per class
+    parent_start = np.append(class_of[new_parent], len(class_start) - 1)  # classes, per parent
+    rank = np.arange(n) - class_start[class_of]
+    window = np.flatnonzero(np.diff(parent_start[:-1] // max(1, _CLASS_CELLS // k))) + 1
+    inputs: list = []
+    if convention == "persistent":
+        boxes = np.stack([lo, dims], axis=1)
+    for p0, p1 in zip([0, *window], [*window, len(parent_start) - 1]):
+        c0, c1 = parent_start[p0], parent_start[p1]
+        r0, r1 = class_start[c0], class_start[c1]
+        ordinal, cell = expand_cells(lo[r0:r1], dims[r0:r1], counts)
+        row = ordinal + r0
+        if convention == "dissolved":
+            theta = np.zeros((c1 - c0, k), dtype=bool)
+            theta[class_of[row] - c0, cell] = True
+            layers = mirror_layers(theta.reshape(-1, *counts[::-1]))
+            step = 4 * counts[2]
+            inputs += [layers[i : i + step] for i in range(0, len(layers), step)]
+        else:
+            grid = np.full((2, (p1 - p0) * k), -1, dtype=np.int64)
+            at = (parent_of[row] - p0) * k + cell
+            grid[0, at], grid[1, at] = class_of[row] - c0, rank[row]
+            grid = grid.reshape(2, p1 - p0, *counts[::-1])
+            contacts = class_contacts(grid[0], grid[1], np.diff(class_start[c0 : c1 + 1]))
+            bounds = class_start[c0 : c1 + 1].tolist()
+            inputs += [(boxes[i:j], t) for i, j, t in zip(bounds, bounds[1:], contacts)]
+    labels = label[class_start[:-1]].tolist()
+    parents = parent[class_start[parent_start[:-1]]].tolist()
+    bounds = parent_start.tolist()
+    return [
+        (tuple(p), list(zip(labels[i:j], inputs[i:j])))
+        for p, i, j in zip(parents, bounds, bounds[1:])
+    ]
 
 
 def merge_prepared(

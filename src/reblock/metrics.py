@@ -120,18 +120,10 @@ def block_dimension_cdf(model: BlockModel) -> list[tuple[float, float, float]]:
     """
     _, volumes, ars = _block_metrics(model)
     order = np.lexsort((ars, volumes))
-    v = volumes[order]
-    a = ars[order]
-    total = len(v)
-    out: list[tuple[float, float, float]] = []
-    i = 0
-    while i < total:
-        j = i
-        while j < total and v[j] == v[i] and a[j] == a[i]:
-            j += 1
-        out.append((float(v[i]), float(a[i]), j / total))
-        i = j
-    return out
+    v, a = volumes[order], ars[order]
+    # the last block of each run of equal (volume, aspect ratio) pairs
+    last = np.flatnonzero(np.append((v[1:] != v[:-1]) | (a[1:] != a[:-1]), True))
+    return list(zip(v[last].tolist(), a[last].tolist(), ((last + 1) / len(v)).tolist()))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ of the items; there is no pool.  The caller starts a child per share but
 the first, each with a one-way pipe, then maps the first share itself.
 Children are forked on Linux, starting in milliseconds with their share
 in memory, and spawned elsewhere (fork is missing on Windows and unsafe
-with macOS frameworks).  Each process's context comes from the
-initializer, replacing whatever a forked child inherited, and shares are
-joined in input order: outputs are byte-identical for any thread count.
+with macOS frameworks).  Whatever a process needs besides its items is
+bound into ``fn`` (``functools.partial``), never read from module state
+that a forked child would inherit, and shares are joined in input order:
+outputs are byte-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import sys
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .errors import ValidationError
 
@@ -30,40 +31,30 @@ def default_threads() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _child(conn, send, fn, share, initializer, initargs) -> None:
+def _child(conn, send, fn, share) -> None:
     conn.close()  # forked, this copy would keep a dead caller's pipe open: send would block
     try:
-        if initializer is not None:
-            initializer(*initargs)
         outcome = [fn(item) for item in share], None
     except Exception as exc:
         outcome = [], exc
     send.send(outcome)
 
 
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    threads: int,
-    initializer: Callable[..., None] | None = None,
-    initargs: Iterable = (),
-) -> list[R]:
-    """Order-preserving map over ``threads`` processes; ``initializer`` runs
-    once in each.  A failure raises the first failing item's error."""
+def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int) -> list[R]:
+    """Order-preserving map over ``threads`` processes; ``fn`` must pickle
+    where children spawn.  A failure raises the first failing item's error."""
     if threads < 1:
         raise ValidationError("thread count must be positive")
     n, children = max(1, min(threads, len(items))), []
-    ctx, initargs = mp.get_context(_START_METHOD), tuple(initargs)
+    ctx = mp.get_context(_START_METHOD)
     try:
         for i in range(1, n):
             conn, send = ctx.Pipe(duplex=False)
             share = items[len(items) * i // n : len(items) * (i + 1) // n]
-            child = ctx.Process(target=_child, args=(conn, send, fn, share, initializer, initargs))
+            child = ctx.Process(target=_child, args=(conn, send, fn, share))
             child.start()
             children.append((child, conn))
             send.close()
-        if initializer is not None:
-            initializer(*initargs)
         results = [fn(item) for item in items[: len(items) // n]]
         for child, conn in children:
             try:

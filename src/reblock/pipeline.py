@@ -6,11 +6,12 @@ Everything else (overlap detection, cell classification, the merge
 inputs, tagging and assembly) runs in the calling process alone and is
 order-stable, so output models are byte-identical for any thread count.
 ``merge_model`` and ``restructure`` build every class's merge input
-before any child process starts, a window of whole parents at a time
-(:func:`_merge_tasks`): ``merge_model`` from the model's (parent, label)
-classes, ``restructure`` from the cells of the parents a surface
-crosses, classified a window at a time with one cast per surface and one
-sort of the cells' class keys.
+with :func:`class_inputs` before any child process starts:
+``merge_model`` from the model's (parent, label) classes,
+``restructure`` from the cells of the parents a surface crosses,
+classified a window at a time with one cast per surface and one sort of
+the cells' class keys.  The workers get the lattice and the merge
+parameters bound into the function they map.
 
 Two consolidation regimes are supported.  ``preclassified`` (the
 default) folds each cell's per-surface sidedness into its merge class,
@@ -26,21 +27,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
+from . import merge
 from .errors import ReblockError, ValidationError
 from .intersection import detect_overlaps, write_overlap_csv
 from .lattice import BlockModel, IntTriple, LatticeSpec, expand_cells, unique_rows
 from .merge import (
     MergeParams,
     _check_caps,
-    class_contacts,
+    class_inputs,
     merge_class,  # uncalled here; perfbench/tracing.py probes it on this module
     merge_prepared,
-    mirror_layers,
 )
 from .mesh import (
     MeshIndex,
@@ -105,17 +107,23 @@ def load_surfaces(
 
 
 # ---------------------------------------------------------------------------
-# worker context and assembly
+# workers and assembly
 # ---------------------------------------------------------------------------
 
-# Read-only context shared by every process that merges; set once per
-# process by parallel_map's initializer, in the caller as in each child.
-_CTX: dict = {}
-
-
-def _set_context(ctx: dict) -> None:
-    _CTX.clear()
-    _CTX.update(ctx)
+def _merge_parent(
+    spec: LatticeSpec, params: MergeParams, task: tuple[IntTriple, list[tuple]]
+) -> np.ndarray:
+    """(M, 7) rows of cell_min, cell_dims and label: the merge of one
+    parent's classes, as :func:`class_inputs` gives them."""
+    parent, classes = task
+    try:
+        rows = []
+        for label, inputs in classes:
+            merged = merge_prepared(inputs, spec.cell_counts, spec.min_dims, params)
+            rows += [(*n, *s, label) for n, s in merged]
+        return np.array(rows, dtype=np.int64).reshape(-1, 7)
+    except ReblockError as exc:
+        raise type(exc)(f"parent {parent}: {exc}") from None
 
 
 def _assemble(spec: LatticeSpec, parts: Iterable[tuple]) -> BlockModel:
@@ -165,9 +173,9 @@ def restructure(
     Crossed parents are taken in raster order, a window of them at a time:
     one paint of their blocks, one :func:`classify_cells`, and one
     :func:`unique_rows` that gives each occupied cell its class, keyed by
-    parent, label and per-surface flags.  The classes, as a model of unit
-    cells labelled by class, go to :func:`_merge_tasks` and the workers,
-    as :func:`merge_model`'s classes do.  A cell's classification depends
+    parent, label and per-surface flags.  The classes, as unit cells
+    labelled by class, go to :func:`class_inputs` and the workers, as
+    :func:`merge_model`'s classes do.  A cell's classification depends
     on its own arithmetic only, so no output depends on the window size or
     the thread count.
     """
@@ -192,7 +200,7 @@ def restructure(
     through = np.ones(len(model), dtype=bool)
     local = np.indices((kz, ky, kx)).reshape(3, -1)[::-1].T  # raster index -> cell
     windows, tasks, classified = [], [], []
-    step = max(1, _CLASS_CELLS // k)
+    step = max(1, merge._CLASS_CELLS // k)
     for window in (crossed[i : i + step] for i in range(0, len(crossed), step)):
         rows = [by_parent[p] for p in window]
         where = np.repeat(np.arange(len(window)), [len(r) for r in rows])
@@ -213,20 +221,16 @@ def restructure(
         keys = np.column_stack([cells // k, label, columns.reshape(-1, len(window) * k)[:, cells].T])
         classes, class_of = unique_rows(keys)
         parents = np.array(window)
-        unit = BlockModel.from_columns(
-            spec, parents[cells // k], local[cells % k], np.ones((len(cells), 3)), class_of
-        )
-        tasks += _merge_tasks(unit, params)
+        units = np.ones((len(cells), 3), dtype=np.int64)
+        cell_rows = (parents[cells // k], class_of, local[cells % k], units)
+        tasks += class_inputs(*cell_rows, spec.cell_counts, params.convention)
         # the window's parents stacked along z, for _above_counts
         windows.append((parents, classes, sides.reshape(n_surfaces, -1, ky, kx)))
         if config.diagnostics_dir is not None:
             for w, parent in enumerate(window):
                 ids = sorted(overlap.surfaces_of(parent))
                 classified.append(CellClassification(parent, ids, intersects[ids, w], sides[ids, w]))
-    ctx = {"spec": spec, "params": params}
-    results = parallel_map(
-        _merge_parent, tasks, threads, initializer=_set_context, initargs=(ctx,)
-    )
+    results = parallel_map(partial(_merge_parent, spec, params), tasks, threads)
 
     kept = np.column_stack([model.cell_min, model.cell_dims, model.label])[through]
     parts = [(model.parent[through], kept)]
@@ -273,98 +277,21 @@ def restructure(
     return out
 
 
-# _merge_tasks builds the classes of a run of whole parents at a time, those
-# whose first class starts within one window of this many class-grid cells;
-# restructure classifies this many cells, or one parent's, at a time
-_CLASS_CELLS = 1 << 15
-
-
-def _merge_tasks(model: BlockModel, params: MergeParams) -> list[tuple]:
-    """One task per parent, parents in raster order: the parent and, per
-    label ascending, the label and its class's input to
-    :func:`merge_prepared`, boxes in input order.
-
-    Each window of parents is painted with one ``expand_cells`` call:
-    under dissolved, onto one occupancy map per class, packed with one
-    :func:`mirror_layers`; under persistent, onto (parents, z, y, x) grids
-    of class and ordinal within the class, read by one
-    :func:`class_contacts`.  The model must be valid.
-    """
-    counts, k = model.spec.cell_counts, model.spec.cells_per_parent
-    order = np.lexsort((model.label, *model.parent.T))
-    parent, label = model.parent[order], model.label[order]
-    lo, dims = model.cell_min[order], model.cell_dims[order]
-    n = len(order)
-    new_parent = np.ones(n, dtype=bool)
-    new_parent[1:] = (parent[1:] != parent[:-1]).any(axis=1)
-    new_class = new_parent.copy()
-    new_class[1:] |= label[1:] != label[:-1]
-    parent_of, class_of = np.cumsum(new_parent) - 1, np.cumsum(new_class) - 1
-    class_start = np.append(np.flatnonzero(new_class), n)  # rows, per class
-    parent_start = np.append(class_of[new_parent], len(class_start) - 1)  # classes, per parent
-    rank = np.arange(n) - class_start[class_of]
-    window = np.flatnonzero(np.diff(parent_start[:-1] // max(1, _CLASS_CELLS // k))) + 1
-    inputs: list = []
-    if params.convention == "persistent":
-        boxes = np.stack([lo, dims], axis=1)
-    for p0, p1 in zip([0, *window], [*window, len(parent_start) - 1]):
-        c0, c1 = parent_start[p0], parent_start[p1]
-        r0, r1 = class_start[c0], class_start[c1]
-        ordinal, cell = expand_cells(lo[r0:r1], dims[r0:r1], counts)
-        row = ordinal + r0
-        if params.convention == "dissolved":
-            theta = np.zeros((c1 - c0, k), dtype=bool)
-            theta[class_of[row] - c0, cell] = True
-            layers = mirror_layers(theta.reshape(-1, *counts[::-1]))
-            step = 4 * counts[2]
-            inputs += [layers[i : i + step] for i in range(0, len(layers), step)]
-        else:
-            grid = np.full((2, (p1 - p0) * k), -1, dtype=np.int64)
-            at = (parent_of[row] - p0) * k + cell
-            grid[0, at], grid[1, at] = class_of[row] - c0, rank[row]
-            grid = grid.reshape(2, p1 - p0, *counts[::-1])
-            contacts = class_contacts(grid[0], grid[1], np.diff(class_start[c0 : c1 + 1]))
-            bounds = class_start[c0 : c1 + 1].tolist()
-            inputs += [(boxes[i:j], t) for i, j, t in zip(bounds, bounds[1:], contacts)]
-    labels = label[class_start[:-1]].tolist()
-    parents = parent[class_start[parent_start[:-1]]].tolist()
-    bounds = parent_start.tolist()
-    return [
-        (tuple(p), list(zip(labels[i:j], inputs[i:j])))
-        for p, i, j in zip(parents, bounds, bounds[1:])
-    ]
-
-
-def _merge_parent(task: tuple[IntTriple, list[tuple]]) -> np.ndarray:
-    parent, classes = task
-    try:
-        spec: LatticeSpec = _CTX["spec"]
-        params: MergeParams = _CTX["params"]
-        rows = []
-        for label, inputs in classes:
-            merged = merge_prepared(inputs, spec.cell_counts, spec.min_dims, params)
-            rows += [(*n, *s, label) for n, s in merged]
-        return np.array(rows, dtype=np.int64).reshape(-1, 7)
-    except ReblockError as exc:
-        raise type(exc)(f"parent {parent}: {exc}") from None
-
-
 def merge_model(
     model: BlockModel, params: MergeParams, threads: int = 1
 ) -> BlockModel:
     """Merge every parent's blocks class-by-class, in parallel over parents.
 
     The calling process builds every class's kernel input
-    (:func:`_merge_tasks`); the workers run the scan patterns on them.
+    (:func:`class_inputs`); the workers run the scan patterns on them.
     """
     model.validate()
-    _check_caps(params.max_dims, model.spec.cell_counts)
-    tasks = _merge_tasks(model, params)
-    ctx = {"spec": model.spec, "params": params}
-    results = parallel_map(
-        _merge_parent, tasks, threads, initializer=_set_context, initargs=(ctx,)
-    )
-    out = _assemble(model.spec, ((parent, rows) for (parent, _), rows in zip(tasks, results)))
+    spec = model.spec
+    _check_caps(params.max_dims, spec.cell_counts)
+    columns = (model.parent, model.label, model.cell_min, model.cell_dims)
+    tasks = class_inputs(*columns, spec.cell_counts, params.convention)
+    results = parallel_map(partial(_merge_parent, spec, params), tasks, threads)
+    out = _assemble(spec, ((parent, rows) for (parent, _), rows in zip(tasks, results)))
     out.validate()
     return out
 

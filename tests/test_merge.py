@@ -14,11 +14,12 @@ from reblock.merge import (
     MergedBlock,
     MergeParams,
     aspect_ratio_objective,
+    class_contacts,
     coalesce_binary,
     coalesce_persistent,
-    face_contacts,
     merge_class,
-    merge_grid,
+    merge_prepared,
+    mirror_layers,
     objective_value,
     scan_flips,
 )
@@ -47,12 +48,17 @@ def paint_owner(boxes, counts) -> np.ndarray:
     return owner
 
 
+def contact_table(owner) -> list[tuple[int, int, int, int]]:
+    """The ``class_contacts`` table of one class's ordinal grid."""
+    return class_contacts(np.where(owner >= 0, 0, -1), owner, [int(owner.max()) + 1])[0]
+
+
 def persistent(boxes, counts, max_dims=None):
     """The persistent kernel's (cell_min, cell_dims) tuples on scan pattern
-    0, fed as ``merge_grid`` feeds it; they must equal the grid-slab
-    reference's."""
+    0, fed the boxes and their contact table; they must equal the
+    grid-slab reference's."""
     owner = paint_owner(boxes, counts)
-    got = coalesce_persistent(boxes, face_contacts(owner), counts, (False,) * 3, max_dims)
+    got = coalesce_persistent(boxes, contact_table(owner), counts, (False,) * 3, max_dims)
     assert got == coalesce_persistent_grid(owner, max_dims)
     return got
 
@@ -178,21 +184,28 @@ def test_dissolved_partition_invariants(theta):
     st.permutations(ALL_SCAN_PATTERNS),
 )
 def test_dissolved_matches_grid_reference(seed, counts, density, caps, token_life, patterns):
-    """``merge_grid`` packs a class once, and each pattern's bit-plane
-    sweep emits the grid-slab reference's blocks, in order, on the view
-    mirrored along that pattern's axes; so does ``coalesce_binary``."""
+    """``merge_class`` on a class's unit cells, in shuffled order, packs
+    the class once, and each pattern's bit-plane sweep emits the grid-slab
+    reference's blocks, in order, on the view mirrored along that
+    pattern's axes; so does ``coalesce_binary``.  ``merge_prepared`` on
+    the grid's ``mirror_layers`` gives ``merge_class``'s blocks."""
     rng = np.random.default_rng(seed)
     owner = np.where(rng.random((counts[2], counts[1], counts[0])) < density, 0, -1)
     owner.flat[rng.integers(owner.size)] = 0  # a class holds a cell
-    # merge_grid rejects caps past the parent; the kernels take them as no cap
+    cells = np.argwhere(owner >= 0)[:, ::-1]
+    boxes = [(tuple(n), (1, 1, 1)) for n in cells[rng.permutation(len(cells))].tolist()]
+    # merge_class rejects caps past the parent; the kernels take them as no cap
     fit = None if caps is None else tuple(min(c, k) for c, k in zip(caps, counts))
+    params = MergeParams(max_dims=fit, token_life=token_life, scan_patterns=patterns)
     packings, runs = [], []
     layers, sweep = merge._layers, merge._sweep
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(merge, "_layers", lambda views: packings.append(views) or layers(views))
         mp.setattr(merge, "_sweep", lambda *args: runs.append(sweep(*args)) or runs[-1])
-        params = MergeParams(max_dims=fit, token_life=token_life, scan_patterns=patterns)
-        merge_grid(owner, counts, (1, 1, 1), params)
+        got = merge_class(boxes, counts, (1, 1, 1), params, label=4)
+    assert [(b.cell_min, b.cell_dims) for b in got] == merge_prepared(
+        mirror_layers(owner >= 0), counts, (1, 1, 1), params
+    )
     assert len(packings) == 1
     assert len(runs) == 8 or len(runs[-1]) == 1  # a one-block run ends the scans
     for pattern, got in zip(patterns, runs):
@@ -275,7 +288,7 @@ def assert_rejects_bad_boxes(convention):
 def test_persistent_input_not_modified():
     """One contact table serves every pattern, so the kernel must not edit it."""
     boxes = [((0, 0, 0), (1, 1, 1)), ((1, 0, 0), (1, 1, 1)), ((2, 0, 0), (2, 1, 1))]
-    contacts = face_contacts(paint_owner(boxes, (4, 1, 1)))
+    contacts = contact_table(paint_owner(boxes, (4, 1, 1)))
     snapshot = (list(boxes), list(contacts))
     for pattern in ALL_SCAN_PATTERNS:
         merged = coalesce_persistent(boxes, contacts, (4, 1, 1), scan_flips(pattern))
@@ -286,7 +299,7 @@ def test_persistent_input_not_modified():
 def test_face_contacts_rows():
     """Rows (a, c, axis, area): a's +axis face meets c's -axis face."""
     boxes = [((0, 0, 0), (1, 2, 1)), ((1, 0, 0), (1, 2, 1)), ((0, 2, 0), (2, 1, 1))]
-    contacts = face_contacts(paint_owner(boxes, (3, 3, 1)))
+    contacts = contact_table(paint_owner(boxes, (3, 3, 1)))
     assert sorted(contacts) == [(0, 1, 0, 2), (0, 2, 1, 1), (1, 2, 1, 1)]
 
 
@@ -410,17 +423,13 @@ def test_merge_params_validation():
 
 
 def test_merge_class_rejects_oversized_cap():
-    """The caps are checked before the boxes, and the grid driver checks
-    them too."""
+    """The caps are checked before the boxes."""
     message = "^max merge dims cannot exceed the parent cell dimensions$"
-    owner = np.zeros((4, 4, 4), dtype=np.int64)
     for convention in ["dissolved", "persistent"]:
         params = MergeParams(convention=convention, max_dims=(5, 1, 1))
         for boxes in [[((0, 0, 0), (1, 1, 1))], BAD_BOXES[0]]:
             with pytest.raises(ValidationError, match=message):
                 merge_class(boxes, (4, 4, 4), (1, 1, 1), params, label=0)
-        with pytest.raises(ValidationError, match=message):
-            merge_grid(owner, (4, 4, 4), (1, 1, 1), params)
 
 
 def test_merge_class_empty_class():
@@ -500,7 +509,7 @@ def test_persistent_matches_grid_reference(
         want = merge_class(boxes, counts, (1, 2, 3), params, label=7)
     assert got == want
     if boxes:
-        contacts = face_contacts(paint_owner(boxes, counts))
+        contacts = contact_table(paint_owner(boxes, counts))
         for pattern in patterns:
             flips = scan_flips(pattern)
             assert coalesce_persistent(

@@ -110,6 +110,23 @@ class TestCurves:
             (64.0, 1.0, 1.0),
         ]
 
+    def test_cdf_matches_a_block_by_block_walk(self, rng):
+        """On tie-heavy random models, one row per run of equal (volume,
+        aspect ratio) pairs, as a walk over the sorted blocks gives it."""
+        spec = LatticeSpec(origin=(0, 0, 0), parent_dims=(4, 2, 8), min_dims=(1, 0.5, 2))
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            dims = rng.choice([1, 2, 4], size=(n, 3))
+            m = BlockModel.from_columns(spec, np.zeros((n, 3)), np.zeros((n, 3)), dims, np.ones(n))
+            real = dims * [1, 0.5, 2]
+            pairs = sorted(zip(real.prod(axis=1).tolist(), (real.max(1) / real.min(1)).tolist()))
+            want = []
+            for i, pair in enumerate(pairs):
+                if i + 1 == n or pairs[i + 1] != pair:
+                    want.append((*pair, (i + 1) / n))
+            assert block_dimension_cdf(m) == want
+
+
 class TestGrowthFactors:
     def test_consecutive_pair(self):
         rows = growth_factors({3: 100, 4: 400})

@@ -154,3 +154,17 @@ def test_perfbench_probes_resolve(monkeypatch):
         if not callable(getattr(probe.module, probe.attr, None))
     ]
     assert tracing.PROBES and not missing, "unresolvable probes: " + ", ".join(missing)
+
+
+def test_kernel_inputs_built_in_merge_alone():
+    """The merge kernels' input format is built and read in one module:
+    no module but ``merge`` refers to its packers."""
+    trees = _package_trees()
+    packers = {"mirror_layers", "class_contacts"}
+    assert packers <= _defined(trees["merge"])
+    outside = {
+        module: sorted(packers & _referenced(tree))
+        for module, tree in trees.items()
+        if module != "merge" and packers & _referenced(tree)
+    }
+    assert not outside, f"merge input packers referred to outside merge.py: {outside}"

@@ -1,4 +1,4 @@
-"""Process fan-out: ordering, the in-process fast path, worker context,
+"""Process fan-out: ordering, the in-process fast path, bound arguments,
 failures in the caller's share and in the children's."""
 
 import multiprocessing as mp
@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,8 @@ from reblock.parallel import default_threads, parallel_map
 from reblock.pipeline import merge_model
 
 # under spawn, children import this module fresh, so everything handed to
-# them has to live at module scope
+# them has to live at module scope; a forked child inherits _CTX as the
+# caller left it
 _CTX: dict = {}
 
 
@@ -27,13 +29,12 @@ def _square(x):
     return x * x
 
 
-def _with_context(x):
-    return x + _CTX["offset"]
+def _add(offset, x):
+    return x + offset
 
 
-def _init_offset(offset):
-    _CTX["offset"] = offset
-    _CTX["calls"] = _CTX.get("calls", 0) + 1
+def _add_where(offset, x):
+    return x + offset, os.getpid()
 
 
 def _exit_past_one(x):
@@ -101,16 +102,13 @@ def test_nonpositive_threads_rejected():
         parallel_map(_square, [1], threads=0)
 
 
-def test_single_item_stays_in_process():
-    # one item never justifies a pool; the initializer runs right here
-    assert parallel_map(_with_context, [10], threads=8, initializer=_init_offset, initargs=(5,)) == [15]
-    assert _CTX["calls"] == 1
+def test_single_item_stays_in_process(monkeypatch):
+    # one item never justifies a child process, whatever the thread count
+    def no_child(*args, **kwargs):
+        raise AssertionError("a child process was started")
 
-
-def test_in_process_initializer_runs_once():
-    out = parallel_map(_with_context, [1, 2, 3], threads=1, initializer=_init_offset, initargs=(100,))
-    assert out == [101, 102, 103]
-    assert _CTX["calls"] == 1
+    monkeypatch.setattr(mp.get_context(parallel._START_METHOD), "Process", no_child)
+    assert parallel_map(partial(_add, 5), [10], threads=8) == [15]
 
 
 def test_pooled_workers_match_serial(start_method):
@@ -120,19 +118,15 @@ def test_pooled_workers_match_serial(start_method):
     assert pooled == serial
 
 
-def test_pooled_workers_receive_initargs(start_method):
-    out = parallel_map(_with_context, list(range(8)), threads=2, initializer=_init_offset, initargs=(1000,))
-    assert out == [1000 + x for x in range(8)]
-
-
-def test_initializer_replaces_inherited_context(start_method):
-    # a forked child starts with a copy of this dict; the initializer
-    # must win over it in every process, or stale state leaks into results
+def test_bound_argument_reaches_every_process(start_method):
+    # a forked child starts with a copy of this stale module state; the
+    # function gets its offset bound, in the caller's share and each child's
     _CTX["offset"] = -(10**9)
-    out = parallel_map(_with_context, list(range(40)), threads=2, initializer=_init_offset, initargs=(1000,))
-    assert out == [1000 + x for x in range(40)]
-    # the caller maps the first share, so it runs the initializer too
-    assert _CTX["offset"] == 1000
+    out = parallel_map(partial(_add_where, 1000), list(range(40)), threads=3)
+    assert [value for value, _ in out] == [1000 + x for x in range(40)]
+    pids = [pid for _, pid in out]
+    assert pids[0] == os.getpid() and len(set(pids)) == 3
+    assert _CTX == {"offset": -(10**9)}
 
 
 def test_pool_gets_no_more_workers_than_items(monkeypatch):
@@ -157,7 +151,7 @@ def test_pool_gets_no_more_workers_than_items(monkeypatch):
     children = []
     for n_items, threads in [(3, 8), (40, 2), (40, 64)]:
         started.clear()
-        out = parallel_map(_with_context, list(range(n_items)), threads, _init_offset, (10,))
+        out = parallel_map(partial(_add, 10), list(range(n_items)), threads)
         assert out == [10 + x for x in range(n_items)]
         children.append(len(started))
     assert children == [2, 1, 39]

@@ -1,5 +1,6 @@
 """End-to-end restructuring: scene goldens, mode contrast, healing, errors."""
 
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reblock import pipeline
+from reblock import merge, parallel, pipeline
 from reblock.errors import ValidationError
 from reblock.intersection import detect_overlaps, write_overlap_csv
 from reblock.lattice import Block, BlockModel, LatticeSpec, cells_of
@@ -325,7 +326,7 @@ def test_merge_model_matches_class_by_class_merge(
     caps = tuple(int(v) for v in rng.integers(1, np.add(counts, 1))) if capped else None
     params = MergeParams(convention, objective, token_life, caps, tuple(patterns))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "_CLASS_CELLS", window)
+        mp.setattr(merge, "_CLASS_CELLS", window)
         got = merge_model(model, params)
     assert [(b.parent, b.cell_min, b.cell_dims, b.label) for b in got.blocks] == merge_by_class(
         model, params
@@ -403,9 +404,29 @@ def test_restructure_does_not_depend_on_window_or_threads(convention, mode):
     for window in (k, 3 * k, 6 * k):
         for threads in (1, 2):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(pipeline, "_CLASS_CELLS", window)
+                mp.setattr(merge, "_CLASS_CELLS", window)
                 got = restructure(model, cfg, surfaces=surfaces, threads=threads)
             assert rows_of(got) == want, (window, threads)
+
+
+@pytest.mark.parametrize("convention", ["dissolved", "persistent"])
+def test_spawned_workers_match_one_thread(monkeypatch, convention):
+    """Spawned children unpickle the mapped function with its bound lattice
+    and merge parameters: ``merge_model`` and ``restructure`` at two
+    threads under the spawn start method give the one-thread blocks."""
+    if "spawn" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no spawn start method on this platform")
+    model, instructions, surfaces = crossed_scene(5, (1, 0.5, 2), n_sheets=2)
+    params = MergeParams(convention=convention)
+    cfg = PipelineConfig(instructions, params)
+
+    def run(threads):
+        merged = merge_model(model, params, threads=threads)
+        return rows_of(merged), rows_of(restructure(model, cfg, surfaces, threads))
+
+    want = run(1)
+    monkeypatch.setattr(parallel, "_START_METHOD", "spawn")
+    assert run(2) == want
 
 
 def test_diagnostics_match_the_parent_by_parent_oracle(tmp_path, monkeypatch):
@@ -420,7 +441,7 @@ def test_diagnostics_match_the_parent_by_parent_oracle(tmp_path, monkeypatch):
     cfg = PipelineConfig(
         (instruction("wide.obj"), instruction("narrow.obj")), diagnostics_dir=str(tmp_path / "got")
     )
-    monkeypatch.setattr(pipeline, "_CLASS_CELLS", 3 * spec.cells_per_parent)
+    monkeypatch.setattr(merge, "_CLASS_CELLS", 3 * spec.cells_per_parent)
     restructure(model, cfg, surfaces=surfaces)
     _, classifications = restructure_by_parent(model, cfg, surfaces)
     assert [c.surface_ids for c in classifications] == [[0, 1], [0, 1], [0], [0], [0], [0]]
