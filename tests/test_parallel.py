@@ -118,7 +118,35 @@ def test_pooled_workers_match_serial(start_method):
     assert pooled == serial
 
 
-def test_bound_argument_reaches_every_process(start_method):
+# the per-process setup an initializer once ran is now an argument bound
+# to the mapped function; these three tests check that it reaches the
+# caller's share and every child's
+
+
+class _Counting:
+    """A bound argument that counts, in its own process, the calls it serves."""
+
+    def __init__(self, offset):
+        self.offset, self.calls = offset, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return x + self.offset
+
+
+def test_in_process_initializer_runs_once():
+    # threads=1 maps with the very object bound by the caller, not a copy
+    counting = _Counting(100)
+    assert parallel_map(counting, [1, 2, 3], threads=1) == [101, 102, 103]
+    assert counting.calls == 3
+
+
+def test_pooled_workers_receive_initargs(start_method):
+    out = parallel_map(partial(_add, 1000), list(range(8)), threads=2)
+    assert out == [1000 + x for x in range(8)]
+
+
+def test_initializer_replaces_inherited_context(start_method):
     # a forked child starts with a copy of this stale module state; the
     # function gets its offset bound, in the caller's share and each child's
     _CTX["offset"] = -(10**9)
