@@ -10,8 +10,11 @@ with :func:`class_inputs` before any child process starts:
 ``merge_model`` from the model's (parent, label) classes,
 ``restructure`` from the cells of the parents a surface crosses,
 classified a window at a time with one cast per surface and one sort of
-the cells' class keys.  The workers get the lattice and the merge
-parameters bound into the function they map.
+the cells' class keys.  Both hand their tasks to one merge call
+(:func:`_merge_tasks`), whose workers get the lattice and the merge
+parameters bound into the function they map.  Restructure then tags
+every block in one :func:`apply_tagging` pass: positions come from the
+class keys, and majorities from one paint of the merged blocks.
 
 Two consolidation regimes are supported.  ``preclassified`` (the
 default) folds each cell's per-surface sidedness into its merge class,
@@ -25,11 +28,10 @@ difference stays measurable.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -126,30 +128,15 @@ def _merge_parent(
         raise type(exc)(f"parent {parent}: {exc}") from None
 
 
-def _assemble(spec: LatticeSpec, parts: Iterable[tuple]) -> BlockModel:
-    """One model from ``(parent, rows)`` parts, in order: a (3,) or (M, 3)
-    parent and (M, 7) rows of cell_min, cell_dims and label."""
-    parents, rows = [np.empty((0, 3), dtype=np.int64)], [np.empty((0, 7), dtype=np.int64)]
-    for parent, part in parts:
-        parents.append(np.broadcast_to(parent, (len(part), 3)))
-        rows.append(part)
-    table = np.concatenate(rows)
-    return BlockModel.from_columns(
-        spec, np.concatenate(parents), table[:, 0:3], table[:, 3:6], table[:, 6]
-    )
-
-
-def _above_counts(sides_grid: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """(S, N) count of cells classified above each surface row of the
-    (S, z, y, x) ``sides_grid`` inside each cell box [lo, hi) (x, y, z
-    columns), by inclusion-exclusion on a summed-volume table."""
-    table = np.zeros(np.add(sides_grid.shape, (0, 1, 1, 1)), dtype=np.int64)
-    table[:, 1:, 1:, 1:] = (sides_grid == SIDE_ABOVE).cumsum(1).cumsum(2).cumsum(3)
-    out = np.zeros((len(sides_grid), len(lo)), dtype=np.int64)
-    for corner in itertools.product((0, 1), repeat=3):
-        x, y, z = ((hi if c else lo)[:, k] for k, c in enumerate(corner))
-        out += (-1) ** (3 - sum(corner)) * table[:, z, y, x]
-    return out
+def _merge_tasks(
+    spec: LatticeSpec, params: MergeParams, tasks: list[tuple], threads: int
+) -> BlockModel:
+    """The merged blocks of :func:`class_inputs` tasks over ``threads``
+    processes, as one model in task order."""
+    results = parallel_map(partial(_merge_parent, spec, params), tasks, threads)
+    table = np.concatenate([np.empty((0, 7), dtype=np.int64), *results])
+    parents = np.repeat([p for p, _ in tasks], [len(r) for r in results], axis=0)
+    return BlockModel.from_columns(spec, parents, table[:, 0:3], table[:, 3:6], table[:, 6])
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +160,13 @@ def restructure(
     Crossed parents are taken in raster order, a window of them at a time:
     one paint of their blocks, one :func:`classify_cells`, and one
     :func:`unique_rows` that gives each occupied cell its class, keyed by
-    parent, label and per-surface flags.  The classes, as unit cells
-    labelled by class, go to :func:`class_inputs` and the workers, as
-    :func:`merge_model`'s classes do.  A cell's classification depends
-    on its own arithmetic only, so no output depends on the window size or
-    the thread count.
+    parent, label and per-surface flags.  The classes get ids across
+    windows and, as unit cells labelled by class id, go to
+    :func:`class_inputs` and then, all at once, to the workers.  A merged
+    block's class key gives its label and positions; its cells, painted
+    once for all blocks, count its majority side of each surface.  A
+    cell's classification depends on its own arithmetic only, so no
+    output depends on the window size or the thread count.
     """
     model.validate()
     _check_caps(config.merge_params.max_dims, model.spec.cell_counts)
@@ -199,74 +188,73 @@ def restructure(
     crossed = sorted(overlap.intersecting_parents(), key=lambda p: (p[2], p[1], p[0]))
     through = np.ones(len(model), dtype=bool)
     local = np.indices((kz, ky, kx)).reshape(3, -1)[::-1].T  # raster index -> cell
-    windows, tasks, classified = [], [], []
+    stride = 2 if config.mode == "preclassified" else 1
+    keys = [np.empty((0, 2 + stride * n_surfaces), dtype=np.int64)]
+    sides = [np.empty((n_surfaces, 0, k), dtype=np.int8)]
+    parents, tasks, classified = np.reshape(crossed, (-1, 3)), [], []
     step = max(1, merge._CLASS_CELLS // k)
-    for window in (crossed[i : i + step] for i in range(0, len(crossed), step)):
+    for first in range(0, len(crossed), step):
+        window = crossed[first : first + step]
         rows = [by_parent[p] for p in window]
-        where = np.repeat(np.arange(len(window)), [len(r) for r in rows])
+        where = np.repeat(np.arange(first, first + len(window)), [len(r) for r in rows])
         rows = np.concatenate(rows)
         through[rows] = False
         # one paint of the window's blocks, disjoint in a valid model: each
-        # occupied cell as (window parent * k + raster index), in that order
+        # occupied cell as (crossed parent * k + raster index), in that order
         ordinal, cell = expand_cells(model.cell_min[rows], model.cell_dims[rows], spec.cell_counts)
         at = where[ordinal] * k + cell
         order = np.argsort(at)
         cells, label = at[order], model.label[rows[ordinal[order]]]
-        intersects, sides = classify_cells(spec, window, surfaces, overlap, directions)
-        # class keys: window parent, label, then per surface its intersect
+        intersects, window_sides = classify_cells(spec, window, surfaces, overlap, directions)
+        # class keys: crossed parent, label, then per surface its intersect
         # flag, -1 where it does not cross the parent, and when preclassified
         # its side; a parent's classes come out in the order of its own keys
-        flags = np.where(sides != 0, intersects, -1)
-        columns = np.stack([flags, sides], 1) if config.mode == "preclassified" else flags[:, None]
-        keys = np.column_stack([cells // k, label, columns.reshape(-1, len(window) * k)[:, cells].T])
-        classes, class_of = unique_rows(keys)
-        parents = np.array(window)
-        units = np.ones((len(cells), 3), dtype=np.int64)
-        cell_rows = (parents[cells // k], class_of, local[cells % k], units)
-        tasks += class_inputs(*cell_rows, spec.cell_counts, params.convention)
-        # the window's parents stacked along z, for _above_counts
-        windows.append((parents, classes, sides.reshape(n_surfaces, -1, ky, kx)))
+        flags = np.where(window_sides != 0, intersects, -1)
+        columns = np.stack([flags, window_sides], 1) if stride == 2 else flags[:, None]
+        columns = columns.reshape(-1, len(window) * k)[:, cells - first * k].T
+        classes, class_of = unique_rows(np.column_stack([cells // k, label, columns]))
+        # each window's classes get global ids: the rows of the joined keys
+        cell_rows = (parents[cells // k], class_of + sum(map(len, keys)), local[cells % k])
+        tasks += class_inputs(*cell_rows, np.ones_like(cell_rows[2]), spec.cell_counts, params.convention)
+        keys.append(classes)
+        sides.append(window_sides)
         if config.diagnostics_dir is not None:
             for w, parent in enumerate(window):
                 ids = sorted(overlap.surfaces_of(parent))
-                classified.append(CellClassification(parent, ids, intersects[ids, w], sides[ids, w]))
-    results = parallel_map(partial(_merge_parent, spec, params), tasks, threads)
+                classified.append(CellClassification(parent, ids, intersects[ids, w], window_sides[ids, w]))
+    merged = _merge_tasks(spec, params, tasks, threads)
 
-    kept = np.column_stack([model.cell_min, model.cell_dims, model.label])[through]
-    parts = [(model.parent[through], kept)]
-    positions = [np.full((len(kept), n_surfaces), POS_UNCAST)]
-    majorities = [np.full((len(kept), n_surfaces), SIDE_ABOVE)]
-    done = 0
-    for parents, classes, sides_grid in windows:
-        blocks = np.concatenate(results[done : done + len(parents)])
-        done += len(parents)
-        key = classes[blocks[:, 6]]
-        lo, dims = blocks[:, 0:3], blocks[:, 3:6]
-        lift = key[:, :1] * [0, 0, kz]
-        above = _above_counts(sides_grid, lo + lift, lo + dims + lift)
-        majorities.append(np.where(above * 2 >= dims.prod(axis=1), SIDE_ABOVE, SIDE_BELOW).T)
-        flags = key[:, 2::2] if config.mode == "preclassified" else key[:, 2:]
-        side = key[:, 3::2] if config.mode == "preclassified" else POS_UNCAST
-        positions.append(np.where(flags == 1, ACROSS, np.where(flags == 0, side, POS_UNCAST)))
-        parts.append((parents[key[:, 0]], np.column_stack([lo, dims, key[:, 1]])))
-    staged = _assemble(spec, parts)
-    positions, majorities = np.concatenate(positions), np.concatenate(majorities)
+    # positions from the class keys; majorities from one paint of the
+    # merged blocks, counting the cells classified above each surface
+    key = np.concatenate(keys)[merged.label]
+    flags = key[:, 2::stride]
+    side = key[:, 3::2] if stride == 2 else POS_UNCAST
+    ordinal, cell = expand_cells(merged.cell_min, merged.cell_dims, spec.cell_counts)
+    painted = np.concatenate(sides, 1).reshape(n_surfaces, -1)[:, key[ordinal, 0] * k + cell]
+    above = np.array([np.bincount(ordinal[s == SIDE_ABOVE], minlength=len(merged)) for s in painted])
+    columns = zip(
+        (model.parent, model.cell_min, model.cell_dims, model.label),
+        (merged.parent, merged.cell_min, merged.cell_dims, key[:, 1]),
+    )
+    staged = BlockModel.from_columns(spec, *(np.concatenate([c[through], m]) for c, m in columns))
+    kept = (np.count_nonzero(through), n_surfaces)
+    positions = np.concatenate([
+        np.full(kept, POS_UNCAST), np.where(flags == 1, ACROSS, np.where(flags == 0, side, POS_UNCAST))
+    ])
+    majorities = np.concatenate([
+        np.full(kept, SIDE_ABOVE),
+        np.where(above * 2 >= merged.cell_dims.prod(axis=1), SIDE_ABOVE, SIDE_BELOW).T,
+    ])
 
     centroids = staged.centroids()
-    for sid, instr in enumerate(config.instructions):
+    for sid, (mesh, index) in enumerate(surfaces):
         missing = np.flatnonzero(positions[:, sid] == POS_UNCAST)
-        if len(missing) == 0:
-            continue
-        mesh, index = surfaces[sid]
-        batch = cast_parity_many(
-            centroids[missing], mesh, index, instr.positive_direction
-        )
-        positions[missing, sid] = batch.sides
+        if len(missing):
+            cast = cast_parity_many(centroids[missing], mesh, index, directions[sid])
+            positions[missing, sid] = cast.sides
 
     labels = apply_tagging(positions, majorities, staged.label, config.instructions)
-    out = BlockModel.from_columns(
-        spec, staged.parent, staged.cell_min, staged.cell_dims, labels
-    )
+    out = BlockModel.from_columns(spec, staged.parent, staged.cell_min, staged.cell_dims, labels)
     out.validate()
 
     if config.diagnostics_dir is not None:
@@ -290,8 +278,7 @@ def merge_model(
     _check_caps(params.max_dims, spec.cell_counts)
     columns = (model.parent, model.label, model.cell_min, model.cell_dims)
     tasks = class_inputs(*columns, spec.cell_counts, params.convention)
-    results = parallel_map(partial(_merge_parent, spec, params), tasks, threads)
-    out = _assemble(spec, ((parent, rows) for (parent, _), rows in zip(tasks, results)))
+    out = _merge_tasks(spec, params, tasks, threads)
     out.validate()
     return out
 

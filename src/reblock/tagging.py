@@ -6,10 +6,14 @@ abstract label, and a negative value means "this position is not mine to
 touch".  A block for which *any* instruction selects a negative label
 keeps its input label outright — that is what lets one instruction pair
 carve an embedded layer out of a pre-labelled model while everything
-outside the layer survives untouched.  ``forced`` resolves blocks
-straddling a surface to strictly above/below (by cell majority) before
-the label lookup, so boundary-hugging blocks can be pushed into a side
-domain instead of keeping a boundary identity.
+outside the layer survives untouched; otherwise the last instruction
+decides.  ``forced`` resolves blocks straddling a surface to strictly
+above/below (by cell majority) before the label lookup, so
+boundary-hugging blocks can be pushed into a side domain instead of
+keeping a boundary identity.  The abstract label 2(n+1) - σ, for the
+surface n a block affiliates with in a layered stack (surfaces listed
+top-down) and its side σ of it, equals S + 1 - Σσ over all S surfaces:
+a layered sign row is some -1s, at most one 0, then +1s.
 """
 
 from __future__ import annotations
@@ -118,60 +122,6 @@ def parse_instruction_file(path: str | Path) -> list[TaggingInstruction]:
 
 
 # ---------------------------------------------------------------------------
-# layered abstract labels
-# ---------------------------------------------------------------------------
-
-def abstract_label(n: int, sigma: int) -> int:
-    """Layer/boundary label for affiliated surface ``n``: 2(n+1) - sigma.
-
-    Layers (sigma = ±1) get odd labels, boundaries (sigma = 0) even ones.
-    """
-    if n < 0:
-        raise ValidationError("surface ordinal must be non-negative")
-    if sigma not in (-1, 0, 1):
-        raise ValidationError(f"sigma must be -1, 0 or +1, got {sigma}")
-    return 2 * (n + 1) - sigma
-
-
-def affiliated_surface(sigmas: Sequence[int]) -> tuple[int, int]:
-    """(surface ordinal, sigma) a block affiliates with in a layered stack.
-
-    Surfaces are ordered top-down, so a valid sign vector is monotone:
-    some leading -1s (surfaces above the block), at most one 0 (the
-    surface it straddles), then +1s (surfaces below it).  Anything else
-    means the surfaces cross and the stack is not layered.
-    """
-    if len(sigmas) == 0:
-        raise ValidationError("affiliation requires at least one surface")
-    prev = -1
-    zeros = 0
-    for v in sigmas:
-        if v not in (-1, 0, 1):
-            raise ValidationError(f"sigma must be -1, 0 or +1, got {v}")
-        if v < prev:
-            raise InconsistentSidedness(
-                f"sidedness vector {tuple(sigmas)} is not layered"
-            )
-        prev = v
-        if v == 0:
-            zeros += 1
-    if zeros > 1:
-        raise InconsistentSidedness(
-            f"sidedness vector {tuple(sigmas)} straddles multiple surfaces"
-        )
-    leading = 0
-    for v in sigmas:
-        if v != -1:
-            break
-        leading += 1
-    if zeros:
-        return leading, 0
-    if leading == 0:
-        return 0, 1
-    return leading - 1, -1
-
-
-# ---------------------------------------------------------------------------
 # instruction application
 # ---------------------------------------------------------------------------
 
@@ -187,46 +137,48 @@ def apply_tagging(
     surface s = instruction s; ``majority_sides`` (B, S) in {+1, -1} is
     the cell-majority side used when ``forced`` must resolve an across
     position.  Returns new labels; blocks vetoed by any negative selected
-    label keep ``input_labels``.
+    label keep ``input_labels``.  A block that selects a zero label
+    anywhere must have a layered row.
     """
     positions = np.asarray(positions)
     majority_sides = np.asarray(majority_sides)
-    input_labels = np.asarray(input_labels)
-    n_blocks, n_surfaces = positions.shape
+    input_labels = np.asarray(input_labels).astype(np.int64)
+    n_surfaces = positions.shape[1]
     if len(instructions) != n_surfaces:
         raise MissingSidedness(
-            f"{len(instructions)} instructions but positions for "
-            f"{n_surfaces} surfaces"
+            f"{len(instructions)} instructions but positions for {n_surfaces} surfaces"
         )
-    if majority_sides.shape != positions.shape:
-        raise MissingSidedness("majority sides shape does not match positions")
+    if majority_sides.shape != positions.shape or input_labels.shape != positions.shape[:1]:
+        raise MissingSidedness("majority sides or input labels shape does not match positions")
+    for values, allowed, what in (
+        (positions, (BELOW, ACROSS, ABOVE), "position"),
+        (majority_sides, (BELOW, ABOVE), "majority side"),
+    ):
+        bad = np.argwhere(~np.isin(values, allowed))
+        if len(bad):
+            b, s = bad[0].tolist()
+            raise ValidationError(f"block {b}, surface {s}: {what} {values[b, s]} not in {allowed}")
+    if n_surfaces == 0:
+        return input_labels
 
-    effective = positions.copy()
-    for s, instr in enumerate(instructions):
-        if instr.forced:
-            across = effective[:, s] == ACROSS
-            effective[across, s] = majority_sides[across, s]
-
-    selected = np.empty((n_blocks, n_surfaces), dtype=np.int64)
-    for s, instr in enumerate(instructions):
-        col = effective[:, s]
-        selected[:, s] = np.where(
-            col == ABOVE,
-            instr.label_above,
-            np.where(col == BELOW, instr.label_below, instr.label_across),
-        )
-
+    forced = np.array([i.forced for i in instructions])
+    effective = np.where(forced & (positions == ACROSS), majority_sides, positions).astype(np.int64)
+    table = np.array([(i.label_below, i.label_across, i.label_above) for i in instructions])
+    selected = table[np.arange(n_surfaces), effective + 1]
     veto = (selected < 0).any(axis=1)
-    out = input_labels.astype(np.int64).copy()
-    needs_abstract = ~veto & (selected == 0).any(axis=1)
-    abstract = np.zeros(n_blocks, dtype=np.int64)
-    for i in np.flatnonzero(needs_abstract):
-        n, sigma = affiliated_surface([int(v) for v in effective[i]])
-        abstract[i] = abstract_label(n, sigma)
-    for s in range(n_surfaces):
-        lam = selected[:, s]
-        assign = ~veto & (lam > 0)
-        out[assign] = lam[assign]
-        assign_abs = ~veto & (lam == 0)
-        out[assign_abs] = abstract[assign_abs]
-    return out
+
+    # surfaces listed top-down: a layered row never decreases and
+    # straddles at most one surface
+    abstract = ~veto & (selected == 0).any(axis=1)
+    crossing = (np.diff(effective, axis=1) < 0).any(axis=1)
+    unlayered = abstract & (crossing | ((effective == ACROSS).sum(axis=1) > 1))
+    if unlayered.any():
+        i = int(np.argmax(unlayered))
+        row = tuple(effective[i].tolist())
+        if crossing[i]:
+            raise InconsistentSidedness(f"sidedness vector {row} is not layered")
+        raise InconsistentSidedness(f"sidedness vector {row} straddles multiple surfaces")
+
+    last = selected[:, -1]
+    labels = np.where(last > 0, last, n_surfaces + 1 - effective.sum(axis=1))
+    return np.where(veto, input_labels, labels)

@@ -9,9 +9,9 @@ in floats and in exact rationals, closed-form containment, winding
 numbers, heightfield interpolation, ray crossings in exact rationals, a
 brute-force bounding-box filter, grid-slab dissolved and persistent
 merges, a per-class model merge, a per-parent painter and restructure, a
-row-by-row model reader, a block-by-block disjointness check and
-line-by-line OBJ and OFF readers) used as ground truth by the unit and
-acceptance tests.
+block-by-block tagger, a row-by-row model reader, a block-by-block
+disjointness check and line-by-line OBJ and OFF readers) used as ground
+truth by the unit and acceptance tests.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from reblock.errors import EmptyMesh, MisalignedBlock, ValidationError
+from reblock.errors import EmptyMesh, InconsistentSidedness, MisalignedBlock, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +582,55 @@ def merge_by_class(model, params) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
+# block tagging, one block and one instruction at a time
+# ---------------------------------------------------------------------------
+
+def _affiliated_surface(sigmas: list[int]) -> tuple[int, int]:
+    """(surface ordinal, sigma) a block affiliates with in a layered stack:
+    surfaces listed top-down, so a valid sign row is some -1s (surfaces
+    above the block), at most one 0 (the surface it straddles), then +1s
+    (surfaces below it)."""
+    prev, zeros = -1, 0
+    for v in sigmas:
+        if v < prev:
+            raise InconsistentSidedness(f"sidedness vector {tuple(sigmas)} is not layered")
+        prev, zeros = v, zeros + (v == 0)
+    if zeros > 1:
+        raise InconsistentSidedness(f"sidedness vector {tuple(sigmas)} straddles multiple surfaces")
+    leading = sigmas.count(-1)
+    if zeros:
+        return leading, 0
+    return (0, 1) if leading == 0 else (leading - 1, -1)
+
+
+def apply_tagging_by_block(positions, majority_sides, input_labels, instructions) -> list[int]:
+    """Labels of (B, S) positions in {-1, 0, +1} and majority sides in
+    {-1, +1}, block by block: ``forced`` sends an across position to its
+    majority side; a block that selects a negative label anywhere keeps
+    its input label; otherwise each instruction in turn assigns its
+    positive label, or for a zero the abstract label 2(n+1) - sigma of the
+    surface n the block affiliates with and its side sigma of it."""
+    out = []
+    for row, majority, label in zip(
+        np.asarray(positions).tolist(), np.asarray(majority_sides).tolist(), np.asarray(input_labels).tolist()
+    ):
+        effective = [m if i.forced and p == 0 else p for p, m, i in zip(row, majority, instructions)]
+        selected = [
+            {1: i.label_above, 0: i.label_across, -1: i.label_below}[e]
+            for e, i in zip(effective, instructions)
+        ]
+        if any(lam < 0 for lam in selected):
+            out.append(int(label))
+            continue
+        if 0 in selected:
+            n, sigma = _affiliated_surface(effective)
+        for lam in selected:
+            label = lam if lam > 0 else 2 * (n + 1) - sigma
+        out.append(int(label))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # restructuring, one crossed parent at a time
 # ---------------------------------------------------------------------------
 
@@ -612,13 +661,13 @@ def restructure_by_parent(model, config, surfaces) -> tuple[list[tuple], list]:
     label and per crossing surface the intersect flag and (preclassified)
     the side, go to ``merge_class`` as unit boxes in raster order, keys
     ascending.  A block's majority side counts its cells; a position left
-    open is cast from the block's centroid.
+    open is cast from the block's centroid; the labels come from
+    :func:`apply_tagging_by_block`.
     """
     from reblock.intersection import detect_overlaps, sat_batch
     from reblock.lattice import BlockModel
     from reblock.merge import merge_class
     from reblock.sidedness import CellClassification, cast_parity_many
-    from reblock.tagging import apply_tagging
 
     spec, n_surfaces = model.spec, len(surfaces)
     kx, ky, kz = spec.cell_counts
@@ -677,11 +726,8 @@ def restructure_by_parent(model, config, surfaces) -> tuple[list[tuple], list]:
             cast = cast_parity_many(centroids[missing], mesh, index, directions[s])
             for i, side in zip(missing, cast.sides.tolist()):
                 positions[i][s] = side
-    tagged = apply_tagging(
-        np.array(positions).reshape(-1, n_surfaces), np.array(majorities).reshape(-1, n_surfaces),
-        staged.label, config.instructions,
-    )
-    return [(*r[:3], label) for r, label in zip(rows, tagged.tolist())], classifications
+    tagged = apply_tagging_by_block(positions, majorities, staged.label, config.instructions)
+    return [(*r[:3], label) for r, label in zip(rows, tagged)], classifications
 
 
 # ---------------------------------------------------------------------------

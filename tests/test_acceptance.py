@@ -34,7 +34,7 @@ from reblock.metrics import compute_stats, growth_factors
 from reblock.octree import octree_decompose, validate_dyadic
 from reblock.pipeline import PipelineConfig, merge_model, restructure
 from reblock.sidedness import SIDE_BELOW, cast_parity_many
-from reblock.tagging import TaggingInstruction, abstract_label
+from reblock.tagging import TaggingInstruction, apply_tagging
 
 from conftest import box_mesh, grid_surface, icosphere, write_obj
 from oracles import (
@@ -553,9 +553,16 @@ def test_c09_embedded_channel_retains_outer_labels(tmp_path):
     }
     assert kept_labels == {1, 2}
 
+    # layered abstract labels: a block above surface 0 of a three-surface
+    # stack, and per surface n one straddling it and one just below it
+    rows = {(0, 1): [1, 1, 1]}
     for n in (0, 1, 2):
-        for sigma in (-1, 0, 1):
-            assert abstract_label(n, sigma) == 2 * (n + 1) - sigma
+        rows[n, 0] = [-1] * n + [0] + [1] * (2 - n)
+        rows[n, -1] = [-1] * (n + 1) + [1] * (2 - n)
+    positions = np.array(list(rows.values()))
+    auto = TaggingInstruction("s.obj", (0.0, 0.0, 1.0), 0, 0, 0)
+    labels = apply_tagging(positions, np.ones_like(positions), np.zeros(len(rows)), [auto] * 3)
+    assert labels.tolist() == [2 * (n + 1) - sigma for n, sigma in rows]
 
 
 # ---------------------------------------------------------------------------

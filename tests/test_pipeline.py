@@ -16,19 +16,12 @@ from reblock.merge import MergeParams
 from reblock.mesh import build_index, load_mesh
 from reblock.pipeline import (
     PipelineConfig,
-    _above_counts,
     heal_and_merge,
     load_surfaces,
     merge_model,
     restructure,
 )
-from reblock.sidedness import (
-    CODE_UNTESTED,
-    SIDE_ABOVE,
-    SIDE_BELOW,
-    cast_parity_many,
-    write_sidedness_csv,
-)
+from reblock.sidedness import CODE_UNTESTED, cast_parity_many, write_sidedness_csv
 from reblock.tagging import TaggingInstruction
 
 from conftest import grid_surface, write_obj
@@ -336,7 +329,8 @@ def test_merge_model_matches_class_by_class_merge(
 def crossed_scene(seed, min_dims, n_sheets=None):
     """Six parents of random blocks, rows shuffled, and one to three
     random sheets, each over its own x and y range and forced or not: a
-    sheet may cross some parents and miss others."""
+    sheet may cross some parents and miss others.  Some of a sheet's
+    labels are vetoes (-1), or, when there is one sheet, automatic (0)."""
     rng = np.random.default_rng(seed)
     spec = LatticeSpec(origin=(0, 0, 0), parent_dims=(4, 4, 4), min_dims=min_dims)
     keep = float(rng.choice([0.7, 1.0]))
@@ -348,14 +342,17 @@ def crossed_scene(seed, min_dims, n_sheets=None):
     ]
     model = BlockModel(spec, [blocks[i] for i in rng.permutation(len(blocks))])
     instructions, surfaces = [], []
-    for i in range(n_sheets or int(rng.integers(1, 4))):
+    n_sheets = n_sheets or int(rng.integers(1, 4))
+    codes = (-1, 0) if n_sheets == 1 else (-1,)
+    for i in range(n_sheets):
         x0, x1 = sorted(rng.choice([-1.0, 3.25, 5.5, 6.75, 13.0], 2, replace=False))
         y0, y1 = sorted(rng.choice([-1.0, 2.5, 5.25, 9.0], 2, replace=False))
         xs, ys = np.linspace(x0, x1, 5), np.linspace(y0, y1, 4)
         heights = dict(zip(((x, y) for y in ys for x in xs), rng.integers(2, 31, size=20) / 8))
         mesh = grid_surface(xs, ys, lambda x, y: heights[x, y])
         forced = bool(rng.integers(2))
-        instructions.append(instruction(f"sheet{i}.obj", 10 + i, 20 + i, 30 + i, forced))
+        labels = [v if rng.random() < 0.7 else int(rng.choice(codes)) for v in (10 + i, 20 + i, 30 + i)]
+        instructions.append(instruction(f"sheet{i}.obj", *labels, forced))
         surfaces.append((mesh, build_index(mesh)))
     return model, tuple(instructions), surfaces
 
@@ -453,23 +450,3 @@ def test_diagnostics_match_the_parent_by_parent_oracle(tmp_path, monkeypatch):
         assert (tmp_path / "got" / name).read_bytes() == (want / name).read_bytes()
     codes = [line.rsplit(",", 1)[1] for line in (want / "sidedness.csv").read_text().splitlines()]
     assert codes.count(str(CODE_UNTESTED)) == 4 * 64
-
-
-def test_above_counts_match_window_sums():
-    """Per surface and cell box, the summed-volume table counts the cells
-    classified above exactly as a sum over the box's window does."""
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        counts = rng.integers(1, 6, size=3)
-        kx, ky, kz = counts.tolist()
-        grid = rng.choice([SIDE_ABOVE, SIDE_BELOW], size=(rng.integers(1, 4), kz, ky, kx))
-        lo = rng.integers(0, counts, size=(rng.integers(0, 12), 3))
-        hi = lo + 1 + rng.integers(0, counts - lo)
-        want = [
-            [
-                int((g[z0:z1, y0:y1, x0:x1] == SIDE_ABOVE).sum())
-                for (x0, y0, z0), (x1, y1, z1) in zip(lo.tolist(), hi.tolist())
-            ]
-            for g in grid
-        ]
-        assert _above_counts(grid, lo, hi).tolist() == want

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reblock.errors import InconsistentSidedness, MissingSidedness, ValidationError
 from reblock.geometry import vec3
@@ -10,11 +12,11 @@ from reblock.tagging import (
     ACROSS,
     BELOW,
     TaggingInstruction,
-    abstract_label,
-    affiliated_surface,
     apply_tagging,
     parse_instruction_file,
 )
+
+from oracles import apply_tagging_by_block
 
 
 def instr(above, across, below, forced=False):
@@ -26,6 +28,14 @@ def instr(above, across, below, forced=False):
         label_below=below,
         forced=forced,
     )
+
+
+def abstract_labels(rows):
+    """``apply_tagging`` labels of sign rows under all-zero instructions,
+    one per surface: the layered abstract labels."""
+    positions = np.array(rows)
+    rules = [instr(0, 0, 0)] * positions.shape[1]
+    return apply_tagging(positions, np.ones_like(positions), np.zeros(len(rows)), rules).tolist()
 
 
 # --- parsing ---------------------------------------------------------------
@@ -119,56 +129,79 @@ def test_parse_missing_file(tmp_path):
 # --- abstract labels and affiliation ----------------------------------------
 
 def test_abstract_label_all_nine():
-    expected = {
-        (0, 1): 1, (0, 0): 2, (0, -1): 3,
-        (1, 1): 3, (1, 0): 4, (1, -1): 5,
-        (2, 1): 5, (2, 0): 6, (2, -1): 7,
-    }
-    for (n, sigma), want in expected.items():
-        assert abstract_label(n, sigma) == want
+    """A block on side sigma of surface n of a three-surface stack gets
+    2(n+1) - sigma.  Side +1 of surface n > 0 is side -1 of surface n-1,
+    and both give 2n+1."""
+    rows = {}
+    for n in (0, 1, 2):
+        rows[n, 1] = [-1] * n + [1] * (3 - n)
+        rows[n, 0] = [-1] * n + [0] + [1] * (2 - n)
+        rows[n, -1] = [-1] * (n + 1) + [1] * (2 - n)
+    assert abstract_labels(list(rows.values())) == [2 * (n + 1) - s for n, s in rows]
+    assert abstract_labels(list(rows.values())) == [1, 2, 3, 3, 4, 5, 5, 6, 7]
 
 
 def test_abstract_label_validation():
-    with pytest.raises(ValidationError):
-        abstract_label(-1, 0)
-    with pytest.raises(ValidationError):
-        abstract_label(0, 2)
+    """A stray value, such as restructure's unfilled sentinel 2, fails
+    naming its block and surface instead of selecting the across label."""
+    good = np.array([[ABOVE, BELOW], [ACROSS, ABOVE]])
+    rules = [instr(0, 0, 0), instr(0, 0, 0)]
+    with pytest.raises(ValidationError) as err:
+        apply_tagging(np.array([[ABOVE, BELOW], [ACROSS, 2]]), np.ones_like(good), np.zeros(2), rules)
+    assert str(err.value) == "block 1, surface 1: position 2 not in (-1, 0, 1)"
+    majority = np.ones_like(good)
+    majority[1, 0] = 0
+    with pytest.raises(ValidationError) as err:
+        apply_tagging(good, majority, np.zeros(2), rules)
+    assert str(err.value) == "block 1, surface 0: majority side 0 not in (-1, 1)"
+    # a majority that is never consulted must still be a side
+    with pytest.raises(ValidationError, match="block 0, surface 0: majority side"):
+        apply_tagging(good[:1], np.array([[3, 1]]), np.zeros(1), [instr(1, 2, 3)] * 2)
 
 
 def test_affiliation_layers_top_down():
-    # above everything -> layer 0, side +1
-    assert affiliated_surface([1, 1, 1]) == (0, 1)
-    # below the first surface only -> between surfaces 0 and 1
-    assert affiliated_surface([-1, 1, 1]) == (0, -1)
-    assert affiliated_surface([-1, -1, 1]) == (1, -1)
-    # below all three -> bottom layer, owned by the last surface
-    assert affiliated_surface([-1, -1, -1]) == (2, -1)
+    # above everything -> layer 0, side +1; below the first surface only
+    # -> between surfaces 0 and 1; below all three -> bottom layer, owned
+    # by the last surface
+    rows = [[1, 1, 1], [-1, 1, 1], [-1, -1, 1], [-1, -1, -1]]
+    assert abstract_labels(rows) == [2 * 1 - 1, 2 * 1 + 1, 2 * 2 + 1, 2 * 3 + 1]
 
 
 def test_affiliation_boundary_block():
-    assert affiliated_surface([0, 1, 1]) == (0, 0)
-    assert affiliated_surface([-1, 0, 1]) == (1, 0)
-    assert affiliated_surface([-1, -1, 0]) == (2, 0)
+    rows = [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]
+    assert abstract_labels(rows) == [2 * 1, 2 * 2, 2 * 3]
 
 
 def test_affiliation_rejects_crossings():
-    with pytest.raises(InconsistentSidedness, match="not layered"):
-        affiliated_surface([1, -1])
-    with pytest.raises(InconsistentSidedness, match="multiple surfaces"):
-        affiliated_surface([0, 0])
-    with pytest.raises(ValidationError):
-        affiliated_surface([])
-    with pytest.raises(ValidationError):
-        affiliated_surface([2, 1])
+    with pytest.raises(InconsistentSidedness) as err:
+        abstract_labels([[1, -1]])
+    assert str(err.value) == "sidedness vector (1, -1) is not layered"
+    with pytest.raises(InconsistentSidedness) as err:
+        abstract_labels([[0, 0]])
+    assert str(err.value) == "sidedness vector (0, 0) straddles multiple surfaces"
+    with pytest.raises(ValidationError, match="position 2"):
+        abstract_labels([[2, 1]])
+    # with no surface there is nothing to affiliate with: labels are kept
+    assert apply_tagging(np.zeros((2, 0)), np.zeros((2, 0)), np.array([4, 5]), []).tolist() == [4, 5]
 
 
 def test_layer_label_matches_between_surfaces():
     """A block sandwiched between surfaces k and k+1 gets label 2k+3."""
-    for k in range(3):
-        sigma = [-1] * (k + 1) + [1] * (3 - k)
-        n, s = affiliated_surface(sigma)
-        assert (n, s) == (k, -1)
-        assert abstract_label(n, s) == 2 * k + 3
+    rows = [[-1] * (k + 1) + [1] * (3 - k) for k in range(3)]
+    assert abstract_labels(rows) == [2 * (k + 1) + 1 for k in range(3)]
+
+
+def test_layering_is_checked_only_where_a_zero_is_selected():
+    """An unlayered row is fine under positive labels or a veto, and the
+    first offending block in block order is the one reported."""
+    rows = np.array([[ABOVE, BELOW], [BELOW, BELOW], [ACROSS, ACROSS], [ABOVE, BELOW]])
+    rules = [instr(0, 4, 0), instr(-1, 0, 6)]
+    majority = np.ones_like(rows)
+    assert apply_tagging(rows[:1], majority[:1], [9], [instr(1, 2, 3), instr(4, 5, 6)]).tolist() == [6]
+    assert apply_tagging(rows[:1], majority[:1], [9], [instr(0, 2, 3), instr(4, 5, -1)]).tolist() == [9]
+    with pytest.raises(InconsistentSidedness) as err:
+        apply_tagging(rows[1:], majority[1:], np.zeros(3), rules)
+    assert str(err.value) == "sidedness vector (0, 0) straddles multiple surfaces"
 
 
 # --- applying instructions ---------------------------------------------------
@@ -237,6 +270,9 @@ def test_instruction_count_mismatch():
             np.zeros(2),
             [instr(1, 2, 3), instr(1, 2, 3)],
         )
+    # one input label is not broadcast over two blocks
+    with pytest.raises(MissingSidedness, match="shape"):
+        apply_tagging(positions, np.ones_like(positions), np.zeros(1), [instr(1, 2, 3)] * 2)
 
 
 def test_embedded_layer_scenario():
@@ -252,3 +288,42 @@ def test_embedded_layer_scenario():
     inputs = np.array([100, 101, 102])
     out = apply_tagging(positions, majority, inputs, rules)
     assert out.tolist() == [100, 5, 102]
+
+
+def _sign_row(n_surfaces):
+    """A random sign row, or a layered one: some -1s, at most one 0, +1s."""
+    layered = st.builds(
+        lambda below, zero: ([BELOW] * below + [ACROSS] * zero + [ABOVE] * n_surfaces)[:n_surfaces],
+        st.integers(0, n_surfaces),
+        st.integers(0, 1),
+    )
+    signs = st.sampled_from([BELOW, ACROSS, ABOVE])
+    return layered | st.lists(signs, min_size=n_surfaces, max_size=n_surfaces)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_apply_tagging_matches_block_by_block_oracle(data):
+    """On random positions (layered rows and any others), majorities,
+    forced flags and veto, abstract or positive labels, the array pass
+    gives the block-by-block oracle's labels, or raises its exception with
+    its message."""
+    n_surfaces, n_blocks = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 8))
+    rows = st.lists(_sign_row(n_surfaces), min_size=n_blocks, max_size=n_blocks)
+    positions = np.array(data.draw(rows), dtype=np.int64).reshape(n_blocks, n_surfaces)
+    sides = st.lists(st.sampled_from([BELOW, ABOVE]), min_size=positions.size, max_size=positions.size)
+    majority = np.array(data.draw(sides), dtype=np.int64).reshape(positions.shape)
+    label = st.sampled_from([-1, 0, 0]) | st.integers(1, 9)
+    rules = [
+        instr(*data.draw(st.tuples(label, label, label)), forced=data.draw(st.booleans()))
+        for _ in range(n_surfaces)
+    ]
+    inputs = np.array(data.draw(st.lists(st.integers(-3, 50), min_size=n_blocks, max_size=n_blocks)))
+    try:
+        want = apply_tagging_by_block(positions, majority, inputs, rules)
+    except InconsistentSidedness as exc:
+        with pytest.raises(InconsistentSidedness) as err:
+            apply_tagging(positions, majority, inputs, rules)
+        assert type(err.value) is type(exc) and str(err.value) == str(exc)
+    else:
+        assert apply_tagging(positions, majority, inputs, rules).tolist() == want
