@@ -144,6 +144,23 @@ def cell_lut(spec: LatticeSpec) -> np.ndarray:
     return offsets
 
 
+def cell_runs(
+    cell_min: np.ndarray, cell_dims: np.ndarray, counts: IntTriple
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every x-run of (N, 3) cell boxes on one parent's grid, as
+    ``(ordinal, first raster index, length)`` arrays: box after box, each
+    box's sy * sz runs of sx cells in raster order.  The boxes must have
+    positive extent and fit the grid.
+    """
+    sx, sy, sz = cell_dims.T
+    # a box's run t lies on row t % sy of layer t // sy
+    runs = sy * sz
+    box = np.repeat(np.arange(len(cell_dims)), runs)
+    z, y = np.divmod(np.arange(box.size) - np.repeat(np.cumsum(runs) - runs, runs), sy[box])
+    first = raster_index(cell_min.T, counts)[box] + raster_index((0, y, z), counts)
+    return box, first, sx[box]
+
+
 def expand_cells(
     cell_min: np.ndarray, cell_dims: np.ndarray, counts: IntTriple
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -151,17 +168,19 @@ def expand_cells(
     raster index)`` arrays: box after box, each in its own raster order.
     The boxes must have positive extent and fit the grid.
     """
-    sx, sy, sz = cell_dims.T
-    # a box is sy * sz runs of sx cells with consecutive raster indices, and
-    # its run t lies on row t % sy of layer t // sy
-    runs = sy * sz
-    box = np.repeat(np.arange(len(cell_dims)), runs)
-    z, y = np.divmod(np.arange(box.size) - np.repeat(np.cumsum(runs) - runs, runs), sy[box])
-    start = raster_index(cell_min.T, counts)[box] + raster_index((0, y, z), counts)
-    length = sx[box]
+    box, first, length = cell_runs(cell_min, cell_dims, counts)
     ordinal = np.repeat(box, length)
-    cell = np.repeat(start - (np.cumsum(length) - length), length) + np.arange(ordinal.size)
+    cell = np.repeat(first - (np.cumsum(length) - length), length) + np.arange(ordinal.size)
     return ordinal, cell
+
+
+def runs_disjoint(first: np.ndarray, length: np.ndarray) -> bool:
+    """Whether the runs of cells ``[first, first + length)`` are pairwise
+    disjoint: sorted by first cell, every run ends at or before the next
+    one starts."""
+    rank = np.argsort(first)
+    first = first[rank]
+    return bool((first[:-1] + length[rank[:-1]] <= first[1:]).all())
 
 
 def unique_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,9 +200,10 @@ def unique_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # model container
 # ---------------------------------------------------------------------------
 
-# validate paints a run of whole parents at a time, those that start within
-# one window of painted cells: this many, or a 64th of the model if more
-_PAINT_CELLS = 2048
+# validate checks a run of whole parents at a time, those that start within
+# one window of cells: this many, or a 64th of the model if more.  The
+# window bounds the cells painted when its x-runs overlap
+_PAINT_CELLS = 1 << 16
 
 
 class BlockModel:
@@ -231,8 +251,9 @@ class BlockModel:
         """Ordinals grouped by parent, parents in raster order (z, then y,
         then x) and input order within each, and a mask of group starts."""
         order = np.lexsort(self.parent.T)
+        p = self.parent[order].T  # column by column: a reduction over rows of 3 is slow
         change = np.ones(len(order), dtype=bool)
-        change[1:] = (np.diff(self.parent[order], axis=0) != 0).any(axis=1)
+        change[1:] = (p[0, 1:] != p[0, :-1]) | (p[1, 1:] != p[1, :-1]) | (p[2, 1:] != p[2, :-1])
         return order, change
 
     def by_parent(self) -> dict[IntTriple, list[int]]:
@@ -254,12 +275,16 @@ class BlockModel:
         return base + (self.cell_min + self.cell_dims * 0.5) * np.asarray(spec.min_dims)
 
     def validate(self) -> None:
-        """Check the pairwise-disjointness invariant by cell painting.
+        """Check that every block has positive extent, lies inside its
+        parent and is disjoint from the other blocks of its parent.
 
         Reports the smallest faulty ordinal and its first faulty axis (an
-        empty extent, else leaving the parent) or its overlap with an earlier
-        block.  Painting stops at the first block that takes its parent's
-        painted volume past the parent's cell count.
+        empty extent, else leaving the parent) or its overlap with an
+        earlier block.  The check stops at the first block that takes its
+        parent's volume past the parent's cell count.  Each window of whole
+        parents makes one sort of its blocks' x-runs; only a window whose
+        runs overlap is painted cell by cell, to name the smallest block
+        that paints a cell an earlier block painted.
         """
         n, k, counts = len(self), self.spec.cells_per_parent, self.spec.cell_counts
         lo, dims = self.cell_min, self.cell_dims
@@ -268,10 +293,10 @@ class BlockModel:
         first = int(faulty[0]) if len(faulty) else n
         order, change = self._parent_runs()
         group = np.cumsum(change) - 1
-        volume = dims[order].prod(axis=1)
+        volume = (dims[:, 0] * dims[:, 1] * dims[:, 2])[order]
         volume[order >= first] = 0
-        end = np.cumsum(volume)  # painted through each block, over all parents in order
-        start = (end - volume)[change][group]  # painted before the block's parent
+        end = np.cumsum(volume)  # cells through each block, over all parents in order
+        start = (end - volume)[change][group]  # cells before the block's parent
         past = order[end - start > k]
         stop = min(first, int(past.min()) + 1) if len(past) else first
         window = max(_PAINT_CELLS, int(end[-1]) // 64 if n else 0)
@@ -280,6 +305,9 @@ class BlockModel:
         for a, b in zip(bounds, bounds[1:]):
             keep = order[a:b] < stop
             part, grp = order[a:b][keep], group[a:b][keep]
+            box, first_cell, length = cell_runs(lo[part], dims[part], counts)
+            if runs_disjoint(grp[box] * k + first_cell, length):
+                continue
             ordinal, cell = expand_cells(lo[part], dims[part], counts)
             key = grp[ordinal] * k + cell
             rank = np.argsort(key, kind="stable")  # a cell's later painters overlap its first

@@ -48,7 +48,7 @@ from typing import Literal, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptyInput, ValidationError
-from .lattice import IntTriple, expand_cells
+from .lattice import IntTriple, cell_runs, expand_cells, runs_disjoint
 
 Convention = Literal["dissolved", "persistent"]
 Objective = Literal["count", "aspect"]
@@ -405,9 +405,12 @@ def merge_class(
     box = np.array(boxes, dtype=np.int64)
     lo, dims = box[:, 0], box[:, 1]
     inside = (lo >= 0).all() and (dims >= 1).all() and (lo + dims <= counts).all()
-    if not inside or dims.prod(axis=1).sum() > np.prod(counts):
-        raise ValidationError("input blocks overlap or leave the parent")
-    if np.bincount(expand_cells(lo, dims, counts)[1]).max() > 1:
+    # the volume check bounds the runs that the overlap check sorts
+    if (
+        not inside
+        or dims.prod(axis=1).sum() > np.prod(counts)
+        or not runs_disjoint(*cell_runs(lo, dims, counts)[1:])
+    ):
         raise ValidationError("input blocks overlap or leave the parent")
     zero = np.zeros_like(lo)
     [(_, [(_, inputs)])] = class_inputs(zero, zero[:, 0], lo, dims, counts, params.convention)

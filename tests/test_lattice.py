@@ -17,10 +17,13 @@ from reblock.lattice import (
     BlockModel,
     LatticeSpec,
     cell_lut,
+    cell_runs,
     cells_of,
+    expand_cells,
     parent_min_corner,
     raster_index,
     read_model_csv,
+    runs_disjoint,
     unique_rows,
     write_model_csv,
 )
@@ -655,3 +658,98 @@ def test_validate_paints_no_more_than_two_parents_of_overlap():
     assert str(info.value) == "block 1 overlaps another block in parent (0, 0, 0)"
     # a naive paint holds 8 bytes for each of 2,000 x 32,768 cells: 524 MB
     assert peak < 20 * 2**20
+
+
+def test_cell_runs_list_each_box_row_by_row_and_abutting_runs_are_disjoint():
+    counts = (4, 3, 2)
+    lo, dims = np.array([[1, 1, 0], [0, 0, 1]]), np.array([[2, 2, 2], [4, 1, 1]])
+    ordinal, first, length = cell_runs(lo, dims, counts)
+    assert ordinal.tolist() == [0, 0, 0, 0, 1]
+    assert first.tolist() == [5, 9, 17, 21, 12]
+    assert length.tolist() == [2, 2, 2, 2, 4]
+    assert runs_disjoint(first, length)
+    assert runs_disjoint(np.array([2, 0]), np.array([2, 2]))  # the first ends where the second starts
+    assert not runs_disjoint(np.array([1, 0]), np.array([2, 2]))  # one shared cell
+    ordinal, cell = expand_cells(lo, dims, counts)
+    spec = LatticeSpec((0, 0, 0), counts, (1, 1, 1))
+    cells = [c for n, s in zip(lo, dims) for c in cells_of(spec, Block((0, 0, 0), tuple(n), tuple(s)))]
+    assert cell.tolist() == [raster_index(c, counts) for c in cells]
+    assert ordinal.tolist() == [0] * 8 + [1] * 4
+
+
+@st.composite
+def perturbed_tilings(draw):
+    """Guillotine tilings of a few parents of an anisotropic cell grid, their
+    blocks shuffled together, and at most one block perturbed: shifted by
+    one cell, grown by one cell, or duplicated."""
+    k = [draw(st.integers(1, 5)) for _ in range(3)]
+    spec = LatticeSpec((0, 0, 0), k, (1, 1, 1))
+    index = st.tuples(*[st.integers(-3, 2)] * 3)
+    rows = []
+    for parent in draw(st.lists(index, min_size=1, max_size=4, unique=True)):
+        boxes = [([0, 0, 0], list(k))]
+        for _ in range(draw(st.integers(0, 7))):
+            at, axis = draw(st.integers(0, len(boxes) - 1)), draw(st.integers(0, 2))
+            lo, dims = boxes[at]
+            if dims[axis] > 1:
+                cut = draw(st.integers(1, dims[axis] - 1))
+                upper = (lo.copy(), dims.copy())
+                upper[0][axis] += cut
+                upper[1][axis] -= cut
+                dims[axis] = cut
+                boxes.append(upper)
+        rows += [[parent, lo, dims, draw(st.integers(0, 2))] for lo, dims in boxes]
+    rows = draw(st.permutations(rows))
+    at, axis = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 2))
+    parent, lo, dims, label = rows[at]
+    kind = draw(st.sampled_from(["none", "shift", "grow", "duplicate"]))
+    if kind == "shift":
+        lo = lo.copy()
+        lo[axis] += draw(st.sampled_from([-1, 1]))
+    elif kind == "grow":
+        lo, dims = lo.copy(), dims.copy()
+        dims[axis] += 1
+        lo[axis] -= draw(st.integers(0, 1))
+    rows[at] = [parent, lo, dims, label]
+    if kind == "duplicate":
+        rows.insert(draw(st.integers(0, len(rows))), rows[at])
+    return spec, [(p, tuple(lo), tuple(dims), label) for p, lo, dims, label in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=perturbed_tilings())
+@example(case=(  # two x-runs that abut: the first ends where the second starts
+    LatticeSpec((0, 0, 0), (4, 1, 1), (1, 1, 1)),
+    [((0, -1, 0), (2, 0, 0), (2, 1, 1), 0), ((0, -1, 0), (0, 0, 0), (2, 1, 1), 0)],
+))
+@example(case=(  # two x-runs that share one cell
+    LatticeSpec((0, 0, 0), (4, 1, 1), (1, 1, 1)),
+    [((0, -1, 0), (1, 0, 0), (3, 1, 1), 0), ((0, -1, 0), (0, 0, 0), (2, 1, 1), 0)],
+))
+def test_run_validate_matches_block_by_block_oracle_on_tilings(case):
+    spec, rows = case
+    model = BlockModel(spec, [Block(*row) for row in rows])
+
+    def outcome(check):
+        try:
+            check()
+        except ValidationError as exc:
+            return type(exc), str(exc)
+
+    assert outcome(model.validate) == outcome(lambda: validate_rows(spec, rows))
+
+
+def test_validate_paints_no_cell_of_a_valid_model():
+    """Two thousand distinct whole 32^3 parents pass from their x-runs: a
+    paint of their 65 M cells would hold hundreds of megabytes."""
+    spec = LatticeSpec((0, 0, 0), (32, 32, 32), (1, 1, 1))
+    parent = np.indices((20, 10, 10)).reshape(3, -1).T[:, ::-1]
+    corner = np.zeros_like(parent)
+    model = BlockModel.from_columns(spec, parent, corner, corner + 32, np.ones(len(parent)))
+    tracemalloc.start()
+    try:
+        model.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
