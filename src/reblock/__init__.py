@@ -10,7 +10,7 @@ The package splits into small, separately usable layers:
 - :mod:`reblock.merge` — coordinate-ascent cell merging, two conventions
 - :mod:`reblock.octree` — the octree baseline with intra-scale merging
 - :mod:`reblock.tagging` — instruction-driven domain labelling
-- :mod:`reblock.pipeline` — the end-to-end restructuring driver
+- :mod:`reblock.pipeline` — the drivers: restructure, merge, octree baseline
 - :mod:`reblock.metrics` — block-count / volume / aspect-ratio reports
 """
 
@@ -38,6 +38,7 @@ from .pipeline import (
     heal_and_merge,
     load_surfaces,
     merge_model,
+    octree_model,
     restructure,
 )
 from .metrics import compute_stats, growth_factors
@@ -73,6 +74,7 @@ __all__ = [
     "merge_class",
     "merge_model",
     "octree_decompose",
+    "octree_model",
     "parse_instruction_file",
     "read_model_csv",
     "refine_mesh",

@@ -1,14 +1,16 @@
 """Batch command-line frontend.
 
 Four subcommands — ``restructure``, ``merge``, ``octree``, ``stats`` —
-wire model CSVs, surface meshes, and the tagging config to the library.
-They share one skeleton: :func:`main` reads the input model on the lattice
-the flags give, the subcommand computes its result, and :func:`_finish`
-writes the output model (with its ``<stem>.stats.csv`` for ``merge`` and
-``octree``) and a manifest next to it.  The manifest records input hashes,
-the configuration — every flag but file paths and ``--threads`` — and its
-hash, the thread count and the block count; reruns on identical inputs
-differ only in the timing line.
+wire model CSVs, surface meshes, and the tagging config to the library;
+the first three are each one call of a library driver (``restructure``,
+``merge_model``, ``octree_model``).  They share one skeleton: :func:`main`
+reads the input model on the lattice the flags give, the subcommand
+computes its result, and :func:`_finish` writes the output model (with
+its ``<stem>.stats.csv`` for ``merge`` and ``octree``) and a manifest
+next to it.  The manifest records input hashes, the configuration —
+every flag but file paths and ``--threads`` — and its hash, the thread
+count and the block count; reruns on identical inputs differ only in the
+timing line.
 
 Exit codes: 0 success, 1 validation problem (bad inputs, bad flags),
 2 geometry failure.
@@ -26,18 +28,9 @@ import time
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from . import __version__
 from .errors import GeometryError, ValidationError
-from .lattice import (
-    BlockModel,
-    LatticeSpec,
-    cell_lut,
-    parent_min_corner,
-    read_model_csv,
-    write_model_csv,
-)
+from .lattice import BlockModel, LatticeSpec, read_model_csv, write_model_csv
 from .merge import ALL_SCAN_PATTERNS, MergeParams
 from .mesh import RefineParams
 from .metrics import (
@@ -49,10 +42,8 @@ from .metrics import (
     write_icdf_csv,
     write_stats_csv,
 )
-from .octree import octree_decompose, validate_dyadic
 from .parallel import default_threads
-from .pipeline import PipelineConfig, load_surface, merge_model, restructure
-from .sidedness import SIDE_BELOW, cast_parity_many
+from .pipeline import PipelineConfig, merge_model, octree_model, restructure
 from .tagging import parse_instruction_file
 
 # parsed entries the manifest does not echo: file paths, --threads, and
@@ -180,32 +171,7 @@ def _cmd_merge(args: argparse.Namespace, model: BlockModel) -> tuple[BlockModel,
 
 
 def _cmd_octree(args: argparse.Namespace, model: BlockModel) -> tuple[BlockModel, list]:
-    spec = model.spec
-    validate_dyadic(spec.cell_counts, args.depth)
-    surfaces = [load_surface(path) for path in args.surfaces]
-
-    by_parent = model.by_parent()  # parents in raster order: z, then y, then x
-    volume = model.cell_dims.prod(axis=1)
-    for parent, ordinals in by_parent.items():
-        # the model is validated: its blocks are disjoint and inside their parents
-        if volume[ordinals].sum() != spec.cells_per_parent:
-            raise ValidationError(
-                f"parent {parent} is not fully covered; the octree baseline "
-                "needs complete parents"
-            )
-    lut = cell_lut(spec)
-    rows = []
-    for parent in by_parent:
-        centers = lut + np.asarray(parent_min_corner(spec, parent))
-        labels = np.zeros(spec.cells_per_parent, dtype=np.int64)
-        for sid, (mesh, index) in enumerate(surfaces):
-            batch = cast_parity_many(centers, mesh, index)
-            labels |= (batch.sides == SIDE_BELOW).astype(np.int64) << sid
-        grid = labels.reshape(spec.cell_counts[::-1])
-        leaves = octree_decompose(grid, args.depth, args.merge == "intra")
-        rows += [(*parent, *n, *s, label) for n, s, label in leaves]
-    table = np.array(rows, dtype=np.int64).reshape(-1, 10)
-    result = BlockModel.from_columns(spec, table[:, 0:3], table[:, 3:6], table[:, 6:9], table[:, 9])
+    result = octree_model(model, args.surfaces, args.depth, args.merge == "intra")
     return result, list(args.surfaces)
 
 

@@ -189,8 +189,10 @@ def unique_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     records: the distinct rows in ascending order, and each row's index
     among them."""
     order = np.lexsort(table.T[::-1])
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (table[order[1:]] != table[order[:-1]]).any(axis=1)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for column in table[order].T:  # column by column: a reduction over short rows is slow
+        new[1:] |= column[1:] != column[:-1]
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(new) - 1
     return table[order[new]], inverse

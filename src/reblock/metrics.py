@@ -102,12 +102,7 @@ def aspect_ratio_icdf(model: BlockModel) -> np.ndarray:
     """
     _, volumes, ars = _block_metrics(model)
     _, inverse = unique_rows(model.parent)
-    n_parents = int(inverse.max()) + 1
-    vol_sum = np.zeros(n_parents)
-    va_sum = np.zeros(n_parents)
-    np.add.at(vol_sum, inverse, volumes)
-    np.add.at(va_sum, inverse, volumes * ars)
-    series = va_sum / vol_sum
+    series = np.bincount(inverse, volumes * ars) / np.bincount(inverse, volumes)
     series.sort()
     return series
 

@@ -1,5 +1,5 @@
-"""Octree baseline: recursive dyadic decomposition of a labelled cell grid,
-with optional intra-scale merging.
+"""Octree baseline: dyadic decomposition of labelled cell grids, with
+optional intra-scale merging, one level at a time over a stack of parents.
 
 A node splits while its cells disagree on a label, halving each axis,
 until it is homogeneous or the depth cap is reached (heterogeneous nodes
@@ -9,6 +9,12 @@ first, then two-cell edge pairs, in a fixed candidate order — never
 across octants and never across scales.  This keeps the baseline honest:
 it is the classic structure the coordinate-ascent merger is compared
 against.
+
+There is no recursion: as in a linear octree (Gargantini 1982), every
+node of every parent is tested at once, one array test per level.
+Going up from the cap, a node is uniform when its eight children are
+uniform and share one label; going down, a level's leaves are its
+uniform nodes under a node that is not.
 """
 
 from __future__ import annotations
@@ -44,14 +50,14 @@ EDGE_CANDIDATES: tuple[tuple[int, int], ...] = (
     (0, 4),
     (1, 5),
 )
-
-
-def _child_offset(node_min: Sequence[int], half: Sequence[int], i: int) -> tuple[int, int, int]:
-    return (
-        node_min[0] + (i & 1) * half[0],
-        node_min[1] + ((i >> 1) & 1) * half[1],
-        node_min[2] + ((i >> 2) & 1) * half[2],
-    )
+# (x, y, z) offset of each sibling position, in halves of its octant
+_SIBLING = np.array([(i & 1, (i >> 1) & 1, i >> 2) for i in range(8)])
+# the candidates in order as rows of four positions (a pair repeats its
+# second), with their position bits and their boxes' corners and spans
+_GROUPS = np.array([g + g[-1:] * (4 - len(g)) for g in QUAD_CANDIDATES + EDGE_CANDIDATES])
+_GROUP_BITS = np.bitwise_or.reduce(1 << _GROUPS, axis=1)
+_GROUP_LO = _SIBLING[_GROUPS].min(1)
+_GROUP_SPAN = _SIBLING[_GROUPS].max(1) + 1 - _GROUP_LO
 
 
 def validate_dyadic(counts: Sequence[int], max_depth: int) -> None:
@@ -67,40 +73,67 @@ def validate_dyadic(counts: Sequence[int], max_depth: int) -> None:
             )
 
 
-def merge_octant_leaves(
-    child_labels: Sequence[int | None],
-    node_min: Sequence[int],
-    half: Sequence[int],
-) -> tuple[list[MergedBlock], list[bool]]:
-    """Coalesce same-label full-child leaves of one octant.
+def _boxes(a: np.ndarray, n: int) -> np.ndarray:
+    """(P, Z, Y, X) values as (P, n, n, n, Z·Y·X / n³): each of the n³
+    equal boxes of a grid, (z, y, x) indexed, with its values in raster
+    order.  At Z = Y = X = 2n, those are a node's children by sibling index."""
+    p, z, y, x = a.shape
+    a = a.reshape(p, n, z // n, n, y // n, n, x // n)
+    return a.transpose(0, 1, 3, 5, 2, 4, 6).reshape(p, n, n, n, -1)
 
-    ``child_labels[i]`` is the label of sibling position i when that
-    child ended as a single leaf, else None.  Returns the merged blocks
-    and a used-mask over positions; unused leaf positions remain the
-    caller's to emit individually.
+
+def _rows(p, lo, dims, label) -> np.ndarray:
+    """(M, 8) rows of parent ordinal, cell_min, cell_dims and label."""
+    return np.column_stack([p, lo, np.broadcast_to(dims, lo.shape), label])
+
+
+def decompose_parents(labels: np.ndarray, max_depth: int, intra: bool) -> np.ndarray:
+    """Decompose a stack of parents' labelled cell grids into octree leaves.
+
+    ``labels`` is (P, Kz, Ky, Kx) integers.  Returns (M, 8) int64 rows of
+    parent ordinal, cell_min and cell_dims (x, y, z) and label, covering
+    every grid exactly, in level order: the coarsest leaves first and the
+    cells of the nodes the cap leaves heterogeneous last.  A level
+    whose level above is all uniform is not visited.
     """
-    labels = list(child_labels)
-    if all(lab is not None for lab in labels) and len(set(labels)) == 1:
-        raise ValidationError(
-            "octant with 8 identically labelled leaves reached the merge "
-            "stage; it should have been a homogeneous node"
-        )
-    used = [False] * 8
-    merged: list[MergedBlock] = []
-    for group in QUAD_CANDIDATES + EDGE_CANDIDATES:
-        first = labels[group[0]]
-        if first is None or used[group[0]]:
-            continue
-        if any(labels[i] is None or used[i] or labels[i] != first for i in group[1:]):
-            continue
-        offsets = [_child_offset(node_min, half, i) for i in group]
-        lo = tuple(min(o[c] for o in offsets) for c in range(3))
-        hi = tuple(max(o[c] for o in offsets) + half[c] for c in range(3))
-        dims = (hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2])
-        merged.append(MergedBlock(lo, dims, int(first)))
-        for i in group:
-            used[i] = True
-    return merged, used
+    labels = np.asarray(labels, dtype=np.int64)
+    validate_dyadic(labels.shape[:0:-1], max_depth)
+    size = np.array(labels.shape[:0:-1])  # a level-0 node's cells, (x, y, z)
+    cells = _boxes(labels, 1 << max_depth)
+    uniform, label = [(cells == cells[..., :1]).all(-1)], [cells[..., 0]]
+    for d in range(max_depth - 1, -1, -1):
+        u, lab = _boxes(uniform[0], 1 << d), _boxes(label[0], 1 << d)
+        uniform.insert(0, u.all(-1) & (lab == lab[..., :1]).all(-1))
+        label.insert(0, lab[..., 0])
+
+    (p,) = np.nonzero(uniform[0].ravel())
+    rows = [_rows(p, np.zeros((len(p), 3), dtype=np.int64), size, label[0].ravel()[p])]
+    for d in range(1, max_depth + 1):
+        split = ~uniform[d - 1]
+        if not split.any():
+            break
+        p, z, y, x = np.nonzero(split)
+        half = size >> d
+        corner = np.column_stack([x, y, z]) * 2 * half
+        free = _boxes(uniform[d], 1 << (d - 1))[split]  # (octants, 8): leaves not yet merged
+        lab = _boxes(label[d], 1 << (d - 1))[split]
+        if intra:  # each candidate as one mask over the octants; the first match wins
+            ok = free[:, _GROUPS].all(-1) & (lab[:, _GROUPS] == lab[:, _GROUPS[:, :1]]).all(-1)
+            used = np.zeros(len(ok), dtype=np.int64)
+            for j in np.flatnonzero(ok.any(0)):
+                ok[:, j] &= (used & _GROUP_BITS[j]) == 0
+                used |= ok[:, j] * _GROUP_BITS[j]
+            o, j = np.nonzero(ok)
+            lo, span = _GROUP_LO[j] * half, _GROUP_SPAN[j] * half
+            rows.append(_rows(p[o], corner[o] + lo, span, lab[o, _GROUPS[j, 0]]))
+            free &= (used[:, None] >> np.arange(8) & 1) == 0
+        o, s = np.nonzero(free)
+        rows.append(_rows(p[o], corner[o] + _SIBLING[s] * half, half, lab[o, s]))
+    else:  # the cap's heterogeneous nodes fall apart into cells
+        node = np.ones((size >> max_depth)[::-1], dtype=bool)  # a cap node's cells
+        p, z, y, x = np.nonzero(np.kron(~uniform[-1], node))
+        rows.append(_rows(p, np.column_stack([x, y, z]), 1, labels[p, z, y, x]))
+    return np.concatenate(rows)
 
 
 def octree_decompose(
@@ -111,55 +144,8 @@ def octree_decompose(
     """Decompose one parent's labelled cell grid into octree leaf blocks.
 
     ``labels`` is (Kz, Ky, Kx) integers.  Output blocks are cell boxes
-    (min, dims, label) covering the grid exactly, emitted in recursion
-    order (children by sibling index).
+    (min, dims, label) covering the grid exactly, in the level order of
+    :func:`decompose_parents` (coarsest first), not in recursion order.
     """
-    labels = np.asarray(labels)
-    kz, ky, kx = labels.shape
-    validate_dyadic((kx, ky, kz), max_depth)
-    out: list[MergedBlock] = []
-
-    def rec(n: tuple[int, int, int], size: tuple[int, int, int], depth: int) -> int | None:
-        """Emit this node's blocks; return its label when it is one leaf."""
-        window = labels[
-            n[2] : n[2] + size[2], n[1] : n[1] + size[1], n[0] : n[0] + size[0]
-        ]
-        first = int(window.flat[0])
-        if (window == first).all():
-            out.append(MergedBlock(n, size, first))
-            return first
-        if depth >= max_depth:
-            # resolution floor: fall apart into cells, each with its own label
-            for cz in range(size[2]):
-                for cy in range(size[1]):
-                    for cx in range(size[0]):
-                        out.append(
-                            MergedBlock(
-                                (n[0] + cx, n[1] + cy, n[2] + cz),
-                                (1, 1, 1),
-                                int(window[cz, cy, cx]),
-                            )
-                        )
-            return None
-        half = (size[0] // 2, size[1] // 2, size[2] // 2)
-        if not intra_scale_merge:
-            for i in range(8):
-                rec(_child_offset(n, half, i), half, depth + 1)
-            return None
-        child_labels: list[int | None] = []
-        children_blocks: list[list[MergedBlock]] = []
-        for i in range(8):
-            mark = len(out)
-            lab = rec(_child_offset(n, half, i), half, depth + 1)
-            children_blocks.append(out[mark:])
-            del out[mark:]
-            child_labels.append(lab)
-        merged, used = merge_octant_leaves(child_labels, n, half)
-        out.extend(merged)
-        for i in range(8):
-            if not used[i]:
-                out.extend(children_blocks[i])
-        return None
-
-    rec((0, 0, 0), (kx, ky, kz), 0)
-    return out
+    rows = decompose_parents(np.asarray(labels)[None], max_depth, intra_scale_merge)
+    return [MergedBlock(tuple(r[1:4]), tuple(r[4:7]), r[7]) for r in rows.tolist()]

@@ -1,4 +1,5 @@
-"""End-to-end restructuring: overlap → decompose → classify → merge → tag.
+"""The library's drivers: end-to-end restructuring (overlap → decompose →
+classify → merge → tag), whole-model merging, and the octree baseline.
 
 Only the merge's scan patterns run over ``threads`` processes, the
 calling process included (:func:`parallel_map`; there is no pool).
@@ -15,6 +16,7 @@ the cells' class keys.  Both hand their tasks to one merge call
 parameters bound into the function they map.  Restructure then tags
 every block in one :func:`apply_tagging` pass: positions come from the
 class keys, and majorities from one paint of the merged blocks.
+``octree_model`` casts and decomposes a window of parents at a time.
 
 Two consolidation regimes are supported.  ``preclassified`` (the
 default) folds each cell's per-surface sidedness into its merge class,
@@ -38,7 +40,7 @@ import numpy as np
 from . import merge
 from .errors import ReblockError, ValidationError
 from .intersection import detect_overlaps, write_overlap_csv
-from .lattice import BlockModel, IntTriple, LatticeSpec, expand_cells, unique_rows
+from .lattice import BlockModel, IntTriple, LatticeSpec, cell_lut, expand_cells, unique_rows
 from .merge import (
     MergeParams,
     _check_caps,
@@ -55,6 +57,7 @@ from .mesh import (
     load_mesh,
     refine_mesh,
 )
+from .octree import decompose_parents, validate_dyadic
 from .parallel import parallel_map
 from .sidedness import (
     SIDE_ABOVE,
@@ -281,6 +284,49 @@ def merge_model(
     out = _merge_tasks(spec, params, tasks, threads)
     out.validate()
     return out
+
+
+def octree_model(
+    model: BlockModel, surfaces: Sequence[str | Path], depth: int, intra: bool
+) -> BlockModel:
+    """The octree baseline of a model of complete parents: ``depth`` levels
+    deep, with intra-scale merging when ``intra``.
+
+    A label is a bitmask, bit i set below surface i (at most 63 surfaces).
+    Parents go in raster order, a window of ``merge._CLASS_CELLS`` cells
+    at a time: one cast per surface labels the window's cells, and one
+    :func:`decompose_parents` decomposes them, its blocks in level order.
+    """
+    spec = model.spec
+    validate_dyadic(spec.cell_counts, depth)
+    if len(surfaces) > 63:
+        raise ValidationError(
+            f"octree labels hold at most 63 surfaces, one bit each; got {len(surfaces)}"
+        )
+    loaded = [load_surface(path) for path in surfaces]
+    model.validate()  # blocks disjoint and inside their parents: short volume = not covered
+    k, (kx, ky, kz) = spec.cells_per_parent, spec.cell_counts
+    parents, group = unique_rows(model.parent[:, ::-1])  # raster order: z, then y, then x
+    parents = parents[:, ::-1]
+    short = np.flatnonzero(np.bincount(group, model.cell_dims.prod(axis=1), len(parents)) != k)
+    if len(short):
+        raise ValidationError(
+            f"parent {tuple(parents[short[0]].tolist())} is not fully covered; the octree "
+            "baseline needs complete parents"
+        )
+    corners = np.asarray(spec.origin) + parents * np.asarray(spec.parent_dims)
+    lut, rows = cell_lut(spec), [np.empty((0, 10), dtype=np.int64)]
+    step = max(1, merge._CLASS_CELLS // k)
+    for first in range(0, len(parents), step):
+        centers = (corners[first : first + step, None] + lut).reshape(-1, 3)
+        labels = np.zeros(len(centers), dtype=np.int64)
+        for sid, (mesh, index) in enumerate(loaded):
+            below = cast_parity_many(centers, mesh, index).sides == SIDE_BELOW
+            labels |= below.astype(np.int64) << sid
+        leaves = decompose_parents(labels.reshape(-1, kz, ky, kx), depth, intra)
+        rows.append(np.column_stack([parents[first + leaves[:, 0]], leaves[:, 1:]]))
+    table = np.concatenate(rows)
+    return BlockModel.from_columns(spec, table[:, :3], table[:, 3:6], table[:, 6:9], table[:, 9])
 
 
 def heal_and_merge(

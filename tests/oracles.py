@@ -10,8 +10,9 @@ numbers, heightfield interpolation, ray crossings in exact rationals, a
 brute-force bounding-box filter, grid-slab dissolved and persistent
 merges, a per-class model merge, a per-parent painter and restructure, a
 block-by-block tagger, a row-by-row model reader, a block-by-block
-disjointness check and line-by-line OBJ and OFF readers) used as ground
-truth by the unit and acceptance tests.
+disjointness check, line-by-line OBJ and OFF readers and a recursive
+octree, which takes only the candidate tables and the dyadic check from
+the library) used as ground truth by the unit and acceptance tests.
 """
 from __future__ import annotations
 
@@ -579,6 +580,103 @@ def merge_by_class(model, params) -> list[tuple]:
         for b in merge_class(boxes, spec.cell_counts, spec.min_dims, params, label):
             rows.append(((px, py, pz), b.cell_min, b.cell_dims, label))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# octree baseline by recursion, one node and one octant at a time
+# ---------------------------------------------------------------------------
+
+def _child_offset(node_min, half, i: int) -> tuple[int, int, int]:
+    return (
+        node_min[0] + (i & 1) * half[0],
+        node_min[1] + ((i >> 1) & 1) * half[1],
+        node_min[2] + ((i >> 2) & 1) * half[2],
+    )
+
+
+def merge_octant_leaves(child_labels, node_min, half):
+    """Coalesce same-label full-child leaves of one octant.
+
+    ``child_labels[i]`` is the label of sibling position i when that
+    child ended as a single leaf, else None.  Returns the merged blocks
+    and a used-mask over positions; unused leaf positions remain the
+    caller's to emit individually.
+    """
+    from reblock.merge import MergedBlock
+    from reblock.octree import EDGE_CANDIDATES, QUAD_CANDIDATES
+
+    labels = list(child_labels)
+    if all(lab is not None for lab in labels) and len(set(labels)) == 1:
+        raise ValidationError(
+            "octant with 8 identically labelled leaves reached the merge "
+            "stage; it should have been a homogeneous node"
+        )
+    used = [False] * 8
+    merged = []
+    for group in QUAD_CANDIDATES + EDGE_CANDIDATES:
+        first = labels[group[0]]
+        if first is None or used[group[0]]:
+            continue
+        if any(labels[i] is None or used[i] or labels[i] != first for i in group[1:]):
+            continue
+        offsets = [_child_offset(node_min, half, i) for i in group]
+        lo = tuple(min(o[c] for o in offsets) for c in range(3))
+        hi = tuple(max(o[c] for o in offsets) + half[c] for c in range(3))
+        dims = (hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2])
+        merged.append(MergedBlock(lo, dims, int(first)))
+        for i in group:
+            used[i] = True
+    return merged, used
+
+
+def octree_decompose(labels, max_depth: int, intra_scale_merge: bool = False) -> list:
+    """One parent's labelled (Kz, Ky, Kx) cell grid as octree leaf blocks
+    (min, dims, label), emitted in recursion order (children by sibling
+    index): a node is tested by slicing its window of the grid."""
+    from reblock.merge import MergedBlock
+    from reblock.octree import validate_dyadic
+
+    labels = np.asarray(labels)
+    kz, ky, kx = labels.shape
+    validate_dyadic((kx, ky, kz), max_depth)
+    out = []
+
+    def rec(n, size, depth):
+        """Emit this node's blocks; return its label when it is one leaf."""
+        window = labels[n[2] : n[2] + size[2], n[1] : n[1] + size[1], n[0] : n[0] + size[0]]
+        first = int(window.flat[0])
+        if (window == first).all():
+            out.append(MergedBlock(n, size, first))
+            return first
+        if depth >= max_depth:
+            # resolution floor: fall apart into cells, each with its own label
+            for cz in range(size[2]):
+                for cy in range(size[1]):
+                    for cx in range(size[0]):
+                        cell = (n[0] + cx, n[1] + cy, n[2] + cz)
+                        out.append(MergedBlock(cell, (1, 1, 1), int(window[cz, cy, cx])))
+            return None
+        half = (size[0] // 2, size[1] // 2, size[2] // 2)
+        if not intra_scale_merge:
+            for i in range(8):
+                rec(_child_offset(n, half, i), half, depth + 1)
+            return None
+        child_labels, children_blocks = [], []
+        for i in range(8):
+            mark = len(out)
+            lab = rec(_child_offset(n, half, i), half, depth + 1)
+            children_blocks.append(out[mark:])
+            del out[mark:]
+            child_labels.append(lab)
+        merged, used = merge_octant_leaves(child_labels, n, half)
+        out.extend(merged)
+        for i in range(8):
+            if not used[i]:
+                out.extend(children_blocks[i])
+        return None
+
+    rec((0, 0, 0), (kx, ky, kz), 0)
+    return out
 
 
 # ---------------------------------------------------------------------------

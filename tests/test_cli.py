@@ -410,6 +410,26 @@ class TestOctreeCommand:
         assert code == 1
         assert "(3, 3, 3)" in capsys.readouterr().err
 
+    def test_more_than_63_surfaces_exits_1(self, tmp_path, capsys):
+        # one label bit per surface: a 64th would shift out of the int64 label
+        model_csv, surface = self.halfspace_scene(tmp_path)
+        out = tmp_path / "oct.csv"
+        code = main(
+            [
+                "octree",
+                *LATTICE_FLAGS,
+                "--model", str(model_csv),
+                "--surfaces", *[str(surface)] * 64,
+                "--depth", "1",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "reblock: octree labels hold at most 63 surfaces, one bit each; got 64\n"
+        )
+        assert not out.exists()
+
     def test_partial_parent_exits_1(self, tmp_path, capsys):
         # the first partial parent in (z, y, x) order is named
         src = tmp_path / "partial.csv"

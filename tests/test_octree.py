@@ -2,14 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reblock.errors import NonDyadicDims, ValidationError
 from reblock.merge import MergedBlock
-from reblock.octree import (
-    merge_octant_leaves,
-    octree_decompose,
-    validate_dyadic,
-)
+from reblock.octree import decompose_parents, octree_decompose, validate_dyadic
+
+from oracles import merge_octant_leaves
+from oracles import octree_decompose as recursive_decompose
 
 
 def cover_exactly(blocks, labels) -> None:
@@ -131,3 +132,43 @@ def test_merge_octant_leaves_quad_before_edge():
     assert ((0, 0, 0), (4, 4, 2), 1) in got
     assert ((0, 0, 2), (4, 2, 2), 2) in got
     assert used == [True, True, True, True, True, True, False, False]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.tuples(*[st.integers(0, 1)] * 3),
+    st.integers(1, 4),
+    st.sampled_from(["blocky", "noisy", "speckled"]),
+    st.booleans(),
+)
+def test_decompose_parents_matches_recursive_oracle(
+    seed, n_parents, depth, extra, n_labels, kind, intra
+):
+    """A stack of parents decomposed level by level gives, parent by
+    parent, the block set of the recursive decomposition: on anisotropic
+    dyadic grids of blocky labels (constant on dyadic boxes of a random
+    size), of noise, and of blocky labels with a few cells changed."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(2 ** (depth + e) for e in extra[::-1])  # (Kz, Ky, Kx)
+    grids = []
+    for _ in range(n_parents):
+        if kind == "noisy":
+            grid = rng.integers(0, n_labels, size=shape)
+        else:
+            coarse = [s >> int(rng.integers(0, depth + 2)) or 1 for s in shape]
+            grid = rng.integers(0, n_labels, size=coarse)
+            for axis, s in enumerate(shape):
+                grid = grid.repeat(s // coarse[axis], axis)
+            if kind == "speckled":
+                grid.flat[rng.integers(0, grid.size, size=3)] = rng.integers(0, n_labels, size=3)
+        grids.append(grid)
+    got = sorted(map(tuple, decompose_parents(np.stack(grids), depth, intra).tolist()))
+    want = sorted(
+        (p, *b.cell_min, *b.cell_dims, b.label)
+        for p, grid in enumerate(grids)
+        for b in recursive_decompose(grid, depth, intra)
+    )
+    assert got == want

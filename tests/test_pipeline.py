@@ -11,20 +11,23 @@ from hypothesis import strategies as st
 from reblock import merge, parallel, pipeline
 from reblock.errors import ValidationError
 from reblock.intersection import detect_overlaps, write_overlap_csv
-from reblock.lattice import Block, BlockModel, LatticeSpec, cells_of
+from reblock.lattice import Block, BlockModel, LatticeSpec, cell_lut, cells_of, parent_min_corner
 from reblock.merge import MergeParams
 from reblock.mesh import build_index, load_mesh
+from reblock.octree import octree_decompose
 from reblock.pipeline import (
     PipelineConfig,
     heal_and_merge,
+    load_surface,
     load_surfaces,
     merge_model,
+    octree_model,
     restructure,
 )
-from reblock.sidedness import CODE_UNTESTED, cast_parity_many, write_sidedness_csv
+from reblock.sidedness import CODE_UNTESTED, SIDE_BELOW, cast_parity_many, write_sidedness_csv
 from reblock.tagging import TaggingInstruction
 
-from conftest import grid_surface, write_obj
+from conftest import box_mesh, grid_surface, icosphere, write_obj
 from oracles import merge_by_class, paint_parent, restructure_by_parent
 from test_merge import random_partition_boxes
 
@@ -450,3 +453,50 @@ def test_diagnostics_match_the_parent_by_parent_oracle(tmp_path, monkeypatch):
         assert (tmp_path / "got" / name).read_bytes() == (want / name).read_bytes()
     codes = [line.rsplit(",", 1)[1] for line in (want / "sidedness.csv").read_text().splitlines()]
     assert codes.count(str(CODE_UNTESTED)) == 4 * 64
+
+
+@pytest.mark.parametrize("intra", [False, True])
+def test_octree_model_matches_parent_by_parent_decomposition(tmp_path, intra):
+    """Over a sheet and a sphere, on twelve parents of shuffled blocks,
+    windows of one parent, of five (the last one short) and the default
+    window give, block set for block set, the one-parent decomposition of
+    each parent's cell labels, cast parent by parent."""
+    spec = LatticeSpec(origin=(0.5, -2, 3), parent_dims=(4, 4, 8), min_dims=(1, 0.5, 2))
+    rng = np.random.default_rng(3)
+    parents = [(px, py, pz) for pz in range(2) for py in (-1, 0, 1) for px in range(2)]
+    boxes = [(p, box) for p in parents for box in random_partition_boxes(rng, spec.cell_counts, keep=1.0)]
+    model = BlockModel(spec, [Block(boxes[i][0], *boxes[i][1], 1) for i in rng.permutation(len(boxes))])
+    sheet = grid_surface((-1.0, 3.0, 9.5), (-7.0, 1.0, 6.5), lambda x, y: 7 + x / 3 - y / 5)
+    sphere = icosphere(2, 3.5, (4.4, -1.6, 11.2))
+    paths = [write_obj(tmp_path / "sheet.obj", sheet), write_obj(tmp_path / "sphere.obj", sphere)]
+    surfaces = [load_surface(path) for path in paths]
+    want = []
+    for p in parents:
+        centers = cell_lut(spec) + np.asarray(parent_min_corner(spec, p))
+        labels = np.zeros(spec.cells_per_parent, dtype=np.int64)
+        for sid, (mesh, index) in enumerate(surfaces):
+            below = cast_parity_many(centers, mesh, index).sides == SIDE_BELOW
+            labels |= below.astype(np.int64) << sid
+        grid = labels.reshape(spec.cell_counts[::-1])
+        want += [(p, b.cell_min, b.cell_dims, b.label) for b in octree_decompose(grid, 2, intra)]
+    assert {w[3] for w in want} == {0, 1, 2, 3} and ((1, 1, 1) in {w[2] for w in want})
+    k = spec.cells_per_parent
+    for window in (k, 5 * k, merge._CLASS_CELLS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(merge, "_CLASS_CELLS", window)
+            got = octree_model(model, paths, 2, intra)
+        assert sorted(rows_of(got)) == sorted(want), window
+
+
+def test_octree_labels_hold_63_surfaces_and_no_more(tmp_path):
+    """Cells below 63 copies of one surface are labelled 2**63 - 1.  A
+    64th surface would shift its bit out of the int64 label, so 64 are
+    refused before any surface file is read."""
+    path = write_obj(tmp_path / "half.obj", box_mesh((-1, -1, -1), (5, 5, 2)))
+    got = octree_model(full_parent_model((0, 0, 0)), [path] * 63, 1, intra=True)
+    assert sorted(rows_of(got)) == [
+        ((0, 0, 0), (0, 0, 0), (4, 4, 2), 2**63 - 1),
+        ((0, 0, 0), (0, 0, 2), (4, 4, 2), 0),
+    ]
+    with pytest.raises(ValidationError, match="at most 63 surfaces, one bit each; got 64$"):
+        octree_model(full_parent_model((0, 0, 0)), [tmp_path / "missing.obj"] * 64, 1, False)
