@@ -212,24 +212,31 @@ class BlockModel:
     """A lattice spec plus its blocks, as int64 columns: (N, 3) ``parent``,
     ``cell_min`` and ``cell_dims`` and (N,) ``label``, row ``i`` for block
     ordinal ``i``.  ``blocks`` holds the same rows as :class:`Block` objects,
-    built when first read.  Treated as immutable once constructed;
-    per-parent views are disjoint, which makes parent-parallel work safe.
+    built when first read.  The columns are read-only views, so a model
+    that passed :meth:`validate` is not checked again; per-parent views
+    are disjoint, which makes parent-parallel work safe.
     """
 
     def __init__(self, spec: LatticeSpec, blocks: Sequence[Block] = ()) -> None:
         rows = [(*b.parent, *b.cell_min, *b.cell_dims, b.label) for b in blocks]
         table = np.array(rows, dtype=np.int64).reshape(-1, 10)
-        self.spec, self._blocks = spec, list(blocks)
+        table.flags.writeable = False
+        self.spec, self._blocks, self._valid = spec, list(blocks), False
         self.parent, self.cell_min, self.cell_dims = table[:, 0:3], table[:, 3:6], table[:, 6:9]
         self.label = table[:, 9]
 
     @classmethod
     def from_columns(cls, spec: LatticeSpec, parent, cell_min, cell_dims, label) -> BlockModel:
+        """A model on the given columns, without a copy where they are int64
+        already; the model's views of them are read-only, the caller's
+        arrays are left as they are."""
         model = cls.__new__(cls)
-        model.spec, model.parent, model.cell_min, model.cell_dims = (
-            spec, *(np.asarray(c, dtype=np.int64).reshape(-1, 3) for c in (parent, cell_min, cell_dims))
-        )
-        model.label, model._blocks = np.asarray(label, dtype=np.int64).reshape(-1), None
+        columns = [np.asarray(c, dtype=np.int64).reshape(-1, 3) for c in (parent, cell_min, cell_dims)]
+        columns.append(np.asarray(label, dtype=np.int64).reshape(-1))
+        for column in columns:  # reshape made each a view of its own
+            column.flags.writeable = False
+        model.parent, model.cell_min, model.cell_dims, model.label = columns
+        model.spec, model._blocks, model._valid = spec, None, False
         return model
 
     @property
@@ -286,8 +293,11 @@ class BlockModel:
         parent's volume past the parent's cell count.  Each window of whole
         parents makes one sort of its blocks' x-runs; only a window whose
         runs overlap is painted cell by cell, to name the smallest block
-        that paints a cell an earlier block painted.
+        that paints a cell an earlier block painted.  A model that passes
+        is not checked again.
         """
+        if self._valid:
+            return
         n, k, counts = len(self), self.spec.cells_per_parent, self.spec.cell_counts
         lo, dims = self.cell_min, self.cell_dims
         out = (dims < 1) | (lo < 0) | (lo + dims > np.asarray(counts))
@@ -323,6 +333,7 @@ class BlockModel:
         if first < n:
             parent = tuple(self.parent[first].tolist())
             raise MisalignedBlock(f"block {first} leaves its parent {parent}")
+        self._valid = True
 
 
 # ---------------------------------------------------------------------------
@@ -454,21 +465,25 @@ def _row_fault(line: str) -> str:
     raise AssertionError(f"NumPy's C reader refuses a line float() and int() accept: {line!r}")
 
 
-_ROW = "%r,%r,%r,%r,%r,%r,%d\n"
+_ROW = "%s,%s,%s,%s,%s,%s,%d\n"
 
 
 def write_model_csv(path: str | Path, model: BlockModel) -> int:
     """Write the model in canonical order; returns the block count.
 
-    Rows go out 4,096 at a time, each chunk one ``%`` format of Python
-    floats and ints, so every float is written as its ``repr``.
+    Rows go out 4,096 at a time.  Each chunk takes the ``repr`` of each
+    distinct float64 bit pattern in it once, so every float is written as
+    its shortest ``repr``, and makes one ``%`` format of those strings
+    and the labels' Python ints.
     """
     ordered = model.canonical()
     floats = np.hstack([ordered.centroids(), ordered.cell_dims * np.asarray(model.spec.min_dims)])
     with Path(path).open("w", newline="") as handle:
         handle.write(",".join(CSV_HEADER) + "\n")
         for at in range(0, len(ordered), 4096):
-            chunk = [floats[at : at + 4096], ordered.label[at : at + 4096, None]]
+            bits, inverse = np.unique(floats[at : at + 4096].view(np.int64), return_inverse=True)
+            text = np.array([repr(f) for f in bits.view(np.float64).tolist()], dtype=object)
+            chunk = [text[inverse].reshape(-1, 6), ordered.label[at : at + 4096, None]]
             chunk = np.concatenate(chunk, axis=1, dtype=object).ravel().tolist()
             handle.write(_ROW * (len(chunk) // 7) % tuple(chunk))
     return len(ordered)

@@ -32,7 +32,9 @@ the first and hands them to workers running the second; ``merge_class``
 checks one class's list of boxes and makes a one-class call of each.
 Eight scan patterns (mirrors of the parent along any subset of axes)
 give the greedy sweep eight vantage points; whichever result scores best
-under the chosen objective is kept.  The dissolved sweep runs on one
+under the chosen objective is kept.  A class's runs share one table of
+block-shape terms, so each shape's aspect ratio is computed once per
+class (:func:`aspect_ratio_objective`).  The dissolved sweep runs on one
 Python int per z-layer of a mirrored view, one AND per growth check, and
 one packing serves all eight views; the persistent ascent runs on integer
 records, and one contact table serves all eight, because a mirror only
@@ -357,21 +359,34 @@ def scan_flips(pattern: int) -> tuple[bool, bool, bool]:
 
 
 def aspect_ratio_objective(
-    blocks: Sequence[tuple], min_dims: Sequence[float]
+    blocks: Sequence[tuple],
+    min_dims: Sequence[float],
+    scores: dict[IntTriple, tuple[float, float]] | None = None,
 ) -> float:
     """Volume-weighted mean of max/min real block dimension, over merged
-    blocks or ``(cell_min, cell_dims)`` pairs."""
+    blocks or ``(cell_min, cell_dims)`` pairs, ``cell_dims`` a tuple.
+
+    ``scores`` maps a ``cell_dims`` to its block's terms, the volume ``v``
+    and ``v * max / min``; missing shapes are added.  One table serves
+    every call on the same ``min_dims``, and the terms are summed in block
+    order, so a score is the same float with or without one.
+    """
     if not blocks:
         raise EmptyInput("aspect-ratio objective over an empty block list")
     mx, my, mz = (float(m) for m in min_dims)
+    if scores is None:
+        scores = {}
     total_v = 0.0
     acc = 0.0
     for b in blocks:
-        sx, sy, sz = b[1]
-        d = (sx * mx, sy * my, sz * mz)
-        v = d[0] * d[1] * d[2]
-        total_v += v
-        acc += v * (max(d) / min(d))
+        terms = scores.get(b[1])
+        if terms is None:
+            sx, sy, sz = b[1]
+            d = (sx * mx, sy * my, sz * mz)
+            v = d[0] * d[1] * d[2]
+            terms = scores[b[1]] = (v, v * (max(d) / min(d)))
+        total_v += terms[0]
+        acc += terms[1]
     return acc / total_v
 
 
@@ -505,8 +520,10 @@ def merge_prepared(
     the standard raster scan on a mirrored view of the parent and scores
     the result; ties keep the first configured pattern.  After a first
     pattern that returns one block, when that can no longer change, the
-    rest are skipped.  A z mirror reverses the dissolved layers.  Returns
-    the winner's ``(cell_min, cell_dims)`` pairs, mirrored back.
+    rest are skipped.  The scored runs share one
+    :func:`aspect_ratio_objective` table.  A z mirror reverses the
+    dissolved layers.  Returns the winner's ``(cell_min, cell_dims)``
+    pairs, mirrored back.
     """
     kz, caps = counts[2], params.max_dims
     if params.convention == "persistent":
@@ -530,12 +547,13 @@ def merge_prepared(
             break
     # the order objective_value gives, first of equal scores; under "count"
     # the aspect ratio only breaks ties of block count, so it is scored for
-    # the runs that tie the fewest blocks alone
+    # the runs that tie the fewest blocks alone, each block shape once
     if params.objective == "count":
         fewest = min(len(merged) for _, merged in runs)
         runs = [run for run in runs if len(run[1]) == fewest]
+    scores: dict = {}
     best_flips, best = runs[0] if len(runs) == 1 else min(
-        runs, key=lambda run: aspect_ratio_objective(run[1], min_dims)
+        runs, key=lambda run: aspect_ratio_objective(run[1], min_dims, scores)
     )
     return [
         (tuple(k - a - d if f else a for k, a, d, f in zip(counts, n, s, best_flips)), s)

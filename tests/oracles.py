@@ -2,14 +2,16 @@
 
 Nothing in here calls into :mod:`reblock`, apart from raising its
 exception classes, the class-by-class model merge, which runs the
-box-list ``merge_class`` on each class, and the parent-by-parent
+box-list ``merge_class`` on each class, the parent-by-parent
 restructure, which runs the library's stages on one crossed parent at a
-time — these are deliberately separate implementations (polygon clipping
-in floats and in exact rationals, closed-form containment, winding
-numbers, heightfield interpolation, ray crossings in exact rationals, a
-brute-force bounding-box filter, grid-slab dissolved and persistent
-merges, a per-class model merge, a per-parent painter and restructure, a
-block-by-block tagger, a row-by-row model reader, a block-by-block
+time, and the chunked model writer, which takes the model's canonical
+order and centroids — these are deliberately separate implementations
+(polygon clipping in floats and in exact rationals, closed-form
+containment, winding numbers, heightfield interpolation, ray crossings
+in exact rationals, a brute-force bounding-box filter, grid-slab
+dissolved and persistent merges, a per-class model merge, a per-parent
+painter and restructure, a block-by-block tagger, a row-by-row model
+reader, a chunk-by-chunk ``%r`` model writer, a block-by-block
 disjointness check, line-by-line OBJ and OFF readers and a recursive
 octree, which takes only the candidate tables and the dyadic check from
 the library) used as ground truth by the unit and acceptance tests.
@@ -948,6 +950,21 @@ def read_model_rows(path, spec) -> list[tuple]:
         raise ValidationError(f"{path}: empty model file")
     validate_rows(spec, rows)
     return rows
+
+
+def write_model_chunks(path, model) -> int:
+    """A model CSV written in canonical order, 4,096 rows at a time, each
+    chunk one ``%r`` format of every float and ``%d`` of every label:
+    what ``write_model_csv`` must write byte for byte."""
+    ordered = model.canonical()
+    floats = np.hstack([ordered.centroids(), ordered.cell_dims * np.asarray(model.spec.min_dims)])
+    with Path(path).open("w", newline="") as handle:
+        handle.write(",".join(_HEADER) + "\n")
+        for at in range(0, len(ordered), 4096):
+            chunk = [floats[at : at + 4096], ordered.label[at : at + 4096, None]]
+            chunk = np.concatenate(chunk, axis=1, dtype=object).ravel().tolist()
+            handle.write("%r,%r,%r,%r,%r,%r,%d\n" * (len(chunk) // 7) % tuple(chunk))
+    return len(ordered)
 
 
 # ---------------------------------------------------------------------------

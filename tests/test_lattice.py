@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import paint_parent, read_model_rows, validate_rows
+from oracles import paint_parent, read_model_rows, validate_rows, write_model_chunks
+from reblock import lattice
 from reblock.errors import MisalignedBlock, ValidationError
 from reblock.geometry import vec3
 from reblock.lattice import (
@@ -175,6 +176,68 @@ def test_csv_errors(tmp_path):
         read_model_csv(bad_row, spec)
     with pytest.raises(ValidationError, match="not found"):
         read_model_csv(tmp_path / "nope.csv", spec)
+
+
+def _writer_model(spec, n, seed, labels):
+    """``n`` blocks inside random parents of ``spec``; the writer does not
+    ask that they be disjoint."""
+    rng = np.random.default_rng(seed)
+    counts = np.asarray(spec.cell_counts)
+    lo = rng.integers(0, counts, size=(n, 3))
+    dims = rng.integers(1, counts - lo + 1)
+    return BlockModel.from_columns(spec, rng.integers(-3, 4, size=(n, 3)), lo, dims, labels)
+
+
+@st.composite
+def writer_models(draw):
+    """Small models on non-dyadic and dyadic lattices, near the origin or
+    at +-1e6, with labels at the int64 bounds among others."""
+    min_dims = draw(st.sampled_from([(0.1, 0.3, 0.7), (2, 2, 1), (1 / 3, 0.7, 0.05), (6.25, 6.25, 2.5)]))
+    counts = draw(st.tuples(*[st.integers(1, 5)] * 3))
+    origin = draw(st.sampled_from([(0, 0, 0), (1e6, -1e6, 1e6), (-1e6, 1e6, -1e6), (0.1, -0.3, 2.7)]))
+    spec = LatticeSpec(origin, [k * m for k, m in zip(counts, min_dims)], min_dims)
+    label = st.sampled_from([-(2**63), 2**63 - 1, 0, -1]) | st.integers(-(2**63), 2**63 - 1)
+    labels = draw(st.lists(label, max_size=40))
+    return _writer_model(spec, len(labels), draw(st.integers(0, 2**32 - 1)), labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=writer_models())
+@example(model=_writer_model(  # two chunks
+    LatticeSpec((1e6, -1e6, 1e6), (0.4, 1.2, 2.8), (0.1, 0.3, 0.7)), 5000, 1,
+    np.random.default_rng(2).integers(-(2**63), 2**63 - 1, size=5000, endpoint=True),
+))
+def test_write_matches_the_chunked_repr_writer(model, tmp_path_factory):
+    """``write_model_csv`` takes each distinct float's ``repr`` once, and
+    writes the same bytes as a ``%r`` format of every float."""
+    folder = tmp_path_factory.mktemp("writer")
+    assert write_model_csv(folder / "got.csv", model) == len(model)
+    assert write_model_chunks(folder / "want.csv", model) == len(model)
+    assert (folder / "got.csv").read_bytes() == (folder / "want.csv").read_bytes()
+
+
+def test_model_columns_are_read_only_and_a_model_is_validated_once(monkeypatch):
+    """The model's columns refuse writes, while the arrays it was built
+    from stay writable and are not copied; a model that passed
+    ``validate`` is not checked again."""
+    spec = make_spec()
+    columns = [np.zeros((2, 3), dtype=np.int64), np.array([[0, 0, 0], [1, 0, 0]]),
+               np.ones((2, 3), dtype=np.int64), np.array([1, 2])]
+    model = BlockModel.from_columns(spec, *columns)
+    built = BlockModel(spec, model.blocks)
+    names = ("parent", "cell_min", "cell_dims", "label")
+    for array, name in zip(columns, names):
+        assert array.flags.writeable and np.shares_memory(array, getattr(model, name))
+        for view in (getattr(model, name), getattr(built, name)):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 7
+    calls = []
+    sort_runs = lattice.runs_disjoint
+    monkeypatch.setattr(lattice, "runs_disjoint", lambda *args: calls.append(1) or sort_runs(*args))
+    model.validate()
+    model.validate()
+    model.take([1, 0]).validate()
+    assert len(calls) == 2
 
 
 def test_by_parent_preserves_input_order():

@@ -605,3 +605,66 @@ def test_aspect_ratio_scores_only_runs_tying_fewest_blocks(monkeypatch):
     best = merge_class(boxes, counts, (1, 1, 1), MergeParams(), 0)
     assert len(calls) == 4
     assert best == want
+
+
+def _aspect_terms_by_block(blocks, min_dims) -> float:
+    """The aspect-ratio objective with every block's terms computed anew."""
+    mx, my, mz = (float(m) for m in min_dims)
+    total_v = acc = 0.0
+    for _, (sx, sy, sz) in blocks:
+        d = (sx * mx, sy * my, sz * mz)
+        v = d[0] * d[1] * d[2]
+        total_v += v
+        acc += v * (max(d) / min(d))
+    return acc / total_v
+
+
+MIN_DIMS = st.sampled_from([(0.1, 0.3, 0.7), (2, 2, 1), (1, 2, 3), (1 / 3, 0.7, 0.05)]) | st.tuples(
+    *[st.floats(1e-3, 1e3)] * 3
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    runs=st.lists(
+        st.lists(st.tuples(*[st.integers(1, 6)] * 3), min_size=1, max_size=12), min_size=1, max_size=8
+    ),
+    min_dims=MIN_DIMS,
+)
+def test_score_table_gives_the_table_less_score(runs, min_dims):
+    """Scored one after another through one shared table, every run of
+    block shapes gets the very float it gets without a table."""
+    scores = {}
+    for shapes in runs:
+        blocks = [((0, 0, 0), s) for s in shapes]
+        shared = aspect_ratio_objective(blocks, min_dims, scores)
+        assert shared == aspect_ratio_objective(blocks, min_dims) == _aspect_terms_by_block(blocks, min_dims)
+    assert set(scores) == {s for shapes in runs for s in shapes}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+    st.sampled_from(["dissolved", "persistent"]),
+    st.sampled_from(["count", "aspect"]),
+    MIN_DIMS,
+)
+def test_merge_prepared_picks_the_table_less_winner(seed, counts, convention, objective, min_dims):
+    """The best of the eight scan patterns is the first of the lowest
+    scores, each pattern's blocks scored without a table."""
+    boxes = random_partition_boxes(np.random.default_rng(seed), counts, keep=0.8)
+    if not boxes:
+        return
+    per_pattern = [
+        merge_class(boxes, counts, min_dims, MergeParams(convention, objective, scan_patterns=(p,)), 0)
+        for p in ALL_SCAN_PATTERNS
+    ]
+
+    def score(blocks):
+        ar = _aspect_terms_by_block([(b.cell_min, b.cell_dims) for b in blocks], min_dims)
+        return ar if objective == "aspect" else (len(blocks), ar)
+
+    assert merge_class(boxes, counts, min_dims, MergeParams(convention, objective), 0) == min(
+        per_pattern, key=score
+    )

@@ -8,10 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reblock import merge, parallel, pipeline
+from reblock import lattice, merge, parallel, pipeline
 from reblock.errors import ValidationError
 from reblock.intersection import detect_overlaps, write_overlap_csv
-from reblock.lattice import Block, BlockModel, LatticeSpec, cell_lut, cells_of, parent_min_corner
+from reblock.lattice import (
+    Block,
+    BlockModel,
+    LatticeSpec,
+    cell_lut,
+    cells_of,
+    parent_min_corner,
+    read_model_csv,
+    write_model_csv,
+)
 from reblock.merge import MergeParams
 from reblock.mesh import build_index, load_mesh
 from reblock.octree import octree_decompose
@@ -500,3 +509,41 @@ def test_octree_labels_hold_63_surfaces_and_no_more(tmp_path):
     ]
     with pytest.raises(ValidationError, match="at most 63 surfaces, one bit each; got 64$"):
         octree_model(full_parent_model((0, 0, 0)), [tmp_path / "missing.obj"] * 64, 1, False)
+
+
+def _drivers(path):
+    """Each driver that takes a model, as a call on one."""
+    config = PipelineConfig(instructions=(instruction(path),))
+    return {
+        "merge_model": lambda model: merge_model(model, MergeParams("persistent"), threads=1),
+        "restructure": lambda model: restructure(model, config, threads=1),
+        "octree_model": lambda model: octree_model(model, [path], 1, intra=True),
+    }
+
+
+def test_drivers_validate_only_their_output_on_a_model_read_from_csv(tmp_path, monkeypatch):
+    """A model from ``read_model_csv`` passed its validation there: the
+    drivers sort x-runs only to validate what they return, and the octree
+    baseline, whose decomposition tiles each parent, not at all."""
+    path = write_obj(tmp_path / "flat.obj", grid_surface((-1.0, 7.9), (-1.0, 5.0), 2.0))
+    write_model_csv(tmp_path / "in.csv", full_parent_model((0, 0, 0), (1, 0, 0), (2, 0, 0)))
+    model = read_model_csv(tmp_path / "in.csv", SPEC)
+    calls = []
+    sort_runs = lattice.runs_disjoint
+    monkeypatch.setattr(lattice, "runs_disjoint", lambda *args: calls.append(1) or sort_runs(*args))
+    for name, run in _drivers(path).items():
+        calls.clear()
+        out = run(model)
+        during = len(calls)
+        calls.clear()
+        BlockModel.from_columns(SPEC, out.parent, out.cell_min, out.cell_dims, out.label).validate()
+        assert len(calls) > 0 and during == (0 if name == "octree_model" else len(calls)), name
+
+
+def test_drivers_still_refuse_an_overlapping_model(tmp_path):
+    path = write_obj(tmp_path / "flat.obj", grid_surface((-1.0, 7.9), (-1.0, 5.0), 2.0))
+    parent = np.zeros((2, 3), dtype=np.int64)
+    model = BlockModel.from_columns(SPEC, parent, [[0, 0, 0], [2, 0, 0]], [[4, 4, 4], [2, 4, 4]], [1, 1])
+    for run in _drivers(path).values():
+        with pytest.raises(ValidationError, match=r"^block 1 overlaps another block in parent \(0, 0, 0\)$"):
+            run(model)
