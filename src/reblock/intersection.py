@@ -26,7 +26,7 @@ from numpy.typing import ArrayLike
 from .errors import DegenerateTriangle
 from .geometry import Aabb
 from .lattice import BlockModel, IntTriple, unique_rows
-from .mesh import MeshIndex, TriangleMesh, query_candidates
+from .mesh import MeshIndex, TriangleMesh, cross_columns, query_candidates, tri_bounds
 
 
 def sat_triangle_box(tri: ArrayLike, box: Aabb) -> bool:
@@ -36,7 +36,7 @@ def sat_triangle_box(tri: ArrayLike, box: Aabb) -> bool:
     Raises :class:`DegenerateTriangle` for a triangle with a zero normal.
     """
     v = np.asarray(tri, dtype=np.float64).reshape(1, 3, 3)
-    if not np.cross(v[0, 1] - v[0, 0], v[0, 2] - v[0, 1]).any():
+    if not any(cross_columns(v[0, 1] - v[0, 0], v[0, 2] - v[0, 1])):
         raise DegenerateTriangle("triangle has zero normal")
     return bool(sat_pairs(v, [box.center], [box.half])[0])
 
@@ -76,12 +76,12 @@ def _as_f64(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def _bounds_meet(tv: np.ndarray, centers: np.ndarray, h: np.ndarray) -> np.ndarray:
     """The three box axes: do each triangle's bounds meet each box?
 
-    Rounding is monotone, so ``min_k(v_k) - c`` equals ``min_k(v_k - c)``
-    bit for bit: this is exactly the box-axis test on translated vertices.
-    ``centers`` and ``h`` broadcast against the (T, 3) triangle bounds.
+    The bounds come from :func:`~reblock.mesh.tri_bounds`.  Rounding is
+    monotone, so ``min_k(v_k) - c`` equals ``min_k(v_k - c)`` bit for bit:
+    this is exactly the box-axis test on translated vertices.  ``centers``
+    and ``h`` broadcast against the (T, 3) triangle bounds.
     """
-    lo = tv.min(axis=-2)
-    hi = tv.max(axis=-2)
+    lo, hi = tri_bounds(tv)
     separated = np.zeros(np.broadcast_shapes(lo.shape, centers.shape)[:-1], dtype=bool)
     for c in range(3):
         separated |= lo[..., c] - centers[..., c] > h[..., c]
@@ -115,6 +115,10 @@ def _sat_core(vp: np.ndarray, h: np.ndarray) -> np.ndarray:
 
     ``vp`` is (N, 3 vertices, 3 coordinates), translated by the box
     centre; ``h`` is (3,) or (N, 3).  Returns (N,) bools.
+
+    The plane's normal n, radius r and offset s are computed on coordinate
+    columns with the products and order of summation of ``np.cross``,
+    ``(abs(n) * h).sum(axis=-1)`` and ``np.einsum`` over rows of three.
     """
     # coordinate-major, so every NumPy loop below runs over all N pairs
     v = np.ascontiguousarray(vp.transpose(1, 2, 0))  # (vertex, coord, N)
@@ -130,9 +134,10 @@ def _sat_core(vp: np.ndarray, h: np.ndarray) -> np.ndarray:
     sep = (p.min(axis=0) > r) | (p.max(axis=0) < -r)
     separated = sep.any(axis=(0, 1))
 
-    n = np.cross(f[0].T, f[1].T)
-    r = (np.abs(n) * h).sum(axis=-1)
-    s = np.einsum("...c,...c->...", n, vp[:, 0, :])
+    n0, n1, n2 = cross_columns(f[0], f[1])
+    r = np.abs(n0) * ht[0] + np.abs(n1) * ht[1] + np.abs(n2) * ht[2]
+    # (x + z) + y: the order in which NumPy's two-lane einsum kernel sums
+    s = n0 * v[0, 0] + n2 * v[0, 2] + n1 * v[0, 1]
     separated |= (s > r) | (s < -r)
     return ~separated
 

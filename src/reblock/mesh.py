@@ -7,6 +7,10 @@ call, NumPy's C reader; only a block that fails to parse, or holds a
 non-finite coordinate or a reference to a missing vertex, is read again,
 line by line, to name its first faulty line.
 
+Triangle bounds and normals are computed on coordinate columns, not by
+NumPy reductions over rows of three (its slow path for a short axis), with
+the same operations in the same order, so the arrays are bit-identical.
+
 Meshes are treated as immutable after construction; operations that
 "modify" a mesh return a new one.
 """
@@ -215,8 +219,8 @@ def integrity_check(mesh: TriangleMesh) -> tuple[TriangleMesh, list[int]]:
     if len(tris) == 0:
         raise EmptyMesh(f"mesh '{mesh.name}' has no triangles")
     tv = mesh.tri_vertices()
-    normals = np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0])
-    zero_normal = (normals == 0.0).all(axis=1)
+    n0, n1, n2 = cross_columns((tv[:, 1] - tv[:, 0]).T, (tv[:, 2] - tv[:, 0]).T)
+    zero_normal = (n0 == 0.0) & (n1 == 0.0) & (n2 == 0.0)
     repeated = (
         (tris[:, 0] == tris[:, 1])
         | (tris[:, 1] == tris[:, 2])
@@ -232,6 +236,23 @@ def integrity_check(mesh: TriangleMesh) -> tuple[TriangleMesh, list[int]]:
         TriangleMesh(mesh.vertices, tris[~bad], name=mesh.name),
         [int(i) for i in removed],
     )
+
+
+def cross_columns(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The cross product a x b of vectors given as three coordinate
+    columns, with the products and differences ``np.cross`` makes."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def tri_bounds(tv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)``, the (..., 3) bounds of a (..., 3 vertices, 3 coordinates)
+    array: ``tv.min(axis=-2)`` and ``tv.max(axis=-2)``, as the same
+    ``np.minimum`` and ``np.maximum`` calls on whole vertex slices.  Each
+    coordinate's column is contiguous."""
+    x = np.moveaxis(tv, -1, 0)  # (coordinate, ..., vertex)
+    lo = np.minimum(np.minimum(x[..., 0], x[..., 1], order="C"), x[..., 2], order="C")
+    hi = np.maximum(np.maximum(x[..., 0], x[..., 1], order="C"), x[..., 2], order="C")
+    return np.moveaxis(lo, 0, -1), np.moveaxis(hi, 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -388,33 +409,37 @@ class MeshIndex:
     them for a whole batch of boxes at once.
     """
 
-    tri_lo: np.ndarray  # (M, 3) per-triangle AABB minima
-    tri_hi: np.ndarray  # (M, 3) per-triangle AABB maxima
+    tri_lo: np.ndarray  # (M, 3) per-triangle AABB minima, a contiguous column per axis
+    tri_hi: np.ndarray  # (M, 3) per-triangle AABB maxima, likewise
     order: np.ndarray  # (3, M) int32 triangle ids sorted by tri_lo per axis
     keys: np.ndarray  # (3, M) tri_lo in that order
     hi_max: np.ndarray  # (3, M) running maximum of tri_hi in that order
 
 
 def build_index(mesh: TriangleMesh) -> MeshIndex:
+    """Sort-and-sweep index over the triangle boxes from :func:`tri_bounds`.
+
+    A box side thinner than 1e-9 * max(1, extent), the extent being its
+    longest side, is inflated by that much at both ends, so an
+    axis-parallel triangle still presents a queryable volume.
+    """
     if len(mesh) == 0:
         raise EmptyMesh(f"mesh '{mesh.name}' has no triangles to index")
-    tv = mesh.tri_vertices()
-    lo = tv.min(axis=1)
-    hi = tv.max(axis=1)
-    # inflate zero-thickness axes by 1e-9 * max(1, extent), so an
-    # axis-parallel triangle still presents a queryable volume
-    extent = np.maximum((hi - lo).max(axis=1), 1.0)
-    eps = (1e-9 * extent)[:, None]
-    flat = (hi - lo) < eps
-    lo = np.where(flat, lo - eps, lo)
-    hi = np.where(flat, hi + eps, hi)
-    order = np.argsort(lo.T, axis=1, kind="stable").astype(np.int32)
+    lo, hi = (b.T for b in tri_bounds(mesh.tri_vertices()))  # (3, M) rows
+    size = hi - lo
+    extent = np.maximum(np.maximum(np.maximum(size[0], size[1]), size[2]), 1.0)
+    eps = 1e-9 * extent
+    flat = size < eps
+    np.subtract(lo, eps, out=lo, where=flat)
+    np.add(hi, eps, out=hi, where=flat)
+    order = np.argsort(lo, axis=1, kind="stable").astype(np.int32)
+    at = order + np.arange(0, lo.size, lo.shape[1])[:, None]  # into the flattened rows
     return MeshIndex(
-        tri_lo=lo,
-        tri_hi=hi,
+        tri_lo=lo.T,
+        tri_hi=hi.T,
         order=order,
-        keys=np.take_along_axis(lo.T, order, axis=1),
-        hi_max=np.maximum.accumulate(np.take_along_axis(hi.T, order, axis=1), axis=1),
+        keys=lo.take(at),
+        hi_max=np.maximum.accumulate(hi.take(at), axis=1),
     )
 
 

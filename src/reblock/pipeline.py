@@ -95,8 +95,6 @@ def load_surface(
     path: str | Path, refine_params: RefineParams | None = None
 ) -> tuple[TriangleMesh, MeshIndex]:
     """Load, sanity-check, optionally refine, and index one surface."""
-    if not Path(path).is_file():
-        raise ValidationError(f"surface file not found: {path}")
     mesh, _ = integrity_check(load_mesh(path))
     if refine_params is not None:
         mesh = refine_mesh(mesh, refine_params)

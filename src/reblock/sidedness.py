@@ -161,10 +161,11 @@ def _line_crossings(
     else:
         signs = _orient3d(u, v, np.repeat(q, 3, axis=0), np.repeat(p, 3, axis=0))
     signs = signs.reshape(-1, 3)
-    split = (signs > 0).any(axis=1) & (signs < 0).any(axis=1)
-    for i in np.flatnonzero(~split & (signs == 0).any(axis=1)):
+    a, b, c = signs.T  # views: the exact signs below are written through them
+    split = ((a > 0) | (b > 0) | (c > 0)) & ((a < 0) | (b < 0) | (c < 0))
+    for i in np.flatnonzero(~split & ((a == 0) | (b == 0) | (c == 0))):
         signs[i] = _exact_edges(tv[i], p[i], None if q is None else q[i], d)
-    return np.where((signs == signs[:, :1]).all(axis=1), signs[:, 0], 0).astype(np.int8)
+    return np.where((b == a) & (c == a), a, 0).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +232,10 @@ def _column_boxes(
     moving = e != 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         t_lo, t_hi = (lo - p) / e, (hi - p) / e
-    t0 = np.where(moving, np.minimum(t_lo, t_hi), -np.inf).max(axis=1, keepdims=True)
-    t1 = np.where(moving, np.maximum(t_lo, t_hi), np.inf).min(axis=1, keepdims=True)
+    enter = np.where(moving, np.minimum(t_lo, t_hi), -np.inf).T
+    leave = np.where(moving, np.maximum(t_lo, t_hi), np.inf).T
+    t0 = np.maximum(np.maximum(enter[0], enter[1]), enter[2])[:, None]
+    t1 = np.minimum(np.minimum(leave[0], leave[1]), leave[2])[:, None]
     x0, x1 = p + e * t0, p + e * t1
     reach = np.abs(p) + np.abs(e) * np.maximum(np.abs(t0), np.abs(t1))
     slack = np.where(moving, 16.0 * _U * reach, 0.0)
@@ -241,7 +244,8 @@ def _column_boxes(
     # rounded outwards, so that center -/+ half still encloses the box
     center = 0.5 * (box_lo + box_hi)
     half = np.nextafter(np.maximum(box_hi - center, center - box_lo), np.inf)
-    meets = (box_lo <= box_hi).all(axis=1, keepdims=True)
+    ok = (box_lo <= box_hi).T
+    meets = (ok[0] & ok[1] & ok[2])[:, None]
     return np.where(meets, center - half, np.inf), np.where(meets, center + half, -np.inf)
 
 

@@ -8,13 +8,15 @@ time, and the chunked model writer, which takes the model's canonical
 order and centroids — these are deliberately separate implementations
 (polygon clipping in floats and in exact rationals, closed-form
 containment, winding numbers, heightfield interpolation, ray crossings
-in exact rationals, a brute-force bounding-box filter, grid-slab
-dissolved and persistent merges, a per-class model merge, a per-parent
-painter and restructure, a block-by-block tagger, a row-by-row model
-reader, a chunk-by-chunk ``%r`` model writer, a block-by-block
-disjointness check, line-by-line OBJ and OFF readers and a recursive
-octree, which takes only the candidate tables and the dyadic check from
-the library) used as ground truth by the unit and acceptance tests.
+in exact rationals, a brute-force bounding-box filter, the triangle
+bounds, normals, index and SAT plane test as NumPy reductions over rows
+of three, grid-slab dissolved and persistent merges, a per-class model
+merge, a per-parent painter and restructure, a block-by-block tagger, a
+row-by-row model reader, a chunk-by-chunk ``%r`` model writer, a
+block-by-block disjointness check, line-by-line OBJ and OFF readers and a
+recursive octree, which takes only the candidate tables and the dyadic
+check from the library) used as ground truth by the unit and acceptance
+tests.
 """
 from __future__ import annotations
 
@@ -320,6 +322,48 @@ def _inflate_flat(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     eps = 1e-9 * np.maximum((hi - lo).max(axis=-1, keepdims=True), 1.0)
     flat = (hi - lo) < eps
     return np.where(flat, lo - eps, lo), np.where(flat, hi + eps, hi)
+
+
+def index_rows(vertices, triangles) -> tuple[np.ndarray, ...]:
+    """The five ``MeshIndex`` arrays (tri_lo, tri_hi, order, keys, hi_max)
+    with the triangle bounds and widest extent taken by reductions over
+    rows of three."""
+    tv = np.asarray(vertices, dtype=np.float64)[np.asarray(triangles)]
+    lo, hi = _inflate_flat(*tri_bounds_rows(tv))
+    order = np.argsort(lo.T, axis=1, kind="stable").astype(np.int32)
+    keys = np.take_along_axis(lo.T, order, axis=1)
+    hi_max = np.maximum.accumulate(np.take_along_axis(hi.T, order, axis=1), axis=1)
+    return lo, hi, order, keys, hi_max
+
+
+def tri_bounds_rows(tv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-triangle bounds of a (..., 3, 3) array, reduced over its vertices."""
+    return tv.min(axis=-2), tv.max(axis=-2)
+
+
+def zero_normals_rows(tv: np.ndarray) -> np.ndarray:
+    """Which triangles of a (T, 3, 3) array have an exactly zero normal."""
+    return (np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]) == 0.0).all(axis=1)
+
+
+def sat_core_rows(vp: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The nine edge axes and the plane axis of the separating-axis test,
+    as the library computed them with ``np.cross``, ``sum(axis=-1)`` and
+    ``np.einsum``: ``vp`` is (N, 3, 3) vertices relative to each box's
+    centre, ``h`` a (3,) or (N, 3) half extent.  True where no axis
+    separates."""
+    v = np.ascontiguousarray(vp.transpose(1, 2, 0))  # (vertex, coord, N)
+    ht = h.T.reshape(3, -1)
+    i1, i2 = [1, 2, 0], [2, 0, 1]
+    f = v[[1, 2, 0]] - v
+    fa, fb = f[:, i1], f[:, i2]
+    p = v[:, None, i2] * fa - v[:, None, i1] * fb
+    r = np.abs(fb) * ht[i1] + np.abs(fa) * ht[i2]
+    separated = ((p.min(axis=0) > r) | (p.max(axis=0) < -r)).any(axis=(0, 1))
+    n = np.cross(f[0].T, f[1].T)
+    r = (np.abs(n) * h).sum(axis=-1)
+    s = np.einsum("...c,...c->...", n, vp[:, 0, :])
+    return ~(separated | (s > r) | (s < -r))
 
 
 def index_candidates(vertices, triangles, lo, hi) -> np.ndarray:

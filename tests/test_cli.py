@@ -167,7 +167,9 @@ class TestRestructureCommand:
             ]
         )
         assert code == 1
-        assert "gone.obj" in capsys.readouterr().err
+        # one existence check, in the mesh loader: one message, one line
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"reblock: mesh file not found: {tmp / 'gone.obj'}"]
 
     @pytest.mark.parametrize(
         "name, text",
@@ -384,6 +386,13 @@ class TestOctreeCommand:
             ((0, 0, 0), (4, 4, 2), 1),
             ((0, 0, 2), (4, 4, 2), 0),
         ]
+
+    def test_missing_surface_exits_1(self, tmp_path, capsys):
+        model_csv, _ = self.halfspace_scene(tmp_path)
+        code = self.run(model_csv, tmp_path / "gone.obj", tmp_path / "oct.csv", 1, "none")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"reblock: mesh file not found: {tmp_path / 'gone.obj'}"]
 
     def test_non_dyadic_depth_exits_1(self, tmp_path, capsys):
         spec = LatticeSpec(origin=(0, 0, 0), parent_dims=(3, 3, 3), min_dims=(1, 1, 1))

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reblock.errors import DegenerateTriangle
 from reblock.geometry import Aabb, vec3
 from reblock.intersection import (
     OverlapMap,
+    _sat_core,
     detect_overlaps,
     sat_batch,
     sat_pairs,
@@ -19,7 +20,14 @@ from reblock.lattice import Block, BlockModel, LatticeSpec, parent_min_corner
 from reblock.mesh import build_index
 
 from conftest import grid_surface, icosphere
-from oracles import clip_overlap, clip_overlap_exact, clip_overlap_pairs, index_candidates
+from oracles import (
+    clip_overlap,
+    clip_overlap_exact,
+    clip_overlap_pairs,
+    index_candidates,
+    sat_core_rows,
+    tri_bounds_rows,
+)
 
 UNIT_BOX = Aabb(vec3(0, 0, 0), vec3(1, 1, 1))  # [-1,1]^3
 
@@ -111,6 +119,89 @@ def test_sat_degenerate_triangle_rejected():
     bad = tri((0, 0, 0), (1, 1, 1), (2, 2, 2))
     with pytest.raises(DegenerateTriangle):
         sat_triangle_box(bad, UNIT_BOX)
+
+
+def near_contact_pairs(seed: int, family: str, origin: float, exact: bool, shared: bool):
+    """64 triangle/box pairs of one near-contact family, as ROADMAP item 8
+    places them: a vertex on a box corner, an edge across a box edge, or
+    the triangle's plane through a box corner.
+
+    The triangle of a corner family lies in a plane that supports the box
+    at that corner, so the plane axis ties up to rounding.  Boxes sit near
+    ``origin``.  Inexact pairs have non-dyadic halves (0.025-0.15) and
+    vertices nudged by up to 2 ulp.  Exact pairs have integer centres and
+    halves on a 2**-30 grid, so a corner vertex is the corner itself: its
+    plane offset and radius are then sums of the same three products, and
+    only their order of summation decides.  ``shared`` gives every box
+    the same half extent.
+    """
+    rng = np.random.default_rng(seed)
+    n = 64
+    half = rng.uniform(0.025, 0.15, size=(1 if shared else n, 3)).repeat(n if shared else 1, axis=0)
+    center = origin + rng.uniform(-50.0, 50.0, size=(n, 3))
+    if exact:
+        half, center = np.round(half * 2.0**30) / 2.0**30, np.round(center)
+    sign = rng.choice([-1.0, 1.0], size=(n, 3))
+    corner = center + sign * half
+    # two directions in the plane through the corner with an outward normal
+    normal = sign * np.abs(rng.normal(size=(n, 3)))
+    u = rng.normal(size=(n, 3))
+    a = np.cross(normal, u)
+    b = np.cross(normal, a)
+    a /= np.linalg.norm(a, axis=1, keepdims=True) * 10.0
+    b /= np.linalg.norm(b, axis=1, keepdims=True) * 10.0
+    if family == "vertex":
+        t = rng.uniform(0.2, 1.0, size=(2, n, 1))
+        tv = np.stack([corner, corner + t[0] * a, corner + t[1] * (a + b)], axis=1)
+    elif family == "edge":
+        rows, axis = np.arange(n), rng.integers(0, 3, n)
+        point = corner.copy()
+        point[rows, axis] = center[rows, axis] + rng.uniform(-1, 1, n) * half[rows, axis]
+        d = rng.normal(size=(n, 3)) * 0.1
+        t = rng.uniform(0.1, 1.0, size=(2, n, 1))
+        out = sign * np.abs(rng.normal(size=(n, 3))) * 0.1
+        tv = np.stack([point + t[0] * d, point - t[1] * d, point + out], axis=1)
+    else:
+        coef = rng.uniform(-1.0, 1.0, size=(3, 2, n, 1))
+        tv = np.stack([corner + k[0] * a + k[1] * b for k in coef], axis=1)
+    if not exact:
+        tv = tv + rng.integers(-2, 3, size=tv.shape) * np.spacing(tv)
+    return tv, center, half
+
+
+# ROADMAP item 8's pair: SAT reports contact where exact clipping finds none
+ITEM8_PAIR = (
+    tri((34.0098409931538, 7.1307764800494144, 47.82191871523643),
+        (34.0098409931538, 5.4604302399364695, 46.28610450898174),
+        (34.305813203510866, 5.916039495241462, 48.20585710466743))[None],
+    np.array([[34.05, 6.45, 47.125]]),
+    np.array([[0.05, 0.05, 0.025]]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.builds(
+        near_contact_pairs,
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["vertex", "edge", "plane"]),
+        st.sampled_from([0.0, 1e6]),
+        st.booleans(),
+        st.booleans(),
+    )
+)
+@example(ITEM8_PAIR)
+def test_sat_core_matches_row_form_near_contact(pairs):
+    """The column-form kernel gives the verdicts of the row form (np.cross,
+    sum(axis=-1), np.einsum) pair by pair, with per-pair and shared half
+    extents; so does the whole pair test after the box axes."""
+    tv, centers, halves = pairs
+    vp = tv - centers[:, None, :]
+    assert np.array_equal(_sat_core(vp, halves), sat_core_rows(vp, halves))
+    assert np.array_equal(_sat_core(vp, halves[0]), sat_core_rows(vp, halves[0]))
+    lo, hi = tri_bounds_rows(tv)
+    meet = ~((lo - centers > halves) | (hi - centers < -halves)).any(axis=1)
+    assert np.array_equal(sat_pairs(tv, centers, halves), meet & sat_core_rows(vp, halves))
 
 
 def random_pairs(rng: np.random.Generator, n: int):

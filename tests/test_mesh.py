@@ -14,10 +14,17 @@ from reblock.mesh import (
     load_mesh,
     query_candidates,
     refine_mesh,
+    tri_bounds,
 )
 
 from conftest import box_mesh, grid_surface, icosphere, write_obj
-from oracles import index_candidates, load_mesh_lines
+from oracles import (
+    index_candidates,
+    index_rows,
+    load_mesh_lines,
+    tri_bounds_rows,
+    zero_normals_rows,
+)
 
 
 def test_load_obj_round_trip(tmp_path):
@@ -365,6 +372,102 @@ def test_integrity_all_degenerate():
     tris = np.array([[0, 0, 1]])
     with pytest.raises(EmptyMesh):
         integrity_check(TriangleMesh(verts, tris))
+
+
+# signed zeros, ties, subnormals and wide magnitudes: the values on which
+# a column form that reordered a reduction would show
+_ROW_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -0.1, 2.0**-40, 5e-324]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@st.composite
+def _triangle_arrays(draw):
+    """A (T, 3, 3) vertex array whose triangles are free, flat on one axis,
+    have two coincident vertices, or are exactly collinear (small integer
+    points on a line), moved by 0 or +-1e6 (only when nonzero, so that a
+    signed zero stays)."""
+    n = draw(st.integers(1, 10))
+    tv = np.array(draw(st.lists(_ROW_COORDS, min_size=9 * n, max_size=9 * n))).reshape(n, 3, 3)
+    for t in range(n):
+        kind = draw(st.sampled_from(["free", "flat", "coincident", "collinear"]))
+        if kind == "flat":
+            axis = draw(st.integers(0, 2))
+            tv[t, :, axis] = tv[t, 0, axis]
+        elif kind == "coincident":
+            i, j, _ = draw(st.permutations([0, 1, 2]))
+            tv[t, j] = tv[t, i]
+        elif kind == "collinear":
+            small = st.lists(st.integers(-4, 4), min_size=3, max_size=3)
+            base, step = np.array(draw(small)), np.array(draw(small))
+            steps = np.array(draw(st.permutations([0, 1, -3])))
+            tv[t] = base + steps[:, None] * step
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6]))
+    return tv + offset if offset else tv
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_triangle_arrays(), st.data())
+def test_tri_bounds_match_row_reductions(tv, data):
+    """Bit for bit, signed zeros included: on the (T, 3, 3) array, on
+    (P, 3, 3) pairs gathered from it, on a reversed view and on a stack."""
+    picks = data.draw(st.lists(st.integers(0, len(tv) - 1), max_size=16))
+    for arr in (tv, tv[picks], tv[::-1], np.stack([tv, tv[::-1]])):
+        for got, want in zip(tri_bounds(arr), tri_bounds_rows(arr)):
+            assert got.shape == want.shape == arr.shape[:-2] + (3,)
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+def _soup(tv: np.ndarray) -> TriangleMesh:
+    return TriangleMesh(tv.reshape(-1, 3), np.arange(tv.size // 3).reshape(-1, 3))
+
+
+_PLANE = grid_surface(np.linspace(-3.1, 203.3, 9), np.linspace(-2.9, 203.1, 10),
+                      lambda x, y: 19.3 + 0.011 * x + 0.007 * y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_triangle_arrays())
+@example(_PLANE.tri_vertices() + 1e6)
+@example(icosphere(subdiv=2, radius=9.5, center=(15.7, 16.3, 15.9)).tri_vertices())
+@example(np.array([[[0.0, 0.0, 5.0], [1.0, 0.0, 5.0], [0.0, 1.0, 5.0]],
+                   [[-0.0, 3.0, 0.0], [0.0, 3.0, 9.0], [-0.0, 4.0, 9.0]]]))
+def test_build_index_matches_row_reductions(tv):
+    """The five index arrays equal, bit for bit, those built with the
+    bounds and widest extent reduced over rows of three."""
+    mesh = _soup(tv)
+    index = build_index(mesh)
+    got = (index.tri_lo, index.tri_hi, index.order, index.keys, index.hi_max)
+    for name, g, w in zip(("tri_lo", "tri_hi", "order", "keys", "hi_max"), got,
+                          index_rows(mesh.vertices, mesh.triangles)):
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert np.array_equal(np.ascontiguousarray(g).view(np.uint8),
+                              np.ascontiguousarray(w).view(np.uint8)), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(_triangle_arrays(), st.lists(st.sampled_from([(0, 0, 1), (0, 1, 1), (2, 1, 2)]), max_size=3))
+def test_integrity_removals_match_row_normals(tv, repeats):
+    """Collinear, coincident-vertex and repeated-index triangles are
+    removed exactly where the row form of the normal is zero or an index
+    repeats; a mesh of nothing else is refused."""
+    mesh = _soup(tv)
+    tris = np.vstack([mesh.triangles, np.array(repeats, dtype=np.int32).reshape(-1, 3)])
+    mesh = TriangleMesh(mesh.vertices, tris)
+    repeated = (tris[:, 0] == tris[:, 1]) | (tris[:, 1] == tris[:, 2]) | (tris[:, 2] == tris[:, 0])
+    want = np.flatnonzero(zero_normals_rows(mesh.tri_vertices()) | repeated).tolist()
+    if len(want) == len(tris):
+        with pytest.raises(EmptyMesh):
+            integrity_check(mesh)
+        return
+    clean, removed = integrity_check(mesh)
+    assert removed == want
+    assert np.array_equal(clean.triangles, np.delete(tris, want, axis=0))
 
 
 def test_mesh_measures():

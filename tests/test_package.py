@@ -168,3 +168,18 @@ def test_kernel_inputs_built_in_merge_alone():
         if module != "merge" and packers & _referenced(tree)
     }
     assert not outside, f"merge input packers referred to outside merge.py: {outside}"
+
+
+def test_no_cross_or_einsum_in_src():
+    """Hot array code works on coordinate columns: no ``np.cross`` or
+    ``np.einsum`` call, by attribute or by imported name, in the package."""
+    banned = {"cross", "einsum"}
+    found = []
+    for module, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in banned:
+                found.append(f"{module}:{node.lineno}: .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                names = [a.name for a in node.names if a.name in banned]
+                found += [f"{module}:{node.lineno}: {name}" for name in names]
+    assert not found, "np.cross / np.einsum in src: " + ", ".join(found)
