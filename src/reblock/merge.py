@@ -6,9 +6,10 @@ Two conventions over a parent's cell grid:
   set of a class is re-tiled greedily from scratch.  A block seeds at the
   first active cell in raster order and repeatedly tries to grow by one
   cell layer along +x, +y, +z; growth must stay inside the parent, within
-  the merge-size limit, and cover only active cells.  Three consecutive
-  blocked axes (or token expiry, or consuming every active cell) emit the
-  block and deactivate its cells.
+  the merge-size limit, and cover only active cells.  An axis blocked once
+  stays blocked while the block grows, so it is not tried again; once
+  every axis is blocked (or on token expiry, or on consuming every active
+  cell) the block is emitted and its cells deactivated.
 
 * **persistent** — every input block keeps its identity: blocks take
   turns (smallest first) absorbing whole neighbouring blocks across their
@@ -127,28 +128,41 @@ def coalesce_binary(
     token_life: int | None = None,
 ) -> list[MergedBlock]:
     """Greedy re-tiling of the active (non-zero) cells of a [z, y, x]
-    occupancy map, as :func:`_sweep` gives it.  The map is not modified."""
+    occupancy map, as :func:`_sweep` gives it.  The map is not modified.
+    ``token_life`` must be positive or None, as in :class:`MergeParams`."""
+    if token_life is not None and token_life < 1:
+        raise ValidationError("token life span must be positive")
     kz, ky, kx = np.shape(theta)
-    blocks = _sweep(_layers(theta), (kx, ky, kz), max_dims, token_life)
+    layers = _layers(theta)
+    remaining = sum(layer.bit_count() for layer in layers)
+    blocks = _sweep(layers, remaining, (kx, ky, kz), max_dims, token_life)
     return [MergedBlock(n, s, label) for n, s in blocks]
 
 
-def _sweep(layers: list[int], counts: IntTriple, max_dims, token_life) -> list[tuple]:
-    """Greedy re-tiling of the active cells of ``layers``, as :func:`_layers`
-    packs them; emptied in place.  Returns ``(cell_min, cell_dims)`` pairs.
+def _sweep(layers: list[int], remaining: int, counts: IntTriple, max_dims, token_life) -> list[tuple]:
+    """Greedy re-tiling of the ``remaining`` active cells of ``layers``, as
+    :func:`_layers` packs them; emptied in place.  Returns ``(cell_min,
+    cell_dims)`` pairs.
 
     A growing block is always solid, so it carries ``solid``, the AND of
-    its layers, and ``rows``, bit 0 of each of its rows; every growth check
-    is then one AND against a mask: the column beyond +x and the row
-    segment beyond +y against ``solid``, the block's footprint against the
-    layer beyond +z.  An emitted block is cleared with one AND-NOT per
-    layer.
+    its layers, ``rows``, bit 0 of each of its rows, and ``span``, its bits
+    in row 0, whose product is its footprint; every growth check is then
+    one AND against a mask: the column beyond +x and the row segment beyond
+    +y against ``solid``, the footprint against the layer beyond +z.  An
+    emitted block is cleared with one AND-NOT per layer.
+
+    Each axis has an open flag, and an axis closes when its check fails or
+    its room runs out.  A closed axis stays closed while the block grows,
+    so it is never checked again: the +x column and the +y segment only
+    gain bits as the block grows, and ``solid`` only loses them; the +z
+    footprint only gains bits, against a layer that does not change.  The
+    block is emitted when every axis is closed, its token expires, or it
+    holds every remaining cell.
     """
     kx, ky, kz = counts
     mx, my, mz = counts if max_dims is None else max_dims
     if min(mx, my, mz) < 1:
         mx = my = mz = 1  # like a cap of 1, a cap below 1 blocks all growth
-    remaining = sum(layer.bit_count() for layer in layers)
     out = []
     nz = 0
     while remaining > 0:
@@ -159,38 +173,50 @@ def _sweep(layers: list[int], counts: IntTriple, max_dims, token_life) -> list[t
         if remaining == 1:
             out.append(((nx, ny, nz), (1, 1, 1)))
             break
-        rx, ry, rz = min(mx, kx - nx), min(my, ky - ny), min(mz, kz - nz)
+        rx, ry, rz = kx - nx, ky - ny, kz - nz
+        rx, ry, rz = mx if mx < rx else rx, my if my < ry else ry, mz if mz < rz else rz
+        ox, oy, oz = rx > 1, ry > 1, rz > 1
         sx = sy = sz = 1
         solid = layers[nz]
         rows = 1 << (ny * kx)
-        i = token_life
-        while True:
-            barriers = 0
-            column = rows << (nx + sx)
-            if sx < rx and solid & column == column:
-                sx += 1
-            else:
-                barriers += 1
-            segment = ((1 << sx) - 1) << (nx + (ny + sy) * kx)
-            if sy < ry and solid & segment == segment:
-                rows |= 1 << ((ny + sy) * kx)
-                sy += 1
-            else:
-                barriers += 1
-            footprint = (rows * ((1 << sx) - 1)) << nx
-            if sz < rz and layers[nz + sz] & footprint == footprint:
-                solid &= layers[nz + sz]
-                sz += 1
-            else:
-                barriers += 1
-            if i is not None:
-                i -= 1
-            if sx * sy * sz == remaining or barriers == 3 or i == 0:
+        span = 1 << nx  # the block's bits in row 0
+        beyond = (ny + 1) * kx  # the shift of the row beyond +y
+        i = -1 if token_life is None else token_life  # from -1, never reaches 0
+        while ox or oy or oz:
+            if ox:
+                column = rows << (nx + sx)
+                if solid & column == column:
+                    span |= 1 << (nx + sx)
+                    sx += 1
+                    ox = sx < rx
+                else:
+                    ox = False
+            if oy:
+                segment = span << beyond
+                if solid & segment == segment:
+                    rows |= 1 << beyond
+                    beyond += kx
+                    sy += 1
+                    oy = sy < ry
+                else:
+                    oy = False
+            if oz:
+                footprint = rows * span
+                layer = layers[nz + sz]
+                if layer & footprint == footprint:
+                    solid &= layer
+                    sz += 1
+                    oz = sz < rz
+                else:
+                    oz = False
+            i -= 1
+            if i == 0 or sx * sy * sz == remaining:
                 break
         out.append(((nx, ny, nz), (sx, sy, sz)))
-        # footprint is current: the last +z check ran on the final rows and width
+        # +z may have closed before the last +x or +y step
+        clear = ~(rows * span)
         for z in range(nz, nz + sz):
-            layers[z] &= ~footprint
+            layers[z] &= clear
         remaining -= sx * sy * sz
     return out
 
@@ -522,20 +548,23 @@ def merge_prepared(
     pattern that returns one block, when that can no longer change, the
     rest are skipped.  The scored runs share one
     :func:`aspect_ratio_objective` table.  A z mirror reverses the
-    dissolved layers.  Returns the winner's ``(cell_min, cell_dims)``
+    dissolved layers, and the class's cells are counted once for every
+    pattern's sweep.  Returns the winner's ``(cell_min, cell_dims)``
     pairs, mirrored back.
     """
-    kz, caps = counts[2], params.max_dims
+    kz, caps, life = counts[2], params.max_dims, params.token_life
     if params.convention == "persistent":
         boxes, contacts = inputs[0].tolist(), inputs[1]
+    else:
+        cells = sum(layer.bit_count() for layer in inputs[:kz])  # every mirror holds as many
     runs = []
     for pattern in params.scan_patterns:
         flips = scan_flips(pattern)
         if params.convention == "dissolved":
             layers = inputs[(pattern & 3) * kz : (pattern & 3) * kz + kz]
-            merged = _sweep(layers[::-1] if flips[2] else layers, counts, caps, params.token_life)
+            merged = _sweep(layers[::-1] if flips[2] else layers, cells, counts, caps, life)
         else:
-            merged = coalesce_persistent(boxes, contacts, counts, flips, caps, params.token_life)
+            merged = coalesce_persistent(boxes, contacts, counts, flips, caps, life)
         runs.append((flips, merged))
         # one block is the fewest possible, and a dissolved class that one
         # pattern tiles with one box every pattern tiles with that box; ties

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -147,6 +147,14 @@ def test_token_life_limits_growth_cycles():
     assert coalesce_binary(theta, label=0) == [MergedBlock((0, 0, 0), (6, 1, 1), 0)]
 
 
+@pytest.mark.parametrize("token_life", [0, -1])
+def test_token_life_below_one_is_rejected(token_life):
+    """As in ``MergeParams``: a life of 0 or less is an error, not an
+    unlimited turn."""
+    with pytest.raises(ValidationError, match="^token life span must be positive$"):
+        coalesce_binary(np.ones((1, 1, 6), dtype=np.uint8), label=0, token_life=token_life)
+
+
 def test_input_grid_not_modified():
     theta = paint(REFERENCE_BOXES, REFERENCE_COUNTS)
     snapshot = theta.copy()
@@ -174,24 +182,48 @@ def test_dissolved_partition_invariants(theta):
         assert theta[n[2] : n[2] + s[2], n[1] : n[1] + s[1], n[0] : n[0] + s[0]].all()
 
 
+# [z, y, x] maps on which pattern 0's first block closes its axes in a
+# given order.  +x closes in the second round, on the empty cells at x = 2,
+# while +y and +z grow on: an L-shaped class.
+X_FIRST = np.ones((3, 3, 3), dtype=bool)
+X_FIRST[:, 1:, 2] = False
+# +z closes in the first round, on a top layer of one cell; +x and +y grow on,
+# so the block's last +z footprint is smaller than the block
+Z_FIRST = np.zeros((2, 3, 3), dtype=bool)
+Z_FIRST[0] = Z_FIRST[1, 0, 0] = True
+# +y closes in the first round; +x reaches its room in the second, the round
+# in which a token life of 2 expires
+EXPIRES = np.array([[[1, 1, 1], [1, 0, 0]]], dtype=bool)
+SIZES = st.integers(1, 12)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
-    st.tuples(st.integers(1, 10), st.integers(1, 10), st.integers(1, 10)),
+    st.tuples(SIZES, SIZES, SIZES),
     st.sampled_from([0.05, 0.3, 0.6, 0.9, 0.97, 1.0]),
-    st.none() | st.tuples(st.integers(1, 10), st.integers(1, 10), st.integers(1, 10)),
-    st.none() | st.integers(1, 3),
+    st.none() | st.tuples(SIZES, SIZES, SIZES),
+    st.none() | st.integers(1, 12),
     st.permutations(ALL_SCAN_PATTERNS),
 )
+@example(0, (3, 3, 3), X_FIRST, None, None, ALL_SCAN_PATTERNS)
+@example(0, (3, 3, 2), Z_FIRST, None, None, ALL_SCAN_PATTERNS)
+@example(0, (3, 2, 1), EXPIRES, None, 2, ALL_SCAN_PATTERNS)
+# a cap of 1 closes +x before any mask is checked
+@example(0, (2, 2, 2), 1.0, (1, 2, 2), None, ALL_SCAN_PATTERNS)
 def test_dissolved_matches_grid_reference(seed, counts, density, caps, token_life, patterns):
     """``merge_class`` on a class's unit cells, in shuffled order, packs
     the class once, and each pattern's bit-plane sweep emits the grid-slab
     reference's blocks, in order, on the view mirrored along that
     pattern's axes; so does ``coalesce_binary``.  ``merge_prepared`` on
-    the grid's ``mirror_layers`` gives ``merge_class``'s blocks."""
+    the grid's ``mirror_layers`` gives ``merge_class``'s blocks.
+    ``density`` is the chance that a cell is active, or an example's map."""
     rng = np.random.default_rng(seed)
-    owner = np.where(rng.random((counts[2], counts[1], counts[0])) < density, 0, -1)
-    owner.flat[rng.integers(owner.size)] = 0  # a class holds a cell
+    if isinstance(density, np.ndarray):
+        owner = np.where(density, 0, -1)
+    else:
+        owner = np.where(rng.random((counts[2], counts[1], counts[0])) < density, 0, -1)
+        owner.flat[rng.integers(owner.size)] = 0  # a class holds a cell
     cells = np.argwhere(owner >= 0)[:, ::-1]
     boxes = [(tuple(n), (1, 1, 1)) for n in cells[rng.permutation(len(cells))].tolist()]
     # merge_class rejects caps past the parent; the kernels take them as no cap

@@ -1,5 +1,6 @@
 """End-to-end restructuring: scene goldens, mode contrast, healing, errors."""
 
+import hashlib
 import multiprocessing
 from dataclasses import replace
 
@@ -416,6 +417,34 @@ def test_restructure_does_not_depend_on_window_or_threads(convention, mode):
                 mp.setattr(merge, "_CLASS_CELLS", window)
                 got = restructure(model, cfg, surfaces=surfaces, threads=threads)
             assert rows_of(got) == want, (window, threads)
+
+
+@pytest.fixture(scope="module")
+def fine_surfaces():
+    """The sheet and the sphere of ROADMAP's ``fine`` scene."""
+    xs, ys = np.linspace(-1.3, 33.1, 31), np.linspace(-1.1, 33.3, 30)
+    sheet = grid_surface(xs, ys, lambda x, y: 16.1 + 3 * np.sin(x / 5) * np.cos(y / 7))
+    sphere = icosphere(3, 9.5, (15.7, 16.3, 15.9))
+    assert (len(sheet.triangles), len(sphere.triangles)) == (1740, 1280)
+    return [(mesh, build_index(mesh)) for mesh in (sheet, sphere)]
+
+
+@pytest.mark.parametrize("convention", ["dissolved", "persistent"])
+@pytest.mark.parametrize("cell, digest", [(4, "d1c73477a88d11f1"), (2, "6dc38f91a597973c")])
+def test_fine_scene_digests(tmp_path, fine_surfaces, cell, digest, convention):
+    """One whole 32 m parent restructured on cells of 4 m and 2 m (8 and 16
+    cells a side) against a wavy sheet and a sphere writes the CSV whose
+    SHA-256 prefix ROADMAP records, under either convention."""
+    spec = LatticeSpec(origin=(0, 0, 0), parent_dims=(32, 32, 32), min_dims=(cell,) * 3)
+    model = BlockModel(spec, [Block((0, 0, 0), (0, 0, 0), spec.cell_counts, 1)])
+    labels = [(10, 20, 30), (11, 21, 31)]
+    cfg = PipelineConfig(
+        tuple(instruction(f"{name}.obj", *labels[i]) for i, name in enumerate(["sheet", "sphere"])),
+        MergeParams(convention=convention),
+    )
+    path = tmp_path / "fine.csv"
+    write_model_csv(path, restructure(model, cfg, surfaces=fine_surfaces, threads=1))
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("convention", ["dissolved", "persistent"])
