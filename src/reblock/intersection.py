@@ -1,5 +1,5 @@
 """Triangle-box overlap via the separating axis theorem, and the model-wide
-block-surface overlap detection pass.
+block-surface overlap pass, whose records are columns sorted by parent.
 
 A triangle and an axis-aligned box are disjoint iff one of 13 candidate
 axes separates them: the 3 box axes, the triangle's plane normal, and the
@@ -16,7 +16,7 @@ over a list of pairs, and :func:`sat_triangle_box` on a single pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -25,7 +25,7 @@ from numpy.typing import ArrayLike
 
 from .errors import DegenerateTriangle
 from .geometry import Aabb
-from .lattice import BlockModel, IntTriple, unique_rows
+from .lattice import BlockModel, unique_rows
 from .mesh import MeshIndex, TriangleMesh, cross_columns, query_candidates, tri_bounds
 
 
@@ -144,19 +144,18 @@ def _sat_core(vp: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 @dataclass
 class OverlapMap:
-    """Per-parent record of which surface triangles touch the parent's blocks.
+    """Which surface triangles touch each parent's blocks, as columns.
 
-    ``parents[p][surface_id]`` is a sorted int array of triangle indices;
-    a parent is present only when at least one list is non-empty.
+    ``parents`` is (P, 3): the crossed parents in raster order (z, then y,
+    then x).  Parent p's records are rows ``offsets[p]:offsets[p + 1]`` of
+    the int32 columns ``surface`` and ``triangle``, sorted by surface, then
+    triangle.
     """
 
-    parents: dict[IntTriple, dict[int, np.ndarray]] = field(default_factory=dict)
-
-    def intersecting_parents(self) -> set[IntTriple]:
-        return set(self.parents)
-
-    def surfaces_of(self, parent: IntTriple) -> dict[int, np.ndarray]:
-        return self.parents.get(parent, {})
+    parents: np.ndarray  # (P, 3) int64
+    offsets: np.ndarray  # (P + 1,) int64
+    surface: np.ndarray  # (R,) int32
+    triangle: np.ndarray  # (R,) int32
 
 
 def detect_overlaps(
@@ -168,7 +167,8 @@ def detect_overlaps(
     Per surface, the boxes of all input blocks go to the surface index in
     one query, and the candidate (block, triangle) pairs to one SAT call;
     per parent and per surface the union of intersecting triangle ids over
-    that parent's blocks is recorded.
+    that parent's blocks is recorded; one ``lexsort`` puts all records in
+    parent, then surface order.
     """
     spec = model.spec
     parent, cell_min, cell_dims = model.parent, model.cell_min, model.cell_dims
@@ -178,30 +178,25 @@ def detect_overlaps(
     lo = np.asarray(spec.origin) + parent * np.asarray(spec.parent_dims) + cell_min * min_dims
     hi = lo + cell_dims * min_dims
     center, half = (lo + hi) * 0.5, (hi - lo) * 0.5
-    parents, parent_of = unique_rows(parent)
-    out = OverlapMap()
+    parents, parent_of = unique_rows(parent[:, ::-1])  # raster order: z, then y, then x
+    records = [np.empty((0, 3), dtype=np.int64)]
     for sid, (mesh, index) in enumerate(surfaces):
         box, tri = query_candidates(index, center - half, center + half).T
         hit = sat_pairs(mesh.tri_vertices()[tri], center[box], half[box])
         # one key per recorded (parent, triangle), in parent then triangle order
-        key = np.unique(parent_of[box[hit]] * len(mesh) + tri[hit])
-        pid, tid = np.divmod(key, len(mesh))
-        starts = np.flatnonzero(np.diff(pid, prepend=-1))
-        for p, ids in zip(pid[starts], np.split(tid, starts[1:])):
-            out.parents.setdefault(tuple(parents[p].tolist()), {})[sid] = ids.astype(np.int32)
-    return out
+        pid, tid = np.divmod(np.unique(parent_of[box[hit]] * len(mesh) + tri[hit]), len(mesh))
+        records.append(np.column_stack([pid, np.full_like(pid, sid), tid]))
+    table = np.concatenate(records)
+    pid, sid, tid = table[np.lexsort(table.T[1::-1])].T  # stable: triangles stay ascending
+    starts = np.flatnonzero(np.diff(pid, prepend=-1))
+    return OverlapMap(parents[pid[starts], ::-1], np.append(starts, len(pid)), sid.astype(np.int32), tid.astype(np.int32))
 
 
 def write_overlap_csv(path: str | Path, overlap: OverlapMap) -> int:
-    """Diagnostic dump, one row per (parent, surface, triangle)."""
-    rows = 0
+    """Diagnostic dump, one row per record, in the map's order."""
+    parent = np.repeat(overlap.parents, np.diff(overlap.offsets), axis=0)
+    table = np.column_stack([parent, overlap.surface, overlap.triangle])
     with Path(path).open("w", newline="") as handle:
         handle.write("parent_px,parent_py,parent_pz,surface_id,triangle_id\n")
-        for parent in sorted(overlap.parents, key=lambda p: (p[2], p[1], p[0])):
-            for sid in sorted(overlap.parents[parent]):
-                for tid in overlap.parents[parent][sid]:
-                    handle.write(
-                        f"{parent[0]},{parent[1]},{parent[2]},{sid},{int(tid)}\n"
-                    )
-                    rows += 1
-    return rows
+        handle.write("%d,%d,%d,%d,%d\n" * len(table) % tuple(table.ravel().tolist()))
+    return len(table)

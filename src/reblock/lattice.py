@@ -265,13 +265,6 @@ class BlockModel:
         change[1:] = (p[0, 1:] != p[0, :-1]) | (p[1, 1:] != p[1, :-1]) | (p[2, 1:] != p[2, :-1])
         return order, change
 
-    def by_parent(self) -> dict[IntTriple, list[int]]:
-        """Parent index -> ordinals of blocks inside it (input order)."""
-        order, change = self._parent_runs()
-        starts = np.flatnonzero(change)
-        parents = self.parent[order[starts]].tolist()
-        return {tuple(p): ids.tolist() for p, ids in zip(parents, np.split(order, starts[1:]))}
-
     def canonical(self) -> BlockModel:
         """Canonical export order: parent raster, then min-vertex raster."""
         cell = raster_index(self.cell_min.T, self.spec.cell_counts)

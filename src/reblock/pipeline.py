@@ -10,12 +10,13 @@ order-stable, so output models are byte-identical for any thread count.
 with :func:`class_inputs` before any child process starts:
 ``merge_model`` from the model's (parent, label) classes,
 ``restructure`` from the cells of the parents a surface crosses,
-classified a window at a time with one cast per surface and one sort of
-the cells' class keys.  Both hand their tasks to one merge call
-(:func:`_merge_tasks`), whose workers get the lattice and the merge
-parameters bound into the function they map.  Restructure then tags
-every block in one :func:`apply_tagging` pass: positions come from the
-class keys, and majorities from one paint of the merged blocks.
+classified a window at a time (a slice of the overlap map's parents)
+with one cast per surface and one sort of the cells' class keys.  Both
+hand their tasks to one merge call (:func:`_merge_tasks`), whose workers
+get the lattice and the merge parameters bound into the function they
+map.  Restructure then tags every block in one :func:`apply_tagging`
+pass: positions come from the class keys, and majorities from one paint
+of the merged blocks.
 ``octree_model`` casts and decomposes a window of parents at a time.
 
 Two consolidation regimes are supported.  ``preclassified`` (the
@@ -158,16 +159,17 @@ def restructure(
     class, then tagged.  With no instructions the input is returned
     unchanged.
 
-    Crossed parents are taken in raster order, a window of them at a time:
-    one paint of their blocks, one :func:`classify_cells`, and one
-    :func:`unique_rows` that gives each occupied cell its class, keyed by
-    parent, label and per-surface flags.  The classes get ids across
+    Crossed parents are taken in raster order, a window of them (a slice of
+    the overlap map's) at a time: one paint of their blocks, which one sort
+    of the model's blocks by parent finds, one :func:`classify_cells`, and
+    one :func:`unique_rows` that gives each occupied cell its class, keyed
+    by parent, label and per-surface flags.  The classes get ids across
     windows and, as unit cells labelled by class id, go to
     :func:`class_inputs` and then, all at once, to the workers.  A merged
-    block's class key gives its label and positions; its cells, painted
-    once for all blocks, count its majority side of each surface.  A
-    cell's classification depends on its own arithmetic only, so no
-    output depends on the window size or the thread count.
+    block's class key gives its label and positions; its cells, painted once
+    for all blocks, count its majority side of each surface.  A cell's
+    classification depends on its own arithmetic only, so no output depends
+    on the window size or the thread count.
     """
     model.validate()
     _check_caps(config.merge_params.max_dims, model.spec.cell_counts)
@@ -185,34 +187,41 @@ def restructure(
     directions = [i.positive_direction for i in config.instructions]
     overlap = detect_overlaps(model, surfaces)
 
-    by_parent = model.by_parent()
-    crossed = sorted(overlap.intersecting_parents(), key=lambda p: (p[2], p[1], p[0]))
-    through = np.ones(len(model), dtype=bool)
+    # the crossed parents' blocks, parent by parent, from one sort of the
+    # blocks by parent: in a stable sort of its runs' parents and then the
+    # crossed ones, crossed parent i comes right after run at[i] - i - 1
+    parents = overlap.parents
+    grouped, change = model._parent_runs()
+    starts = np.flatnonzero(change)
+    at = np.flatnonzero(np.lexsort(np.concatenate([model.parent[grouped[starts]], parents]).T) >= len(starts))
+    run = at - np.arange(len(at)) - 1
+    size = np.diff(np.append(starts, len(model)))[run]
+    bounds = np.append(0, np.cumsum(size))  # crossed parent i's blocks: bounds[i]:bounds[i + 1]
+    crossed_rows = grouped[np.repeat(starts[run] - bounds[:-1], size) + np.arange(bounds[-1])]
+    through = np.bincount(crossed_rows, minlength=len(model)) == 0
     local = np.indices((kz, ky, kx)).reshape(3, -1)[::-1].T  # raster index -> cell
     stride = 2 if config.mode == "preclassified" else 1
     keys = [np.empty((0, 2 + stride * n_surfaces), dtype=np.int64)]
     sides = [np.empty((n_surfaces, 0, k), dtype=np.int8)]
-    parents, tasks, classified = np.reshape(crossed, (-1, 3)), [], []
+    tasks, classified = [], []
     step = max(1, merge._CLASS_CELLS // k)
-    for first in range(0, len(crossed), step):
-        window = crossed[first : first + step]
-        rows = [by_parent[p] for p in window]
-        where = np.repeat(np.arange(first, first + len(window)), [len(r) for r in rows])
-        rows = np.concatenate(rows)
-        through[rows] = False
+    for first in range(0, len(parents), step):
+        window = slice(first, min(first + step, len(parents)))
+        rows = crossed_rows[bounds[first] : bounds[window.stop]]
+        where = np.repeat(np.arange(first, window.stop), size[window])
         # one paint of the window's blocks, disjoint in a valid model: each
         # occupied cell as (crossed parent * k + raster index), in that order
         ordinal, cell = expand_cells(model.cell_min[rows], model.cell_dims[rows], spec.cell_counts)
         at = where[ordinal] * k + cell
         order = np.argsort(at)
         cells, label = at[order], model.label[rows[ordinal[order]]]
-        intersects, window_sides = classify_cells(spec, window, surfaces, overlap, directions)
+        intersects, window_sides = classify_cells(spec, overlap, surfaces, directions, window)
         # class keys: crossed parent, label, then per surface its intersect
         # flag, -1 where it does not cross the parent, and when preclassified
         # its side; a parent's classes come out in the order of its own keys
         flags = np.where(window_sides != 0, intersects, -1)
         columns = np.stack([flags, window_sides], 1) if stride == 2 else flags[:, None]
-        columns = columns.reshape(-1, len(window) * k)[:, cells - first * k].T
+        columns = columns.reshape(-1, (window.stop - first) * k)[:, cells - first * k].T
         classes, class_of = unique_rows(np.column_stack([cells // k, label, columns]))
         # each window's classes get global ids: the rows of the joined keys
         cell_rows = (parents[cells // k], class_of + sum(map(len, keys)), local[cells % k])
@@ -220,9 +229,9 @@ def restructure(
         keys.append(classes)
         sides.append(window_sides)
         if config.diagnostics_dir is not None:
-            for w, parent in enumerate(window):
-                ids = sorted(overlap.surfaces_of(parent))
-                classified.append(CellClassification(parent, ids, intersects[ids, w], window_sides[ids, w]))
+            for w, parent in enumerate(parents[window].tolist()):
+                ids = np.flatnonzero(window_sides[:, w, 0]).tolist()  # the surfaces that give it sides
+                classified.append(CellClassification(tuple(parent), ids, intersects[ids, w], window_sides[ids, w]))
     merged = _merge_tasks(spec, params, tasks, threads)
 
     # positions from the class keys; majorities from one paint of the

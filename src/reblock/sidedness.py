@@ -22,8 +22,8 @@ its perturbation puts it on.
 
 Cell pre-classification assigns every cell of a surface-crossed parent a
 per-surface side (above/below) plus a separate intersect flag, and leaves
-cells of un-crossed surfaces untested.  It classifies a window of parents
-at a time, so each surface is cast once per window.
+cells of un-crossed surfaces untested.  It classifies a window of crossed
+parents, a slice of the overlap map, at a time: one cast per surface.
 """
 
 from __future__ import annotations
@@ -336,37 +336,39 @@ class CellClassification:
 
 def classify_cells(
     spec: LatticeSpec,
-    parents: Sequence[IntTriple] | IntTriple,
-    surfaces: Sequence[tuple[TriangleMesh, MeshIndex]],
     overlap: OverlapMap,
+    surfaces: Sequence[tuple[TriangleMesh, MeshIndex]],
     directions: Sequence[Sequence[float]] | None = None,
+    window: slice = slice(None),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Classify every cell of a window of parents against every surface.
+    """Classify every cell of a window of crossed parents, a slice of
+    ``overlap.parents`` (all of them by default), against every surface.
 
-    ``parents`` is a sequence of parent indices, or one.  Returns
-    ``(intersects, sides)``, (S, W, K) arrays over surfaces, parents and
-    cells in raster order.  Where a surface crosses a parent, each cell's
-    intersect flag comes from exact SAT against the surface's triangles
-    recorded for that parent, and its side from a parity cast at its
-    centre, one cast per surface over every cell of the window's parents
-    it crosses.  Elsewhere the flag is False and the side 0.
+    Returns ``(intersects, sides)``, (S, W, K) arrays over surfaces, the
+    window's parents and cells in raster order.  Where a surface crosses a
+    parent, each cell's intersect flag comes from exact SAT against the
+    surface's triangles recorded for that parent, one :func:`sat_batch`
+    per (parent, surface), and its side from a parity cast at its centre,
+    one cast per surface over every cell of the window's parents it
+    crosses.  Elsewhere the flag is False and the side 0.
     """
-    parents = np.asarray(parents, dtype=np.int64).reshape(-1, 3)
+    first, stop, _ = window.indices(len(overlap.parents))
+    parents, offsets = overlap.parents[first:stop], overlap.offsets[first : stop + 1]
+    owner = np.repeat(np.arange(len(parents)), np.diff(offsets))
+    surface, triangle = (c[offsets[0] : offsets[-1]] for c in (overlap.surface, overlap.triangle))
     k_total = spec.cells_per_parent
     base = np.asarray(spec.origin) + parents * np.asarray(spec.parent_dims)
     centers = base[:, None, :] + cell_lut(spec)
     halves = np.asarray(spec.min_dims, dtype=np.float64) * 0.5
-    recorded = [overlap.surfaces_of(p) for p in map(tuple, parents.tolist())]
 
     intersects = np.zeros((len(surfaces), len(parents), k_total), dtype=bool)
     sides = np.zeros((len(surfaces), len(parents), k_total), dtype=np.int8)
     for sid, (mesh, index) in enumerate(surfaces):
-        crossed = [w for w, per_surface in enumerate(recorded) if sid in per_surface]
-        if not crossed:
+        crossed, at = np.unique(owner[surface == sid], return_index=True)
+        if not len(crossed):
             continue
-        for w in crossed:
-            tv = mesh.tri_vertices()[recorded[w][sid]]
-            intersects[sid, w] = sat_batch(tv, centers[w], halves).any(axis=1)
+        for w, tris in zip(crossed.tolist(), np.split(triangle[surface == sid], at[1:])):
+            intersects[sid, w] = sat_batch(mesh.tri_vertices()[tris], centers[w], halves).any(axis=1)
         direction = (0.0, 0.0, 1.0) if directions is None else directions[sid]
         cast = cast_parity_many(centers[crossed].reshape(-1, 3), mesh, index, direction)
         sides[sid, crossed] = cast.sides.reshape(len(crossed), k_total)

@@ -4,19 +4,21 @@ Nothing in here calls into :mod:`reblock`, apart from raising its
 exception classes, the class-by-class model merge, which runs the
 box-list ``merge_class`` on each class, the parent-by-parent
 restructure, which runs the library's stages on one crossed parent at a
-time, and the chunked model writer, which takes the model's canonical
-order and centroids — these are deliberately separate implementations
-(polygon clipping in floats and in exact rationals, closed-form
-containment, winding numbers, heightfield interpolation, ray crossings
-in exact rationals, a brute-force bounding-box filter, the triangle
-bounds, normals, index and SAT plane test as NumPy reductions over rows
-of three, grid-slab dissolved and persistent merges, a per-class model
-merge, a per-parent painter and restructure, a block-by-block tagger, a
-row-by-row model reader, a chunk-by-chunk ``%r`` model writer, a
-block-by-block disjointness check, line-by-line OBJ and OFF readers and a
-recursive octree, which takes only the candidate tables and the dyadic
-check from the library) used as ground truth by the unit and acceptance
-tests.
+time, the chunked model writer, which takes the model's canonical order
+and centroids, the overlap-map readers and builder, which read or fill
+its columns, and ``parent_runs``, which lists what
+``BlockModel._parent_runs`` returns — these are deliberately separate
+implementations (polygon clipping in floats and in exact rationals,
+closed-form containment, winding numbers, heightfield interpolation, ray
+crossings in exact rationals, a brute-force bounding-box filter, the
+triangle bounds, normals, index and SAT plane test as NumPy reductions
+over rows of three, grid-slab dissolved and persistent merges, a
+per-class model merge, a per-parent painter and restructure, a
+block-by-block tagger, a row-by-row model reader, a chunk-by-chunk
+``%r`` model writer, a row-by-row overlap CSV writer, a block-by-block
+disjointness check, line-by-line OBJ and OFF readers and a recursive
+octree, which takes only the candidate tables and the dyadic check from
+the library) used as ground truth by the unit and acceptance tests.
 """
 from __future__ import annotations
 
@@ -794,6 +796,57 @@ def paint_parent(spec, blocks) -> tuple[np.ndarray, np.ndarray]:
     return labels, owner
 
 
+def overlap_records(overlap) -> dict:
+    """An ``OverlapMap``'s records read row by row, as ``{parent: {surface:
+    [triangle, ...]}}``."""
+    out: dict = {}
+    for p, parent in enumerate(overlap.parents.tolist()):
+        for r in range(int(overlap.offsets[p]), int(overlap.offsets[p + 1])):
+            per = out.setdefault(tuple(parent), {})
+            per.setdefault(int(overlap.surface[r]), []).append(int(overlap.triangle[r]))
+    return out
+
+
+def overlap_columns(records: dict):
+    """The ``OverlapMap`` of ``{parent: {surface: triangles}}``, ordered by
+    Python sorts: parents in raster order (z, then y, then x), then
+    surfaces, then triangles.  A parent with no triangles is left out."""
+    from reblock.intersection import OverlapMap
+
+    parents, offsets, rows = [], [0], []
+    for parent in sorted(records, key=lambda p: (p[2], p[1], p[0])):
+        found = [(s, t) for s in sorted(records[parent]) for t in sorted(records[parent][s])]
+        if found:
+            parents.append(parent)
+            rows += found
+            offsets.append(len(rows))
+    surface, triangle = np.array(rows, dtype=np.int32).reshape(-1, 2).T
+    return OverlapMap(np.array(parents, dtype=np.int64).reshape(-1, 3), np.array(offsets), surface, triangle)
+
+
+def write_overlap_rows(path, records: dict) -> int:
+    """The overlap diagnostics CSV of ``{parent: {surface: triangles}}``,
+    one row at a time: parents in raster order, surfaces ascending, each
+    surface's triangles in the order given."""
+    rows = 0
+    with Path(path).open("w", newline="") as handle:
+        handle.write("parent_px,parent_py,parent_pz,surface_id,triangle_id\n")
+        for parent in sorted(records, key=lambda p: (p[2], p[1], p[0])):
+            for sid in sorted(records[parent]):
+                for tid in records[parent][sid]:
+                    handle.write(f"{parent[0]},{parent[1]},{parent[2]},{sid},{int(tid)}\n")
+                    rows += 1
+    return rows
+
+
+def parent_runs(model) -> list[tuple]:
+    """``BlockModel._parent_runs`` as ``(parent, [ordinal, ...])`` pairs,
+    one per run, in the order the runs come."""
+    order, change = model._parent_runs()
+    runs = np.split(order, np.flatnonzero(change)[1:]) if len(order) else []
+    return [(tuple(model.parent[r[0]].tolist()), r.tolist()) for r in runs]
+
+
 def restructure_by_parent(model, config, surfaces) -> tuple[list[tuple], list]:
     """Restructure of a valid model as ``(parent, cell_min, cell_dims,
     label)`` rows, and the crossed parents' ``CellClassification``s.
@@ -820,9 +873,10 @@ def restructure_by_parent(model, config, surfaces) -> tuple[list[tuple], list]:
     cells = [(x, y, z) for z in range(kz) for y in range(ky) for x in range(kx)]
     halves = np.asarray(spec.min_dims) * 0.5
     stride = 2 if config.mode == "preclassified" else 1
+    records = overlap_records(overlap)
     rows, positions, majorities, by_parent = [], [], [], {}
     for b in model.blocks:
-        if b.parent in overlap.parents:
+        if b.parent in records:
             by_parent.setdefault(b.parent, []).append(b)
         else:
             rows.append((b.parent, b.cell_min, b.cell_dims, b.label))
@@ -833,9 +887,9 @@ def restructure_by_parent(model, config, surfaces) -> tuple[list[tuple], list]:
         labels, owner = paint_parent(spec, by_parent[parent])
         base = [o + p * d for o, p, d in zip(spec.origin, parent, spec.parent_dims)]
         centers = np.array([[b + (n + 0.5) * m for b, n, m in zip(base, c, spec.min_dims)] for c in cells])
-        ids = sorted(overlap.parents[parent])
+        ids = sorted(records[parent])
         intersects = np.array([
-            sat_batch(surfaces[s][0].tri_vertices()[overlap.parents[parent][s]], centers, halves).any(axis=1)
+            sat_batch(surfaces[s][0].tri_vertices()[records[parent][s]], centers, halves).any(axis=1)
             for s in ids
         ])
         sides = np.array([cast_parity_many(centers, *surfaces[s], directions[s]).sides for s in ids])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from reblock.errors import DegenerateTriangle
 from reblock.geometry import Aabb, vec3
 from reblock.intersection import (
-    OverlapMap,
     _sat_core,
     detect_overlaps,
     sat_batch,
@@ -25,8 +24,11 @@ from oracles import (
     clip_overlap_exact,
     clip_overlap_pairs,
     index_candidates,
+    overlap_columns,
+    overlap_records,
     sat_core_rows,
     tri_bounds_rows,
+    write_overlap_rows,
 )
 
 UNIT_BOX = Aabb(vec3(0, 0, 0), vec3(1, 1, 1))  # [-1,1]^3
@@ -316,10 +318,10 @@ def test_detect_overlaps_flat_surface():
     # so running it to x = 8 exactly would also touch parent 2's face
     surface = grid_surface([0.0, 7.5], [0.0, 4.0], 2.0)
     overlap = detect_overlaps(model, [(surface, build_index(surface))])
-    assert overlap.intersecting_parents() == {(0, 0, 0), (1, 0, 0)}
-    tris = overlap.surfaces_of((0, 0, 0))[0]
-    assert len(tris) > 0
-    assert overlap.surfaces_of((2, 0, 0)) == {}
+    assert overlap.parents.tolist() == [[0, 0, 0], [1, 0, 0]]
+    records = overlap_records(overlap)
+    assert len(records[(0, 0, 0)][0]) > 0
+    assert (2, 0, 0) not in records
 
 
 def test_detect_overlaps_sphere_parent_subset():
@@ -332,13 +334,13 @@ def test_detect_overlaps_sphere_parent_subset():
     model = BlockModel(spec, blocks)
     sphere = icosphere(subdiv=3, radius=3.0, center=(8.0, 8.0, 2.0))
     overlap = detect_overlaps(model, [(sphere, build_index(sphere))])
-    crossed = overlap.intersecting_parents()
-    assert (1, 1, 0) in crossed
-    assert (0, 0, 0) not in crossed  # sphere stays well clear of that corner
+    records = overlap_records(overlap)
+    assert (1, 1, 0) in records
+    assert (0, 0, 0) not in records  # sphere stays well clear of that corner
     # recorded triangles really do touch the parent box
     half = np.asarray(spec.parent_dims) * 0.5
-    for parent in crossed:
-        tv = sphere.tri_vertices()[overlap.surfaces_of(parent)[0]]
+    for parent, per_surface in records.items():
+        tv = sphere.tri_vertices()[per_surface[0]]
         center = np.asarray(parent_min_corner(spec, parent)) + half
         for v in tv[:: max(1, len(tv) // 8)]:
             assert clip_overlap_exact(v, center, half)
@@ -346,17 +348,21 @@ def test_detect_overlaps_sphere_parent_subset():
 
 def _random_scene(seed: int):
     """A model of 2-3 x 2-3 x 1-2 parents, each cut into blocks of several
-    sizes by random guillotine splits, and two surfaces across it: an
-    icosphere, and a sheet that is either wavy or flat on a lattice plane,
-    so that some blocks only touch it."""
+    sizes by random guillotine splits, and four surfaces across it, in a
+    random order: an icosphere; a sheet that is either wavy or flat on a
+    lattice plane, so that some blocks only touch it; a small icosphere in
+    one parent; and one far off the model, which crosses nothing.  The
+    parent indices start at 0, -5 or +-2^40 on each axis."""
     rng = np.random.default_rng(seed)
     counts = rng.integers(2, 5, size=3)
     min_dims = rng.choice([0.3, 0.5, 1.0, 2.5], size=3)
     origin = rng.choice([0.0, 0.7, 1e5]) + np.zeros(3)
     spec = LatticeSpec(vec3(*origin), vec3(*(counts * min_dims)), vec3(*min_dims))
     n_parents = (rng.integers(2, 4), rng.integers(2, 4), rng.integers(1, 3))
+    first = rng.choice([0, -5, 2**40, -(2**40)], size=3)
     blocks = []
-    for parent in np.ndindex(*n_parents):
+    for index in np.ndindex(*n_parents):
+        parent = tuple(int(f + i) for f, i in zip(first, index))
         pieces = [((0, 0, 0), tuple(int(c) for c in counts))]
         for _ in range(rng.integers(0, 6)):
             lo, dims = pieces.pop(rng.integers(len(pieces)))
@@ -371,19 +377,23 @@ def _random_scene(seed: int):
             lower[axis], upper[axis] = cut, dims[axis] - cut
             pieces += [(lo, tuple(lower)), (tuple(upper_lo), tuple(upper))]
         blocks += [Block(parent, lo, dims, 0) for lo, dims in pieces]
+    corner = origin + first * np.asarray(spec.parent_dims)
     size = np.asarray(spec.parent_dims) * n_parents
-    center = origin + size * rng.uniform(0.2, 0.8, size=3)
+    center = corner + size * rng.uniform(0.2, 0.8, size=3)
     sphere = icosphere(subdiv=2, radius=float(size.min() * rng.uniform(0.2, 0.6)), center=center)
-    xs = origin[0] + np.linspace(-0.1, 1.1, 7) * size[0]
-    ys = origin[1] + np.linspace(-0.1, 1.1, 7) * size[1]
+    xs = corner[0] + np.linspace(-0.1, 1.1, 7) * size[0]
+    ys = corner[1] + np.linspace(-0.1, 1.1, 7) * size[1]
     if rng.integers(2):
-        level = origin[2] + min_dims[2] * rng.integers(1, counts[2] * n_parents[2])
+        level = corner[2] + min_dims[2] * rng.integers(1, counts[2] * n_parents[2])
         sheet = grid_surface(xs, ys, float(level))
     else:
-        mid, amp = origin[2] + 0.5 * size[2], 0.3 * size[2]
-        sheet = grid_surface(xs, ys, lambda x, y: mid + amp * np.sin(x + 0.7 * y))
-    surfaces = [(mesh, build_index(mesh)) for mesh in (sphere, sheet)]
-    return BlockModel(spec, blocks), surfaces
+        mid, amp = corner[2] + 0.5 * size[2], 0.3 * size[2]
+        sheet = grid_surface(xs, ys, lambda x, y: mid + amp * np.sin(x - corner[0] + 0.7 * (y - corner[1])))
+    inner = np.asarray(spec.parent_dims) * (rng.integers(0, n_parents) + 0.5)
+    small = icosphere(subdiv=1, radius=0.2 * min(spec.parent_dims), center=corner + inner)
+    far = icosphere(subdiv=1, radius=1.0, center=corner + 3 * size)
+    meshes = [sphere, sheet, small, far]
+    return BlockModel(spec, blocks), [(meshes[i], build_index(meshes[i])) for i in rng.permutation(4)]
 
 
 def _overlaps_block_by_block(model, surfaces) -> dict:
@@ -407,25 +417,67 @@ def _overlaps_block_by_block(model, surfaces) -> dict:
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_detect_overlaps_matches_block_by_block_reference(seed):
+    """The columns hold the reference's records: parents in raster order,
+    each with its offsets, and its (surface, triangle) rows sorted."""
     model, surfaces = _random_scene(seed)
     overlap = detect_overlaps(model, surfaces)
-    got = {
-        p: {sid: ids.tolist() for sid, ids in per.items()}
-        for p, per in overlap.parents.items()
-    }
-    assert got == _overlaps_block_by_block(model, surfaces)
-    for per in overlap.parents.values():
-        assert list(per) == sorted(per)
-        assert all(ids.dtype == np.int32 for ids in per.values())
+    want = overlap_columns(_overlaps_block_by_block(model, surfaces))
+    assert overlap.parents.tolist() == want.parents.tolist()
+    assert overlap.offsets.tolist() == want.offsets.tolist()
+    assert overlap.surface.tolist() == want.surface.tolist()
+    assert overlap.triangle.tolist() == want.triangle.tolist()
+    assert overlap.surface.dtype == overlap.triangle.dtype == np.int32
+
+
+def test_parents_are_the_distinct_crossed_parents():
+    """A surface that crosses several blocks of a parent records the parent
+    once; ``len(parents)`` is the count of distinct crossed parents."""
+    spec = LatticeSpec(vec3(0, 0, 0), vec3(4, 4, 4), vec3(1, 1, 1))
+    blocks = [
+        Block(parent=(px, py, 0), cell_min=(0, 0, z), cell_dims=(4, 4, 1), label=z)
+        for px in range(3)
+        for py in range(2)
+        for z in range(4)
+    ]
+    model = BlockModel(spec, blocks)
+    # a sheet on the face between two blocks of each of the parents x = 0
+    # and 1, and a steep one through all four blocks of parent (0, 1, 0)
+    sheet = grid_surface([0.5, 7.5], [0.5, 3.5], 2.0)
+    steep = grid_surface([0.5, 3.5], [4.5, 7.5], lambda x, y: 0.5 + x)
+    overlap = detect_overlaps(model, [(m, build_index(m)) for m in (sheet, steep)])
+    assert len(overlap.parents) == 3
+    assert overlap.parents.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    assert np.diff(overlap.offsets).tolist() == [len(sheet), len(sheet), len(steep)]
+    assert overlap.surface.tolist() == [0] * (2 * len(sheet)) + [1] * len(steep)
+
+
+def _random_records(rng) -> dict:
+    """Up to five parents, each with up to three surfaces of up to four
+    triangles, in no particular order; indices reach past 2^40."""
+    coords = [-(2**40), -3, 0, 1, 2**40]
+    records: dict = {}
+    for _ in range(rng.integers(0, 6)):
+        parent = tuple(int(c) for c in rng.choice(coords, size=3))
+        for sid in rng.permutation(5)[: rng.integers(1, 4)]:
+            tris = rng.choice(1000, size=rng.integers(1, 5), replace=False)
+            records.setdefault(parent, {})[int(sid)] = sorted(tris.tolist())
+    return records
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_write_overlap_csv_matches_row_by_row_writer(tmp_path, seed):
+    """The one-write CSV is byte-equal to the row-by-row reference writer,
+    the empty map (header only) included."""
+    records = _random_records(np.random.default_rng(seed)) if seed else {}
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    assert write_overlap_csv(got, overlap_columns(records)) == write_overlap_rows(want, records)
+    assert got.read_bytes() == want.read_bytes()
+    if not seed:
+        assert got.read_text() == "parent_px,parent_py,parent_pz,surface_id,triangle_id\n"
 
 
 def test_write_overlap_csv(tmp_path):
-    overlap = OverlapMap(
-        parents={
-            (1, 0, 0): {0: np.array([3, 5], dtype=np.int32)},
-            (0, 0, 0): {1: np.array([2], dtype=np.int32)},
-        }
-    )
+    overlap = overlap_columns({(1, 0, 0): {0: [3, 5]}, (0, 0, 0): {1: [2]}})
     path = tmp_path / "overlap.csv"
     rows = write_overlap_csv(path, overlap)
     lines = path.read_text().strip().splitlines()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import paint_parent, read_model_rows, validate_rows, write_model_chunks
+from oracles import paint_parent, parent_runs, read_model_rows, validate_rows, write_model_chunks
 from reblock import lattice
 from reblock.errors import MisalignedBlock, ValidationError
 from reblock.geometry import vec3
@@ -240,16 +240,16 @@ def test_model_columns_are_read_only_and_a_model_is_validated_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_by_parent_preserves_input_order():
+def test_parent_runs_preserve_input_order():
     spec = make_spec(parent=(4, 4, 4), cell=(1, 1, 1))
     blocks = [
         Block(parent=(0, 0, 0), cell_min=(3, 0, 0), cell_dims=(1, 1, 1), label=0),
         Block(parent=(1, 1, 1), cell_min=(0, 0, 0), cell_dims=(1, 1, 1), label=1),
         Block(parent=(0, 0, 0), cell_min=(0, 0, 0), cell_dims=(1, 1, 1), label=2),
+        Block(parent=(-1, 1, 1), cell_min=(0, 0, 0), cell_dims=(1, 1, 1), label=3),
     ]
-    groups = BlockModel(spec, blocks).by_parent()
-    assert groups[(0, 0, 0)] == [0, 2]
-    assert groups[(1, 1, 1)] == [1]
+    runs = parent_runs(BlockModel(spec, blocks))
+    assert runs == [((0, 0, 0), [0, 2]), ((-1, 1, 1), [3]), ((1, 1, 1), [1])]
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +700,7 @@ def test_painted_validate_matches_block_by_block_oracle(case):
     groups: dict = {}
     for ordinal, row in enumerate(rows):
         groups.setdefault(row[0], []).append(ordinal)
-    assert model.by_parent() == groups
+    assert parent_runs(model) == sorted(groups.items(), key=lambda g: g[0][::-1])
     key = lambda r: (r[0][2], r[0][1], r[0][0], raster_index(r[1], spec.cell_counts))
     got = [(b.parent, b.cell_min, b.cell_dims, b.label) for b in model.canonical().blocks]
     assert got == sorted(rows, key=key)

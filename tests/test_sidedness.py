@@ -28,6 +28,7 @@ from oracles import (
     exact_crossings,
     inside_box,
     inside_sphere,
+    overlap_records,
     sheet_height,
     winding_number,
 )
@@ -475,7 +476,7 @@ def test_classify_cells_mid_plane_partition():
     """Plane through the parent's waist: 16 clean above, 16 clean below,
     32 touching cells, and every cell still carries a definite side."""
     spec, surfaces, overlap = _classified_parent()
-    intersects, sides = classify_cells(spec, (0, 0, 0), surfaces, overlap)
+    intersects, sides = classify_cells(spec, overlap, surfaces)
     assert intersects.shape == sides.shape == (1, 1, 64)
     sides = sides[0].reshape(4, 4, 4)  # [z, y, x]
     assert (sides[:2] == SIDE_BELOW).all()
@@ -487,7 +488,7 @@ def test_classify_cells_mid_plane_partition():
 
 def test_classify_cells_direction_override():
     spec, surfaces, overlap = _classified_parent()
-    _, sides = classify_cells(spec, (0, 0, 0), surfaces, overlap, directions=[(0, 0, -1)])
+    _, sides = classify_cells(spec, overlap, surfaces, directions=[(0, 0, -1)])
     sides = sides[0].reshape(4, 4, 4)
     # casting downward flips which half sees an odd crossing count
     assert (sides[:2] == SIDE_ABOVE).all()
@@ -495,22 +496,30 @@ def test_classify_cells_direction_override():
 
 
 def test_classify_cells_window_matches_parent_by_parent():
-    """A window of parents is classified as each of them alone; a parent
-    the surface does not cross gets no flag and side 0."""
+    """A window of crossed parents is classified as each of them alone; a
+    surface that does not cross a parent gives its cells no flag and side
+    0 there."""
     spec = LatticeSpec(vec3(0, 0, 0), vec3(4, 4, 4), vec3(1, 1, 1))
     parents = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)]
     model = BlockModel(spec, [Block(p, (0, 0, 0), (4, 4, 4), 0) for p in parents])
-    mesh = grid_surface([-1.0, 2.5, 6.5], [-1.0, 3.5], lambda x, y: 1.25 + x / 4)
-    surfaces = [(mesh, build_index(mesh))]
+    sheet = grid_surface([-1.0, 2.5, 6.5], [-1.0, 3.5], lambda x, y: 1.25 + x / 4)
+    ball = icosphere(subdiv=1, radius=1.0, center=(2.0, 6.0, 2.0))
+    surfaces = [(mesh, build_index(mesh)) for mesh in (sheet, ball)]
     overlap = detect_overlaps(model, surfaces)
-    assert sorted(overlap.parents) == [(0, 0, 0), (1, 0, 0)]
-    intersects, sides = classify_cells(spec, parents, surfaces, overlap)
-    for w, parent in enumerate(parents[:2]):
-        alone = classify_cells(spec, parent, surfaces, overlap)
+    assert overlap.parents.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    assert set(overlap_records(overlap)[(0, 1, 0)]) == {1}
+    intersects, sides = classify_cells(spec, overlap, surfaces)
+    assert intersects.shape == sides.shape == (2, 3, 64)
+    for w in range(3):
+        alone = classify_cells(spec, overlap, surfaces, window=slice(w, w + 1))
         assert intersects[:, w].tolist() == alone[0][:, 0].tolist()
         assert sides[:, w].tolist() == alone[1][:, 0].tolist()
-        assert intersects[:, w].any() and (sides[:, w] != 0).all()
-    assert not intersects[:, 2:].any() and not sides[:, 2:].any()
+    crossing = [(0, 0), (0, 1), (1, 2)]  # (surface, parent) pairs
+    for sid, w in np.ndindex(2, 3):
+        if (sid, w) in crossing:
+            assert intersects[sid, w].any() and (sides[sid, w] != 0).all()
+        else:
+            assert not intersects[sid, w].any() and not sides[sid, w].any()
 
 
 def _stepped_sheet():
@@ -538,9 +547,9 @@ def test_classify_cells_intersects_match_clip_oracle(scene):
     model = BlockModel(spec, [Block(parent, (0, 0, 0), (kx, ky, kz), 0)])
     surfaces = [(mesh, build_index(mesh))]
     overlap = detect_overlaps(model, surfaces)
-    intersects, _ = classify_cells(spec, parent, surfaces, overlap)
+    intersects, _ = classify_cells(spec, overlap, surfaces)
 
-    tv = mesh.tri_vertices()[overlap.surfaces_of(parent)[0]]
+    tv = mesh.tri_vertices()[overlap_records(overlap)[parent][0]]
     centers = cell_lut(spec) + np.asarray(parent_min_corner(spec, parent))
     c, t = np.indices((len(centers), len(tv))).reshape(2, -1)
     half = np.asarray(spec.min_dims) * 0.5
@@ -552,7 +561,7 @@ def test_classify_cells_intersects_match_clip_oracle(scene):
 
 def test_write_sidedness_csv(tmp_path):
     spec, surfaces, overlap = _classified_parent()
-    intersects, sides = classify_cells(spec, (0, 0, 0), surfaces, overlap)
+    intersects, sides = classify_cells(spec, overlap, surfaces)
     cls = CellClassification((0, 0, 0), [0], intersects[:, 0], sides[:, 0])
     path = tmp_path / "sides.csv"
     rows = write_sidedness_csv(path, spec, [cls], n_surfaces=2)
