@@ -29,13 +29,11 @@ from .lattice import (
 )
 from .merge import MergedBlock, MergeParams, merge_class
 from .mesh import RefineParams, TriangleMesh, build_index, load_mesh, refine_mesh
-from .intersection import OverlapMap, detect_overlaps, sat_triangle_box
+from .intersection import OverlapMap, detect_overlaps
 from .sidedness import cast_parity, cast_parity_many, classify_cells
-from .octree import octree_decompose
 from .tagging import TaggingInstruction, apply_tagging, parse_instruction_file
 from .pipeline import (
     PipelineConfig,
-    heal_and_merge,
     load_surfaces,
     merge_model,
     octree_model,
@@ -68,17 +66,14 @@ __all__ = [
     "compute_stats",
     "detect_overlaps",
     "growth_factors",
-    "heal_and_merge",
     "load_mesh",
     "load_surfaces",
     "merge_class",
     "merge_model",
-    "octree_decompose",
     "octree_model",
     "parse_instruction_file",
     "read_model_csv",
     "refine_mesh",
     "restructure",
-    "sat_triangle_box",
     "write_model_csv",
 ]

@@ -45,10 +45,6 @@ class EmptyInput(ValidationError):
 
 # --- geometry family ---------------------------------------------------
 
-class DegenerateTriangle(GeometryError):
-    """A zero-normal triangle reached an operation that requires a proper one."""
-
-
 class InconsistentSidedness(GeometryError):
     """A block's per-surface signs are incompatible with a layered surface stack."""
 

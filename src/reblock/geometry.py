@@ -1,4 +1,4 @@
-"""Value types for points and boxes, shared by the geometric modules.
+"""The value type for points and directions, shared by the geometric modules.
 
 Everything here is 64-bit float and pure: same inputs give bitwise-same
 outputs.  The vectorised geometry (SAT, ray casting, the triangle index)
@@ -25,23 +25,3 @@ def vec3(x: float, y: float, z: float) -> Vec3:
     if not (math.isfinite(v.x) and math.isfinite(v.y) and math.isfinite(v.z)):
         raise ValueError(f"non-finite vector component: {v}")
     return v
-
-
-class Aabb(NamedTuple):
-    """Axis-aligned box stored as center + half extents (all > 0)."""
-
-    center: Vec3
-    half: Vec3
-
-    @property
-    def lo(self) -> Vec3:
-        return Vec3(self.center.x - self.half.x,
-                    self.center.y - self.half.y,
-                    self.center.z - self.half.z)
-
-    @property
-    def hi(self) -> Vec3:
-        return Vec3(self.center.x + self.half.x,
-                    self.center.y + self.half.y,
-                    self.center.z + self.half.z)
-

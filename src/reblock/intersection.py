@@ -10,8 +10,8 @@ extra decomposition downstream.
 One batched kernel makes every test.  It runs the three box axes first, on
 every (box, triangle) pair at once from per-triangle bounds; most pairs end
 there.  Only the pairs whose bounds meet go on to the other ten axes.
-:func:`sat_batch` runs it over a (boxes x triangles) grid, :func:`sat_pairs`
-over a list of pairs, and :func:`sat_triangle_box` on a single pair.
+:func:`sat_batch` runs it over a (boxes x triangles) grid and
+:func:`sat_pairs` over a list of pairs.
 """
 
 from __future__ import annotations
@@ -21,24 +21,9 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from numpy.typing import ArrayLike
 
-from .errors import DegenerateTriangle
-from .geometry import Aabb
-from .lattice import BlockModel, unique_rows
+from .lattice import BlockModel
 from .mesh import MeshIndex, TriangleMesh, cross_columns, query_candidates, tri_bounds
-
-
-def sat_triangle_box(tri: ArrayLike, box: Aabb) -> bool:
-    """True iff the triangle (any (3, 3) array-like) and the closed box
-    intersect: one pair of :func:`sat_pairs`.
-
-    Raises :class:`DegenerateTriangle` for a triangle with a zero normal.
-    """
-    v = np.asarray(tri, dtype=np.float64).reshape(1, 3, 3)
-    if not any(cross_columns(v[0, 1] - v[0, 0], v[0, 2] - v[0, 1])):
-        raise DegenerateTriangle("triangle has zero normal")
-    return bool(sat_pairs(v, [box.center], [box.half])[0])
 
 
 def sat_batch(
@@ -149,13 +134,15 @@ class OverlapMap:
     ``parents`` is (P, 3): the crossed parents in raster order (z, then y,
     then x).  Parent p's records are rows ``offsets[p]:offsets[p + 1]`` of
     the int32 columns ``surface`` and ``triangle``, sorted by surface, then
-    triangle.
+    triangle.  It is group ``group[p]`` of the model's
+    :attr:`~reblock.lattice.BlockModel.parent_groups`.
     """
 
     parents: np.ndarray  # (P, 3) int64
     offsets: np.ndarray  # (P + 1,) int64
     surface: np.ndarray  # (R,) int32
     triangle: np.ndarray  # (R,) int32
+    group: np.ndarray  # (P,) int64
 
 
 def detect_overlaps(
@@ -168,17 +155,19 @@ def detect_overlaps(
     one query, and the candidate (block, triangle) pairs to one SAT call;
     per parent and per surface the union of intersecting triangle ids over
     that parent's blocks is recorded; one ``lexsort`` puts all records in
-    parent, then surface order.
+    parent, then surface order.  Parents are numbered by the model's
+    grouping by parent, so the blocks are not sorted here.
     """
     spec = model.spec
     parent, cell_min, cell_dims = model.parent, model.cell_min, model.cell_dims
-    # a block's min corner, extent, centre and half extent, each computed
-    # with the float operations of its scalar form, in the same order
+    # a block's min corner (its parent's corner as BlockModel.centroids
+    # forms it, plus its cells), extent, centre and half extent
     min_dims = np.asarray(spec.min_dims)
     lo = np.asarray(spec.origin) + parent * np.asarray(spec.parent_dims) + cell_min * min_dims
     hi = lo + cell_dims * min_dims
     center, half = (lo + hi) * 0.5, (hi - lo) * 0.5
-    parents, parent_of = unique_rows(parent[:, ::-1])  # raster order: z, then y, then x
+    del lo, hi  # not held while the candidate pairs, this pass's peak, are built
+    parent_of = model.parent_of()
     records = [np.empty((0, 3), dtype=np.int64)]
     for sid, (mesh, index) in enumerate(surfaces):
         box, tri = query_candidates(index, center - half, center + half).T
@@ -189,7 +178,9 @@ def detect_overlaps(
     table = np.concatenate(records)
     pid, sid, tid = table[np.lexsort(table.T[1::-1])].T  # stable: triangles stay ascending
     starts = np.flatnonzero(np.diff(pid, prepend=-1))
-    return OverlapMap(parents[pid[starts], ::-1], np.append(starts, len(pid)), sid.astype(np.int32), tid.astype(np.int32))
+    group, offsets = pid[starts], np.append(starts, len(pid))
+    parents = model.parent_groups[1][group]
+    return OverlapMap(parents, offsets, sid.astype(np.int32), tid.astype(np.int32), group)
 
 
 def write_overlap_csv(path: str | Path, overlap: OverlapMap) -> int:

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import MisalignedBlock, ValidationError
-from .geometry import Vec3, vec3
+from .geometry import Vec3
 from .tables import parse_table, read_text
 
 UNLABELLED = -1
@@ -77,14 +78,6 @@ class LatticeSpec:
         return kx * ky * kz
 
 
-def parent_min_corner(spec: LatticeSpec, parent: IntTriple) -> Vec3:
-    return vec3(
-        spec.origin.x + parent[0] * spec.parent_dims.x,
-        spec.origin.y + parent[1] * spec.parent_dims.y,
-        spec.origin.z + parent[2] * spec.parent_dims.z,
-    )
-
-
 def raster_index(n: IntTriple, counts: IntTriple) -> int:
     """Flat cell index: x fastest, then y, then z.  Takes arrays too."""
     return (n[2] * counts[1] + n[1]) * counts[0] + n[0]
@@ -102,33 +95,6 @@ class Block:
     cell_min: IntTriple
     cell_dims: IntTriple
     label: int = UNLABELLED
-
-    def min_corner(self, spec: LatticeSpec) -> Vec3:
-        base = parent_min_corner(spec, self.parent)
-        return vec3(
-            base.x + self.cell_min[0] * spec.min_dims.x,
-            base.y + self.cell_min[1] * spec.min_dims.y,
-            base.z + self.cell_min[2] * spec.min_dims.z,
-        )
-
-
-def cells_of(spec: LatticeSpec, block: Block) -> list[IntTriple]:
-    """All cell coordinates covered by ``block``, in raster order."""
-    counts = spec.cell_counts
-    for axis in range(3):
-        n0 = block.cell_min[axis]
-        s = block.cell_dims[axis]
-        if s < 1 or n0 < 0 or n0 + s > counts[axis]:
-            raise MisalignedBlock(
-                f"block {block.cell_min}+{block.cell_dims} does not fit the "
-                f"{counts} cell grid of parent {block.parent}"
-            )
-    return [
-        (nx, ny, nz)
-        for nz in range(block.cell_min[2], block.cell_min[2] + block.cell_dims[2])
-        for ny in range(block.cell_min[1], block.cell_min[1] + block.cell_dims[1])
-        for nx in range(block.cell_min[0], block.cell_min[0] + block.cell_dims[0])
-    ]
 
 
 def cell_lut(spec: LatticeSpec) -> np.ndarray:
@@ -256,14 +222,28 @@ class BlockModel:
         columns = (self.parent, self.cell_min, self.cell_dims, self.label)
         return BlockModel.from_columns(self.spec, *(c[ordinals] for c in columns))
 
-    def _parent_runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ordinals grouped by parent, parents in raster order (z, then y,
-        then x) and input order within each, and a mask of group starts."""
+    @cached_property
+    def parent_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The blocks grouped by parent, sorted once per model: read-only
+        ``(order, parents, offsets)``.  ``parents`` holds the distinct
+        parents in raster order (z, then y, then x), and group g's ordinals,
+        in input order, are ``order[offsets[g]:offsets[g + 1]]``."""
         order = np.lexsort(self.parent.T)
         p = self.parent[order].T  # column by column: a reduction over rows of 3 is slow
         change = np.ones(len(order), dtype=bool)
         change[1:] = (p[0, 1:] != p[0, :-1]) | (p[1, 1:] != p[1, :-1]) | (p[2, 1:] != p[2, :-1])
-        return order, change
+        starts = np.flatnonzero(change)
+        groups = order, self.parent[order[starts]], np.append(starts, len(order))
+        for column in groups:
+            column.flags.writeable = False
+        return groups
+
+    def parent_of(self) -> np.ndarray:
+        """Each block's group in :attr:`parent_groups`."""
+        order, _, offsets = self.parent_groups
+        group = np.empty_like(order)
+        group[order] = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+        return group
 
     def canonical(self) -> BlockModel:
         """Canonical export order: parent raster, then min-vertex raster."""
@@ -296,12 +276,12 @@ class BlockModel:
         out = (dims < 1) | (lo < 0) | (lo + dims > np.asarray(counts))
         faulty = np.flatnonzero(out.any(axis=1))
         first = int(faulty[0]) if len(faulty) else n
-        order, change = self._parent_runs()
-        group = np.cumsum(change) - 1
+        order, _, offsets = self.parent_groups
+        group = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
         volume = (dims[:, 0] * dims[:, 1] * dims[:, 2])[order]
         volume[order >= first] = 0
         end = np.cumsum(volume)  # cells through each block, over all parents in order
-        start = (end - volume)[change][group]  # cells before the block's parent
+        start = (end - volume)[offsets[:-1]][group]  # cells before the block's parent
         past = order[end - start > k]
         stop = min(first, int(past.min()) + 1) if len(past) else first
         window = max(_PAINT_CELLS, int(end[-1]) // 64 if n else 0)

@@ -416,17 +416,6 @@ def aspect_ratio_objective(
     return acc / total_v
 
 
-def objective_value(
-    blocks: Sequence[MergedBlock],
-    min_dims: Sequence[float],
-    objective: Objective,
-) -> float | tuple[int, float]:
-    ar = aspect_ratio_objective(blocks, min_dims)
-    if objective == "aspect":
-        return ar
-    return (len(blocks), ar)
-
-
 def merge_class(
     boxes: Sequence[tuple[IntTriple, IntTriple]],
     counts: IntTriple,
@@ -574,9 +563,9 @@ def merge_prepared(
             params.convention == "dissolved" or params.objective == "count"
         ):
             break
-    # the order objective_value gives, first of equal scores; under "count"
-    # the aspect ratio only breaks ties of block count, so it is scored for
-    # the runs that tie the fewest blocks alone, each block shape once
+    # best by the objective, first of equal scores: under "aspect" the lowest
+    # aspect ratio; under "count" the fewest blocks, with the aspect ratio
+    # scored only to break their ties, each block shape once
     if params.objective == "count":
         fewest = min(len(merged) for _, merged in runs)
         runs = [run for run in runs if len(run[1]) == fewest]

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyInput, ValidationError
-from .lattice import BlockModel, unique_rows
+from .lattice import BlockModel
 
 STATS_HEADER = (
     "label",
@@ -101,8 +101,8 @@ def aspect_ratio_icdf(model: BlockModel) -> np.ndarray:
     the inverse CDF ("the lower the curve, the better").
     """
     _, volumes, ars = _block_metrics(model)
-    _, inverse = unique_rows(model.parent)
-    series = np.bincount(inverse, volumes * ars) / np.bincount(inverse, volumes)
+    group = model.parent_of()
+    series = np.bincount(group, volumes * ars) / np.bincount(group, volumes)
     series.sort()
     return series
 

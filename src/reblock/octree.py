@@ -24,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonDyadicDims, ValidationError
-from .merge import MergedBlock
 
 # Sibling positions within an octant are indexed by x + 2y + 4z bit flags.
 # Quads are tried before pairs; first available match wins.
@@ -135,17 +134,3 @@ def decompose_parents(labels: np.ndarray, max_depth: int, intra: bool) -> np.nda
         rows.append(_rows(p, np.column_stack([x, y, z]), 1, labels[p, z, y, x]))
     return np.concatenate(rows)
 
-
-def octree_decompose(
-    labels: np.ndarray,
-    max_depth: int,
-    intra_scale_merge: bool = False,
-) -> list[MergedBlock]:
-    """Decompose one parent's labelled cell grid into octree leaf blocks.
-
-    ``labels`` is (Kz, Ky, Kx) integers.  Output blocks are cell boxes
-    (min, dims, label) covering the grid exactly, in the level order of
-    :func:`decompose_parents` (coarsest first), not in recursion order.
-    """
-    rows = decompose_parents(np.asarray(labels)[None], max_depth, intra_scale_merge)
-    return [MergedBlock(tuple(r[1:4]), tuple(r[4:7]), r[7]) for r in rows.tolist()]

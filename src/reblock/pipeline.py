@@ -160,8 +160,8 @@ def restructure(
     unchanged.
 
     Crossed parents are taken in raster order, a window of them (a slice of
-    the overlap map's) at a time: one paint of their blocks, which one sort
-    of the model's blocks by parent finds, one :func:`classify_cells`, and
+    the overlap map's) at a time: one paint of their blocks, which the
+    model's grouping by parent finds, one :func:`classify_cells`, and
     one :func:`unique_rows` that gives each occupied cell its class, keyed
     by parent, label and per-surface flags.  The classes get ids across
     windows and, as unit cells labelled by class id, go to
@@ -187,17 +187,13 @@ def restructure(
     directions = [i.positive_direction for i in config.instructions]
     overlap = detect_overlaps(model, surfaces)
 
-    # the crossed parents' blocks, parent by parent, from one sort of the
-    # blocks by parent: in a stable sort of its runs' parents and then the
-    # crossed ones, crossed parent i comes right after run at[i] - i - 1
+    # the crossed parents' blocks, parent by parent: their groups of the
+    # model's grouping by parent, one after another
     parents = overlap.parents
-    grouped, change = model._parent_runs()
-    starts = np.flatnonzero(change)
-    at = np.flatnonzero(np.lexsort(np.concatenate([model.parent[grouped[starts]], parents]).T) >= len(starts))
-    run = at - np.arange(len(at)) - 1
-    size = np.diff(np.append(starts, len(model)))[run]
+    grouped, _, offsets = model.parent_groups
+    size = np.diff(offsets)[overlap.group]
     bounds = np.append(0, np.cumsum(size))  # crossed parent i's blocks: bounds[i]:bounds[i + 1]
-    crossed_rows = grouped[np.repeat(starts[run] - bounds[:-1], size) + np.arange(bounds[-1])]
+    crossed_rows = grouped[np.repeat(offsets[overlap.group] - bounds[:-1], size) + np.arange(bounds[-1])]
     through = np.bincount(crossed_rows, minlength=len(model)) == 0
     local = np.indices((kz, ky, kx)).reshape(3, -1)[::-1].T  # raster index -> cell
     stride = 2 if config.mode == "preclassified" else 1
@@ -313,9 +309,8 @@ def octree_model(
     loaded = [load_surface(path) for path in surfaces]
     model.validate()  # blocks disjoint and inside their parents: short volume = not covered
     k, (kx, ky, kz) = spec.cells_per_parent, spec.cell_counts
-    parents, group = unique_rows(model.parent[:, ::-1])  # raster order: z, then y, then x
-    parents = parents[:, ::-1]
-    short = np.flatnonzero(np.bincount(group, model.cell_dims.prod(axis=1), len(parents)) != k)
+    parents = model.parent_groups[1]
+    short = np.flatnonzero(np.bincount(model.parent_of(), model.cell_dims.prod(axis=1), len(parents)) != k)
     if len(short):
         raise ValidationError(
             f"parent {tuple(parents[short[0]].tolist())} is not fully covered; the octree "
@@ -335,18 +330,3 @@ def octree_model(
     table = np.concatenate(rows)
     return BlockModel.from_columns(spec, table[:, :3], table[:, 3:6], table[:, 6:9], table[:, 9])
 
-
-def heal_and_merge(
-    model: BlockModel, params: MergeParams | None = None, threads: int = 1
-) -> BlockModel:
-    """Re-merge a labelled model to heal fragmentation left by old boundaries.
-
-    Healing dissolves block boundaries within each (parent, label) class,
-    so blocks split by a surface that later lost its meaning coalesce
-    again.
-    """
-    if params is None:
-        params = MergeParams(convention="dissolved")
-    if params.convention != "dissolved":
-        raise ValidationError("healing requires the dissolved convention")
-    return merge_model(model, params, threads)

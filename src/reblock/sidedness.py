@@ -350,8 +350,11 @@ def classify_cells(
     surface's triangles recorded for that parent, one :func:`sat_batch`
     per (parent, surface), and its side from a parity cast at its centre,
     one cast per surface over every cell of the window's parents it
-    crosses.  Elsewhere the flag is False and the side 0.
+    crosses.  Elsewhere the flag is False and the side 0.  A window with a
+    step other than 1 is refused.
     """
+    if window.step not in (None, 1):
+        raise ValidationError(f"a window of crossed parents takes no step, got {window.step}")
     first, stop, _ = window.indices(len(overlap.parents))
     parents, offsets = overlap.parents[first:stop], overlap.offsets[first : stop + 1]
     owner = np.repeat(np.arange(len(parents)), np.diff(offsets))

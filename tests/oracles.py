@@ -6,19 +6,20 @@ box-list ``merge_class`` on each class, the parent-by-parent
 restructure, which runs the library's stages on one crossed parent at a
 time, the chunked model writer, which takes the model's canonical order
 and centroids, the overlap-map readers and builder, which read or fill
-its columns, and ``parent_runs``, which lists what
-``BlockModel._parent_runs`` returns — these are deliberately separate
+its columns, and the merge objective, which scores by the library's
+aspect-ratio objective — these are deliberately separate
 implementations (polygon clipping in floats and in exact rationals,
 closed-form containment, winding numbers, heightfield interpolation, ray
 crossings in exact rationals, a brute-force bounding-box filter, the
 triangle bounds, normals, index and SAT plane test as NumPy reductions
 over rows of three, grid-slab dissolved and persistent merges, a
 per-class model merge, a per-parent painter and restructure, a
-block-by-block tagger, a row-by-row model reader, a chunk-by-chunk
-``%r`` model writer, a row-by-row overlap CSV writer, a block-by-block
-disjointness check, line-by-line OBJ and OFF readers and a recursive
-octree, which takes only the candidate tables and the dyadic check from
-the library) used as ground truth by the unit and acceptance tests.
+block-by-block tagger, a dict grouping of blocks by parent, a row-by-row
+model reader, a chunk-by-chunk ``%r`` model writer, a row-by-row overlap
+CSV writer, a block-by-block disjointness check, line-by-line OBJ and
+OFF readers and a recursive octree, which takes only the candidate
+tables and the dyadic check from the library) used as ground truth by
+the unit and acceptance tests.
 """
 from __future__ import annotations
 
@@ -607,6 +608,17 @@ def coalesce_persistent_grid(owner, max_dims=None, token_life=None) -> list[tupl
     return [(r.cell_min, tuple(r.dims)) for r in records if not r.subsumed]
 
 
+def objective_value(blocks, min_dims, objective) -> float | tuple[int, float]:
+    """A merge's score under ``objective``, lower is better: the library's
+    aspect-ratio objective, after the block count under "count"."""
+    from reblock.merge import aspect_ratio_objective
+
+    ar = aspect_ratio_objective(blocks, min_dims)
+    if objective == "aspect":
+        return ar
+    return (len(blocks), ar)
+
+
 # ---------------------------------------------------------------------------
 # whole-model merge, one class at a time
 # ---------------------------------------------------------------------------
@@ -807,21 +819,27 @@ def overlap_records(overlap) -> dict:
     return out
 
 
-def overlap_columns(records: dict):
+def overlap_columns(records: dict, model=None):
     """The ``OverlapMap`` of ``{parent: {surface: triangles}}``, ordered by
     Python sorts: parents in raster order (z, then y, then x), then
-    surfaces, then triangles.  A parent with no triangles is left out."""
+    surfaces, then triangles.  A parent with no triangles is left out.
+    Each parent's group is its place among ``model``'s distinct parents in
+    raster order, or among the records' own parents without a model."""
     from reblock.intersection import OverlapMap
 
+    raster = lambda p: (p[2], p[1], p[0])
+    owners = records if model is None else {tuple(p) for p in model.parent.tolist()}
+    place = {p: g for g, p in enumerate(sorted(owners, key=raster))}
     parents, offsets, rows = [], [0], []
-    for parent in sorted(records, key=lambda p: (p[2], p[1], p[0])):
+    for parent in sorted(records, key=raster):
         found = [(s, t) for s in sorted(records[parent]) for t in sorted(records[parent][s])]
         if found:
             parents.append(parent)
             rows += found
             offsets.append(len(rows))
     surface, triangle = np.array(rows, dtype=np.int32).reshape(-1, 2).T
-    return OverlapMap(np.array(parents, dtype=np.int64).reshape(-1, 3), np.array(offsets), surface, triangle)
+    group = np.array([place[p] for p in parents], dtype=np.int64)
+    return OverlapMap(np.array(parents, dtype=np.int64).reshape(-1, 3), np.array(offsets), surface, triangle, group)
 
 
 def write_overlap_rows(path, records: dict) -> int:
@@ -840,11 +858,13 @@ def write_overlap_rows(path, records: dict) -> int:
 
 
 def parent_runs(model) -> list[tuple]:
-    """``BlockModel._parent_runs`` as ``(parent, [ordinal, ...])`` pairs,
-    one per run, in the order the runs come."""
-    order, change = model._parent_runs()
-    runs = np.split(order, np.flatnonzero(change)[1:]) if len(order) else []
-    return [(tuple(model.parent[r[0]].tolist()), r.tolist()) for r in runs]
+    """A model's blocks grouped by parent in a dict, as ``(parent,
+    [ordinal, ...])`` pairs: parents in raster order (z, then y, then x),
+    ordinals ascending."""
+    groups: dict = {}
+    for ordinal, parent in enumerate(model.parent.tolist()):
+        groups.setdefault(tuple(parent), []).append(ordinal)
+    return sorted(groups.items(), key=lambda g: g[0][::-1])
 
 
 def restructure_by_parent(model, config, surfaces) -> tuple[list[tuple], list]:

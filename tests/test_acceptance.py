@@ -18,8 +18,7 @@ from reblock.lattice import (
     BlockModel,
     LatticeSpec,
     cell_lut,
-    cells_of,
-    parent_min_corner,
+    expand_cells,
     write_model_csv,
 )
 from reblock.intersection import sat_pairs
@@ -27,11 +26,10 @@ from reblock.merge import (
     MergeParams,
     coalesce_binary,
     merge_class,
-    objective_value,
 )
 from reblock.mesh import RefineParams, build_index, refine_mesh
 from reblock.metrics import compute_stats, growth_factors
-from reblock.octree import octree_decompose, validate_dyadic
+from reblock.octree import decompose_parents, validate_dyadic
 from reblock.pipeline import PipelineConfig, merge_model, restructure
 from reblock.sidedness import SIDE_BELOW, cast_parity_many
 from reblock.tagging import TaggingInstruction, apply_tagging
@@ -43,6 +41,7 @@ from oracles import (
     distance_to_sphere,
     inside_box,
     inside_sphere,
+    objective_value,
 )
 from test_intersection import random_pairs
 from test_merge import random_partition_boxes
@@ -281,7 +280,7 @@ def test_c05_octree_baseline_comparison():
         validate_dyadic(spec.cell_counts, depth)
         lut = cell_lut(spec)
         centers = np.concatenate(
-            [lut + np.asarray(parent_min_corner(spec, p)) for p in parents]
+            [lut + (np.asarray(spec.origin) + np.asarray(p) * spec.parent_dims) for p in parents]
         )
         mask = np.zeros(len(centers), dtype=np.int64)
         for sid, (mesh, index) in enumerate(surfaces):
@@ -300,8 +299,8 @@ def test_c05_octree_baseline_comparison():
         grid = grids3[p]
         for name, intra in (("octree", False), ("octree_merge", True)):
             methods[name] += [
-                Block(p, b.cell_min, b.cell_dims, b.label)
-                for b in octree_decompose(grid, 3, intra)
+                Block(p, tuple(r[1:4]), tuple(r[4:7]), r[7])
+                for r in decompose_parents(grid[None], 3, intra).tolist()
             ]
         for name, convention in (("proposed_p", "persistent"), ("proposed_d", "dissolved")):
             params = MergeParams(convention=convention)
@@ -329,7 +328,7 @@ def test_c05_octree_baseline_comparison():
     assert volumes[0] == volumes[1] == volumes[2] == volumes[3]
 
     _, grids4 = label_grids(4)
-    deeper = sum(len(octree_decompose(grids4[p], 4, False)) for p in parents)
+    deeper = len(decompose_parents(np.stack([grids4[p] for p in parents]), 4, False))
     ratio = growth_factors({3: counts["octree"], 4: deeper})[0].ratio
     assert 3.0 <= ratio <= 5.0, f"depth growth {ratio:.2f}"
 
@@ -479,11 +478,9 @@ def test_c08_legacy_mode_mixes_boundary_sides(tmp_path):
     sides = cast_parity_many(centers, ledge, index).sides.reshape(4, 4, 4)
 
     def mixed(out):
-        count = 0
-        for b in out.blocks:
-            got = {int(sides[z, y, x]) for x, y, z in cells_of(spec, b)}
-            count += len(got) > 1
-        return count
+        ordinal, cell = expand_cells(out.cell_min, out.cell_dims, spec.cell_counts)
+        side = sides.ravel()[cell]  # raster order: x fastest, as sides[z, y, x]
+        return sum(len(set(side[ordinal == i].tolist())) > 1 for i in range(len(out)))
 
     assert mixed(fine) == 0
     assert mixed(coarse) >= 1
@@ -534,10 +531,10 @@ def test_c09_embedded_channel_retains_outer_labels(tmp_path):
     stratum = {0: 1, 1: 2}
     seen = {"channel": 0, "kept": 0}
     for b in out.blocks:
-        lo_corner = b.min_corner(spec)
+        corner = np.asarray(spec.origin) + np.asarray(b.parent) * spec.parent_dims
+        x0, _, z0 = corner + np.asarray(b.cell_min) * spec.min_dims
         dx, _, dz = np.asarray(b.cell_dims) * spec.min_dims
-        x0, x1 = lo_corner.x, lo_corner.x + dx
-        z0, z1 = lo_corner.z, lo_corner.z + dz
+        x1, z1 = x0 + dx, z0 + dz
         assert b.label in (1, 2, channel)
         if z0 > lo_height(x1, 0) and z1 < hi_height(x0, 0):
             assert b.label == channel, (b, "inside the channel")

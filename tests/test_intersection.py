@@ -5,17 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reblock.errors import DegenerateTriangle
-from reblock.geometry import Aabb, vec3
+from reblock.geometry import vec3
 from reblock.intersection import (
     _sat_core,
     detect_overlaps,
     sat_batch,
     sat_pairs,
-    sat_triangle_box,
     write_overlap_csv,
 )
-from reblock.lattice import Block, BlockModel, LatticeSpec, parent_min_corner
+from reblock.lattice import Block, BlockModel, LatticeSpec
 from reblock.mesh import build_index
 
 from conftest import grid_surface, icosphere
@@ -31,11 +29,16 @@ from oracles import (
     write_overlap_rows,
 )
 
-UNIT_BOX = Aabb(vec3(0, 0, 0), vec3(1, 1, 1))  # [-1,1]^3
+UNIT_CENTER, UNIT_HALF = np.zeros(3), np.ones(3)  # [-1,1]^3
 
 
 def tri(*pts) -> np.ndarray:
     return np.asarray(pts, dtype=np.float64)
+
+
+def sat_one(tv: np.ndarray, center, half) -> bool:
+    """One triangle against one box, as a one-pair :func:`sat_pairs`."""
+    return bool(sat_pairs(tv[None], np.asarray(center)[None], np.asarray(half)[None])[0])
 
 
 # --- hand-verified contact cases; dyadic coordinates, so all arithmetic is exact
@@ -61,27 +64,27 @@ CASES = [
 
 @pytest.mark.parametrize("tv,expected", CASES)
 def test_sat_hand_cases(tv, expected):
-    assert sat_triangle_box(tv, UNIT_BOX) is expected
+    assert sat_one(tv, UNIT_CENTER, UNIT_HALF) is expected
 
 
 @pytest.mark.parametrize("tv,expected", CASES)
 def test_clip_oracle_agrees_on_hand_cases(tv, expected):
-    assert clip_overlap(tv, UNIT_BOX.lo, UNIT_BOX.hi) is expected
+    assert clip_overlap(tv, -UNIT_HALF, UNIT_HALF) is expected
 
 
 def test_sat_separated_by_hair():
     shifted = FACE_TOUCH + np.array([1e-9, 0.0, 0.0])
-    assert not sat_triangle_box(shifted, UNIT_BOX)
-    assert not clip_overlap(shifted, UNIT_BOX.lo, UNIT_BOX.hi)
+    assert not sat_one(shifted, UNIT_CENTER, UNIT_HALF)
+    assert not clip_overlap(shifted, -UNIT_HALF, UNIT_HALF)
 
 
 def test_single_point_contact_the_float_clipper_misses():
     # they meet only at (2.5, 3, 2); clip_overlap's cut point rounds off
     # the box face there, so only the exact clipper is ground truth here
     tv = tri((1.0, 5.0, 4.0), (5.0, 1.0, -1.0), (0.0, 5.0, 5.0))
-    box = Aabb(vec3(2.5, 2.5, 2.5), vec3(0.5, 0.5, 0.5))
-    assert sat_triangle_box(tv, box)
-    assert clip_overlap_exact(tv, box.center, box.half)
+    center, half = np.full(3, 2.5), np.full(3, 0.5)
+    assert sat_one(tv, center, half)
+    assert clip_overlap_exact(tv, center, half)
 
 
 DRIFT = 2.0**-33
@@ -89,7 +92,7 @@ DRIFT = 2.0**-33
 
 def nearly_parallel_edge(offset: float, axis: int) -> np.ndarray:
     """A triangle whose edge 0-1 runs along box axis ``axis`` of
-    ``UNIT_BOX``, drifting by ``DRIFT`` in both other coordinates, and
+    the unit box, drifting by ``DRIFT`` in both other coordinates, and
     lying ``offset`` beyond the box edge where those coordinates are
     (-1, 1); vertex 2 points away from the box.
 
@@ -115,12 +118,6 @@ def test_sat_nearly_null_edge_axis(offset, axis):
     center, half = np.zeros(3), np.ones(3)
     got = sat_pairs(tv[None], center[None], half[None])[0]
     assert got == clip_overlap_exact(tv, center, half) == (offset <= 0.0)
-
-
-def test_sat_degenerate_triangle_rejected():
-    bad = tri((0, 0, 0), (1, 1, 1), (2, 2, 2))
-    with pytest.raises(DegenerateTriangle):
-        sat_triangle_box(bad, UNIT_BOX)
 
 
 def near_contact_pairs(seed: int, family: str, origin: float, exact: bool, shared: bool):
@@ -299,12 +296,10 @@ def test_sat_batch_empty_and_pruned_grids(rng):
 def test_grazing_cells_along_shared_face():
     """A triangle lying in the plane between two cell rows touches both."""
     shared = tri((0.0, 0.0, 1.0), (2.0, 0.0, 1.0), (0.0, 2.0, 1.0))
-    below = Aabb(vec3(1.0, 1.0, 0.5), vec3(0.5, 0.5, 0.5))
-    above = Aabb(vec3(1.0, 1.0, 1.5), vec3(0.5, 0.5, 0.5))
-    assert sat_triangle_box(shared, below)
-    assert sat_triangle_box(shared, above)
-    assert clip_overlap(shared, below.lo, below.hi)
-    assert clip_overlap(shared, above.lo, above.hi)
+    half = np.full(3, 0.5)
+    for center in (np.array([1.0, 1.0, 0.5]), np.array([1.0, 1.0, 1.5])):  # below, above
+        assert sat_one(shared, center, half)
+        assert clip_overlap(shared, center - half, center + half)
 
 
 def test_detect_overlaps_flat_surface():
@@ -341,7 +336,7 @@ def test_detect_overlaps_sphere_parent_subset():
     half = np.asarray(spec.parent_dims) * 0.5
     for parent, per_surface in records.items():
         tv = sphere.tri_vertices()[per_surface[0]]
-        center = np.asarray(parent_min_corner(spec, parent)) + half
+        center = np.asarray(spec.origin) + np.asarray(parent) * spec.parent_dims + half
         for v in tv[:: max(1, len(tv) // 8)]:
             assert clip_overlap_exact(v, center, half)
 
@@ -402,7 +397,8 @@ def _overlaps_block_by_block(model, surfaces) -> dict:
     spec = model.spec
     out: dict = {}
     for block in model.blocks:
-        lo = np.asarray(block.min_corner(spec))
+        lo = np.asarray(spec.origin) + np.asarray(block.parent) * spec.parent_dims
+        lo = lo + np.asarray(block.cell_min) * spec.min_dims
         hi = lo + np.asarray(block.cell_dims) * spec.min_dims
         center, half = (lo + hi) * 0.5, (hi - lo) * 0.5
         for sid, (mesh, _) in enumerate(surfaces):
@@ -421,8 +417,9 @@ def test_detect_overlaps_matches_block_by_block_reference(seed):
     each with its offsets, and its (surface, triangle) rows sorted."""
     model, surfaces = _random_scene(seed)
     overlap = detect_overlaps(model, surfaces)
-    want = overlap_columns(_overlaps_block_by_block(model, surfaces))
+    want = overlap_columns(_overlaps_block_by_block(model, surfaces), model)
     assert overlap.parents.tolist() == want.parents.tolist()
+    assert overlap.group.tolist() == want.group.tolist()
     assert overlap.offsets.tolist() == want.offsets.tolist()
     assert overlap.surface.tolist() == want.surface.tolist()
     assert overlap.triangle.tolist() == want.triangle.tolist()

@@ -19,9 +19,7 @@ from reblock.lattice import (
     LatticeSpec,
     cell_lut,
     cell_runs,
-    cells_of,
     expand_cells,
-    parent_min_corner,
     raster_index,
     read_model_csv,
     runs_disjoint,
@@ -59,8 +57,10 @@ def test_spec_rejects_non_finite_fields(field, value):
 
 
 def test_parent_geometry():
+    """Parent (1, 0, -1) spans (11, 2, -7) to (21, 12, 3)."""
     spec = make_spec(origin=(1, 2, 3))
-    assert parent_min_corner(spec, (1, 0, -1)) == vec3(11, 2, -7)
+    whole = Block(parent=(1, 0, -1), cell_min=(0, 0, 0), cell_dims=(5, 5, 5))
+    assert BlockModel(spec, [whole]).centroids().tolist() == [[16, 7, -2]]
 
 
 @given(st.integers(0, 4), st.integers(0, 5), st.integers(0, 6))
@@ -78,20 +78,21 @@ def test_raster_order_is_x_fastest():
 def test_block_geometry():
     spec = make_spec()
     b = Block(parent=(1, 0, 0), cell_min=(1, 2, 3), cell_dims=(2, 1, 1), label=9)
-    assert b.min_corner(spec) == vec3(12, 4, 6)
+    # the min corner (12, 4, 6) plus half the (4, 2, 2) extent
     assert BlockModel(spec, [b]).centroids().tolist() == [[14, 5, 7]]
 
 
-def test_cells_of_enumerates_whole_prism():
-    spec = make_spec()
-    b = Block(parent=(0, 0, 0), cell_min=(0, 0, 0), cell_dims=(2, 2, 1), label=0)
-    assert cells_of(spec, b) == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
+def test_expand_cells_enumerates_whole_prism():
+    counts = make_spec().cell_counts
+    ordinal, cell = expand_cells(np.array([[0, 0, 0]]), np.array([[2, 2, 1]]), counts)
+    assert ordinal.tolist() == [0] * 4
+    assert cell.tolist() == [raster_index(n, counts) for n in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]]
 
 
 def test_cell_lut_matches_block_centroids():
     spec = make_spec()
     lut = cell_lut(spec)
-    base = np.asarray(parent_min_corner(spec, (0, 0, 0)))
+    base = np.asarray(spec.origin)
     for i in (0, 7, 63, 124):
         n = tuple(int(v) for v in np.unravel_index(i, spec.cell_counts[::-1])[::-1])
         b = Block(parent=(0, 0, 0), cell_min=n, cell_dims=(1, 1, 1))
@@ -248,8 +249,36 @@ def test_parent_runs_preserve_input_order():
         Block(parent=(0, 0, 0), cell_min=(0, 0, 0), cell_dims=(1, 1, 1), label=2),
         Block(parent=(-1, 1, 1), cell_min=(0, 0, 0), cell_dims=(1, 1, 1), label=3),
     ]
-    runs = parent_runs(BlockModel(spec, blocks))
-    assert runs == [((0, 0, 0), [0, 2]), ((-1, 1, 1), [3]), ((1, 1, 1), [1])]
+    model = BlockModel(spec, blocks)
+    assert grouping(model) == [((0, 0, 0), [0, 2]), ((-1, 1, 1), [3]), ((1, 1, 1), [1])]
+    assert model.parent_of().tolist() == [0, 2, 0, 1]
+
+
+def grouping(model) -> list[tuple]:
+    """``BlockModel.parent_groups`` as ``(parent, [ordinal, ...])`` pairs,
+    group by group."""
+    order, parents, offsets = model.parent_groups
+    return [(tuple(p), order[a:b].tolist()) for p, a, b in zip(parents.tolist(), offsets[:-1], offsets[1:])]
+
+
+# a few small indices, so that parents repeat, and some of magnitude 2**40
+PARENT_INDEX = st.one_of(st.integers(-2, 2), st.sampled_from([-(2**40), -(2**40) + 1, 2**40 - 1, 2**40]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(PARENT_INDEX, PARENT_INDEX, PARENT_INDEX), max_size=24))
+def test_parent_groups_match_dict_grouping(parents):
+    """The grouping by parent is a dict grouping's, in raster order: on
+    negative parent indices and on indices of magnitude 2**40.  It is
+    built once per model, read-only."""
+    n = len(parents)
+    spec = LatticeSpec((0, 0, 0), (1, 1, 1), (1, 1, 1))
+    model = BlockModel.from_columns(spec, parents, np.zeros((n, 3)), np.ones((n, 3)), np.zeros(n))
+    runs = parent_runs(model)
+    assert grouping(model) == runs
+    assert model.parent_of().tolist() == [g for o in range(n) for g, (_, ords) in enumerate(runs) if o in ords]
+    assert model.parent_groups is model.parent_groups
+    assert not any(column.flags.writeable for column in model.parent_groups)
 
 
 # ---------------------------------------------------------------------------
@@ -697,10 +726,7 @@ def test_painted_validate_matches_block_by_block_oracle(case):
             return type(exc), str(exc)
 
     assert outcome(model.validate) == outcome(lambda: validate_rows(spec, rows))
-    groups: dict = {}
-    for ordinal, row in enumerate(rows):
-        groups.setdefault(row[0], []).append(ordinal)
-    assert parent_runs(model) == sorted(groups.items(), key=lambda g: g[0][::-1])
+    assert grouping(model) == parent_runs(model)
     key = lambda r: (r[0][2], r[0][1], r[0][0], raster_index(r[1], spec.cell_counts))
     got = [(b.parent, b.cell_min, b.cell_dims, b.label) for b in model.canonical().blocks]
     assert got == sorted(rows, key=key)
@@ -734,8 +760,13 @@ def test_cell_runs_list_each_box_row_by_row_and_abutting_runs_are_disjoint():
     assert runs_disjoint(np.array([2, 0]), np.array([2, 2]))  # the first ends where the second starts
     assert not runs_disjoint(np.array([1, 0]), np.array([2, 2]))  # one shared cell
     ordinal, cell = expand_cells(lo, dims, counts)
-    spec = LatticeSpec((0, 0, 0), counts, (1, 1, 1))
-    cells = [c for n, s in zip(lo, dims) for c in cells_of(spec, Block((0, 0, 0), tuple(n), tuple(s)))]
+    cells = [
+        (x, y, z)
+        for (x0, y0, z0), (sx, sy, sz) in zip(lo.tolist(), dims.tolist())
+        for z in range(z0, z0 + sz)
+        for y in range(y0, y0 + sy)
+        for x in range(x0, x0 + sx)
+    ]
     assert cell.tolist() == [raster_index(c, counts) for c in cells]
     assert ordinal.tolist() == [0] * 8 + [1] * 4
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import coalesce_binary_grid, coalesce_persistent_grid
+from oracles import coalesce_binary_grid, coalesce_persistent_grid, objective_value
 from reblock import merge
 from reblock.errors import EmptyInput, ValidationError
 from reblock.merge import (
@@ -20,7 +20,6 @@ from reblock.merge import (
     merge_class,
     merge_prepared,
     mirror_layers,
-    objective_value,
     scan_flips,
 )
 

@@ -7,10 +7,16 @@ from hypothesis import strategies as st
 
 from reblock.errors import NonDyadicDims, ValidationError
 from reblock.merge import MergedBlock
-from reblock.octree import decompose_parents, octree_decompose, validate_dyadic
+from reblock.octree import decompose_parents, validate_dyadic
 
 from oracles import merge_octant_leaves
 from oracles import octree_decompose as recursive_decompose
+
+
+def one_parent(labels, max_depth: int, intra: bool = False) -> list[MergedBlock]:
+    """One parent's (Kz, Ky, Kx) label grid through :func:`decompose_parents`."""
+    rows = decompose_parents(np.asarray(labels)[None], max_depth, intra)
+    return [MergedBlock(tuple(r[1:4]), tuple(r[4:7]), r[7]) for r in rows.tolist()]
 
 
 def cover_exactly(blocks, labels) -> None:
@@ -38,13 +44,13 @@ def test_validate_dyadic():
 
 def test_uniform_grid_is_one_leaf():
     labels = np.full((8, 8, 8), 3, dtype=np.int64)
-    blocks = octree_decompose(labels, max_depth=3)
+    blocks = one_parent(labels, max_depth=3)
     assert blocks == [MergedBlock((0, 0, 0), (8, 8, 8), 3)]
 
 
 def test_checkerboard_splits_to_cells():
     labels = np.indices((2, 2, 2)).sum(axis=0) % 2
-    blocks = octree_decompose(labels, max_depth=1)
+    blocks = one_parent(labels, max_depth=1)
     assert len(blocks) == 8
     cover_exactly(blocks, labels)
 
@@ -52,7 +58,7 @@ def test_checkerboard_splits_to_cells():
 def test_depth_cap_falls_apart_into_cells():
     labels = np.zeros((4, 4, 4), dtype=np.int64)
     labels[0, 0, 0] = 9  # one odd cell
-    blocks = octree_decompose(labels, max_depth=1)
+    blocks = one_parent(labels, max_depth=1)
     # 7 clean half-size octants plus 8 loose cells in the dirty one
     assert len(blocks) == 15
     cover_exactly(blocks, labels)
@@ -63,7 +69,7 @@ def test_depth_cap_falls_apart_into_cells():
 def test_deeper_budget_keeps_splitting():
     labels = np.zeros((4, 4, 4), dtype=np.int64)
     labels[0, 0, 0] = 9
-    blocks = octree_decompose(labels, max_depth=2)
+    blocks = one_parent(labels, max_depth=2)
     assert len(blocks) == 15  # same here: depth 2 reaches single cells cleanly
     cover_exactly(blocks, labels)
 
@@ -73,7 +79,7 @@ def test_random_grids_cover_exactly(rng):
         k = int(rng.choice([2, 4, 8]))
         depth = {2: 1, 4: 2, 8: 3}[k]
         labels = rng.integers(0, 3, size=(k, k, k))
-        blocks = octree_decompose(labels, max_depth=depth)
+        blocks = one_parent(labels, max_depth=depth)
         cover_exactly(blocks, labels)
 
 
@@ -81,8 +87,8 @@ def test_intra_scale_merge_quad():
     # one octant's bottom 4 children share a label; top 4 are distinct
     labels = np.zeros((2, 2, 2), dtype=np.int64)
     labels[1] = np.array([[1, 2], [3, 4]])
-    plain = octree_decompose(labels, max_depth=1)
-    merged = octree_decompose(labels, max_depth=1, intra_scale_merge=True)
+    plain = one_parent(labels, max_depth=1)
+    merged = one_parent(labels, max_depth=1, intra=True)
     assert len(plain) == 8
     cover_exactly(merged, labels)
     assert MergedBlock((0, 0, 0), (2, 2, 1), 0) in merged
@@ -96,7 +102,7 @@ def test_intra_scale_merge_edge_pair():
             [[3, 4], [6, 7]],
         ]
     )  # [z, y, x]: only cells (0,0,0) and (1,0,0) share a label
-    merged = octree_decompose(labels, max_depth=1, intra_scale_merge=True)
+    merged = one_parent(labels, max_depth=1, intra=True)
     cover_exactly(merged, labels)
     assert MergedBlock((0, 0, 0), (2, 1, 1), 5) in merged
     assert len(merged) == 7
@@ -106,8 +112,8 @@ def test_intra_scale_merge_never_leaves_octant(rng):
     """Merged blocks always nest inside one octant of some node."""
     for _ in range(10):
         labels = rng.integers(0, 2, size=(8, 8, 8))
-        plain = octree_decompose(labels, max_depth=3)
-        merged = octree_decompose(labels, max_depth=3, intra_scale_merge=True)
+        plain = one_parent(labels, max_depth=3)
+        merged = one_parent(labels, max_depth=3, intra=True)
         cover_exactly(merged, labels)
         assert len(merged) <= len(plain)
         for b in merged:

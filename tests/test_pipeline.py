@@ -17,17 +17,15 @@ from reblock.lattice import (
     BlockModel,
     LatticeSpec,
     cell_lut,
-    cells_of,
-    parent_min_corner,
+    expand_cells,
     read_model_csv,
     write_model_csv,
 )
 from reblock.merge import MergeParams
 from reblock.mesh import build_index, load_mesh
-from reblock.octree import octree_decompose
+from reblock.octree import decompose_parents
 from reblock.pipeline import (
     PipelineConfig,
-    heal_and_merge,
     load_surface,
     load_surfaces,
     merge_model,
@@ -192,14 +190,9 @@ class TestModeContrast:
         return mesh, index, cast_parity_many(centers, mesh, index).sides.reshape(4, 4, 4)
 
     def mixed_blocks(self, model, sides):
-        mixed = []
-        for block in model.blocks:
-            got = {
-                int(sides[z, y, x]) for x, y, z in cells_of(SPEC, block)
-            }
-            if len(got) > 1:
-                mixed.append(block)
-        return mixed
+        ordinal, cell = expand_cells(model.cell_min, model.cell_dims, SPEC.cell_counts)
+        side = sides.ravel()[cell]  # raster order: x fastest, as sides[z, y, x]
+        return [b for i, b in enumerate(model.blocks) if len(set(side[ordinal == i].tolist())) > 1]
 
     def test_legacy_mixes_sides_preclassified_does_not(self, patch_scene):
         model, instr = patch_scene
@@ -220,6 +213,21 @@ class TestModeContrast:
         fine_grid, _ = paint_parent(SPEC, fine.blocks)
         coarse_grid, _ = paint_parent(SPEC, coarse.blocks)
         assert (fine_grid != coarse_grid).any()
+
+
+def test_restructure_sorts_the_input_blocks_by_parent_once(flat_scene, tmp_path, monkeypatch):
+    """Reading a model validates it, and restructure finds overlaps and the
+    crossed parents' blocks, all from one sort of its blocks by parent."""
+    model, instr = flat_scene
+    path = tmp_path / "model.csv"
+    write_model_csv(path, model.take([2, 0, 1]))
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys, *args: sorts.append(keys) or lexsort(keys, *args))
+    model = read_model_csv(path, SPEC)
+    out = restructure(model, PipelineConfig(instructions=(instr,)))
+    assert len(out) > len(model)
+    assert sum(any(np.shares_memory(k, model.parent) for k in keys) for keys in sorts) == 1
 
 
 class TestConfigAndErrors:
@@ -273,13 +281,8 @@ class TestHealing:
             Block(parent=(0, 0, 0), cell_min=(0, 0, k), cell_dims=(4, 4, 1), label=7)
             for k in range(4)
         ]
-        healed = heal_and_merge(BlockModel(spec=SPEC, blocks=blocks))
+        healed = merge_model(BlockModel(spec=SPEC, blocks=blocks), MergeParams(convention="dissolved"))
         assert blocks_as_tuples(healed) == [((0, 0, 0), (0, 0, 0), (4, 4, 4), 7)]
-
-    def test_requires_dissolving(self):
-        model = full_parent_model((0, 0, 0))
-        with pytest.raises(ValidationError, match="dissolved"):
-            heal_and_merge(model, MergeParams(convention="persistent"))
 
     def test_merge_model_never_grows(self):
         blocks = []
@@ -510,13 +513,13 @@ def test_octree_model_matches_parent_by_parent_decomposition(tmp_path, intra):
     surfaces = [load_surface(path) for path in paths]
     want = []
     for p in parents:
-        centers = cell_lut(spec) + np.asarray(parent_min_corner(spec, p))
+        centers = cell_lut(spec) + (np.asarray(spec.origin) + np.asarray(p) * spec.parent_dims)
         labels = np.zeros(spec.cells_per_parent, dtype=np.int64)
         for sid, (mesh, index) in enumerate(surfaces):
             below = cast_parity_many(centers, mesh, index).sides == SIDE_BELOW
             labels |= below.astype(np.int64) << sid
         grid = labels.reshape(spec.cell_counts[::-1])
-        want += [(p, b.cell_min, b.cell_dims, b.label) for b in octree_decompose(grid, 2, intra)]
+        want += [(p, tuple(r[1:4]), tuple(r[4:7]), r[7]) for r in decompose_parents(grid[None], 2, intra).tolist()]
     assert {w[3] for w in want} == {0, 1, 2, 3} and ((1, 1, 1) in {w[2] for w in want})
     k = spec.cells_per_parent
     for window in (k, 5 * k, merge._CLASS_CELLS):

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reblock import sidedness
+from reblock.errors import ValidationError
 from reblock.geometry import vec3
 from reblock.intersection import detect_overlaps
-from reblock.lattice import Block, BlockModel, LatticeSpec, cell_lut, parent_min_corner
+from reblock.lattice import Block, BlockModel, LatticeSpec, cell_lut
 from reblock.mesh import TriangleMesh, build_index
 from reblock.sidedness import (
     SIDE_ABOVE,
@@ -522,6 +523,21 @@ def test_classify_cells_window_matches_parent_by_parent():
             assert not intersects[sid, w].any() and not sides[sid, w].any()
 
 
+@pytest.mark.parametrize("window", [slice(0, 4, 2), slice(None, None, -1)])
+def test_classify_cells_refuses_a_stepped_window(window):
+    """A window is a run of crossed parents: a step of 2 would classify
+    all four parents of a sheet scene, and a reversed window fail on an
+    index, so both are refused."""
+    spec = LatticeSpec(vec3(0, 0, 0), vec3(4, 4, 4), vec3(1, 1, 1))
+    model = BlockModel(spec, [Block((x, 0, 0), (0, 0, 0), (4, 4, 4), 0) for x in range(4)])
+    sheet = grid_surface([-1.0, 17.0], [-1.0, 5.0], lambda x, y: 1.5 + x / 8)
+    surfaces = [(sheet, build_index(sheet))]
+    overlap = detect_overlaps(model, surfaces)
+    assert len(overlap.parents) == 4
+    with pytest.raises(ValidationError, match=f"^a window of crossed parents takes no step, got {window.step}$"):
+        classify_cells(spec, overlap, surfaces, window=window)
+
+
 def _stepped_sheet():
     """Dyadic sheet: flat on the z = 4 cell faces up to x = 4, then rising
     0.5 per unit x, with every vertex on a lattice point or half-point."""
@@ -550,7 +566,7 @@ def test_classify_cells_intersects_match_clip_oracle(scene):
     intersects, _ = classify_cells(spec, overlap, surfaces)
 
     tv = mesh.tri_vertices()[overlap_records(overlap)[parent][0]]
-    centers = cell_lut(spec) + np.asarray(parent_min_corner(spec, parent))
+    centers = cell_lut(spec) + (np.asarray(spec.origin) + np.asarray(parent) * spec.parent_dims)
     c, t = np.indices((len(centers), len(tv))).reshape(2, -1)
     half = np.asarray(spec.min_dims) * 0.5
     hits = clip_overlap_pairs(tv[t], centers[c], half).reshape(len(centers), len(tv))
