@@ -69,6 +69,17 @@ def _triple(kind: type, form: str, noun: str) -> Callable[[str], tuple]:
     return parse
 
 
+def _process_count(text: str) -> int:
+    """An argparse type reading ``--threads``: an integer of at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"non-integer process count '{text}'") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"process count must be at least 1, got {count}")
+    return count
+
+
 def _merge_params(args: argparse.Namespace) -> MergeParams:
     return MergeParams(
         convention=args.convention,
@@ -244,7 +255,7 @@ def _add_merge_flags(p: argparse.ArgumentParser, convention_required: bool) -> N
         help="cap on merged cell dims 'nx,ny,nz'",
     )
     p.add_argument(
-        "--threads", type=int, default=default_threads(),
+        "--threads", type=_process_count, default=default_threads(),
         help="processes, this one included, for per-parent stages (default: the CPUs it may use)",
     )
 

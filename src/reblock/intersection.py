@@ -145,35 +145,46 @@ class OverlapMap:
     group: np.ndarray  # (P,) int64
 
 
+# detect_overlaps queries and tests this many blocks at a time, which bounds
+# its candidate pairs and their gathered triangles
+_OVERLAP_BLOCKS = 1 << 12
+
+
 def detect_overlaps(
     model: BlockModel,
     surfaces: Sequence[tuple[TriangleMesh, MeshIndex]],
 ) -> OverlapMap:
     """Exact block-surface overlap pass over the whole model.
 
-    Per surface, the boxes of all input blocks go to the surface index in
-    one query, and the candidate (block, triangle) pairs to one SAT call;
-    per parent and per surface the union of intersecting triangle ids over
-    that parent's blocks is recorded; one ``lexsort`` puts all records in
-    parent, then surface order.  Parents are numbered by the model's
-    grouping by parent, so the blocks are not sorted here.
+    The blocks go a chunk of ``_OVERLAP_BLOCKS`` at a time, which bounds
+    the candidates held at once.  Per chunk and surface, the block boxes go
+    to the surface index in one query, and the candidate (block, triangle)
+    pairs to one SAT call.  Per surface, one ``np.unique`` over the hits'
+    keys records the union of intersecting triangle ids over each parent's
+    blocks, and one ``lexsort`` puts all records in parent, then surface
+    order.  Parents are numbered by the model's grouping by parent, so the
+    blocks are not sorted here.
     """
     spec = model.spec
-    parent, cell_min, cell_dims = model.parent, model.cell_min, model.cell_dims
-    # a block's min corner (its parent's corner as BlockModel.centroids
-    # forms it, plus its cells), extent, centre and half extent
-    min_dims = np.asarray(spec.min_dims)
-    lo = np.asarray(spec.origin) + parent * np.asarray(spec.parent_dims) + cell_min * min_dims
-    hi = lo + cell_dims * min_dims
-    center, half = (lo + hi) * 0.5, (hi - lo) * 0.5
-    del lo, hi  # not held while the candidate pairs, this pass's peak, are built
+    origin, parent_dims, min_dims = map(np.asarray, (spec.origin, spec.parent_dims, spec.min_dims))
     parent_of = model.parent_of()
+    keys = [[np.empty(0, dtype=np.int64)] for _ in surfaces]
+    for first in range(0, len(model), _OVERLAP_BLOCKS):
+        chunk = slice(first, first + _OVERLAP_BLOCKS)
+        # a block's min corner (its parent's corner as BlockModel.centroids
+        # forms it, plus its cells), extent, centre and half extent
+        lo = origin + model.parent[chunk] * parent_dims + model.cell_min[chunk] * min_dims
+        hi = lo + model.cell_dims[chunk] * min_dims
+        center, half = (lo + hi) * 0.5, (hi - lo) * 0.5
+        for sid, (mesh, index) in enumerate(surfaces):
+            box, tri = query_candidates(index, center - half, center + half).T
+            hit = sat_pairs(mesh.tri_vertices()[tri], center[box], half[box])
+            # one key per (parent, triangle) hit
+            keys[sid].append(parent_of[first + box[hit]] * len(mesh) + tri[hit])
     records = [np.empty((0, 3), dtype=np.int64)]
-    for sid, (mesh, index) in enumerate(surfaces):
-        box, tri = query_candidates(index, center - half, center + half).T
-        hit = sat_pairs(mesh.tri_vertices()[tri], center[box], half[box])
-        # one key per recorded (parent, triangle), in parent then triangle order
-        pid, tid = np.divmod(np.unique(parent_of[box[hit]] * len(mesh) + tri[hit]), len(mesh))
+    for sid, (mesh, _) in enumerate(surfaces):
+        # in parent then triangle order, each recorded once
+        pid, tid = np.divmod(np.unique(np.concatenate(keys[sid])), len(mesh))
         records.append(np.column_stack([pid, np.full_like(pid, sid), tid]))
     table = np.concatenate(records)
     pid, sid, tid = table[np.lexsort(table.T[1::-1])].T  # stable: triangles stay ascending

@@ -19,14 +19,17 @@ pass: positions come from the class keys, and majorities from one paint
 of the merged blocks.
 ``octree_model`` casts and decomposes a window of parents at a time.
 
-Two consolidation regimes are supported.  ``preclassified`` (the
-default) folds each cell's per-surface sidedness into its merge class,
-so no output block ever mixes cells from both sides of a surface.
-``legacy-two-set`` merges on intersect/non-intersect alone and then
-derives each merged block's sidedness from a single ray at its centroid
-— cheaper, but a block straddling a surface's support edge can swallow
-cells whose own classification disagrees.  Both are kept so the
-difference stays measurable.
+Two consolidation regimes are supported, on one classification and one
+class-key layout: crossed parent, label, then per surface a cell's
+intersect flag and side.  ``preclassified`` (the default) keeps the side
+in the key, so no output block ever mixes cells from both sides of a
+surface.  ``legacy-two-set`` zeroes the side columns, so it merges on
+intersect/non-intersect alone, and then derives each merged block's
+sidedness from a single ray at its centroid — a block straddling a
+surface's support edge can swallow cells whose own classification
+disagrees.  Both are kept so the difference stays measurable.  With a
+diagnostics directory, restructure writes the overlap records and the
+cells' sides, which do not depend on the regime.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ from .parallel import parallel_map
 from .sidedness import (
     SIDE_ABOVE,
     SIDE_BELOW,
-    CellClassification,
     cast_parity_many,
     classify_cells,
     write_sidedness_csv,
@@ -163,13 +165,14 @@ def restructure(
     the overlap map's) at a time: one paint of their blocks, which the
     model's grouping by parent finds, one :func:`classify_cells`, and
     one :func:`unique_rows` that gives each occupied cell its class, keyed
-    by parent, label and per-surface flags.  The classes get ids across
-    windows and, as unit cells labelled by class id, go to
-    :func:`class_inputs` and then, all at once, to the workers.  A merged
-    block's class key gives its label and positions; its cells, painted once
-    for all blocks, count its majority side of each surface.  A cell's
-    classification depends on its own arithmetic only, so no output depends
-    on the window size or the thread count.
+    by parent, label and per surface its intersect flag and side (0 under
+    ``legacy-two-set``).  The classes get ids across windows and, as unit
+    cells labelled by class id, go to :func:`class_inputs` and then, all at
+    once, to the workers.  A merged block's class key gives its label and
+    positions; its cells, painted once for all blocks, count its majority
+    side of each surface.  A cell's classification depends on its own
+    arithmetic only, so no output depends on the window size or the thread
+    count.
     """
     model.validate()
     _check_caps(config.merge_params.max_dims, model.spec.cell_counts)
@@ -196,10 +199,10 @@ def restructure(
     crossed_rows = grouped[np.repeat(offsets[overlap.group] - bounds[:-1], size) + np.arange(bounds[-1])]
     through = np.bincount(crossed_rows, minlength=len(model)) == 0
     local = np.indices((kz, ky, kx)).reshape(3, -1)[::-1].T  # raster index -> cell
-    stride = 2 if config.mode == "preclassified" else 1
-    keys = [np.empty((0, 2 + stride * n_surfaces), dtype=np.int64)]
-    sides = [np.empty((n_surfaces, 0, k), dtype=np.int8)]
-    tasks, classified = [], []
+    # legacy-two-set leaves the side out of the class key: its columns are 0
+    keyed = config.mode == "preclassified"
+    keys = [np.empty((0, 2 + 2 * n_surfaces), dtype=np.int64)]
+    sides, tasks = [np.empty((n_surfaces, 0, k), dtype=np.int8)], []
     step = max(1, merge._CLASS_CELLS // k)
     for first in range(0, len(parents), step):
         window = slice(first, min(first + step, len(parents)))
@@ -213,10 +216,9 @@ def restructure(
         cells, label = at[order], model.label[rows[ordinal[order]]]
         intersects, window_sides = classify_cells(spec, overlap, surfaces, directions, window)
         # class keys: crossed parent, label, then per surface its intersect
-        # flag, -1 where it does not cross the parent, and when preclassified
-        # its side; a parent's classes come out in the order of its own keys
-        flags = np.where(window_sides != 0, intersects, -1)
-        columns = np.stack([flags, window_sides], 1) if stride == 2 else flags[:, None]
+        # flag and side (both 0 where it does not cross the parent); a
+        # parent's classes come out in the order of its own keys
+        columns = np.stack([intersects, window_sides * keyed], 1)
         columns = columns.reshape(-1, (window.stop - first) * k)[:, cells - first * k].T
         classes, class_of = unique_rows(np.column_stack([cells // k, label, columns]))
         # each window's classes get global ids: the rows of the joined keys
@@ -224,19 +226,15 @@ def restructure(
         tasks += class_inputs(*cell_rows, np.ones_like(cell_rows[2]), spec.cell_counts, params.convention)
         keys.append(classes)
         sides.append(window_sides)
-        if config.diagnostics_dir is not None:
-            for w, parent in enumerate(parents[window].tolist()):
-                ids = np.flatnonzero(window_sides[:, w, 0]).tolist()  # the surfaces that give it sides
-                classified.append(CellClassification(tuple(parent), ids, intersects[ids, w], window_sides[ids, w]))
     merged = _merge_tasks(spec, params, tasks, threads)
 
     # positions from the class keys; majorities from one paint of the
     # merged blocks, counting the cells classified above each surface
     key = np.concatenate(keys)[merged.label]
-    flags = key[:, 2::stride]
-    side = key[:, 3::2] if stride == 2 else POS_UNCAST
+    flags, side = key[:, 2::2], key[:, 3::2]
+    sides = np.concatenate(sides, 1)
     ordinal, cell = expand_cells(merged.cell_min, merged.cell_dims, spec.cell_counts)
-    painted = np.concatenate(sides, 1).reshape(n_surfaces, -1)[:, key[ordinal, 0] * k + cell]
+    painted = sides.reshape(n_surfaces, -1)[:, key[ordinal, 0] * k + cell]
     above = np.array([np.bincount(ordinal[s == SIDE_ABOVE], minlength=len(merged)) for s in painted])
     columns = zip(
         (model.parent, model.cell_min, model.cell_dims, model.label),
@@ -245,7 +243,7 @@ def restructure(
     staged = BlockModel.from_columns(spec, *(np.concatenate([c[through], m]) for c, m in columns))
     kept = (np.count_nonzero(through), n_surfaces)
     positions = np.concatenate([
-        np.full(kept, POS_UNCAST), np.where(flags == 1, ACROSS, np.where(flags == 0, side, POS_UNCAST))
+        np.full(kept, POS_UNCAST), np.where(flags == 1, ACROSS, np.where(side == 0, POS_UNCAST, side))
     ])
     majorities = np.concatenate([
         np.full(kept, SIDE_ABOVE),
@@ -267,7 +265,7 @@ def restructure(
         diag = Path(config.diagnostics_dir)
         diag.mkdir(parents=True, exist_ok=True)
         write_overlap_csv(diag / "overlap.csv", overlap)
-        write_sidedness_csv(diag / "sidedness.csv", spec, classified, n_surfaces)
+        write_sidedness_csv(diag / "sidedness.csv", spec, parents, sides)
     return out
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .intersection import OverlapMap, sat_batch
-from .lattice import IntTriple, LatticeSpec, cell_lut
+from .lattice import LatticeSpec, cell_lut
 from .mesh import MeshIndex, TriangleMesh, query_candidates
 
 SIDE_ABOVE = 1
@@ -317,23 +317,6 @@ def cast_parity(
 # cell pre-classification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CellClassification:
-    """Per-surface cell states of one parent, raster-ordered, as the
-    sidedness diagnostics write them.
-
-    ``sides`` carries a definite above/below for every cell (intersected
-    cells included — their centroid parity is what class-based merging
-    and forced tagging consume).  ``intersects`` is the separate overlap
-    flag.  Surfaces absent from ``surface_ids`` are untested here.
-    """
-
-    parent: IntTriple
-    surface_ids: list[int]
-    intersects: np.ndarray  # (S, K) bool
-    sides: np.ndarray  # (S, K) int8
-
-
 def classify_cells(
     spec: LatticeSpec,
     overlap: OverlapMap,
@@ -379,34 +362,24 @@ def classify_cells(
 
 
 def write_sidedness_csv(
-    path: str | Path,
-    spec: LatticeSpec,
-    classifications: Sequence[CellClassification],
-    n_surfaces: int,
+    path: str | Path, spec: LatticeSpec, parents: np.ndarray, sides: np.ndarray
 ) -> int:
-    """Diagnostic dump: one row per (parent, cell, surface).
+    """Diagnostic dump: one row per (parent, cell, surface), parents in the
+    order of the (P, 3) ``parents``, cells in raster order (x fastest),
+    surfaces innermost.
 
+    ``sides`` is (S, P, K), as :func:`classify_cells` gives it: each cell's
+    side of each surface, 0 where the surface does not cross the parent.
     ``code`` is the 3-bit sidedness state (above=4, below=2, untested=1);
     intersect flags are a separate channel (see the overlap CSV).
     """
     kx, ky, kz = spec.cell_counts
-    # (cell_ix, cell_iy, cell_iz, surface_id) rows: cells in raster order
-    # (x fastest), surfaces innermost
     cells = np.indices((kz, ky, kx)).reshape(3, -1)[::-1].T
-    cell_sid = np.column_stack(
-        [np.repeat(cells, n_surfaces, axis=0), np.tile(np.arange(n_surfaces), len(cells))]
-    )
-    line = "%d:%d:%d,%d,%d,%d,%d,%d\n"
+    codes = np.select([sides == SIDE_ABOVE, sides == SIDE_BELOW], [CODE_ABOVE, CODE_BELOW], CODE_UNTESTED)
+    p, c, s = np.indices((len(parents), len(cells), len(sides))).reshape(3, -1)
+    table = np.column_stack([parents[p], cells[c], s, codes[s, p, c]])
     with Path(path).open("w", newline="") as handle:
         handle.write("parent,cell_ix,cell_iy,cell_iz,surface_id,code\n")
-        for cls in sorted(
-            classifications, key=lambda c: (c.parent[2], c.parent[1], c.parent[0])
-        ):
-            codes = np.full((len(cells), n_surfaces), CODE_UNTESTED)
-            codes[:, cls.surface_ids] = np.where(
-                cls.sides.T == SIDE_ABOVE, CODE_ABOVE, CODE_BELOW
-            )
-            parent = np.broadcast_to(cls.parent, (len(cell_sid), 3))
-            table = np.column_stack([parent, cell_sid, codes.ravel()])
-            handle.write(line * len(table) % tuple(table.ravel().tolist()))
-    return len(cell_sid) * len(classifications)
+        for rows in np.split(table, range(4096, len(table), 4096)):  # formatted 4,096 rows at a time
+            handle.write("%d:%d:%d,%d,%d,%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist()))
+    return len(table)

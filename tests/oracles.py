@@ -867,9 +867,10 @@ def parent_runs(model) -> list[tuple]:
     return sorted(groups.items(), key=lambda g: g[0][::-1])
 
 
-def restructure_by_parent(model, config, surfaces) -> tuple[list[tuple], list]:
+def restructure_by_parent(model, config, surfaces) -> tuple[list[tuple], np.ndarray]:
     """Restructure of a valid model as ``(parent, cell_min, cell_dims,
-    label)`` rows, and the crossed parents' ``CellClassification``s.
+    label)`` rows, and the crossed parents' cell sides: (S, P, K), 0 where
+    a surface does not cross the parent, parents in raster order.
 
     Pass-through blocks come first, in input order; then the crossed
     parents in raster order, each painted and classified on its own: SAT
@@ -884,7 +885,7 @@ def restructure_by_parent(model, config, surfaces) -> tuple[list[tuple], list]:
     from reblock.intersection import detect_overlaps, sat_batch
     from reblock.lattice import BlockModel
     from reblock.merge import merge_class
-    from reblock.sidedness import CellClassification, cast_parity_many
+    from reblock.sidedness import cast_parity_many
 
     spec, n_surfaces = model.spec, len(surfaces)
     kx, ky, kz = spec.cell_counts
@@ -902,8 +903,9 @@ def restructure_by_parent(model, config, surfaces) -> tuple[list[tuple], list]:
             rows.append((b.parent, b.cell_min, b.cell_dims, b.label))
             positions.append([None] * n_surfaces)
             majorities.append([1] * n_surfaces)
-    classifications = []
-    for parent in sorted(by_parent, key=lambda p: (p[2], p[1], p[0])):
+    crossed = sorted(by_parent, key=lambda p: (p[2], p[1], p[0]))
+    parent_sides = np.zeros((n_surfaces, len(crossed), len(cells)), dtype=np.int8)
+    for w, parent in enumerate(crossed):
         labels, owner = paint_parent(spec, by_parent[parent])
         base = [o + p * d for o, p, d in zip(spec.origin, parent, spec.parent_dims)]
         centers = np.array([[b + (n + 0.5) * m for b, n, m in zip(base, c, spec.min_dims)] for c in cells])
@@ -913,7 +915,7 @@ def restructure_by_parent(model, config, surfaces) -> tuple[list[tuple], list]:
             for s in ids
         ])
         sides = np.array([cast_parity_many(centers, *surfaces[s], directions[s]).sides for s in ids])
-        classifications.append(CellClassification(parent, ids, intersects, sides))
+        parent_sides[ids, w] = sides
         classes = {}
         for i in np.flatnonzero(owner.ravel() >= 0).tolist():
             key = [int(labels.flat[i])]
@@ -945,7 +947,7 @@ def restructure_by_parent(model, config, surfaces) -> tuple[list[tuple], list]:
             for i, side in zip(missing, cast.sides.tolist()):
                 positions[i][s] = side
     tagged = apply_tagging_by_block(positions, majorities, staged.label, config.instructions)
-    return [(*r[:3], label) for r, label in zip(rows, tagged)], classifications
+    return [(*r[:3], label) for r, label in zip(rows, tagged)], parent_sides
 
 
 # ---------------------------------------------------------------------------

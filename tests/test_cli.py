@@ -643,6 +643,41 @@ class TestParserBehaviour:
         assert code == 1
         assert "expected 'x,y,z'" in capsys.readouterr().err
 
+    def test_non_numeric_origin_exits_1(self, capsys):
+        code = main(
+            ["stats", "--origin", "a,b,c", *LATTICE_FLAGS, "--model", "m.csv", "--out-dir", "d"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.endswith(
+            "reblock stats: error: argument --origin: non-numeric triple 'a,b,c'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "threads, message",
+        [
+            ("0", "process count must be at least 1, got 0"),
+            ("-3", "process count must be at least 1, got -3"),
+            ("two", "non-integer process count 'two'"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["restructure", "merge"])
+    def test_bad_thread_count_exits_1_with_usage(self, scene, capsys, command, threads, message):
+        """A process count below 1, or not an integer, is refused with the
+        flags, before the model is read: even a restructure with no
+        instructions, which would return its input unchanged, writes
+        nothing."""
+        tmp, model_csv, _ = scene
+        comments = tmp / "comments.cfg"
+        comments.write_text("# no surfaces\n")
+        flags = {"restructure": ["--config", str(comments)], "merge": ["--convention", "dissolved"]}
+        out = tmp / "out.csv"
+        argv = [command, *LATTICE_FLAGS, "--model", str(model_csv), "--out", str(out), "--threads", threads]
+        assert main(argv + flags[command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: reblock {command} ")
+        assert err.endswith(f"reblock {command}: error: argument --threads: {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [

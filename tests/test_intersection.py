@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reblock import intersection
 from reblock.geometry import vec3
 from reblock.intersection import (
     _sat_core,
@@ -414,16 +415,21 @@ def _overlaps_block_by_block(model, surfaces) -> dict:
 @given(st.integers(0, 2**32 - 1))
 def test_detect_overlaps_matches_block_by_block_reference(seed):
     """The columns hold the reference's records: parents in raster order,
-    each with its offsets, and its (surface, triangle) rows sorted."""
+    each with its offsets, and its (surface, triangle) rows sorted.  So do
+    they when the blocks go three at a time, a chunk's blocks spanning
+    parents and a parent's blocks spanning chunks."""
     model, surfaces = _random_scene(seed)
-    overlap = detect_overlaps(model, surfaces)
     want = overlap_columns(_overlaps_block_by_block(model, surfaces), model)
-    assert overlap.parents.tolist() == want.parents.tolist()
-    assert overlap.group.tolist() == want.group.tolist()
-    assert overlap.offsets.tolist() == want.offsets.tolist()
-    assert overlap.surface.tolist() == want.surface.tolist()
-    assert overlap.triangle.tolist() == want.triangle.tolist()
-    assert overlap.surface.dtype == overlap.triangle.dtype == np.int32
+    for chunk in (intersection._OVERLAP_BLOCKS, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intersection, "_OVERLAP_BLOCKS", chunk)
+            overlap = detect_overlaps(model, surfaces)
+        assert overlap.parents.tolist() == want.parents.tolist()
+        assert overlap.group.tolist() == want.group.tolist()
+        assert overlap.offsets.tolist() == want.offsets.tolist()
+        assert overlap.surface.tolist() == want.surface.tolist()
+        assert overlap.triangle.tolist() == want.triangle.tolist()
+        assert overlap.surface.dtype == overlap.triangle.dtype == np.int32
 
 
 def test_parents_are_the_distinct_crossed_parents():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -181,6 +183,8 @@ LOADER_FAULTS = {
         ValidationError,
         "nan.off:4: non-finite vertex",
     ),
+    "empty.off": ("# only a comment\n\n", ValidationError, "empty.off: empty OFF file"),
+    "truncated.off": ("OFF\n", ValidationError, "truncated.off: truncated OFF file"),
     "faceless.off": (
         "OFF\n3 0\n0 0 0\n1 0 0\n0 1 0\n",
         EmptyMesh,
@@ -214,6 +218,47 @@ def test_loaders_reject_invalid_utf8(tmp_path, name, data, line):
     assert _error(load_mesh, path) == (ValidationError, f"{name}:{line}: not valid UTF-8")
     path.write_bytes(data.replace(b"\xff", b"").replace(b"\xc3\n", b"\n"))
     assert len(load_mesh(path)) == 1
+
+
+@pytest.mark.parametrize("sep", ["\f", "\u2028"])
+def test_obj_lines_break_where_splitlines_breaks(tmp_path, sep):
+    """A form feed or a Unicode line separator ends a line as it does for
+    ``str.splitlines``: such an OBJ loads as its newline twin, and a bad
+    line is named by its number among the lines ``splitlines`` gives."""
+    lines = ["v 0 0 0", "v 1 0 0", "v 0 1 0", "f 1 2 3"]
+    (tmp_path / "newline.obj").write_text("\n".join(lines) + "\n")
+    (tmp_path / "sep.obj").write_text(sep.join(lines) + "\n", encoding="utf-8")
+    want, got = load_mesh(tmp_path / "newline.obj"), load_mesh(tmp_path / "sep.obj")
+    assert np.array_equal(got.vertices, want.vertices)
+    assert np.array_equal(got.triangles, want.triangles)
+    path = tmp_path / "bad.obj"
+    path.write_text(f"v 0 0 0\nv 1 0 0{sep}v 0 x 0{sep}f 1 2 3\n", encoding="utf-8")
+    for load in (load_mesh, load_mesh_lines):
+        assert _error(load, path) == (ValidationError, "bad.obj:3: bad vertex line")
+
+
+@pytest.mark.parametrize(
+    "vertices, triangles, message",
+    [
+        (np.zeros((3, 2)), [[0, 1, 2]], "vertices must be an (N, 3) array"),
+        (np.zeros(9), [[0, 1, 2]], "vertices must be an (N, 3) array"),
+        (np.eye(3), [[0, 1]], "triangles must be an (M, 3) array"),
+        (np.eye(3), [0, 1, 2], "triangles must be an (M, 3) array"),
+        ([[0, 0, 0], [1, 0, 0], [0, np.inf, 0]], [[0, 1, 2]], "mesh 'surface' has non-finite vertices"),
+        ([[0, 0, 0], [1, 0, 0], [0, np.nan, 0]], [[0, 1, 2]], "mesh 'surface' has non-finite vertices"),
+    ],
+)
+def test_triangle_mesh_checks_shapes_and_finite_vertices(vertices, triangles, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        TriangleMesh(np.asarray(vertices, dtype=float), np.asarray(triangles))
+
+
+def test_mesh_without_triangles_is_refused():
+    mesh = TriangleMesh(np.eye(3), np.empty((0, 3), dtype=np.int64), name="bare")
+    with pytest.raises(EmptyMesh, match="^mesh 'bare' has no triangles$"):
+        integrity_check(mesh)
+    with pytest.raises(EmptyMesh, match="^mesh 'bare' has no triangles to index$"):
+        build_index(mesh)
 
 
 def test_triangle_indices_checked_before_narrowing(tmp_path):

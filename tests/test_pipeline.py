@@ -473,25 +473,28 @@ def test_spawned_workers_match_one_thread(monkeypatch, convention):
 def test_diagnostics_match_the_parent_by_parent_oracle(tmp_path, monkeypatch):
     """On two sheets, one of which misses a crossed parent, the overlap and
     sidedness CSVs written from windows of three parents equal, byte for
-    byte, the ones the parent-by-parent classifications give."""
+    byte, the ones the parent-by-parent classifications give, under either
+    consolidation regime."""
     spec = LatticeSpec(origin=(0, 0, 0), parent_dims=(4, 4, 4), min_dims=(1, 1, 1))
     model = full_parent_model(*((px, py, 0) for py in range(2) for px in range(3)))
     wide = grid_surface((-1.0, 5.5, 13.0), (-1.0, 9.0), lambda x, y: 1.25 + x / 8)
     narrow = grid_surface((-1.0, 3.5, 6.75), (-1.0, 3.25), 2.625)
     surfaces = [(mesh, build_index(mesh)) for mesh in (wide, narrow)]
-    cfg = PipelineConfig(
-        (instruction("wide.obj"), instruction("narrow.obj")), diagnostics_dir=str(tmp_path / "got")
-    )
+    instructions = (instruction("wide.obj"), instruction("narrow.obj"))
     monkeypatch.setattr(merge, "_CLASS_CELLS", 3 * spec.cells_per_parent)
-    restructure(model, cfg, surfaces=surfaces)
-    _, classifications = restructure_by_parent(model, cfg, surfaces)
-    assert [c.surface_ids for c in classifications] == [[0, 1], [0, 1], [0], [0], [0], [0]]
+    for mode in ("preclassified", "legacy-two-set"):
+        cfg = PipelineConfig(instructions, mode=mode, diagnostics_dir=str(tmp_path / mode))
+        restructure(model, cfg, surfaces=surfaces)
+    _, sides = restructure_by_parent(model, cfg, surfaces)
+    assert (sides[:, :, 0] != 0).tolist() == [[True] * 6, [True, True] + [False] * 4]
     want = tmp_path / "want"
     want.mkdir()
-    write_overlap_csv(want / "overlap.csv", detect_overlaps(model, surfaces))
-    write_sidedness_csv(want / "sidedness.csv", spec, classifications, 2)
-    for name in ("overlap.csv", "sidedness.csv"):
-        assert (tmp_path / "got" / name).read_bytes() == (want / name).read_bytes()
+    overlap = detect_overlaps(model, surfaces)
+    write_overlap_csv(want / "overlap.csv", overlap)
+    write_sidedness_csv(want / "sidedness.csv", spec, overlap.parents, sides)
+    for mode in ("preclassified", "legacy-two-set"):
+        for name in ("overlap.csv", "sidedness.csv"):
+            assert (tmp_path / mode / name).read_bytes() == (want / name).read_bytes(), (mode, name)
     codes = [line.rsplit(",", 1)[1] for line in (want / "sidedness.csv").read_text().splitlines()]
     assert codes.count(str(CODE_UNTESTED)) == 4 * 64
 

@@ -14,7 +14,6 @@ from reblock.mesh import TriangleMesh, build_index
 from reblock.sidedness import (
     SIDE_ABOVE,
     SIDE_BELOW,
-    CellClassification,
     ParityResult,
     cast_parity,
     cast_parity_many,
@@ -463,6 +462,13 @@ def test_exact_path_decides_ties_on_a_dyadic_sheet(plane, monkeypatch):
     assert {"_exact_edges", "_exact_plane"} <= set(calls)
 
 
+@pytest.mark.parametrize("direction", [(0, 0, 0), (0, 0, np.nan), (np.inf, 0, 1)])
+def test_cast_direction_must_be_non_zero_and_finite(direction):
+    mesh = grid_surface([-1.0, 1.0], [-1.0, 1.0], 0.0)
+    with pytest.raises(ValidationError, match="^cast direction must be non-zero and finite$"):
+        cast_parity_many(np.zeros((1, 3)), mesh, build_index(mesh), direction)
+
+
 def _classified_parent():
     spec = LatticeSpec(vec3(0, 0, 0), vec3(4, 4, 4), vec3(1, 1, 1))
     blocks = [Block(parent=(0, 0, 0), cell_min=(0, 0, 0), cell_dims=(4, 4, 4), label=0)]
@@ -577,10 +583,9 @@ def test_classify_cells_intersects_match_clip_oracle(scene):
 
 def test_write_sidedness_csv(tmp_path):
     spec, surfaces, overlap = _classified_parent()
-    intersects, sides = classify_cells(spec, overlap, surfaces)
-    cls = CellClassification((0, 0, 0), [0], intersects[:, 0], sides[:, 0])
+    _, sides = classify_cells(spec, overlap, surfaces)
     path = tmp_path / "sides.csv"
-    rows = write_sidedness_csv(path, spec, [cls], n_surfaces=2)
+    rows = write_sidedness_csv(path, spec, overlap.parents, np.concatenate([sides, 0 * sides]))
     lines = path.read_text().strip().splitlines()
     assert rows == 64 * 2
     assert lines[0] == "parent,cell_ix,cell_iy,cell_iz,surface_id,code"
