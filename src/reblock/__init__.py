@@ -3,8 +3,8 @@
 The package splits into small, separately usable layers:
 
 - :mod:`reblock.lattice` — the two-tier block lattice and model CSV I/O
-- :mod:`reblock.mesh` — OFF/OBJ loading, integrity checks, refinement,
-  and a sort-and-sweep index for triangle bounding-box queries
+- :mod:`reblock.mesh` — OFF/OBJ loading, integrity checks, and a
+  sort-and-sweep index for triangle bounding-box queries
 - :mod:`reblock.intersection` — exact triangle/box overlap (SAT)
 - :mod:`reblock.sidedness` — ray-parity above/below classification
 - :mod:`reblock.merge` — coordinate-ascent cell merging, two conventions
@@ -28,7 +28,7 @@ from .lattice import (
     write_model_csv,
 )
 from .merge import MergedBlock, MergeParams, merge_class
-from .mesh import RefineParams, TriangleMesh, build_index, load_mesh, refine_mesh
+from .mesh import TriangleMesh, build_index, load_mesh
 from .intersection import OverlapMap, detect_overlaps
 from .sidedness import cast_parity, cast_parity_many, classify_cells
 from .tagging import TaggingInstruction, apply_tagging, parse_instruction_file
@@ -53,7 +53,6 @@ __all__ = [
     "OverlapMap",
     "PipelineConfig",
     "ReblockError",
-    "RefineParams",
     "TaggingInstruction",
     "TriangleMesh",
     "UNLABELLED",
@@ -73,7 +72,6 @@ __all__ = [
     "octree_model",
     "parse_instruction_file",
     "read_model_csv",
-    "refine_mesh",
     "restructure",
     "write_model_csv",
 ]

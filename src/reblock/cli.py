@@ -32,7 +32,6 @@ from . import __version__
 from .errors import GeometryError, ValidationError
 from .lattice import BlockModel, LatticeSpec, read_model_csv, write_model_csv
 from .merge import ALL_SCAN_PATTERNS, MergeParams
-from .mesh import RefineParams
 from .metrics import (
     block_dimension_cdf,
     compute_stats,
@@ -160,17 +159,10 @@ def _finish(
 
 def _cmd_restructure(args: argparse.Namespace, model: BlockModel) -> tuple[BlockModel, list]:
     instructions = parse_instruction_file(args.config)
-    refine = None
-    if args.refine_area is not None or args.refine_edge is not None:
-        refine = RefineParams(
-            max_triangle_area=float("inf") if args.refine_area is None else args.refine_area,
-            max_edge_length=float("inf") if args.refine_edge is None else args.refine_edge,
-        )
     config = PipelineConfig(
         instructions=tuple(instructions),
         merge_params=_merge_params(args),
         mode=args.mode,
-        refine_params=refine,
         diagnostics_dir=args.diagnostics_dir,
     )
     result = restructure(model, config, threads=args.threads)
@@ -279,14 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="consolidation regime (default preclassified)",
     )
     _add_merge_flags(p, convention_required=False)
-    p.add_argument(
-        "--refine-area", type=float, default=None,
-        help="refine surfaces until triangle areas are below this",
-    )
-    p.add_argument(
-        "--refine-edge", type=float, default=None,
-        help="refine surfaces until edge lengths are below this",
-    )
     p.add_argument(
         "--diagnostics-dir", default=None,
         help="also write overlap.csv and sidedness.csv here",

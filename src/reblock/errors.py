@@ -47,7 +47,3 @@ class EmptyInput(ValidationError):
 
 class InconsistentSidedness(GeometryError):
     """A block's per-surface signs are incompatible with a layered surface stack."""
-
-
-class RefinementOverflow(GeometryError):
-    """Mesh refinement exceeded the triangle-count cap."""

@@ -1,6 +1,6 @@
-"""Triangle-mesh container, file loaders, integrity checks, density
-refinement, and the sort-and-sweep index that prunes block-vs-triangle
-candidates to the triangles whose bounding boxes meet a query box.
+"""Triangle-mesh container, file loaders, integrity checks, and the
+sort-and-sweep index that prunes block-vs-triangle candidates to the
+triangles whose bounding boxes meet a query box.
 
 The OBJ and OFF loaders parse each block of records with one ``np.loadtxt``
 call, NumPy's C reader; only a block that fails to parse, or holds a
@@ -18,20 +18,15 @@ Meshes are treated as immutable after construction; operations that
 from __future__ import annotations
 
 import itertools
-import math
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
-from .errors import EmptyMesh, RefinementOverflow, ValidationError
+from .errors import EmptyMesh, ValidationError
 from .tables import parse_table, read_text
-
-# Hard ceiling on triangles produced by refine_mesh.
-REFINE_CAP = 10_000_000
 
 
 @dataclass
@@ -253,144 +248,6 @@ def tri_bounds(tv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo = np.minimum(np.minimum(x[..., 0], x[..., 1], order="C"), x[..., 2], order="C")
     hi = np.maximum(np.maximum(x[..., 0], x[..., 1], order="C"), x[..., 2], order="C")
     return np.moveaxis(lo, 0, -1), np.moveaxis(hi, 0, -1)
-
-
-# ---------------------------------------------------------------------------
-# refinement
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RefineParams:
-    """Density thresholds: split until area and every edge are below these."""
-
-    max_triangle_area: float
-    max_edge_length: float
-
-    def __post_init__(self) -> None:
-        if self.max_triangle_area <= 0 or self.max_edge_length <= 0:
-            raise ValidationError("refinement thresholds must be positive")
-
-
-def refine_mesh(mesh: TriangleMesh, params: RefineParams) -> TriangleMesh:
-    """Recursively bisect longest edges until every triangle satisfies
-    ``params``.
-
-    Splitting an edge also splits the neighbour sharing it (at the same
-    midpoint), so the refined mesh stays conforming: no T-junctions are
-    introduced and the union of triangles is geometrically unchanged.
-    Raises :class:`RefinementOverflow` past ``REFINE_CAP`` triangles.
-    """
-    verts: list[tuple[float, float, float]] = [tuple(v) for v in mesh.vertices]
-    vert_ids: dict[tuple[float, float, float], int] = {v: i for i, v in enumerate(verts)}
-    tris: list[tuple[int, int, int]] = [tuple(t) for t in mesh.triangles]
-    alive: list[bool] = [True] * len(tris)
-    n_alive = len(tris)
-
-    def edge_key(a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a < b else (b, a)
-
-    edge_map: dict[tuple[int, int], set[int]] = {}
-
-    def register(tid: int) -> None:
-        a, b, c = tris[tid]
-        for e in (edge_key(a, b), edge_key(b, c), edge_key(c, a)):
-            edge_map.setdefault(e, set()).add(tid)
-
-    def unregister(tid: int) -> None:
-        a, b, c = tris[tid]
-        for e in (edge_key(a, b), edge_key(b, c), edge_key(c, a)):
-            owners = edge_map.get(e)
-            if owners is not None:
-                owners.discard(tid)
-
-    for tid in range(len(tris)):
-        register(tid)
-
-    max_area = params.max_triangle_area
-    max_edge_sq = params.max_edge_length * params.max_edge_length
-
-    def needs_split(tid: int) -> tuple[int, int] | None:
-        """Return the longest edge (as a directed pair) if over threshold."""
-        a, b, c = tris[tid]
-        pa, pb, pc = verts[a], verts[b], verts[c]
-        ab = _dist_sq(pa, pb)
-        bc = _dist_sq(pb, pc)
-        ca = _dist_sq(pc, pa)
-        longest = max(ab, bc, ca)
-        area = _tri_area(pa, pb, pc)
-        if area <= max_area and longest <= max_edge_sq:
-            return None
-        if longest == ab:
-            return (a, b)
-        if longest == bc:
-            return (b, c)
-        return (c, a)
-
-    queue: deque[int] = deque(range(len(tris)))
-    while queue:
-        tid = queue.popleft()
-        if not alive[tid]:
-            continue
-        split = needs_split(tid)
-        if split is None:
-            continue
-        ea, eb = split
-        pa, pb = verts[ea], verts[eb]
-        mid = ((pa[0] + pb[0]) * 0.5, (pa[1] + pb[1]) * 0.5, (pa[2] + pb[2]) * 0.5)
-        m = vert_ids.get(mid)
-        if m is None:
-            m = len(verts)
-            verts.append(mid)
-            vert_ids[mid] = m
-        # split every live triangle that shares the edge, so the mesh
-        # stays conforming even when the edge is not the neighbour's longest
-        owners = [t for t in edge_map.get(edge_key(ea, eb), ()) if alive[t]]
-        for owner in owners:
-            corners = tris[owner]
-            alive[owner] = False
-            n_alive += 1  # one owner out, two children in
-            unregister(owner)
-            for i in range(3):
-                p, q = corners[i], corners[(i + 1) % 3]
-                if edge_key(p, q) == edge_key(ea, eb):
-                    o = corners[(i + 2) % 3]
-                    children = ((p, m, o), (m, q, o))
-                    break
-            else:  # pragma: no cover - edge map guarantees membership
-                raise AssertionError("edge not found in owning triangle")
-            for child in children:
-                cid = len(tris)
-                tris.append(child)
-                alive.append(True)
-                register(cid)
-                queue.append(cid)
-            if len(tris) > REFINE_CAP * 2 or n_alive > REFINE_CAP:
-                raise RefinementOverflow(
-                    f"refinement of '{mesh.name}' exceeded {REFINE_CAP} triangles"
-                )
-
-    out = [t for t, ok in zip(tris, alive) if ok]
-    return TriangleMesh(
-        np.asarray(verts, dtype=np.float64),
-        np.asarray(out, dtype=np.int32),
-        name=mesh.name,
-    )
-
-
-def _dist_sq(a: Sequence[float], b: Sequence[float]) -> float:
-    dx = a[0] - b[0]
-    dy = a[1] - b[1]
-    dz = a[2] - b[2]
-    return dx * dx + dy * dy + dz * dz
-
-
-def _tri_area(a: Sequence[float], b: Sequence[float], c: Sequence[float]) -> float:
-    ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
-    vx, vy, vz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
-    nx = uy * vz - uz * vy
-    ny = uz * vx - ux * vz
-    nz = ux * vy - uy * vx
-    return 0.5 * math.sqrt(nx * nx + ny * ny + nz * nz)
 
 
 # ---------------------------------------------------------------------------

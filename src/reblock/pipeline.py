@@ -52,15 +52,7 @@ from .merge import (
     merge_class,  # uncalled here; perfbench/tracing.py probes it on this module
     merge_prepared,
 )
-from .mesh import (
-    MeshIndex,
-    RefineParams,
-    TriangleMesh,
-    build_index,
-    integrity_check,
-    load_mesh,
-    refine_mesh,
-)
+from .mesh import MeshIndex, TriangleMesh, build_index, integrity_check, load_mesh
 from .octree import decompose_parents, validate_dyadic
 from .parallel import parallel_map
 from .sidedness import (
@@ -86,7 +78,6 @@ class PipelineConfig:
     instructions: tuple[TaggingInstruction, ...]
     merge_params: MergeParams = MergeParams()
     mode: Mode = "preclassified"
-    refine_params: RefineParams | None = None
     diagnostics_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -94,22 +85,17 @@ class PipelineConfig:
             raise ValidationError(f"unknown consolidation mode '{self.mode}'")
 
 
-def load_surface(
-    path: str | Path, refine_params: RefineParams | None = None
-) -> tuple[TriangleMesh, MeshIndex]:
-    """Load, sanity-check, optionally refine, and index one surface."""
+def load_surface(path: str | Path) -> tuple[TriangleMesh, MeshIndex]:
+    """Load, sanity-check and index one surface."""
     mesh, _ = integrity_check(load_mesh(path))
-    if refine_params is not None:
-        mesh = refine_mesh(mesh, refine_params)
     return mesh, build_index(mesh)
 
 
 def load_surfaces(
     instructions: Sequence[TaggingInstruction],
-    refine_params: RefineParams | None = None,
 ) -> list[tuple[TriangleMesh, MeshIndex]]:
     """:func:`load_surface` for each instruction's surface."""
-    return [load_surface(i.surface_path, refine_params) for i in instructions]
+    return [load_surface(i.surface_path) for i in instructions]
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +165,7 @@ def restructure(
     if not config.instructions:
         return model
     if surfaces is None:
-        surfaces = load_surfaces(config.instructions, config.refine_params)
+        surfaces = load_surfaces(config.instructions)
     if len(surfaces) != len(config.instructions):
         raise ValidationError(
             f"{len(surfaces)} surfaces for {len(config.instructions)} instructions"

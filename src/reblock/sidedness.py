@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -53,6 +53,10 @@ CODE_UNTESTED = 1
 _U = 2.0**-53
 _ORIENT2D_BOUND = (3.0 + 16.0 * _U) * _U
 _ORIENT3D_BOUND = (7.0 + 56.0 * _U) * _U
+
+# cast_parity_many decides the points of this many whole ray lines at a
+# time, which bounds its candidate pairs and plane tests
+_CAST_POINTS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +258,17 @@ def _ramp(sizes: np.ndarray) -> np.ndarray:
     return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
 
+def _line_runs(members: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The lines as runs ``(a, b)``, lines a to b - 1, that hold at most
+    ``_CAST_POINTS`` points together, or one line that holds more;
+    ``members`` counts each line's points."""
+    ends, a = np.cumsum(members), 0
+    while a < len(members):
+        b = max(int(np.searchsorted(ends, ends[a] - members[a] + _CAST_POINTS, "right")), a + 1)
+        yield a, b
+        a = b
+
+
 def cast_parity_many(
     points: np.ndarray,
     mesh: TriangleMesh,
@@ -267,37 +282,43 @@ def cast_parity_many(
     box and one set of edge signs per candidate, and each of its points
     counts the crossings whose plane sign puts them beyond it.  A cast
     along any other direction d runs each point p's ray on its own line,
-    through fl(p + d).  The boxes of all lines go to the index in one
-    call.  A point whose line meets no candidate is outside the surface's
-    support.
+    through fl(p + d).  The lines go a run of whole lines at a time, about
+    ``_CAST_POINTS`` points (:func:`_line_runs`), and the boxes of a run's
+    lines go to the index in one call; every (line, triangle) pair is
+    decided once, in the run of its line.  A point whose line meets no
+    candidate is outside the surface's support.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     d = _normalize_direction(direction)
     moving = np.flatnonzero(d)
     axis = int(moving[0]) if len(moving) == 1 else None
     line_of, heads = _ray_lines(pts, axis)
-    p = pts[heads]
-    q = None if axis is not None else p + d
-    e = np.broadcast_to(d, p.shape) if q is None else q - p
-
-    pair_line, tri = query_candidates(index, *_column_boxes(p, e, index)).T
-    n_cand = np.bincount(pair_line, minlength=len(heads))
-    tv = mesh.tri_vertices()[tri]
-    sign = _line_crossings(tv, p[pair_line], None if q is None else q[pair_line], axis, d)
-
-    # every crossing of a line against every point on it: the crossing is
-    # beyond the point where the plane sign agrees with the edge signs
-    hit = np.flatnonzero(sign)
     members = np.bincount(line_of, minlength=len(heads))
-    n_mem = members[pair_line[hit]]
     by_line = np.argsort(line_of, kind="stable")
-    who = by_line[np.repeat((np.cumsum(members) - members)[pair_line[hit]], n_mem) + _ramp(n_mem)]
-    tv_who = np.repeat(tv[hit], n_mem, axis=0)
-    plane = _orient3d(tv_who[:, 0], tv_who[:, 1], tv_who[:, 2], pts[who])
-    for i in np.flatnonzero(plane == 0):
-        plane[i] = _exact_plane(tv_who[i], pts[who[i]])
-    beyond = plane == np.repeat(sign[hit], n_mem)
-    counts = np.bincount(who[beyond], minlength=len(pts))
+    first = np.cumsum(members) - members  # line i's points: by_line[first[i]:][:members[i]]
+    n_cand = np.zeros(len(heads), dtype=np.int64)
+    beyond = [np.empty(0, dtype=np.int64)]
+    for a, b in _line_runs(members):
+        p = pts[heads[a:b]]
+        q = None if axis is not None else p + d
+        e = np.broadcast_to(d, p.shape) if q is None else q - p
+        pair_line, tri = query_candidates(index, *_column_boxes(p, e, index)).T
+        n_cand[a:b] = np.bincount(pair_line, minlength=b - a)
+        tv = mesh.tri_vertices()[tri]
+        sign = _line_crossings(tv, p[pair_line], None if q is None else q[pair_line], axis, d)
+
+        # every crossing of a line against every point on it: the crossing
+        # is beyond the point where the plane sign agrees with the edge signs
+        hit = np.flatnonzero(sign)
+        line = pair_line[hit] + a
+        n_mem = members[line]
+        who = by_line[np.repeat(first[line], n_mem) + _ramp(n_mem)]
+        tv_who = np.repeat(tv[hit], n_mem, axis=0)
+        plane = _orient3d(tv_who[:, 0], tv_who[:, 1], tv_who[:, 2], pts[who])
+        for i in np.flatnonzero(plane == 0):
+            plane[i] = _exact_plane(tv_who[i], pts[who[i]])
+        beyond.append(who[plane == np.repeat(sign[hit], n_mem)])
+    counts = np.bincount(np.concatenate(beyond), minlength=len(pts))
     sides = np.where(counts % 2 == 1, SIDE_BELOW, SIDE_ABOVE).astype(np.int8)
     return ParityBatch(sides, counts, n_cand[line_of] == 0)
 

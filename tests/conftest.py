@@ -5,6 +5,7 @@ vertex data, and random content always comes from a seeded Generator.
 """
 from __future__ import annotations
 
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,65 @@ def grid_surface(xs, ys, height) -> TriangleMesh:
             faces.append((a, b, d))
             faces.append((a, d, c))
     return TriangleMesh(verts, np.asarray(faces, dtype=np.int64))
+
+
+def bisect_longest_edges(mesh: TriangleMesh, max_edge: float) -> TriangleMesh:
+    """``mesh`` with triangles split at the midpoint of their longest edge,
+    first edge first on ties, until no edge is longer than ``max_edge``.
+
+    Triangles are taken first in, first out.  Splitting an edge splits
+    every triangle that shares it at the same midpoint, so a closed mesh
+    stays closed, without T-junctions.
+    """
+    verts = [tuple(v) for v in mesh.vertices.tolist()]
+    vert_ids = {v: i for i, v in enumerate(verts)}
+    tris = [tuple(t) for t in mesh.triangles.tolist()]
+    alive = [True] * len(tris)
+    owners: dict[tuple[int, int], set[int]] = {}
+
+    def edges(tid: int) -> list[tuple[int, int]]:
+        a, b, c = tris[tid]
+        return [(min(u, v), max(u, v)) for u, v in ((a, b), (b, c), (c, a))]
+
+    def add(tid: int) -> None:
+        for e in edges(tid):
+            owners.setdefault(e, set()).add(tid)
+
+    def length_sq(u: int, v: int) -> float:
+        (x0, y0, z0), (x1, y1, z1) = verts[u], verts[v]
+        return (x0 - x1) * (x0 - x1) + (y0 - y1) * (y0 - y1) + (z0 - z1) * (z0 - z1)
+
+    for tid in range(len(tris)):
+        add(tid)
+    queue = deque(range(len(tris)))
+    while queue:
+        tid = queue.popleft()
+        if not alive[tid]:
+            continue
+        a, b, c = tris[tid]
+        lengths = [length_sq(a, b), length_sq(b, c), length_sq(c, a)]
+        longest = max(range(3), key=lengths.__getitem__)
+        if lengths[longest] <= max_edge * max_edge:
+            continue
+        ea, eb = ((a, b), (b, c), (c, a))[longest]
+        mid = tuple((p + q) * 0.5 for p, q in zip(verts[ea], verts[eb]))
+        m = vert_ids.setdefault(mid, len(verts))
+        if m == len(verts):
+            verts.append(mid)
+        for owner in list(owners[min(ea, eb), max(ea, eb)]):
+            alive[owner] = False
+            for e in edges(owner):
+                owners[e].discard(owner)
+            corners = tris[owner]
+            i = next(i for i in range(3) if {corners[i], corners[(i + 1) % 3]} == {ea, eb})
+            p, q, o = corners[i], corners[(i + 1) % 3], corners[(i + 2) % 3]
+            for child in ((p, m, o), (m, q, o)):
+                tris.append(child)
+                alive.append(True)
+                add(len(tris) - 1)
+                queue.append(len(tris) - 1)
+    kept = [t for t, ok in zip(tris, alive) if ok]
+    return TriangleMesh(np.array(verts), np.array(kept), name=mesh.name)
 
 
 def write_obj(path: Path, mesh: TriangleMesh) -> Path:

@@ -27,14 +27,14 @@ from reblock.merge import (
     coalesce_binary,
     merge_class,
 )
-from reblock.mesh import RefineParams, build_index, refine_mesh
+from reblock.mesh import build_index
 from reblock.metrics import compute_stats, growth_factors
 from reblock.octree import decompose_parents, validate_dyadic
 from reblock.pipeline import PipelineConfig, merge_model, restructure
 from reblock.sidedness import SIDE_BELOW, cast_parity_many
 from reblock.tagging import TaggingInstruction, apply_tagging
 
-from conftest import box_mesh, grid_surface, icosphere, write_obj
+from conftest import bisect_longest_edges, box_mesh, grid_surface, icosphere, write_obj
 from oracles import (
     clip_overlap_pairs,
     distance_to_box,
@@ -166,9 +166,7 @@ def test_c03_parity_matches_analytic_containment():
     assert np.array_equal(inside[clear], inside_sphere(pts, (0, 0, 0), 1.0)[clear])
 
     lo, hi = (0.0, 0.0, 0.0), (3.0, 2.0, 1.0)
-    box = refine_mesh(
-        box_mesh(lo, hi), RefineParams(max_triangle_area=1e9, max_edge_length=0.4)
-    )
+    box = bisect_longest_edges(box_mesh(lo, hi), max_edge=0.4)
     pts = rng.uniform((-1, -1, -1), (4, 3, 2), size=(10_000, 3))
     inside = cast_parity_many(pts, box, build_index(box)).sides == SIDE_BELOW
     clear = distance_to_box(pts, lo, hi) > 2 * mean_edge_length(box)

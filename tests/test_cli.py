@@ -536,7 +536,7 @@ class TestStatsCommand:
 CONFIG_KEYS = {
     "restructure": [
         "convention", "max_merge", "min_dims", "mode", "objective", "origin", "parent_dims",
-        "refine_area", "refine_edge", "scans", "token",
+        "scans", "token",
     ],
     "merge": [
         "convention", "max_merge", "min_dims", "objective", "origin", "parent_dims", "scans",
@@ -563,23 +563,22 @@ class TestSharedSkeleton:
         keys = [l[7:].split("=")[0] for l in manifest_lines(manifest) if l.startswith("config ")]
         assert keys == CONFIG_KEYS[command]
 
-    def test_refinement_changes_the_config_hash(self, scene):
+    def test_token_changes_the_config_hash(self, scene):
         tmp, model_csv, config = scene
         hashes = []
-        for area in ("0.5", "2.0"):
-            out = tmp / f"out-{area}.csv"
+        for token in ("1", "2"):
+            out = tmp / f"out-{token}.csv"
             argv = [
                 "restructure", *LATTICE_FLAGS,
                 "--model", str(model_csv),
                 "--config", str(config),
                 "--out", str(out),
                 "--threads", "1",
-                "--refine-area", area,
+                "--token", token,
             ]
             assert main(argv) == 0
-            lines = manifest_lines(tmp / f"out-{area}.csv.manifest.txt")
-            assert f"config refine_area={area}" in lines
-            assert "config refine_edge=None" in lines
+            lines = manifest_lines(tmp / f"out-{token}.csv.manifest.txt")
+            assert f"config token={token}" in lines
             hashes += [l for l in lines if l.startswith("config_hash=")]
         assert len(hashes) == 2 and hashes[0] != hashes[1]
 
@@ -676,6 +675,20 @@ class TestParserBehaviour:
         err = capsys.readouterr().err
         assert err.startswith(f"usage: reblock {command} ")
         assert err.endswith(f"reblock {command}: error: argument --threads: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--refine-area", "--refine-edge"])
+    def test_removed_refinement_flags_exit_1_with_usage(self, scene, capsys, flag):
+        """Restructure has no surface refinement: ``--refine-area`` and
+        ``--refine-edge`` are refused like any unknown flag, before the
+        model is read."""
+        tmp, model_csv, config = scene
+        out = tmp / "out.csv"
+        argv = ["restructure", *LATTICE_FLAGS, "--model", str(model_csv), "--config", str(config)]
+        assert main(argv + ["--out", str(out), flag, "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: reblock ")
+        assert err.endswith(f"reblock: error: unrecognized arguments: {flag} 1\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(

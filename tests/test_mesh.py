@@ -7,15 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reblock.errors import EmptyMesh, RefinementOverflow, ValidationError
+from reblock.errors import EmptyMesh, ValidationError
 from reblock.mesh import (
-    RefineParams,
     TriangleMesh,
     build_index,
     integrity_check,
     load_mesh,
     query_candidates,
-    refine_mesh,
     tri_bounds,
 )
 
@@ -525,59 +523,6 @@ def test_mesh_measures():
     assert np.array_equal(hi, index.tri_hi.max(axis=0))
     assert (lo < 0).all() and (hi > [3, 4, 12]).all()
     assert np.allclose(lo, 0, atol=2e-8) and np.allclose(hi, [3, 4, 12], atol=2e-8)
-
-
-def test_refine_params_validation():
-    with pytest.raises(ValidationError):
-        RefineParams(max_triangle_area=0, max_edge_length=1)
-    with pytest.raises(ValidationError):
-        RefineParams(max_triangle_area=1, max_edge_length=-2)
-
-
-def test_refine_preserves_area_and_meets_thresholds():
-    surface = grid_surface([0.0, 8.0], [0.0, 8.0], 1.0)  # two big triangles
-    params = RefineParams(max_triangle_area=2.0, max_edge_length=2.5)
-    fine = refine_mesh(surface, params)
-    tv = fine.tri_vertices()
-    areas = 0.5 * np.linalg.norm(
-        np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]), axis=1
-    )
-    assert np.all(areas <= 2.0 + 1e-9)
-    edges = np.concatenate(
-        [
-            np.linalg.norm(tv[:, 1] - tv[:, 0], axis=1),
-            np.linalg.norm(tv[:, 2] - tv[:, 1], axis=1),
-            np.linalg.norm(tv[:, 0] - tv[:, 2], axis=1),
-        ]
-    )
-    assert np.all(edges <= 2.5 + 1e-9)
-    assert abs(areas.sum() - 64.0) < 1e-9  # refinement never changes the surface
-    assert np.allclose(fine.vertices[:, 2], 1.0)
-
-
-def test_refine_overflow_at_the_cap(monkeypatch):
-    """The cap is read at call time: a refinement that ends exactly at the
-    cap succeeds, and one triangle more raises."""
-    surface = grid_surface([0.0, 8.0], [0.0, 8.0], 1.0)
-    params = RefineParams(max_triangle_area=2.0, max_edge_length=2.5)
-    n = len(refine_mesh(surface, params))
-    monkeypatch.setattr("reblock.mesh.REFINE_CAP", n)
-    assert len(refine_mesh(surface, params)) == n
-    monkeypatch.setattr("reblock.mesh.REFINE_CAP", n - 1)
-    with pytest.raises(RefinementOverflow, match=f"exceeded {n - 1} triangles"):
-        refine_mesh(surface, params)
-
-
-def test_refine_is_conforming():
-    """Shared edges are split consistently: every interior edge is used twice."""
-    surface = grid_surface([0.0, 4.0, 8.0], [0.0, 4.0], 0.0)
-    fine = refine_mesh(surface, RefineParams(max_triangle_area=3.0, max_edge_length=100.0))
-    counts: dict[tuple[int, int], int] = {}
-    for a, b, c in fine.triangles:
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (min(u, v), max(u, v))
-            counts[key] = counts.get(key, 0) + 1
-    assert all(n in (1, 2) for n in counts.values())
 
 
 # dyadic coordinates keep box bounds exact, so boxes built to touch a

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reblock import lattice, merge, parallel, pipeline
+from reblock import lattice, merge, parallel, pipeline, sidedness
 from reblock.errors import ValidationError
 from reblock.intersection import detect_overlaps, write_overlap_csv
 from reblock.lattice import (
@@ -409,7 +409,9 @@ def test_restructure_matches_unit_box_merge(
 @pytest.mark.parametrize("convention", ["dissolved", "persistent"])
 def test_restructure_does_not_depend_on_window_or_threads(convention, mode):
     """Windows of one parent, of three and of all six, each at one and two
-    threads, give the oracle's blocks, block for block."""
+    threads, give the oracle's blocks, block for block, and so do casts
+    that decide their lines five points at a time: the cells' casts and
+    those of the pass-through blocks, which this scene has."""
     model, instructions, surfaces = crossed_scene(5, (1, 0.5, 2), n_sheets=2)
     cfg = PipelineConfig(instructions, MergeParams(convention=convention), mode)
     want, _ = restructure_by_parent(model, cfg, surfaces)
@@ -420,6 +422,9 @@ def test_restructure_does_not_depend_on_window_or_threads(convention, mode):
                 mp.setattr(merge, "_CLASS_CELLS", window)
                 got = restructure(model, cfg, surfaces=surfaces, threads=threads)
             assert rows_of(got) == want, (window, threads)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sidedness, "_CAST_POINTS", 5)
+        assert rows_of(restructure(model, cfg, surfaces=surfaces)) == want
 
 
 @pytest.fixture(scope="module")

@@ -370,17 +370,24 @@ def test_parity_matches_oracles_on_dyadic_lattices(scene):
     "kind,direction",
     [("box", d) for d in LINE_DIRECTIONS] + [("sheet", d) for d in LINE_DIRECTIONS[:2]],
 )
-def test_parity_matches_oracles_through_shared_edges(kind, direction):
+def test_parity_matches_oracles_through_shared_edges(kind, direction, monkeypatch):
     """A 0.5-step lattice around a box whose faces lie on lattice planes,
     or under and over a dyadic sheet: rays in face planes and through
     shared vertices and edges get exact ties, and every point still gets
-    the oracle's answer."""
+    the oracle's answer.  Deciding the lines a few points at a time gives
+    every point the same count and support."""
     sheet = _dyadic_sheet(0.1, 0.25, -0.5) if kind == "sheet" else None
     mesh = grid_surface(*sheet) if sheet else box_mesh((0.5, 0.5, 1.0), (3.5, 3.0, 3.5))
     axis = np.arange(-0.5, 4.6, 0.5)
     pts = _lattice_clear_of(mesh, [axis] * 3, 0.5)
     batch = cast_parity_many(pts, mesh, build_index(mesh), direction)
     assert np.array_equal(batch.sides == SIDE_BELOW, _oracle_below(mesh, pts, direction, sheet))
+    # lines hold 4 to 11 points: an 11-point line is a run of its own, and
+    # on the box two short lines share one
+    monkeypatch.setattr(sidedness, "_CAST_POINTS", 10)
+    runs = cast_parity_many(pts, mesh, build_index(mesh), direction)
+    for name in ("sides", "counts", "outside_support"):
+        assert np.array_equal(getattr(runs, name), getattr(batch, name)), name
 
 
 def _soup(*meshes: TriangleMesh) -> TriangleMesh:
